@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    economy_surface, parse_tds_policy, peak_line, sample_trajectory,
+    _fmt, economy_surface, parse_tds_policy, peak_line, sample_trajectory,
     write_economy_csv, write_peaks_csv, write_trajectory_csv,
 )
 from .gaits import (
@@ -31,10 +31,6 @@ from .transition import dump_stride_maps, stride_maps
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_range(text: str, what: str) -> np.ndarray:

@@ -21,11 +21,15 @@ in cleared-denominator form, which is regular at both phase endpoints.
 
 The module works numerically: it assembles the equations at a given (Q, t),
 eliminates dependent variables by linear solve, and recovers the phase ODE
-matrices by probing the resulting linear map with basis vectors.
+matrices by probing the resulting linear map with basis vectors.  Time
+enters the balance system only through s = t / T_phase, so the probing runs
+once per (body, phase) at unit duration and is cached; each timing then
+only rescales the time-linear part, K1 = K1_unit / T_phase.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -365,28 +369,31 @@ _CONST_COLS = {
 }
 
 
-def _extract_ode(params: BodyParams, timing: StrideTiming, phase: str) -> PhaseODE:
-    duration = timing.T_ss if phase == SINGLE else timing.T_ds
-    ts = (0.0, 0.5 * duration, duration)
+# probing timing: both phases last 1 s, so phase time equals s = t / T_phase
+_UNIT_TIMING = StrideTiming(T_ds=1.0, T_ss=1.0)
+
+
+@lru_cache(maxsize=256)
+def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
+    """Phase ODE of one body at unit phase duration (read-only arrays)."""
     K = []
-    for t in ts:
-        base = point_accel(params, timing, phase, np.zeros(Q_DIM), t)
+    for t in (0.0, 0.5, 1.0):
+        base = point_accel(params, _UNIT_TIMING, phase, np.zeros(Q_DIM), t)
         if np.max(np.abs(base)) > 1e-9:
             raise DegenerateModelError(f"{phase}-support accelerations not homogeneous")
         cols = []
         for i in range(Q_DIM):
             e = np.zeros(Q_DIM)
             e[i] = 1.0
-            cols.append(point_accel(params, timing, phase, e, t) - base)
+            cols.append(point_accel(params, _UNIT_TIMING, phase, e, t) - base)
         K.append(np.column_stack(cols))
     K0 = K[0]
-    K1 = (K[2] - K0) / duration
+    K1 = K[2] - K0
     # the differencing leaves ~1e-17 dust on genuinely constant columns;
     # true time-linear coefficients are many orders larger
     K1[np.abs(K1) < 1e-12 * max(np.max(np.abs(K1)), 1e-300)] = 0.0
-    scale = max(np.max(np.abs(K0)), np.max(np.abs(K1)) * duration, 1.0)
-    mid = K0 + 0.5 * duration * K1
-    if np.max(np.abs(mid - K[1])) > 1e-9 * scale:
+    scale = max(np.max(np.abs(K0)), np.max(np.abs(K1)), 1.0)
+    if np.max(np.abs(K0 + 0.5 * K1 - K[1])) > 1e-9 * scale:
         raise DegenerateModelError(f"{phase}-support forcing is not affine in time")
     allowed = _CONST_COLS[phase]
     stray = [i for i in range(Q_DIM)
@@ -395,14 +402,18 @@ def _extract_ode(params: BodyParams, timing: StrideTiming, phase: str) -> PhaseO
         raise DegenerateModelError(
             f"time-linear coefficients on dynamic columns {stray} in {phase} support")
     K1[:, [i for i in range(Q_DIM) if i not in allowed]] = 0.0
-    return PhaseODE(phase=phase, duration=duration, K0=K0, K1=K1)
+    K0.flags.writeable = False
+    K1.flags.writeable = False
+    return PhaseODE(phase=phase, duration=1.0, K0=K0, K1=K1)
 
 
 def assemble_single_support(params: BodyParams, timing: StrideTiming) -> PhaseODE:
     """Single-support phase ODE: swing foot free, stance foot fixed."""
-    return _extract_ode(params, timing, SINGLE)
+    unit = _extract_ode(params, SINGLE)
+    return PhaseODE(SINGLE, timing.T_ss, unit.K0, unit.K1 / timing.T_ss)
 
 
 def assemble_double_support(params: BodyParams, timing: StrideTiming) -> PhaseODE:
     """Double-support phase ODE: both feet fixed, load transferring linearly."""
-    return _extract_ode(params, timing, DOUBLE)
+    unit = _extract_ode(params, DOUBLE)
+    return PhaseODE(DOUBLE, timing.T_ds, unit.K0, unit.K1 / timing.T_ds)

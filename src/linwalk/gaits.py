@@ -3,10 +3,10 @@
 A periodic symmetric stride compares relative vectors (pelvis to each foot,
 pelvis velocity) before and after one stride, with the feet exchanged and
 lateral components mirrored.  Packing those comparisons against the
-constrained stride map H' and the end-of-stride foot-velocity rows gives a
-matrix whose null space holds every valid periodic gait:
+stride map H and the end-of-stride foot-velocity rows gives a matrix whose
+null space holds every valid periodic gait:
 
-    R_full = [ -M S_XP + O M T S_XP H'(T_stride) ]      (6 symmetry rows)
+    R_full = [ -M S_XP + O M T S_XP H(T_stride) ]       (6 symmetry rows)
              [  S_Xdot2 H(T_stride)              ]      (2 foot-velocity rows)
 
 Dropping the columns for initial foot velocity, contact position, and

@@ -1,7 +1,8 @@
 """Body parameters, stride timing, geometry, and config-file loading."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +32,13 @@ class BodyParams:
     g: float = 9.81
 
     def __post_init__(self):
-        for name in ("m1", "m2", "m3"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.z1 <= 0.0:
-            raise ValueError("z1 must be positive")
-        for name in ("z2", "z3", "w"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.g <= 0.0:
-            raise ValueError("g must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("z2", "z3", "w"):
+                if not 0.0 <= value < math.inf:
+                    raise ValueError(f"{f.name} must be finite and non-negative")
+            elif not 0.0 < value < math.inf:
+                raise ValueError(f"{f.name} must be finite and positive")
         if abs(self.m2 - self.m3) > 1e-12 * max(self.m2, self.m3):
             raise ValueError("asymmetric legs are not supported (m2 must equal m3)")
 
@@ -62,8 +60,9 @@ class StrideTiming:
     T_ss: float
 
     def __post_init__(self):
-        if self.T_ds <= 0.0 or self.T_ss <= 0.0:
-            raise ValueError("phase durations must be positive")
+        for name in ("T_ds", "T_ss"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def T_stride(self) -> float:
@@ -224,6 +223,8 @@ def load_config(path: str | Path) -> LoadedConfig:
             values[key] = float(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"config {path}: key {key!r} is not a number")
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"config {path}: key {key!r} is not finite")
     missing = [k for k in ("m1", "m2", "m3", "z1", "z2", "z3", "w") if k not in values]
     if missing:
         raise ConfigError(f"config {path}: missing required keys {missing}")

@@ -238,16 +238,6 @@ def integrate_batch(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     return _rk4_phase(params, timing.T_ss, True, mid, step)
 
 
-def apply_push(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
-               push: Push, config: OracleConfig | None = None) -> OracleTrajectory:
-    """RK4 trajectory with one extra scheduled push added to the config."""
-    from dataclasses import replace
-
-    config = config or OracleConfig()
-    return integrate(params, timing, Q0,
-                     replace(config, pushes=config.pushes + (push,)))
-
-
 def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
                    push: Push) -> np.ndarray:
     """Stride end state under one push, by piecewise map composition.

@@ -128,3 +128,16 @@ def test_infeasible_scenario_exit_1(tmp_path, adult_config):
     rc = run(["gait", "--config", str(bad), "--scenario", "long-double-support",
               "--speed", "1.0", "--out", str(tmp_path / "g")])
     assert rc != 0
+
+
+@pytest.mark.parametrize("key", ["m1", "T_ss"])
+def test_non_finite_config_exit_2(adult_config, tmp_path, capsys, key):
+    cfg = "\n".join(f"{key}: .nan" if line.startswith(key + ":") else line
+                    for line in Path(adult_config).read_text().splitlines())
+    bad = tmp_path / "nan.yaml"
+    bad.write_text(cfg + "\n")
+    rc = run(["maps", "--config", str(bad), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not (tmp_path / "m" / "stride_maps.json").exists()

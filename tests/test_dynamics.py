@@ -5,10 +5,10 @@ import pytest
 
 from conftest import random_states
 from linwalk.dynamics import (
-    DOUBLE, SINGLE, DegenerateModelError, assemble_double_support,
+    DOUBLE, SINGLE, DegenerateModelError, _extract_ode, assemble_double_support,
     assemble_single_support, point_accel, solve_forces,
 )
-from linwalk.model import BodyParams, StrideTiming, geometry
+from linwalk.model import BodyParams, StrideTiming, geometry, scaled_body
 from linwalk.oracle import accel_double, accel_single
 
 
@@ -230,3 +230,66 @@ def test_degenerate_geometry_raises(timing):
 def test_time_out_of_range(adult, timing):
     with pytest.raises(ValueError):
         solve_forces(adult, timing, SINGLE, np.zeros(23), timing.T_ss + 0.1)
+
+
+def _random_bodies_and_timings(adult, n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        body = scaled_body(adult, rng.uniform(50.0, 90.0), rng.uniform(0.85, 1.15))
+        yield body, StrideTiming(rng.uniform(0.05, 0.4), rng.uniform(0.2, 0.8)), rng
+
+
+def test_scaled_phase_ode_matches_solve_over_random_bodies(adult):
+    """The per-body unit-time operators, rescaled to each timing, give the
+    accelerations of a direct solve at random interior times."""
+    for body, tm, rng in _random_bodies_and_timings(adult, 12, seed=31):
+        for ode, phase, T in ((assemble_single_support(body, tm), SINGLE, tm.T_ss),
+                              (assemble_double_support(body, tm), DOUBLE, tm.T_ds)):
+            assert ode.duration == T
+            for _ in range(4):
+                q = rng.uniform(-1, 1, 23)
+                q[22] = rng.choice([-1.0, 1.0])
+                t = rng.uniform(0.0, T)
+                a = point_accel(body, tm, phase, q, t)
+                assert np.max(np.abs(ode.accel(q, t) - a)) <= 1e-12 * np.max(np.abs(a))
+
+
+def test_phase_ode_scales_with_phase_duration(adult):
+    """K0 is the same and K1 * T_phase is the same at two timings of one body."""
+    t1, t2 = StrideTiming(0.3, 0.56), StrideTiming(0.17, 0.91)
+    for assemble, T in ((assemble_single_support, lambda tm: tm.T_ss),
+                        (assemble_double_support, lambda tm: tm.T_ds)):
+        a, b = assemble(adult, t1), assemble(adult, t2)
+        assert np.array_equal(a.K0, b.K0)
+        assert np.max(np.abs(a.K1)) > 0.0
+        np.testing.assert_allclose(a.K1 * T(t1), b.K1 * T(t2), rtol=1e-14, atol=0.0)
+
+
+def test_extraction_runs_once_per_body_and_phase(adult):
+    """Stride maps at several timings of a new body probe each phase once."""
+    from linwalk.transition import stride_maps
+
+    body = scaled_body(adult, 63.2871, 1.0437)
+    before = _extract_ode.cache_info()
+    for T_ds, T_ss in ((0.1, 0.4), (0.2, 0.5), (0.15, 0.65), (0.3, 0.3)):
+        stride_maps(body, StrideTiming(T_ds, T_ss))
+    after = _extract_ode.cache_info()
+    assert after.misses - before.misses == 2
+    assert after.hits - before.hits == 6
+
+
+def test_degenerate_body_raises_on_every_call(timing):
+    """Failed extractions are not cached: each call probes again and raises."""
+    from linwalk.transition import stride_maps
+
+    degenerate = BodyParams(m1=51.3, m2=12.15, m3=12.15,
+                            z1=0.89, z2=0.0, z3=0.36, w=0.2)
+    before = _extract_ode.cache_info()
+    for _ in range(2):
+        with pytest.raises(DegenerateModelError):
+            assemble_single_support(degenerate, timing)
+        with pytest.raises(DegenerateModelError):
+            stride_maps(degenerate, timing)
+    after = _extract_ode.cache_info()
+    # the double-support extraction succeeds once and is then reused
+    assert after.misses - before.misses == 4 + 1

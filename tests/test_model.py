@@ -131,3 +131,26 @@ def test_load_config_missing_required(tmp_path):
     path.write_text("m1: 45.7\nm2: 12.15\nm3: 12.15\n")
     with pytest.raises(ConfigError, match="missing"):
         load_config(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_rejected(bad):
+    good = dict(m1=45.7, m2=12.15, m3=12.15, z1=0.89, z2=0.32, z3=0.36, w=0.2, g=9.81)
+    for name in good:
+        with pytest.raises(ValueError, match=name):
+            BodyParams(**{**good, name: bad})
+    with pytest.raises(ValueError, match="T_ds"):
+        StrideTiming(bad, 0.5)
+    with pytest.raises(ValueError, match="T_ss"):
+        StrideTiming(0.1, bad)
+
+
+@pytest.mark.parametrize("key", ["m1", "w", "T_ds", "T_ss"])
+@pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+def test_load_config_rejects_non_finite(adult_config, tmp_path, key, bad):
+    lines = [f"{key}: {bad}" if line.startswith(key + ":") else line
+             for line in open(adult_config).read().splitlines()]
+    path = tmp_path / "nonfinite.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
