@@ -13,12 +13,12 @@ from .gaits import (
     GaitSolution, InfeasibleConstraintsError, NullSpaceDimensionError,
     synthesize_gait,
 )
-from .layout import IP_X, IP_Y, IX_X1X, IX_X1Y, IX_X2X, IX_X2Y
+from .layout import IP_X, IP_Y, IX_X1X, IX_X1Y, IX_X2X, IX_X2Y, Q_DIM
 from .model import (
     BodyParams, StrideTiming, com_position_matrix, com_velocity_matrix,
     geometry, mass_velocity_matrix,
 )
-from .transition import ControlDegeneracyError, stride_maps
+from .transition import ControlDegeneracyError, PhaseMap, stride_maps
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,59 @@ def sample_times(timing: StrideTiming, n: int) -> np.ndarray:
     return ts
 
 
+def _march(pm: PhaseMap, x: np.ndarray, tl: np.ndarray) -> np.ndarray:
+    """Augmented states at the phase times tl (non-decreasing, >= 0), stepped
+    exactly from the state x at phase time 0.
+
+    Consecutive steps whose lengths agree with the first to 1e-12 relative
+    form one run that shares E(h), one exponential per distinct length; the
+    run's states E x, E^2 x, ... come from log2(run length) doublings.
+    """
+    hs = np.diff(tl, prepend=0.0)
+    out = np.empty((len(tl), x.size))
+    exps = {}
+    k = 0
+    while k < len(hs):
+        h = hs[k]
+        off = np.flatnonzero(np.abs(hs[k:] - h) > 1e-12 * h)
+        end = k + off[0] if off.size else len(hs)
+        if h > 0.0:
+            E = exps.get(h)
+            if E is None:
+                E = exps[h] = pm.step(h)
+            X, P = x[None, :], E
+            while len(X) <= end - k:           # rows x, E x, ..., E^m x
+                X = np.concatenate([X, X[:end - k + 1 - len(X)] @ P.T])
+                P = P @ P
+            out[k:end] = X[1:]
+            x = X[-1]
+        else:
+            out[k:end] = x
+        k = end
+    return out
+
+
 def propagate_states(gait: GaitSolution, ts: np.ndarray) -> np.ndarray:
-    """States (len(ts), 23) along the stride, by exact segment flows."""
+    """States (len(ts), 23) at the non-decreasing stride times ts.
+
+    Inside each phase the augmented state steps exactly with one E(h) per
+    distinct step length, so a uniform grid costs a few exponentials; the
+    single-support state restarts from the state at T_ds.  Times before 0
+    keep Q0.
+    """
     maps = stride_maps(gait.params, gait.timing)
-    out = np.zeros((len(ts), len(gait.Q0)))
-    Q = np.asarray(gait.Q0, dtype=float)
-    t_prev = 0.0
-    for k, t in enumerate(ts):
-        if t > t_prev:
-            Q = maps.flow(t_prev, t) @ Q
-            t_prev = t
-        out[k] = Q
+    T_ds = gait.timing.T_ds
+    ts = np.asarray(ts, dtype=float)
+    n_ds = int(np.searchsorted(ts, T_ds, side="right"))   # samples t <= T_ds
+    tl = np.maximum(ts[:n_ds], 0.0)
+    if n_ds < len(ts):
+        tl = np.append(tl, T_ds)         # carry the state to the boundary
+    X = _march(maps.ds, maps.ds.augment(np.asarray(gait.Q0, dtype=float), 0.0), tl)
+    out = np.empty((len(ts), Q_DIM))
+    out[:n_ds] = X[:n_ds, :Q_DIM]
+    if n_ds < len(ts):
+        x = maps.ss.augment(X[-1, :Q_DIM], 0.0)
+        out[n_ds:] = _march(maps.ss, x, ts[n_ds:] - T_ds)[:, :Q_DIM]
     return out
 
 
@@ -96,22 +138,25 @@ def sample_trajectory(gait: GaitSolution, n: int = 401,
     return samples
 
 
-def _golden_extremum(f, a: float, b: float, sign: float, tol: float = 1e-10) -> float:
-    """Golden-section maximizer (sign=+1) or minimizer (sign=-1) of f."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * f(d)
-    return 0.5 * (a + b)
+def _power_zero(power, pm: PhaseMap, ta: float, tb: float,
+                xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Augmented state at the sign change of power(pm, x) inside one phase's
+    [ta, tb], by Brent's method; xa and xb are the states at the ends."""
+    from scipy.optimize import brentq
+
+    # states at every time evaluated: the ends come from the grid, and
+    # brentq returns one of its evaluation points
+    seen = {ta: xa, tb: xb}
+
+    def p_at(t: float) -> float:
+        x = seen.get(t)
+        if x is None:
+            x = seen[t] = pm.step(t - ta) @ xa
+        return power(pm, x)
+
+    t_star = brentq(p_at, ta, tb)
+    x = seen.get(t_star)
+    return pm.step(t_star - ta) @ xa if x is None else x
 
 
 def com_work_per_distance(gait: GaitSolution, n_dense: int = 1000) -> float:
@@ -121,8 +166,11 @@ def com_work_per_distance(gait: GaitSolution, n_dense: int = 1000) -> float:
     the kinetic-energy range when the profile has a single rise and fall).
     The energy is that of the three moving masses; the swing leg's
     pump-and-brake flow is what penalizes fast stepping.  Turning points
-    are located on a dense grid and sharpened by golden-section search, so
-    the value is insensitive to the sampling density.
+    are located on a dense grid and sharpened to the zeros of the exact
+    mechanical power P = sum m v.a by Brent's method, so the value is
+    insensitive to the sampling density.  Each half-interval beside a turning
+    point is searched inside its phase; one whose end powers share a sign
+    (the kink at T_ds) keeps the grid value.
     """
     if gait.v_des == 0.0:
         raise ValueError("work per distance is undefined at zero speed")
@@ -131,23 +179,39 @@ def com_work_per_distance(gait: GaitSolution, n_dense: int = 1000) -> float:
     masses = np.repeat([gait.params.m1, gait.params.m2, gait.params.m3], 2)
     ts = sample_times(gait.timing, n_dense)
     states = propagate_states(gait, ts)
-    ke = 0.5 * np.sum(masses * (states @ Vm.T) ** 2, axis=1)
 
-    def ke_at(t: float) -> float:
-        v = Vm @ (maps.H(t) @ gait.Q0)
-        return float(0.5 * np.sum(masses * v * v))
+    def kinetic(Q: np.ndarray) -> np.ndarray:
+        return 0.5 * np.sum(masses * (Q @ Vm.T) ** 2, axis=-1)
 
+    def power(pm: PhaseMap, x: np.ndarray) -> float:
+        """Mechanical power sum m v.a at the augmented state x of phase pm."""
+        return np.sum(masses * (Vm @ x[:Q_DIM]) * (Vm @ (pm.generator[:Q_DIM] @ x)))
+
+    ke = kinetic(states)
     d = np.diff(ke)
     turn = [i for i in range(1, len(ts) - 1)
             if d[i - 1] * d[i] <= 0.0 and (d[i - 1] != 0.0 or d[i] != 0.0)]
     if not turn:
         return 0.0  # constant kinetic energy over the stride
+    T_ds = gait.timing.T_ds
     values = []
     for i in turn:
-        sign = 1.0 if d[i - 1] > 0.0 else -1.0
-        t_star = _golden_extremum(ke_at, ts[i - 1], ts[i + 1], sign)
-        v_star = ke_at(t_star)
-        values.append(max(v_star, ke[i]) if sign > 0 else min(v_star, ke[i]))
+        pick = max if d[i - 1] > 0.0 else min
+        best = ke[i]
+        for j in (i - 1, i):                 # half-interval [t_j, t_j+1]
+            ta, tb = ts[j], ts[j + 1]
+            if tb <= T_ds:
+                pm, t0 = maps.ds, 0.0
+            elif ta >= T_ds:
+                pm, t0 = maps.ss, T_ds
+            else:
+                continue                     # straddles the phase boundary
+            xa = pm.augment(states[j], ta - t0)
+            xb = pm.augment(states[j + 1], tb - t0)
+            if power(pm, xa) * power(pm, xb) < 0.0:
+                x = _power_zero(power, pm, ta, tb, xa, xb)
+                best = pick(best, kinetic(x[:Q_DIM]))
+        values.append(best)
     # cyclic sequence of extrema (KE is stride-periodic for a valid gait)
     work = sum(max(values[(k + 1) % len(values)] - values[k], 0.0)
                for k in range(len(values)))
@@ -203,7 +267,7 @@ _CELL_ERRORS = (NullSpaceDimensionError, InfeasibleConstraintsError,
 
 
 def economy_cell(params: BodyParams, speed: float, frequency: float,
-                 ratio: float, n_dense: int = 1000) -> float:
+                 ratio: float) -> float:
     """Economy (kg m / J) of the minimal-torque gait at one grid cell."""
     T_stride = 1.0 / frequency
     timing = StrideTiming(T_ds=ratio * T_stride, T_ss=(1.0 - ratio) * T_stride)

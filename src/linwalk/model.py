@@ -234,4 +234,9 @@ def load_config(path: str | Path) -> LoadedConfig:
                             w=values["w"], g=values.get("g", 9.81))
     except ValueError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
+    if "T_ds" in values and "T_ss" in values:
+        try:
+            StrideTiming(T_ds=values["T_ds"], T_ss=values["T_ss"])
+        except ValueError as exc:
+            raise ConfigError(f"config {path}: {exc}") from exc
     return LoadedConfig(params=params, T_ds=values.get("T_ds"), T_ss=values.get("T_ss"))

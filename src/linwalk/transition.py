@@ -3,15 +3,20 @@
 Each phase ODE is time-affine, so the flow is computed exactly by matrix
 exponential of an augmented constant generator: every Q entry whose
 acceleration coefficient is time-linear is constant within the phase, and
-gets a companion clock state z = t * (that entry) with dz/dt = entry.  The
-23 x 23 phase map H(t) is the top-left block of expm(generator * t), and
-the in-phase flow from time t to t + dt follows from the same exponential:
+gets a companion clock state z = t * (that entry) with dz/dt = entry.  With
+Pi selecting the clocked entries and t the phase-local time, the augmented
+state x = [Q; t * Pi Q] obeys the autonomous x' = generator x, so one step
+of any length h is exact: x(t + h) = E(h) x(t) with E(h) = expm(generator * h).
+The 23 x 23 phase map H(t) is the top-left block of E(t), and the in-phase
+flow from time t to t + dt on Q alone is
 
     Phi(t -> t+dt) = E_QQ(dt) + t * E_Qz(dt) * Pi
 
-with Pi selecting the clocked entries.  A full stride is double support
-followed by single support; the back-transfer map G(tau) carries any
-mid-stride state to the stride end and satisfies G(tau) H(tau) = H(T).
+Each map is one fresh exponential and nothing is cached per time value;
+dense output steps x with one E(h) per step length.  A full stride is
+double support followed by single support; the back-transfer map G(tau)
+carries any mid-stride state to the stride end and satisfies
+G(tau) H(tau) = H(T).
 
 The constrained map H'(t) eliminates the constant hip-torque inputs to pin
 the swing-foot velocity to zero at the stride end:
@@ -24,7 +29,6 @@ cached objects are safe to share.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -44,7 +48,12 @@ class ControlDegeneracyError(RuntimeError):
 
 
 class PhaseMap:
-    """Exact transition map of one phase, t in [0, duration]."""
+    """Exact transition map of one phase, t in [0, duration].
+
+    Every map comes from one uncached exponential of the clock-augmented
+    generator: ``step(h)`` is E(h) itself, ``map_at`` and ``flow`` its Q
+    blocks.
+    """
 
     def __init__(self, ode: PhaseODE):
         self.ode = ode
@@ -67,7 +76,7 @@ class PhaseMap:
             A[4:8, Q_DIM:] = ode.K1[:, list(self.clock_cols)]
             for k, j in enumerate(self.clock_cols):
                 A[Q_DIM + k, j] = 1.0
-        self._gen = A
+        self.generator = A
         self._pi = np.zeros((nc, Q_DIM))
         for k, j in enumerate(self.clock_cols):
             self._pi[k, j] = 1.0
@@ -75,31 +84,30 @@ class PhaseMap:
         # the Pade solve inside expm would otherwise leave eps-level dust
         self._identity_rows = [i for i in range(Q_DIM)
                                if not np.any(A[i, :])]
-        self._cache: dict[float, np.ndarray] = {}
-        self._lock = threading.Lock()
 
-    def _expm(self, dt: float) -> np.ndarray:
-        got = self._cache.get(dt)
-        if got is None:
-            got = expm(self._gen * dt)
-            for i in self._identity_rows:
-                got[i, :] = 0.0
-                got[i, i] = 1.0
-            with self._lock:
-                self._cache.setdefault(dt, got)
-        return got
+    def step(self, h: float) -> np.ndarray:
+        """E(h): exact map of the augmented state [Q; t * Pi Q] over h."""
+        E = expm(self.generator * h)
+        for i in self._identity_rows:
+            E[i, :] = 0.0
+            E[i, i] = 1.0
+        return E
+
+    def augment(self, Q: np.ndarray, t: float) -> np.ndarray:
+        """Augmented state [Q; t * Pi Q] at phase time t."""
+        return np.concatenate([Q, t * (self._pi @ Q)])
 
     def map_at(self, t: float) -> np.ndarray:
         """H_phase(t): exact 23 x 23 map from the phase start."""
         if t < -1e-12 or t > self.duration + 1e-9:
             raise ValueError(f"t={t} outside [0, {self.duration}]")
-        return self._expm(t)[:Q_DIM, :Q_DIM]
+        return self.step(t)[:Q_DIM, :Q_DIM]
 
     def flow(self, t: float, dt: float) -> np.ndarray:
         """Map from the state at phase time t to the state at t + dt."""
         if dt < -1e-12:
             raise ValueError("dt must be non-negative")
-        E = self._expm(dt)
+        E = self.step(dt)
         out = E[:Q_DIM, :Q_DIM].copy()
         if self.clock_cols:
             out += t * (E[:Q_DIM, Q_DIM:] @ self._pi)

@@ -1,4 +1,9 @@
 """Trajectory reconstruction, CoM work, and economy surfaces."""
+import gc
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -245,3 +250,77 @@ def test_csv_outputs(tmp_path, gait, body66):
     peaks = tmp_path / "peaks.csv"
     write_peaks_csv(peaks, peak_line(grid))
     assert peaks.read_text().splitlines()[0] == "speed,frequency,boundary"
+
+
+FIXTURE = Path(__file__).parent / "data" / "economy_adult_human.json"
+
+
+def test_economy_grid_matches_pinned_fixture(adult):
+    """Economy values and feasibility match a grid pinned from the
+    golden-section work evaluation (turning points by golden-section search
+    on H(t) Q0)."""
+    ref = json.loads(FIXTURE.read_text())
+    grid = economy_surface(adult, ref["speeds"], ref["frequencies"],
+                           TdsPolicy(ref["policy"]))
+    feasible = np.array([[e is not None for e in row] for row in ref["economy"]])
+    assert np.array_equal(grid.feasible, feasible)
+    expected = np.array([[np.nan if e is None else e for e in row]
+                         for row in ref["economy"]])
+    assert np.all(np.abs(grid.economy[feasible] - expected[feasible])
+                  <= 1e-9 * np.abs(expected[feasible]))
+
+
+def test_propagate_states_straddling_phase_boundary_matches_maps(gait):
+    """Non-uniform, repeated and boundary times agree with H(t) Q0."""
+    from linwalk.analysis import propagate_states, sample_times
+    from linwalk.transition import stride_maps
+    T_ds, T = gait.timing.T_ds, gait.timing.T_stride
+    ts = np.array([0.0, 0.013, 0.013, 0.05, T_ds - 1e-3, T_ds, T_ds,
+                   T_ds + 2e-3, 0.3, 0.31, 0.5, T])
+    maps = stride_maps(gait.params, gait.timing)
+    states = propagate_states(gait, ts)
+    for t, Q in zip(ts, states):
+        ref = maps.H(t) @ gait.Q0
+        assert np.max(np.abs(Q - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # long uniform runs (stepped by doubling) stay exact too
+    ts = sample_times(gait.timing, 2000)
+    states = propagate_states(gait, ts)
+    for k in range(0, len(ts), 97):
+        ref = maps.H(ts[k]) @ gait.Q0
+        assert np.max(np.abs(states[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_propagation_reuses_one_exponential_per_step_length(gait, monkeypatch):
+    """A uniform grid costs a handful of exponentials, not one per sample."""
+    import linwalk.transition as transition
+    from linwalk.analysis import propagate_states, sample_times
+    calls = []
+    real = transition.expm
+
+    def counted(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(transition, "expm", counted)
+    propagate_states(gait, sample_times(gait.timing, 1000))
+    assert len(calls) <= 6
+
+
+def test_memory_bounded_over_economy_cells(body66):
+    """Cells at distinct timings leave only their cached stride maps behind
+    (~40 kB each); no per-time exponentials accumulate (~1.1 MB per cell
+    when every phase map kept them)."""
+    ratio = TdsPolicy("human").ratio_at(1.3)
+    economy_cell(body66, 1.3, 1.7, ratio)     # warm imports and extraction
+    n = 8
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(n):
+            economy_cell(body66, 1.3, 1.71 + 0.0137 * k, ratio)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth / n < 200_000

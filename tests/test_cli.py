@@ -141,3 +141,14 @@ def test_non_finite_config_exit_2(adult_config, tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert key in err and "finite" in err
     assert not (tmp_path / "m" / "stride_maps.json").exists()
+
+
+def test_negative_timing_config_exit_2(adult_config, tmp_path, capsys):
+    cfg = Path(adult_config).read_text().replace("T_ds: 0.3", "T_ds: -0.1")
+    bad = tmp_path / "negative.yaml"
+    bad.write_text(cfg)
+    rc = run(["maps", "--config", str(bad), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "T_ds" in err
+    assert not (tmp_path / "m" / "stride_maps.json").exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,4 +155,14 @@ def test_load_config_rejects_non_finite(adult_config, tmp_path, key, bad):
     path = tmp_path / "nonfinite.yaml"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key,bad", [("T_ds", "-0.1"), ("T_ss", "0")])
+def test_load_config_rejects_non_positive_timing(adult_config, tmp_path, key, bad):
+    lines = [f"{key}: {bad}" if line.startswith(key + ":") else line
+             for line in open(adult_config).read().splitlines()]
+    path = tmp_path / "negative.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*" + key):
         load_config(path)
