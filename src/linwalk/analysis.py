@@ -8,17 +8,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DOUBLE, SINGLE, DegenerateModelError, ForceSolution, solve_forces
+from .dynamics import DOUBLE, SINGLE, ForceSolution, solve_forces
 from .gaits import (
     GaitSolution, InfeasibleConstraintsError, NullSpaceDimensionError,
     synthesize_gait,
 )
 from .layout import IP_X, IP_Y, IX_X1X, IX_X1Y, IX_X2X, IX_X2Y, Q_DIM
 from .model import (
-    BodyParams, StrideTiming, com_position_matrix, com_velocity_matrix,
-    geometry, mass_velocity_matrix,
+    BodyParams, DegenerateModelError, StrideTiming, com_position_matrix,
+    com_velocity_matrix, geometry, mass_velocity_matrix,
 )
-from .transition import ControlDegeneracyError, PhaseMap, stride_maps
+from .transition import PhaseMap, stride_maps
+
+
+class NonPositiveWorkError(RuntimeError):
+    """The gait's CoM work per distance is not positive and finite."""
+
+
+class TdsRatioError(ValueError):
+    """A double-support share outside (0, 1) leaves no stride to time."""
 
 
 @dataclass(frozen=True)
@@ -48,66 +56,9 @@ def sample_times(timing: StrideTiming, n: int) -> np.ndarray:
     return ts
 
 
-def _march(pm: PhaseMap, x: np.ndarray, tl: np.ndarray) -> np.ndarray:
-    """Augmented states at the phase times tl (non-decreasing, >= 0), stepped
-    exactly from the state x at phase time 0.
-
-    Consecutive steps whose lengths agree with the first to 1e-12 relative
-    form one run that shares E(h), one exponential per distinct length; the
-    run's states E x, E^2 x, ... come from log2(run length) doublings.
-    """
-    hs = np.diff(tl, prepend=0.0)
-    out = np.empty((len(tl), x.size))
-    exps = {}
-    k = 0
-    while k < len(hs):
-        h = hs[k]
-        off = np.flatnonzero(np.abs(hs[k:] - h) > 1e-12 * h)
-        end = k + off[0] if off.size else len(hs)
-        if h > 0.0:
-            E = exps.get(h)
-            if E is None:
-                E = exps[h] = pm.step(h)
-            X, P = x[None, :], E
-            while len(X) <= end - k:           # rows x, E x, ..., E^m x
-                X = np.concatenate([X, X[:end - k + 1 - len(X)] @ P.T])
-                P = P @ P
-            out[k:end] = X[1:]
-            x = X[-1]
-        else:
-            out[k:end] = x
-        k = end
-    return out
-
-
 def propagate_states(gait: GaitSolution, ts: np.ndarray) -> np.ndarray:
-    """States (len(ts), 23) at the non-decreasing stride times ts.
-
-    Inside each phase the augmented state steps exactly with one E(h) per
-    distinct step length, so a uniform grid costs a few exponentials; the
-    single-support state restarts from the state at T_ds.  Times before 0
-    keep Q0.
-    """
-    maps = stride_maps(gait.params, gait.timing)
-    T_ds = gait.timing.T_ds
-    ts = np.asarray(ts, dtype=float)
-    n_ds = int(np.searchsorted(ts, T_ds, side="right"))   # samples t <= T_ds
-    tl = np.maximum(ts[:n_ds], 0.0)
-    if n_ds < len(ts):
-        tl = np.append(tl, T_ds)         # carry the state to the boundary
-    X = _march(maps.ds, maps.ds.augment(np.asarray(gait.Q0, dtype=float), 0.0), tl)
-    out = np.empty((len(ts), Q_DIM))
-    out[:n_ds] = X[:n_ds, :Q_DIM]
-    if n_ds < len(ts):
-        x = maps.ss.augment(X[-1, :Q_DIM], 0.0)
-        out[n_ds:] = _march(maps.ss, x, ts[n_ds:] - T_ds)[:, :Q_DIM]
-    return out
-
-
-def _phase_at(timing: StrideTiming, t: float) -> tuple[str, float]:
-    if t <= timing.T_ds:
-        return DOUBLE, t
-    return SINGLE, t - timing.T_ds
+    """States (len(ts), 23) at the non-decreasing stride times ts."""
+    return stride_maps(gait.params, gait.timing).states(gait.Q0, ts)
 
 
 def sample_trajectory(gait: GaitSolution, n: int = 401,
@@ -118,6 +69,7 @@ def sample_trajectory(gait: GaitSolution, n: int = 401,
     Cp = com_position_matrix(gait.params)
     Cv = com_velocity_matrix(gait.params)
     M = gait.params.total_mass
+    T_ds = gait.timing.T_ds
     samples = []
     for t, Q in zip(ts, states):
         X1 = np.array([Q[IX_X1X], Q[IX_X1Y], gait.params.z1])
@@ -127,7 +79,7 @@ def sample_trajectory(gait: GaitSolution, n: int = 401,
         vel = Cv @ Q
         forces = None
         if with_forces:
-            phase, tl = _phase_at(gait.timing, t)
+            phase, tl = (DOUBLE, t) if t <= T_ds else (SINGLE, t - T_ds)
             forces = solve_forces(gait.params, gait.timing, phase, Q, tl)
         samples.append(TrajectorySample(
             t=float(t), Q=Q, y1=geo["y1"], y2=geo["y2"], y3=geo["y3"],
@@ -262,19 +214,21 @@ class EconomyGrid:
 
 
 _CELL_ERRORS = (NullSpaceDimensionError, InfeasibleConstraintsError,
-                DegenerateModelError, ControlDegeneracyError,
-                np.linalg.LinAlgError, ValueError)
+                DegenerateModelError, np.linalg.LinAlgError,
+                NonPositiveWorkError, TdsRatioError)
 
 
 def economy_cell(params: BodyParams, speed: float, frequency: float,
                  ratio: float) -> float:
     """Economy (kg m / J) of the minimal-torque gait at one grid cell."""
+    if not 0.0 < ratio < 1.0:
+        raise TdsRatioError(f"T_ds ratio {ratio} outside (0, 1)")
     T_stride = 1.0 / frequency
     timing = StrideTiming(T_ds=ratio * T_stride, T_ss=(1.0 - ratio) * T_stride)
     gait = synthesize_gait(params, timing, v_des=speed)
     work = com_work_per_distance(gait)
     if not np.isfinite(work) or work <= 0.0:
-        raise ValueError("non-positive CoM work")
+        raise NonPositiveWorkError(f"CoM work per distance is {work}")
     return 1.0 / work
 
 
@@ -283,8 +237,6 @@ def _economy_row(args) -> list[tuple[float, bool]]:
     row = []
     for f in frequencies:
         try:
-            if not 0.0 < ratio < 1.0:
-                raise ValueError("T_ds ratio outside (0, 1)")
             row.append((economy_cell(params, speed, float(f), ratio), True))
         except _CELL_ERRORS:
             row.append((np.nan, False))
@@ -296,14 +248,21 @@ def economy_surface(params: BodyParams, speeds, frequencies,
     """Walking economy over a speed x frequency grid.
 
     Step frequency defines the stride time (T_stride = 1/f); the policy
-    fixes the double-support share per speed.  Cells where gait synthesis
-    fails are flagged infeasible, never zeroed.  Rows are independent and
-    may be evaluated in parallel; output ordering is deterministic.
+    fixes the double-support share per speed.  Cells failing with a domain
+    error in `_CELL_ERRORS` are flagged infeasible, never zeroed; any other
+    error propagates.  Rows are independent and may be evaluated in
+    parallel; output ordering is deterministic.
     """
     speeds = np.asarray(list(speeds), dtype=float)
     frequencies = np.asarray(list(frequencies), dtype=float)
     if speeds.size == 0 or frequencies.size == 0:
         raise ValueError("speed and frequency grids must be non-empty")
+    for v in speeds:
+        if not np.isfinite(v) or v == 0.0:
+            raise ValueError(f"speed {v} must be finite and non-zero")
+    for f in frequencies:
+        if not np.isfinite(f) or f <= 0.0:
+            raise ValueError(f"frequency {f} must be finite and positive")
     ratios = np.array([policy.ratio_at(v) for v in speeds])
     jobs = [(params, float(v), frequencies, float(r))
             for v, r in zip(speeds, ratios)]

@@ -26,7 +26,7 @@ from .gaits import (
 )
 from .model import ConfigError, LoadedConfig, StrideTiming, load_config
 from .oracle import integrate_batch
-from .transition import dump_stride_maps, stride_maps
+from .transition import ControlDegeneracyError, dump_stride_maps, stride_maps
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -34,13 +34,16 @@ EXIT_USAGE = 2
 
 
 def _parse_range(text: str, what: str) -> np.ndarray:
-    """Parse 'start:step:stop' (inclusive stop) or a single number."""
+    """Parse 'start:step:stop' (inclusive stop) or a single number, all finite."""
     parts = text.split(":")
     try:
+        values = [float(p) for p in parts]
+        if not all(np.isfinite(values)):
+            raise ValueError
         if len(parts) == 1:
-            return np.array([float(parts[0])])
+            return np.array(values)
         if len(parts) == 3:
-            a, h, b = (float(p) for p in parts)
+            a, h, b = values
             if h <= 0.0 or b < a:
                 raise ValueError
             n = int(np.floor((b - a) / h + 1e-9)) + 1
@@ -307,7 +310,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoRelaxTimeError, InfeasibleConstraintsError, ValueError) as exc:
+    except (NoRelaxTimeError, InfeasibleConstraintsError,
+            ControlDegeneracyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

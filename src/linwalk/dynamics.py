@@ -38,17 +38,13 @@ from .layout import (
     IRU_AX, IRU_AY, IRU_HX, IRU_HY, IW_F1X, IW_F1Y, IW_M1X, IW_M1Y,
     IX_X1X, IX_X1Y, IX_X2X, IX_X2Y,
 )
-from .model import BodyParams, StrideTiming
+from .model import BodyParams, DegenerateModelError, StrideTiming
 
 SINGLE = "single"
 DOUBLE = "double"
 
 EZ = np.array([0.0, 0.0, 1.0])
 EY = np.array([0.0, 1.0, 0.0])
-
-
-class DegenerateModelError(RuntimeError):
-    """The elimination system is singular (degenerate geometry or masses)."""
 
 
 def _skew(r: np.ndarray) -> np.ndarray:

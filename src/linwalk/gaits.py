@@ -82,9 +82,6 @@ class PeriodicitySystem:
     params: BodyParams
     timing: StrideTiming
     maps: StrideMaps
-    M: np.ndarray
-    O: np.ndarray
-    T: np.ndarray
     R_full: np.ndarray  # 8 x 23
     R0: np.ndarray      # 8 x 15
     R1: np.ndarray      # 8 x 7
@@ -105,7 +102,6 @@ def build_periodicity(params: BodyParams, timing: StrideTiming) -> PeriodicitySy
     foot_rows = sel.S_Xdot2 @ maps.H_stride
     R_full = np.vstack([symmetry, foot_rows])
     return PeriodicitySystem(params=params, timing=timing, maps=maps,
-                             M=M_MAT.copy(), O=O_MAT.copy(), T=T_MAT.copy(),
                              R_full=R_full,
                              R0=R_full[:, list(R0_COLS)],
                              R1=R_full[:, list(R1_COLS)])
@@ -395,9 +391,9 @@ def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
 
     lateral_rows = None
     if spec.lateral_velocity_objective:
-        C = com_velocity_matrix(system.params)[1:2]   # lateral CoM velocity row
+        C = com_velocity_matrix(system.params)[1]     # lateral CoM velocity row
         ts = np.linspace(0.0, T_stride, spec.objective_samples)
-        lateral_rows = np.vstack([C @ system.maps.H(t) @ V for t in ts])
+        lateral_rows = C @ system.maps.states(V, ts)
         G = lateral_rows
     else:
         G = sel.S_U @ V

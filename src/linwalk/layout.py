@@ -49,10 +49,6 @@ U_SLICE = slice(10, 14)
 RU_SLICE = slice(14, 18)
 W_SLICE = slice(18, 22)
 
-# entries that never change inside a phase (both feet / one foot fixed is
-# handled separately: X2 is also constant during double support)
-FORCING_IDX = tuple(range(8, 23))
-
 Q_NAMES = (
     "X2x", "X2y", "X1x", "X1y",
     "vX2x", "vX2y", "vX1x", "vX1y",

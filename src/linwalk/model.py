@@ -13,6 +13,10 @@ class ConfigError(ValueError):
     """Raised for malformed parameter/timing config files."""
 
 
+class DegenerateModelError(RuntimeError):
+    """The elimination system is singular (degenerate geometry or masses)."""
+
+
 @dataclass(frozen=True)
 class BodyParams:
     """Masses and segment geometry of the three-pendulum walker.
@@ -158,14 +162,6 @@ def mass_velocity_matrix(params: BodyParams) -> np.ndarray:
     V[4, IV_X1X] = 1.0 - k
     V[5, IV_X1Y] = 1.0 - k
     return V
-
-
-def total_kinetic_energy(params: BodyParams, Q: np.ndarray) -> float:
-    """Kinetic energy of the three masses (horizontal planes only)."""
-    v = mass_velocity_matrix(params) @ np.asarray(Q, dtype=float)
-    m = (params.m1, params.m2, params.m3)
-    return float(0.5 * sum(m[i] * (v[2 * i] ** 2 + v[2 * i + 1] ** 2)
-                           for i in range(3)))
 
 
 def com_position_matrix(params: BodyParams) -> np.ndarray:

@@ -25,7 +25,7 @@ from .layout import (
     IRU_AX, IRU_AY, IRU_HX, IRU_HY, IW_F1X, IW_F1Y, IW_M1X, IW_M1Y,
     IX_X1X, IX_X1Y, IX_X2X, IX_X2Y, W_SLICE,
 )
-from .model import BodyParams, StrideTiming
+from .model import BodyParams, DegenerateModelError, StrideTiming
 
 
 def _consts(params: BodyParams) -> dict[str, float]:
@@ -68,7 +68,6 @@ def accel_single(params: BodyParams, T_ss: float, q: np.ndarray, t) -> np.ndarra
     a22 = z1 * k * m_leg
     det = a11 * a22 - a12 * a21
     if abs(det) < 1e-14 * (abs(a21) + 1.0) * (abs(a22) + abs(a12) + 1.0):
-        from .dynamics import DegenerateModelError
         raise DegenerateModelError("swing dynamics singular (massless or hip-borne leg mass)")
 
     b1s = -(tau2y + k * m_leg * g * r2x)
@@ -236,34 +235,6 @@ def integrate_batch(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
         return _rk4_phase(params, timing.T_ds, False, Q0, step)
     mid = _rk4_phase(params, timing.T_ds, False, Q0, step)
     return _rk4_phase(params, timing.T_ss, True, mid, step)
-
-
-def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
-                   push: Push) -> np.ndarray:
-    """Stride end state under one push, by piecewise map composition.
-
-    The disturbance columns are constant within each segment, so the exact
-    closed-form flows carry the state to the push onset, across the pushed
-    window with the wrench substituted, and on to the stride end.
-    """
-    from .transition import stride_maps
-
-    if push.t_on < 0.0 or push.t_on + push.duration > timing.T_stride + 1e-12:
-        raise ValueError("push interval extends beyond the stride")
-    maps = stride_maps(params, timing)
-    Q = np.asarray(Q0, dtype=float).copy()
-    base_w = Q[W_SLICE].copy()
-    t1 = push.t_on
-    t2 = push.t_on + push.duration
-    if t1 > 0.0:
-        Q = maps.flow(0.0, t1) @ Q
-    Q[W_SLICE] = push.wrench
-    if t2 > t1:
-        Q = maps.flow(t1, t2) @ Q
-    Q[W_SLICE] = base_w
-    if t2 < timing.T_stride:
-        Q = maps.flow(t2, timing.T_stride) @ Q
-    return Q
 
 
 def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,

@@ -14,14 +14,17 @@ flow from time t to t + dt on Q alone is
 
 Each map is one fresh exponential and nothing is cached per time value;
 dense output steps x with one E(h) per step length.  A full stride is
-double support followed by single support; the back-transfer map G(tau)
-carries any mid-stride state to the stride end and satisfies
-G(tau) H(tau) = H(T).
+double support followed by single support; only `StrideMaps.flow` and
+`StrideMaps.states` split a stride time into its phase.  H(t) and the
+back-transfer map G(tau), with G(tau) H(tau) = H(T), are flows.
 
-The constrained map H'(t) eliminates the constant hip-torque inputs to pin
+The constrained map H'(T) eliminates the constant hip-torque inputs to pin
 the swing-foot velocity to zero at the stride end:
 
-    H'(t) = H(t) - H(t) S_Mh^T (S_Xdot2 H(t) S_Mh^T)^-1 S_Xdot2 H(t)
+    H'(T) = H(T) - H(T) S_Mh^T (S_Xdot2 H(T) S_Mh^T)^-1 S_Xdot2 H(T)
+
+It is formed on demand, never in a stride-map build: the inverted 2 x 2
+block is singular at isolated timings, and only code reading H' fails there.
 
 Stride maps are cached per (params, timing); construction is pure and the
 cached objects are safe to share.
@@ -37,10 +40,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .dynamics import (
-    DOUBLE, SINGLE, PhaseODE, assemble_double_support, assemble_single_support,
+    SINGLE, PhaseODE, assemble_double_support, assemble_single_support,
 )
-from .layout import Q_DIM, Q_NAMES, selection_matrices
+from .layout import Q_DIM, Q_NAMES, W_SLICE, selection_matrices
 from .model import BodyParams, StrideTiming
+from .oracle import Push
 
 
 class ControlDegeneracyError(RuntimeError):
@@ -94,8 +98,43 @@ class PhaseMap:
         return E
 
     def augment(self, Q: np.ndarray, t: float) -> np.ndarray:
-        """Augmented state [Q; t * Pi Q] at phase time t."""
-        return np.concatenate([Q, t * (self._pi @ Q)])
+        """Augmented state [Q; t * Pi Q] at phase time t; Q may hold one
+        state per row."""
+        return np.concatenate([Q, t * (Q @ self._pi.T)], axis=-1)
+
+    def march(self, X: np.ndarray, tl: np.ndarray) -> np.ndarray:
+        """Augmented states (len(tl), k, n) at the phase times tl
+        (non-decreasing, >= 0), stepped exactly from the k augmented states
+        X (k, n), one per row, at phase time 0.
+
+        Consecutive steps whose lengths agree with the first to 1e-12
+        relative form one run that shares E(h), one exponential per distinct
+        length; the run's states E x, E^2 x, ... come from log2(run length)
+        doublings.
+        """
+        hs = np.diff(tl, prepend=0.0)
+        k = len(X)
+        out = np.empty((len(tl),) + X.shape)
+        exps = {}
+        i = 0
+        while i < len(hs):
+            h = hs[i]
+            off = np.flatnonzero(np.abs(hs[i:] - h) > 1e-12 * h)
+            end = i + off[0] if off.size else len(hs)
+            if h > 0.0:
+                E = exps.get(h)
+                if E is None:
+                    E = exps[h] = self.step(h)
+                Y, P = X, E                  # rows of x, E x, ..., E^m x
+                while len(Y) <= (end - i) * k:
+                    Y = np.concatenate([Y, Y[:(end - i + 1) * k - len(Y)] @ P.T])
+                    P = P @ P
+                out[i:end] = Y[k:].reshape(end - i, k, -1)
+                X = Y[-k:]
+            else:
+                out[i:end] = X
+            i = end
+        return out
 
     def map_at(self, t: float) -> np.ndarray:
         """H_phase(t): exact 23 x 23 map from the phase start."""
@@ -115,19 +154,19 @@ class PhaseMap:
 
 
 def constrain_foot_velocity(H: np.ndarray) -> np.ndarray:
-    """Eliminate constant hip torques so the mapped foot velocity vanishes."""
+    """Eliminate constant hip torques so the mapped foot velocity vanishes.
+
+    B = S_Xdot2 H S_Mh^T counts as singular when its smallest singular value
+    is at most 1e-12 max|S_Xdot2 H|; cond(B) cannot tell, as B = diag(b, -b).
+    """
     sel = selection_matrices()
-    B = sel.S_Xdot2 @ H @ sel.S_Mh.T
-    try:
-        Binv = np.linalg.inv(B)
-    except np.linalg.LinAlgError as exc:
+    rows = sel.S_Xdot2 @ H
+    B = rows @ sel.S_Mh.T
+    if np.linalg.svd(B, compute_uv=False)[-1] <= 1e-12 * np.max(np.abs(rows)):
         raise ControlDegeneracyError(
             "constant hip torques cannot control the end foot velocity "
-            "(S_Xdot2 H S_Mh^T singular)") from exc
-    if np.linalg.cond(B) > 1e12:
-        raise ControlDegeneracyError(
-            "foot-velocity elimination is ill-conditioned at this timing")
-    return H - H @ sel.S_Mh.T @ Binv @ sel.S_Xdot2 @ H
+            "(S_Xdot2 H S_Mh^T singular)")
+    return H - H @ sel.S_Mh.T @ np.linalg.inv(B) @ sel.S_Xdot2 @ H
 
 
 @dataclass(frozen=True)
@@ -140,38 +179,53 @@ class StrideMaps:
     ss: PhaseMap
     H_ds_end: np.ndarray
     H_stride: np.ndarray
-    Hprime_stride: np.ndarray
+
+    @property
+    def Hprime_stride(self) -> np.ndarray:
+        """H'(T_stride); raises ControlDegeneracyError where it does not exist."""
+        return constrain_foot_velocity(self.H_stride)
 
     def H(self, t: float) -> np.ndarray:
         """Stride map from t = 0, valid on [0, T_stride]."""
-        T_ds = self.timing.T_ds
-        if t <= T_ds:
-            return self.ds.map_at(t)
-        return self.ss.map_at(t - T_ds) @ self.H_ds_end
+        return self.flow(0.0, t)
 
     def G(self, tau: float) -> np.ndarray:
         """Back-transfer map: G(tau) H(tau) = H(T_stride)."""
-        T_ds, T_ss = self.timing.T_ds, self.timing.T_ss
-        if tau < -1e-12 or tau > self.timing.T_stride + 1e-9:
-            raise ValueError(f"tau={tau} outside [0, {self.timing.T_stride}]")
-        if tau <= T_ds:
-            H_ss_end = self.ss.map_at(T_ss)
-            return H_ss_end @ self.ds.flow(tau, T_ds - tau)
-        return self.ss.flow(tau - T_ds, self.timing.T_stride - tau)
+        return self.flow(tau, self.timing.T_stride)
 
     def flow(self, t0: float, t1: float) -> np.ndarray:
         """Map from the state at stride time t0 to the state at t1 >= t0."""
-        if t1 < t0 - 1e-12:
-            raise ValueError("t1 must not precede t0")
-        T_ds = self.timing.T_ds
+        T_ds, T = self.timing.T_ds, self.timing.T_stride
+        if t0 < -1e-12 or t1 > T + 1e-9 or t1 < t0 - 1e-12:
+            raise ValueError(f"need 0 <= t0 <= t1 <= {T}, got {t0}, {t1}")
         if t1 <= T_ds:
             return self.ds.flow(t0, t1 - t0)
         if t0 >= T_ds:
             return self.ss.flow(t0 - T_ds, t1 - t0)
         return self.ss.flow(0.0, t1 - T_ds) @ self.ds.flow(t0, T_ds - t0)
 
-    def propagate(self, Q0: np.ndarray, t: float) -> np.ndarray:
-        return self.H(t) @ np.asarray(Q0, dtype=float)
+    def states(self, Q0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """H(t) Q0 at the non-decreasing stride times ts, shape
+        (len(ts),) + Q0.shape, for one state Q0 (23,) or a block (23, k).
+
+        Inside each phase the augmented states step exactly with one E(h)
+        per distinct step length, so a uniform grid costs a few
+        exponentials; single support restarts from the states at T_ds.
+        Times before 0 keep Q0.
+        """
+        Q0 = np.asarray(Q0, dtype=float)
+        ts = np.asarray(ts, dtype=float)
+        T_ds = self.timing.T_ds
+        n_ds = int(np.searchsorted(ts, T_ds, side="right"))   # samples t <= T_ds
+        tl = np.maximum(ts[:n_ds], 0.0)
+        if n_ds < len(ts):
+            tl = np.append(tl, T_ds)         # carry the states to the boundary
+        rows = Q0.reshape(Q_DIM, -1).T       # one state per row
+        X = self.ds.march(self.ds.augment(rows, 0.0), tl)[..., :Q_DIM]
+        if n_ds < len(ts):
+            x = self.ss.augment(X[-1], 0.0)
+            X = np.concatenate([X[:n_ds], self.ss.march(x, ts[n_ds:] - T_ds)[..., :Q_DIM]])
+        return X.transpose(0, 2, 1).reshape((len(ts),) + Q0.shape)
 
 
 @lru_cache(maxsize=4096)
@@ -181,10 +235,34 @@ def stride_maps(params: BodyParams, timing: StrideTiming) -> StrideMaps:
     ss = PhaseMap(assemble_single_support(params, timing))
     H_ds_end = ds.map_at(timing.T_ds)
     H_stride = ss.map_at(timing.T_ss) @ H_ds_end
-    Hprime = constrain_foot_velocity(H_stride)
     return StrideMaps(params=params, timing=timing, ds=ds, ss=ss,
-                      H_ds_end=H_ds_end, H_stride=H_stride,
-                      Hprime_stride=Hprime)
+                      H_ds_end=H_ds_end, H_stride=H_stride)
+
+
+def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
+                   push: Push) -> np.ndarray:
+    """Stride end state under one push, by piecewise map composition.
+
+    The disturbance columns are constant within each segment, so the exact
+    closed-form flows carry the state to the push onset, across the pushed
+    window with the wrench substituted, and on to the stride end.
+    """
+    if push.t_on < 0.0 or push.t_on + push.duration > timing.T_stride + 1e-12:
+        raise ValueError("push interval extends beyond the stride")
+    maps = stride_maps(params, timing)
+    Q = np.asarray(Q0, dtype=float).copy()
+    base_w = Q[W_SLICE].copy()
+    t1 = push.t_on
+    t2 = push.t_on + push.duration
+    if t1 > 0.0:
+        Q = maps.flow(0.0, t1) @ Q
+    Q[W_SLICE] = push.wrench
+    if t2 > t1:
+        Q = maps.flow(t1, t2) @ Q
+    Q[W_SLICE] = base_w
+    if t2 < timing.T_stride:
+        Q = maps.flow(t2, timing.T_stride) @ Q
+    return Q
 
 
 def dump_stride_maps(params: BodyParams, timing: StrideTiming,

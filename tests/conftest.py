@@ -40,3 +40,25 @@ def adult_config(tmp_path_factory) -> str:
         "z1: 0.89\nz2: 0.32\nz3: 0.36\nw: 0.20\ng: 9.81\n"
         "T_ds: 0.3\nT_ss: 0.56\n")
     return str(path)
+
+
+@pytest.fixture(scope="session")
+def hprime_crossing(adult) -> StrideTiming:
+    """Adult timing (double-support share 0.12) at which b in
+    S_Xdot2 H S_Mh^T = diag(b, -b) crosses zero near f = 1.646 strides/s,
+    located by Brent's method to full precision."""
+    from scipy.optimize import brentq
+
+    from linwalk.layout import selection_matrices
+    from linwalk.transition import stride_maps
+
+    sel = selection_matrices()
+
+    def timing(f):
+        return StrideTiming(T_ds=0.12 / f, T_ss=0.88 / f)
+
+    def b(f):
+        H = stride_maps(adult, timing(f)).H_stride
+        return (sel.S_Xdot2 @ H @ sel.S_Mh.T)[0, 0]
+
+    return timing(brentq(b, 1.6, 1.7, xtol=1e-15))

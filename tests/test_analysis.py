@@ -200,6 +200,30 @@ def test_infeasible_cells_flagged_not_zeroed(body66):
     assert grid.feasible[1, 0]
 
 
+@pytest.mark.parametrize("speeds, freqs, bad", [
+    ([1.4, 0.0], [1.8], "speed 0.0"),
+    ([float("nan")], [1.8], "speed nan"),
+    ([1.4], [0.0, 1.0], "frequency 0.0"),
+    ([1.4], [-1.8], "frequency -1.8"),
+    ([1.4], [float("inf")], "frequency inf"),
+])
+def test_economy_surface_rejects_bad_grid(body66, speeds, freqs, bad):
+    with pytest.raises(ValueError, match=bad):
+        economy_surface(body66, speeds, freqs, TdsPolicy("human"))
+
+
+def test_unexpected_cell_error_propagates(body66, monkeypatch):
+    """Only the named domain errors mark a cell infeasible."""
+    import linwalk.analysis as analysis
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(analysis, "synthesize_gait", broken)
+    with pytest.raises(ValueError, match="not a domain error"):
+        economy_surface(body66, [1.4], [1.8], TdsPolicy("human"))
+
+
 def test_parallel_surface_matches_serial(body66):
     """Worker processes produce bit-identical grids in the same order."""
     speeds = [1.5, 1.7]
@@ -282,6 +306,12 @@ def test_propagate_states_straddling_phase_boundary_matches_maps(gait):
     for t, Q in zip(ts, states):
         ref = maps.H(t) @ gait.Q0
         assert np.max(np.abs(Q - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the 23 x 7 null-space basis block steps the same way
+    blocks = maps.states(gait.basis, ts)
+    assert blocks.shape == (len(ts),) + gait.basis.shape
+    for t, B in zip(ts, blocks):
+        ref = maps.H(t) @ gait.basis
+        assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
     # long uniform runs (stepped by doubling) stay exact too
     ts = sample_times(gait.timing, 2000)
     states = propagate_states(gait, ts)

@@ -91,6 +91,24 @@ def test_sweep_empty_range_exit_2(adult_config, tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--speed", "nan"), ("--freq", "inf"),
+])
+def test_sweep_non_finite_range_exit_2(adult_config, tmp_path, flag, text):
+    argv = {"--speed": "1.4", "--freq": "1.8", flag: text}
+    with pytest.raises(SystemExit) as err:
+        run(["sweep", "--config", adult_config, *sum(argv.items(), ()),
+             "--out", str(tmp_path / "s")])
+    assert err.value.code == 2
+
+
+def test_sweep_zero_frequency_exit_1(adult_config, tmp_path, capsys):
+    rc = run(["sweep", "--config", adult_config, "--speed", "1.4",
+              "--freq", "0:1:2", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "error: frequency 0.0" in capsys.readouterr().err
+
+
 def test_validate_deterministic_and_passing(adult_config, tmp_path):
     out1 = tmp_path / "v1"
     out2 = tmp_path / "v2"
@@ -117,6 +135,19 @@ def test_maps_command(adult_config, tmp_path):
     assert rc == 0
     data = json.loads((out / "stride_maps.json").read_text())
     assert np.array(data["H_stride"]).shape == (23, 23)
+
+
+def test_maps_at_control_degeneracy_exit_1(adult_config, tmp_path, capsys,
+                                          hprime_crossing):
+    cfg = Path(adult_config).read_text()
+    cfg = cfg.replace("T_ds: 0.3", f"T_ds: {hprime_crossing.T_ds!r}")
+    cfg = cfg.replace("T_ss: 0.56", f"T_ss: {hprime_crossing.T_ss!r}")
+    bad = tmp_path / "crossing.yaml"
+    bad.write_text(cfg)
+    rc = run(["maps", "--config", str(bad), "--out", str(tmp_path / "m")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "m" / "stride_maps.json").exists()
 
 
 def test_infeasible_scenario_exit_1(tmp_path, adult_config):

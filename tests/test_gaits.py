@@ -215,6 +215,23 @@ def test_stage_walk_kills_lateral_bounce(adult):
     assert gait.diagnostics["end_foot_speed"] <= 1e-8
 
 
+def test_stage_walk_objective_steps_the_basis(adult, monkeypatch):
+    """On warm maps the lateral objective steps the null-space basis with
+    one exponential per step length, not one per objective sample."""
+    import linwalk.transition as transition
+    synthesize_gait(adult, SIIIC, 1.0, "stage-walk")
+    calls = []
+    real = transition.expm
+
+    def counted(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(transition, "expm", counted)
+    synthesize_gait(adult, SIIIC, 1.0, "stage-walk")
+    assert len(calls) <= 6
+
+
 def test_cop_modulated_ramp_and_cop_offset(adult):
     gait = synthesize_gait(adult, SIIIC, 1.0, "cop-modulated", foot_length=0.24)
     tau = cop_ramp_torque(adult, 0.24)

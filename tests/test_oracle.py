@@ -1,14 +1,29 @@
 """Fixed-step RK4 oracle: convergence, pushes, and energy bookkeeping."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_states
 from linwalk.dynamics import solve_forces
 from linwalk.model import mass_velocity_matrix
-from linwalk.oracle import (
-    OracleConfig, Push, integrate, integrate_batch, push_end_state,
-)
-from linwalk.transition import stride_maps
+from linwalk.oracle import OracleConfig, Push, integrate, integrate_batch
+from linwalk.transition import push_end_state, stride_maps
+
+
+def test_oracle_imports_no_production_path():
+    """The oracle stays independent of the code it checks."""
+    import linwalk.oracle as oracle
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    assert "model" in imported
+    assert not imported & {"dynamics", "transition", "gaits", "analysis"}
 
 
 def test_zero_state_stays_zero(adult, timing):

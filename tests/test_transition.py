@@ -98,6 +98,30 @@ def test_constrain_foot_velocity_singular():
         constrain_foot_velocity(np.eye(Q_DIM))
 
 
+def test_hprime_raises_where_hip_torques_lose_the_foot(adult, hprime_crossing):
+    """B = diag(b, -b) has condition number 1 even as b crosses zero; the
+    guard measures B against the rows S_Xdot2 H it is taken from.  Gait
+    synthesis and the economy there never form H' and still succeed."""
+    from linwalk.analysis import economy_cell
+    maps = stride_maps(adult, hprime_crossing)
+    with pytest.raises(ControlDegeneracyError):
+        maps.Hprime_stride
+    f = 1.0 / hprime_crossing.T_stride
+    assert 0.0 < economy_cell(adult, 1.3, f, 0.12) < np.inf
+
+
+def test_cold_build_never_forms_hprime(adult, monkeypatch):
+    import linwalk.transition as transition
+
+    def forbidden(H):
+        raise AssertionError("stride_maps formed H'")
+
+    monkeypatch.setattr(transition, "constrain_foot_velocity", forbidden)
+    misses = stride_maps.cache_info().misses
+    stride_maps(adult, StrideTiming(T_ds=0.1357, T_ss=0.4681))
+    assert stride_maps.cache_info().misses == misses + 1
+
+
 def test_maps_are_cached(adult, timing):
     assert stride_maps(adult, timing) is stride_maps(
         adult, StrideTiming(T_ds=timing.T_ds, T_ss=timing.T_ss))
