@@ -54,6 +54,21 @@ def _parse_range(text: str, what: str) -> np.ndarray:
         f"bad {what} range {text!r}: expected NUMBER or START:STEP:STOP")
 
 
+def _number(what: str, positive: bool = False):
+    """argparse type: a finite float, and a positive one if `positive`."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if np.isfinite(value) and (value > 0.0 or not positive):
+            return value
+        raise argparse.ArgumentTypeError(
+            f"bad {what} {text!r}: expected a finite"
+            f"{' positive' if positive else ''} number")
+    return parse
+
+
 def _write_manifest(outdir: Path, command: str, config_path: str,
                     flags: dict, outputs: list[str], wall: float) -> None:
     config_text = Path(config_path).read_text()
@@ -272,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gait", help="synthesize one periodic gait")
     common(p, "out_gait")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    p.add_argument("--speed", type=float, required=True, help="m/s")
+    p.add_argument("--speed", type=_number("speed"), required=True, help="m/s")
     p.add_argument("--freq", type=float, default=None, help="steps/s")
     p.add_argument("--tds-policy", default=None, help="human or fixed:R")
-    p.add_argument("--foot-length", type=float, default=0.24)
+    p.add_argument("--foot-length", type=_number("foot length"), default=0.24)
     p.add_argument("--samples", type=int, default=401)
     p.set_defaults(func=cmd_gait)
 
@@ -293,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "out_validate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--step", type=_number("RK4 step", positive=True),
+                   default=1e-5)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("maps", help="dump stride transition matrices as JSON")

@@ -221,8 +221,9 @@ def cop_ramp_torque(params: BodyParams, foot_length: float) -> float:
     to L.  The contact-moment convention makes the forward CoP offset
     -M_ay / Fz, so the scenario applies the ramp with a negative sign.
     """
-    if foot_length < 0.0:
-        raise ValueError("foot_length must be non-negative")
+    if not (np.isfinite(foot_length) and foot_length >= 0.0):
+        raise ValueError(
+            f"foot_length must be finite and non-negative, got {foot_length!r}")
     return params.total_mass * params.g * foot_length
 
 
@@ -412,6 +413,8 @@ def synthesize_gait(params: BodyParams, timing: StrideTiming, v_des: float,
                     spec: ScenarioSpec | str | None = None,
                     d_sign: float = 1.0, foot_length: float = 0.24) -> GaitSolution:
     """End-to-end gait synthesis for one scenario at one speed and timing."""
+    if not np.isfinite(v_des):
+        raise ValueError(f"v_des must be finite, got {v_des!r}")
     if spec is None:
         spec = ScenarioSpec(tag="minimal-torque")
     elif isinstance(spec, str):

@@ -9,10 +9,14 @@ The balance laws reduce by hand to small closed forms:
     loads follow the linear weight transfer F2z = (1 - t/T_ds) M g,
     F3z = (t/T_ds) M g.
 
-RK4 integrates these at fixed step, rebuilding the instantaneous linear
-acceleration map from the reduced equations at every stage time; it never
-touches the production elimination or the stride maps.  Fixed-step RK4 is
-used (not adaptive) so trajectories are bit-reproducible.
+RK4 integrates these at fixed step; it never touches the production
+elimination or the stride maps.  At fixed t the closed forms are linear in
+the state, so for each block of steps the oracle evaluates them at every
+stage time and folds the four stages of each step into one increment
+matrix (`_rk4_increments`); a step is then one small matmul added to the
+active positions and velocities.  Steps stay sequential and fixed-size,
+so trajectories are bit-reproducible, and memory is set by one block of
+steps, not by their number.
 """
 from __future__ import annotations
 
@@ -124,18 +128,24 @@ def phase_operator(params: BodyParams, phase_T: float, single: bool,
                    ts: np.ndarray) -> np.ndarray:
     """Instantaneous acceleration maps K(t), shape (len(ts), 4, 23).
 
-    The closed forms are linear in Q at fixed t; probing with basis vectors
-    recovers the map, vectorized over the stage times.
+    The closed forms are linear in Q at fixed t; probing them with the zero
+    state and the 23 basis vectors (one column each, broadcast against the
+    stage times) recovers the map in one evaluation.
     """
     fn = accel_single if single else accel_double
     ts = np.asarray(ts, dtype=float)
-    K = np.zeros((len(ts), 4, Q_DIM))
-    zero = fn(params, phase_T, np.zeros(Q_DIM), ts)
-    for i in range(Q_DIM):
-        e = np.zeros(Q_DIM)
-        e[i] = 1.0
-        K[:, :, i] = (fn(params, phase_T, e, ts) - zero).T
-    return K
+    probes = np.hstack([np.zeros((Q_DIM, 1)), np.eye(Q_DIM)])
+    acc = fn(params, phase_T, probes, ts[:, None])     # (4, len(ts), 1 + 23)
+    return np.ascontiguousarray((acc[:, :, 1:] - acc[:, :, :1]).transpose(1, 0, 2))
+
+
+def _finite(*values) -> bool:
+    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
+
+
+def _check_step(step: float) -> None:
+    if not (_finite(step) and step > 0.0):
+        raise ValueError(f"RK4 step must be finite and positive, got {step!r}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,10 @@ class Push:
     duration: float
     wrench: tuple[float, float, float, float]  # (F1x, F1y, M1y, M1x)
 
+    def __post_init__(self):
+        if not _finite(self.t_on, self.duration, *self.wrench):
+            raise ValueError("push times and wrench must be finite")
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -154,8 +168,9 @@ class OracleConfig:
     save_every: int = 200
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        _check_step(self.step)
+        if self.save_every < 1:
+            raise ValueError("save_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -168,7 +183,36 @@ class OracleTrajectory:
         return self.Q[-1]
 
 
-_W_COLS = list(range(18, 22))
+# steps per block of increment matrices: bounds the oracle's memory
+_CHUNK = 500
+
+
+def _rk4_increments(A: np.ndarray, h: float, na: int) -> np.ndarray:
+    """RK4 increments D (m, 23, 2 na) from stage maps A (2m + 1, na, 23).
+
+    The state is permuted so that its first 2 na entries are the active
+    positions, then their velocities; A[2j], A[2j + 1], A[2j + 2] map it
+    to the accelerations at the start, middle and end of step j.  Each
+    stage acceleration k1..k4 is a linear map of the whole state (the
+    frozen entries enter through A), so one step is
+    X[:, :2 na] += X @ D[j].  D is formed directly, never as I + D: a
+    matrix with 1 + delta on its diagonal would round every increment
+    delta the same way on every step.
+    """
+    A0, Am, Ae = A[0:-1:2], A[1::2], A[2::2]
+    AmP, AeP = Am[:, :, :na], Ae[:, :, :na]
+    v = slice(na, 2 * na)
+    k1 = A0
+    k2 = Am.copy()                                  # at P + h/2 V
+    k2[:, :, v] += (0.5 * h) * AmP
+    k3 = k2 + (0.25 * h * h) * (AmP @ k1)           # at P + h/2 V + h^2/4 k1
+    k4 = Ae.copy()                                  # at P + h V + h^2/2 k2
+    k4[:, :, v] += h * AeP
+    k4 += (0.5 * h * h) * (AeP @ k2)
+    dP = (h * h / 6.0) * (k1 + k2 + k3)
+    dP[:, :, v] += h * np.eye(na)
+    dV = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.ascontiguousarray(np.concatenate([dP, dV], axis=1).transpose(0, 2, 1))
 
 
 def _rk4_phase(params: BodyParams, phase_T: float, single: bool,
@@ -177,57 +221,44 @@ def _rk4_phase(params: BodyParams, phase_T: float, single: bool,
                record=None, record_offset: float = 0.0) -> np.ndarray:
     """March a batch of states (n, 23) over [t_local, t_local + duration]
     of one phase (default: the whole phase).  All non-state entries of Q,
-    including the disturbance wrench, are held constant."""
+    including the disturbance wrench, are held constant.
+
+    `record(t, current)` is called after every step; `current()` returns
+    the states (n, 23) in the usual layout.
+    """
     if duration is None:
         duration = phase_T - t_local
     n_steps = max(1, int(round(duration / step)))
     h = duration / n_steps
-    Q = Q.copy()
     pos = [0, 1, 2, 3] if single else [2, 3]
-    vel = [p + 4 for p in pos]
-    frozen = [i for i in range(Q_DIM) if i not in pos and i not in vel]
+    na = len(pos)
+    active = pos + [p + 4 for p in pos]
+    perm = np.array(active + [i for i in range(Q_DIM) if i not in active])
+    X = Q[:, perm]                    # active positions, velocities, frozen
+    head = X[:, :2 * na]
+    inc = np.empty((len(X), 2 * na))
+    out = np.empty_like(X)
 
-    chunk = 2000
-    done = 0
-    while done < n_steps:
-        m = min(chunk, n_steps - done)
-        base = (done + np.arange(m)) * h
-        keys = np.concatenate([
-            np.round(base / (0.5 * h)).astype(np.int64),
-            np.round(base / (0.5 * h)).astype(np.int64) + 1,
-            np.round(base / (0.5 * h)).astype(np.int64) + 2,
-        ])
-        uniq, inv = np.unique(keys, return_inverse=True)
-        ts = t_local + uniq * (0.5 * h)
-        K = phase_operator(params, phase_T, single, ts)
-        Krows = K[:, pos, :]
-        Kpos = Krows[:, :, pos]                      # (nt, na, na)
-        # forcing contribution of the frozen entries, per stage time
-        ct = np.einsum("trj,nj->tnr", Krows[:, :, frozen], Q[:, frozen])
+    def current() -> np.ndarray:
+        out[:, perm] = X
+        return out
 
-        i0, im, ie = inv[:m], inv[m:2 * m], inv[2 * m:]
-        for j in range(m):
-            K0, Km, Ke = Kpos[i0[j]], Kpos[im[j]], Kpos[ie[j]]
-            c0, cm, ce = ct[i0[j]], ct[im[j]], ct[ie[j]]
-            P, V = Q[:, pos], Q[:, vel]
-            k1v = P @ K0.T + c0
-            p2 = P + 0.5 * h * V
-            k2v = p2 @ Km.T + cm
-            p3 = P + 0.5 * h * (V + 0.5 * h * k1v)
-            k3v = p3 @ Km.T + cm
-            p4 = P + h * (V + 0.5 * h * k2v)
-            k4v = p4 @ Ke.T + ce
-            Q[:, pos] = P + h * V + (h * h / 6.0) * (k1v + k2v + k3v)
-            Q[:, vel] = V + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    for done in range(0, n_steps, _CHUNK):
+        m = min(_CHUNK, n_steps - done)
+        ts = t_local + (2 * done + np.arange(2 * m + 1)) * (0.5 * h)
+        A = phase_operator(params, phase_T, single, ts)[:, pos][:, :, perm]
+        for j, D in enumerate(_rk4_increments(A, h, na)):
+            np.dot(X, D, out=inc)
+            head += inc
             if record is not None:
-                record(record_offset + (done + j + 1) * h, Q)
-        done += m
-    return Q
+                record(record_offset + (done + j + 1) * h, current)
+    return current()
 
 
 def integrate_batch(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
                     step: float = 1e-5, phase: str | None = None) -> np.ndarray:
     """End states after one stride (or one phase) for a batch (n, 23)."""
+    _check_step(step)
     Q0 = np.atleast_2d(np.asarray(Q0, dtype=float))
     if phase == "single":
         return _rk4_phase(params, timing.T_ss, True, Q0, step)
@@ -272,11 +303,11 @@ def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     states = [Q0.copy()]
     counter = {"k": 0}
 
-    def record(t, Q):
+    def record(t, current):
         counter["k"] += 1
         if counter["k"] % config.save_every == 0:
             times.append(t)
-            states.append(Q[0].copy())
+            states.append(current()[0].copy())
 
     Q = np.atleast_2d(Q0).copy()
     for a, b in zip(edges[:-1], edges[1:]):

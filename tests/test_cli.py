@@ -129,6 +129,27 @@ def test_validate_zero_trials_exit_2(adult_config, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+def test_validate_bad_step_exit_2(adult_config, tmp_path, capsys, step):
+    with pytest.raises(SystemExit) as err:
+        run(["validate", "--config", adult_config, f"--step={step}",
+             "--out", str(tmp_path / "v")])
+    assert err.value.code == 2
+    assert "--step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--scenario", "minimal-torque", "--speed", "nan"),
+    ("--scenario", "cop-modulated", "--speed", "1.0", "--foot-length", "nan"),
+])
+def test_gait_non_finite_flag_exit_2(adult_config, tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        run(["gait", "--config", adult_config, *flags,
+             "--out", str(tmp_path / "g")])
+    assert err.value.code == 2
+    assert flags[-2] in capsys.readouterr().err
+
+
 def test_maps_command(adult_config, tmp_path):
     out = tmp_path / "maps"
     rc = run(["maps", "--config", adult_config, "--out", str(out)])

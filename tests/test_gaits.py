@@ -156,6 +156,16 @@ def test_cop_ramp_torque_value(adult):
         cop_ramp_torque(adult, -0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gait_inputs_rejected(adult, timing, bad):
+    with pytest.raises(ValueError, match="foot_length"):
+        cop_ramp_torque(adult, bad)
+    with pytest.raises(ValueError, match="foot_length"):
+        synthesize_gait(adult, timing, 1.0, "cop-modulated", foot_length=bad)
+    with pytest.raises(ValueError, match="v_des"):
+        synthesize_gait(adult, timing, bad)
+
+
 def test_pseudo_passive_recovered(adult, relax_03):
     gait = synthesize_gait(adult, StrideTiming(0.3, relax_03 - 0.3), 1.0,
                            "pseudo-passive")

@@ -1,5 +1,7 @@
 """Fixed-step RK4 oracle: convergence, pushes, and energy bookkeeping."""
 import ast
+import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,11 @@ import pytest
 
 from conftest import random_states
 from linwalk.dynamics import solve_forces
-from linwalk.model import mass_velocity_matrix
-from linwalk.oracle import OracleConfig, Push, integrate, integrate_batch
+from linwalk.model import StrideTiming, default_params, mass_velocity_matrix
+from linwalk.oracle import (
+    OracleConfig, Push, accel_double, accel_single, integrate, integrate_batch,
+    phase_operator,
+)
 from linwalk.transition import push_end_state, stride_maps
 
 
@@ -24,6 +29,97 @@ def test_oracle_imports_no_production_path():
             imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
     assert "model" in imported
     assert not imported & {"dynamics", "transition", "gaits", "analysis"}
+
+
+ORACLE_ENDS = Path(__file__).parent / "data" / "oracle_ends_adult.json"
+
+
+def test_integrate_batch_matches_pinned_ends():
+    """End states match those pinned from the per-stage RK4 march (four
+    matmuls per step on positions and velocities) that the increment
+    stepping replaced."""
+    ref = json.loads(ORACLE_ENDS.read_text())
+    body = default_params(ref["body"])
+    timing = StrideTiming(ref["T_ds"], ref["T_ss"])
+    Q0 = random_states(ref["states"]["n"], seed=ref["states"]["seed"])
+    for phase in ("double", "single", None):
+        expected = np.array(ref["ends"][phase or "stride"])
+        ends = integrate_batch(body, timing, Q0, step=ref["step"], phase=phase)
+        assert np.max(np.abs(ends - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("single", [True, False])
+def test_phase_operator_reproduces_closed_forms(adult, timing, single):
+    """K(t) Q equals the closed-form accelerations at every stage time."""
+    fn, T = (accel_single, timing.T_ss) if single else (accel_double, timing.T_ds)
+    ts = np.linspace(0.0, T, 7)
+    K = phase_operator(adult, T, single, ts)
+    for Q in random_states(3, seed=59):
+        direct = fn(adult, T, Q, ts).T                  # (len(ts), 4)
+        assert np.allclose(K @ Q, direct, rtol=0.0,
+                           atol=1e-12 * np.max(np.abs(direct)))
+
+
+def _textbook_rk4(params, phase_T, single, Q, n_steps):
+    """Classical RK4 on y = (P, V), y' = (V, a(t, P)), calling the closed
+    forms at every stage; the other entries of Q stay fixed."""
+    fn = accel_single if single else accel_double
+    pos = [0, 1, 2, 3] if single else [2, 3]
+    vel = [p + 4 for p in pos]
+    h = phase_T / n_steps
+    q = Q.T.copy()                                  # (23, n)
+
+    def f(t, P, V):
+        q[pos], q[vel] = P, V
+        return V, fn(params, phase_T, q, t)[pos]
+
+    P, V = Q.T[pos], Q.T[vel]
+    for j in range(n_steps):
+        t = j * h
+        k1 = f(t, P, V)
+        k2 = f(t + h / 2, P + h / 2 * k1[0], V + h / 2 * k1[1])
+        k3 = f(t + h / 2, P + h / 2 * k2[0], V + h / 2 * k2[1])
+        k4 = f(t + h, P + h * k3[0], V + h * k3[1])
+        P = P + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        V = V + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    q[pos], q[vel] = P, V
+    return q.T
+
+
+def test_increment_stepping_matches_textbook_rk4(adult, timing):
+    Q0 = random_states(3, seed=57)
+    step = 2e-3
+    mid = _textbook_rk4(adult, timing.T_ds, False, Q0, round(timing.T_ds / step))
+    end = _textbook_rk4(adult, timing.T_ss, True, mid, round(timing.T_ss / step))
+    for phase, ref in (("double", mid), (None, end)):
+        ends = integrate_batch(adult, timing, Q0, step=step, phase=phase)
+        assert np.max(np.abs(ends - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_integrate_batch_memory_does_not_grow_with_steps(adult):
+    """Peak allocation is set by one block of steps, not by the stride."""
+    Q0 = random_states(20, seed=58)
+
+    def peak(T_stride):
+        timing = StrideTiming(0.25 * T_stride, 0.75 * T_stride)
+        tracemalloc.start()
+        try:
+            integrate_batch(adult, timing, Q0, step=1e-4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.2)
+    short, long = peak(0.2), peak(0.8)
+    assert long <= 1.1 * short, (short, long)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, np.nan, np.inf])
+def test_bad_step_rejected(adult, timing, step):
+    with pytest.raises(ValueError, match="step"):
+        integrate_batch(adult, timing, random_states(1), step=step)
+    with pytest.raises(ValueError, match="step"):
+        OracleConfig(step=step)
 
 
 def test_zero_state_stays_zero(adult, timing):
@@ -55,6 +151,12 @@ def test_config_validation(adult, timing):
     with pytest.raises(ValueError):
         integrate(adult, timing, np.zeros(23), OracleConfig(
             step=1e-3, pushes=(Push(t_on=0.8, duration=0.2, wrench=(1, 0, 0, 0)),)))
+    with pytest.raises(ValueError, match="save_every"):
+        OracleConfig(save_every=0)
+    for push in ((np.nan, 0.1, (1, 0, 0, 0)), (0.1, np.inf, (1, 0, 0, 0)),
+                 (0.1, 0.1, (1, np.nan, 0, 0))):
+        with pytest.raises(ValueError, match="finite"):
+            Push(*push)
 
 
 def test_zero_push_is_noop(adult, timing):
