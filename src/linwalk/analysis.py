@@ -13,10 +13,10 @@ from .gaits import (
     GaitSolution, InfeasibleConstraintsError, NullSpaceDimensionError,
     synthesize_gait,
 )
-from .layout import IP_X, IP_Y, IX_X1X, IX_X1Y, IX_X2X, IX_X2Y, Q_DIM
+from .layout import Q_DIM
 from .model import (
     BodyParams, DegenerateModelError, StrideTiming, com_position_matrix,
-    com_velocity_matrix, geometry, mass_velocity_matrix,
+    com_velocity_matrix, mass_velocity_matrix,
 )
 from .transition import PhaseMap, stride_maps
 
@@ -31,18 +31,12 @@ class TdsRatioError(ValueError):
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """State, geometry, wrenches and CoM kinematics at one stride time."""
+    """State, wrenches and CoM kinematics at one stride time."""
 
     t: float
     Q: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    y3: np.ndarray
-    foot_swing: np.ndarray
-    foot_stance: np.ndarray
     com_pos: np.ndarray
     com_vel: np.ndarray
-    kinetic_energy: float
     forces: ForceSolution | None
 
 
@@ -63,31 +57,24 @@ def propagate_states(gait: GaitSolution, ts: np.ndarray) -> np.ndarray:
 
 def sample_trajectory(gait: GaitSolution, n: int = 401,
                       with_forces: bool = True) -> list[TrajectorySample]:
-    """Reconstruct the stride at n uniform times (plus the phase boundary)."""
+    """Reconstruct the stride at n uniform times (plus the phase boundary),
+    with one stacked force solve per phase."""
     ts = sample_times(gait.timing, n)
     states = propagate_states(gait, ts)
-    Cp = com_position_matrix(gait.params)
-    Cv = com_velocity_matrix(gait.params)
-    M = gait.params.total_mass
-    T_ds = gait.timing.T_ds
-    samples = []
-    for t, Q in zip(ts, states):
-        X1 = np.array([Q[IX_X1X], Q[IX_X1Y], gait.params.z1])
-        X2 = np.array([Q[IX_X2X], Q[IX_X2Y], 0.0])
-        X3 = np.array([Q[IP_X], Q[IP_Y], 0.0])
-        geo = geometry(gait.params, X1, X2, X3, Q[22])
-        vel = Cv @ Q
-        forces = None
-        if with_forces:
-            phase, tl = (DOUBLE, t) if t <= T_ds else (SINGLE, t - T_ds)
-            forces = solve_forces(gait.params, gait.timing, phase, Q, tl)
-        samples.append(TrajectorySample(
-            t=float(t), Q=Q, y1=geo["y1"], y2=geo["y2"], y3=geo["y3"],
-            foot_swing=X2, foot_stance=X3,
-            com_pos=Cp @ Q, com_vel=vel,
-            kinetic_energy=float(0.5 * M * vel @ vel),
-            forces=forces))
-    return samples
+    # a matrix-vector product per row: states @ C.T sums in another order
+    # and moves the last digits of the written trajectory
+    com_pos = (com_position_matrix(gait.params) @ states[..., None])[..., 0]
+    com_vel = (com_velocity_matrix(gait.params) @ states[..., None])[..., 0]
+    forces = [None] * len(ts)
+    if with_forces:
+        T_ds = gait.timing.T_ds
+        ds = ts <= T_ds
+        phases = (solve_forces(gait.params, gait.timing, DOUBLE, states[ds], ts[ds]),
+                  solve_forces(gait.params, gait.timing, SINGLE, states[~ds],
+                               ts[~ds] - T_ds))
+        forces = [F[i] for F in phases for i in range(len(F.accel))]
+    return [TrajectorySample(t=float(t), Q=Q, com_pos=p, com_vel=v, forces=F)
+            for t, Q, p, v, F in zip(ts, states, com_pos, com_vel, forces)]
 
 
 def _power_zero(power, pm: PhaseMap, ta: float, tb: float,

@@ -69,6 +69,20 @@ def _number(what: str, positive: bool = False):
     return parse
 
 
+def _count(what: str, minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value >= minimum:
+            return value
+        raise argparse.ArgumentTypeError(
+            f"bad {what} {text!r}: expected an integer >= {minimum}")
+    return parse
+
+
 def _write_manifest(outdir: Path, command: str, config_path: str,
                     flags: dict, outputs: list[str], wall: float) -> None:
     config_text = Path(config_path).read_text()
@@ -280,18 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relax", help="find the torque-free stride time")
     common(p, "out_relax")
-    p.add_argument("--bracket-lo", type=float, default=0.4)
-    p.add_argument("--bracket-hi", type=float, default=1.5)
+    p.add_argument("--bracket-lo", type=_number("bracket end", positive=True),
+                   default=0.4)
+    p.add_argument("--bracket-hi", type=_number("bracket end", positive=True),
+                   default=1.5)
     p.set_defaults(func=cmd_relax)
 
     p = sub.add_parser("gait", help="synthesize one periodic gait")
     common(p, "out_gait")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--speed", type=_number("speed"), required=True, help="m/s")
-    p.add_argument("--freq", type=float, default=None, help="steps/s")
+    p.add_argument("--freq", type=_number("frequency", positive=True),
+                   default=None, help="steps/s")
     p.add_argument("--tds-policy", default=None, help="human or fixed:R")
     p.add_argument("--foot-length", type=_number("foot length"), default=0.24)
-    p.add_argument("--samples", type=int, default=401)
+    p.add_argument("--samples", type=_count("sample count", 2), default=401)
     p.set_defaults(func=cmd_gait)
 
     p = sub.add_parser("sweep", help="economy over a speed x frequency grid")

@@ -19,12 +19,15 @@ its own Jacobians, is made proportional between the trailing and leading
 leg with weights 1/(1 - t/T_ds) and 1/(t/T_ds).  The closure is assembled
 in cleared-denominator form, which is regular at both phase endpoints.
 
-The module works numerically: it assembles the equations at a given (Q, t),
-eliminates dependent variables by linear solve, and recovers the phase ODE
-matrices by probing the resulting linear map with basis vectors.  Time
-enters the balance system only through s = t / T_phase, so the probing runs
-once per (body, phase) at unit duration and is cached; each timing then
-only rescales the time-linear part, K1 = K1_unit / T_phase.
+The module works numerically, on stacks of instants: `_assemble` writes
+the balance laws at k pairs (Q, t) into one (k, 24, n) coefficient array,
+with each unknown at a fixed column of its phase, double support forms its
+closure rows with one stacked elimination, and `solve_forces` solves all k
+systems with one more.  The phase ODE matrices come from one such call per
+(body, phase), probing the zero state and the 23 basis vectors at once.
+Time enters the balance system only through s = t / T_phase, so the probing
+runs once per (body, phase) at unit duration and is cached; each timing
+then only rescales the time-linear part, K1 = K1_unit / T_phase.
 """
 from __future__ import annotations
 
@@ -38,24 +41,30 @@ from .layout import (
     IRU_AX, IRU_AY, IRU_HX, IRU_HY, IW_F1X, IW_F1Y, IW_M1X, IW_M1Y,
     IX_X1X, IX_X1Y, IX_X2X, IX_X2Y,
 )
-from .model import BodyParams, DegenerateModelError, StrideTiming
+from .model import BodyParams, DegenerateModelError, StrideTiming, geometry
 
 SINGLE = "single"
 DOUBLE = "double"
 
-EZ = np.array([0.0, 0.0, 1.0])
-EY = np.array([0.0, 1.0, 0.0])
-
 
 def _skew(r: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -r[2], r[1]],
-                     [r[2], 0.0, -r[0]],
-                     [-r[1], r[0], 0.0]])
+    """Cross-product matrices of the rows of r: (k, 3) -> (k, 3, 3)."""
+    S = np.zeros(r.shape[:-1] + (3, 3))
+    S[..., 0, 1], S[..., 0, 2] = -r[..., 2], r[..., 1]
+    S[..., 1, 0], S[..., 1, 2] = r[..., 2], -r[..., 0]
+    S[..., 2, 0], S[..., 2, 1] = -r[..., 1], r[..., 0]
+    return S
+
+
+def _columns(*cols) -> np.ndarray:
+    """Stack length-k columns, or constants, side by side: (k, len(cols))."""
+    return np.column_stack(np.broadcast_arrays(*cols))
 
 
 @dataclass(frozen=True)
 class ForceSolution:
-    """All interaction and contact wrenches at one instant (3-vectors).
+    """All interaction and contact wrenches at one instant (3-vectors), or
+    at k instants ((k, 3) arrays, accel (k, 4)).
 
     f1..f3 are hip interaction forces on each mass, F1..F3 contact/external
     forces, M1..M3 contact/external moments, tau1..tau3 hip torques.  tau1
@@ -76,245 +85,195 @@ class ForceSolution:
     tau3: np.ndarray
     accel: np.ndarray  # (a2x, a2y, a1x, a1y)
 
-
-class _LinearSystem:
-    """Accumulates equations that are linear in a named unknown vector.
-
-    Each physical quantity is a linear form [C | c]: value = C u + c over
-    the unknown vector u.  Equations are linear forms required to vanish.
-    """
-
-    def __init__(self, names: list[str]):
-        self.names = names
-        self.ix = {n: i for i, n in enumerate(names)}
-        self.n = len(names)
-        self.rows: list[np.ndarray] = []
-        self.labels: list[str] = []
-
-    def const(self, vec) -> np.ndarray:
-        L = np.zeros((3, self.n + 1))
-        L[:, self.n] = vec
-        return L
-
-    def unknown3(self, base: str) -> np.ndarray:
-        L = np.zeros((3, self.n + 1))
-        for k, suffix in enumerate(("x", "y", "z")):
-            L[k, self.ix[base + suffix]] = 1.0
-        return L
-
-    def with_entry(self, L: np.ndarray, component: int, name: str) -> np.ndarray:
-        L = L.copy()
-        L[component, :] = 0.0
-        L[component, self.ix[name]] = 1.0
-        return L
-
-    def cross(self, r: np.ndarray, L: np.ndarray) -> np.ndarray:
-        return _skew(np.asarray(r, dtype=float)) @ L
-
-    def add(self, L: np.ndarray, label: str):
-        for k, comp in enumerate("xyz"):
-            self.rows.append(L[k])
-            self.labels.append(f"{label}{comp}")
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        R = np.vstack(self.rows)
-        return R[:, :self.n], -R[:, self.n]
+    def __getitem__(self, i) -> ForceSolution:
+        """The wrenches at instant i of a stacked solution."""
+        return ForceSolution(*(v[i] for v in vars(self).values()))
 
 
-def _assemble(params: BodyParams, timing: StrideTiming, phase: str,
-              q: np.ndarray, t: float) -> _LinearSystem:
-    """Build the full balance system at state q and phase time t."""
-    q = np.asarray(q, dtype=float)
-    m1, m2, m3, g = params.m1, params.m2, params.m3, params.g
-    z1, z3, w = params.z1, params.z3, params.w
+# column of each unknown (the first of three for a 3-vector) in the balance
+# system of each phase; the order fixes the pivoting, and so the roundoff,
+# of the solve
+_COL = {
+    SINGLE: dict(a2=0, a1=2, f1=4, f2=7, f3=10, F3=13, M3z=16, tau1=17,
+                 tau2z=20, tau3=21),
+    DOUBLE: dict(a1=0, f1=2, f2=5, f3=8, F3=11, F2=14, M2z=17, M3z=18,
+                 tau1=19, tau2=22, tau3=25),
+}
+_N_UNKNOWN = {SINGLE: 24, DOUBLE: 28}
+# first of the three rows of each balance law: Newton and moment about each
+# mass, pelvis force, pelvis moment
+_N1, _N2, _N3, _E1, _E2, _E3, _PF, _PM = range(0, 24, 3)
+
+
+def _assemble(params: BodyParams, phase: str, q: np.ndarray,
+              s: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The balance systems A u = b at the k states q (k, 23) and phase
+    fractions s = t / T_phase (k,): A (k, 24, n), b (k, 24), and the
+    prescribed wrenches as fresh (k, 3) rows whose unknown z entries are
+    zero."""
+    col = _COL[phase]
+    k = len(q)
+    A = np.zeros((k, 24, _N_UNKNOWN[phase]))
+    c = np.zeros((k, 24))          # the constant terms: A u + c = 0
+    eye = np.eye(3)
+
+    def put(row: int, name: str, block) -> None:
+        A[:, row:row + 3, col[name]:col[name] + 3] = block
+
+    X1 = _columns(q[:, IX_X1X], q[:, IX_X1Y], params.z1)
+    X2 = _columns(q[:, IX_X2X], q[:, IX_X2Y], 0.0)
+    X3 = _columns(q[:, IP_X], q[:, IP_Y], 0.0)
+    geo = geometry(params, X1, X2, X3, q[:, ID_SIDE])
+    F1 = _columns(q[:, IW_F1X], q[:, IW_F1Y], 0.0)
+    M1 = _columns(q[:, IW_M1X], q[:, IW_M1Y], 0.0)
+
+    # Newton: the leg masses move with the pelvis and, for a free swing
+    # foot, with it: ydd2 = (1 - kappa) a1 + kappa a2, ydd3 = (1 - kappa) a1
     kappa = params.kappa
-    d = q[ID_SIDE]
+    gez = np.array([0.0, 0.0, params.g])
+    for j in range(2):
+        A[:, _N1 + j, col["a1"] + j] = params.m1
+        A[:, _N2 + j, col["a1"] + j] = params.m2 * (1.0 - kappa)
+        A[:, _N3 + j, col["a1"] + j] = params.m3 * (1.0 - kappa)
+    for row, f in ((_N1, "f1"), (_N2, "f2"), (_N3, "f3")):
+        put(row, f, -eye)
+        put(_PF, f, -eye)
+    put(_N3, "F3", -eye)
+    c[:, _N1:_N1 + 3] = params.m1 * gez - F1
+    c[:, _N2:_N2 + 3] = params.m2 * gez
+    c[:, _N3:_N3 + 3] = params.m3 * gez
 
-    X1 = np.array([q[IX_X1X], q[IX_X1Y], z1])
-    X2 = np.array([q[IX_X2X], q[IX_X2Y], 0.0])
-    X3 = np.array([q[IP_X], q[IP_Y], 0.0])
-    half = np.array([0.0, w * d / 2.0, 0.0])
-    x2 = X1 + half
-    x3 = X1 - half
-    y1 = X1 + np.array([0.0, 0.0, z3])
-    y2 = x2 + kappa * (X2 - x2)
-    y3 = x3 + kappa * (X3 - x3)
+    # moments about each mass
+    put(_E1, "f1", _skew(X1 - geo["y1"]))
+    put(_E1, "tau1", eye)
+    c[:, _E1:_E1 + 3] = M1
+    put(_E2, "f2", _skew(geo["x2"] - geo["y2"]))
+    put(_E3, "f3", _skew(geo["x3"] - geo["y3"]))
+    put(_E3, "F3", _skew(X3 - geo["y3"]))
+    put(_E3, "tau3", eye)
+    A[:, _E3 + 2, col["M3z"]] = 1.0
 
-    F1 = np.array([q[IW_F1X], q[IW_F1Y], 0.0])
-    M1 = np.array([q[IW_M1X], q[IW_M1Y], 0.0])
+    # pelvis moment: -tau1 - tau2 - tau3 - (w d / 2) ey x (f2 - f3)
+    put(_PM, "tau1", -eye)
+    put(_PM, "tau3", -eye)
+    wd2 = params.w * q[:, ID_SIDE] / 2.0
+    A[:, _PM, col["f2"] + 2] = -wd2
+    A[:, _PM, col["f3"] + 2] = wd2
+    A[:, _PM + 2, col["f2"]] = wd2
+    A[:, _PM + 2, col["f3"]] = -wd2
 
-    single = phase == SINGLE
-    if single:
-        names = ["a2x", "a2y", "a1x", "a1y"]
+    if phase == SINGLE:
+        A[:, _N2, col["a2"]] = A[:, _N2 + 1, col["a2"] + 1] = params.m2 * kappa
+        # swing foot unloaded; hip and ankle torque inputs, constant + ramp
+        tau2 = _columns(q[:, IU_HX] + s * q[:, IRU_HX],
+                        q[:, IU_HY] + s * q[:, IRU_HY], 0.0)
+        M3 = _columns(q[:, IU_AX] + s * q[:, IRU_AX],
+                      q[:, IU_AY] + s * q[:, IRU_AY], 0.0)
+        A[:, _E2 + 2, col["tau2z"]] = 1.0
+        A[:, _PM + 2, col["tau2z"]] = -1.0
+        c[:, _E2:_E2 + 3] = tau2
+        c[:, _PM:_PM + 3] = -tau2
+        given = dict(F2=np.zeros((k, 3)), M2=np.zeros((k, 3)), tau2=tau2)
     else:
-        names = ["a1x", "a1y"]
-    for base in ("f1", "f2", "f3", "F3"):
-        names += [base + s for s in "xyz"]
-    if not single:
-        names += ["F2x", "F2y", "F2z", "M2z"]
-    names += ["M3z"] + ["tau1" + s for s in "xyz"]
-    if single:
-        names += ["tau2z"]
-    else:
-        names += ["tau2" + s for s in "xyz"]
-    names += ["tau3" + s for s in "xyz"]
-
-    sys = _LinearSystem(names)
-
-    def accel1():
-        L = np.zeros((3, sys.n + 1))
-        L[0, sys.ix["a1x"]] = 1.0
-        L[1, sys.ix["a1y"]] = 1.0
-        return L
-
-    a1 = accel1()
-    if single:
-        a2 = np.zeros((3, sys.n + 1))
-        a2[0, sys.ix["a2x"]] = 1.0
-        a2[1, sys.ix["a2y"]] = 1.0
-        ydd2 = (1.0 - kappa) * a1 + kappa * a2
-    else:
-        ydd2 = (1.0 - kappa) * a1
-    ydd1 = a1
-    ydd3 = (1.0 - kappa) * a1
-
-    f1 = sys.unknown3("f1")
-    f2 = sys.unknown3("f2")
-    f3 = sys.unknown3("f3")
-    F3v = sys.unknown3("F3")
-    tau1 = sys.unknown3("tau1")
-    tau3 = sys.unknown3("tau3")
-    F1v = sys.const(F1)
-    M1v = sys.const(M1)
-
-    if single:
-        rt = t / timing.T_ss
-        F2v = sys.const(np.zeros(3))
-        M2v = sys.const(np.zeros(3))
-        tau2 = sys.const([q[IU_HX] + rt * q[IRU_HX], q[IU_HY] + rt * q[IRU_HY], 0.0])
-        tau2 = sys.with_entry(tau2, 2, "tau2z")
-        M3v = sys.const([q[IU_AX] + rt * q[IRU_AX], q[IU_AY] + rt * q[IRU_AY], 0.0])
-        M3v = sys.with_entry(M3v, 2, "M3z")
-    else:
-        s = t / timing.T_ds
-        F2v = sys.unknown3("F2")
-        tau2 = sys.unknown3("tau2")
+        put(_N2, "F2", -eye)
+        put(_E2, "F2", _skew(X2 - geo["y2"]))
+        put(_E2, "tau2", eye)
+        put(_PM, "tau2", -eye)
+        A[:, _E2 + 2, col["M2z"]] = 1.0
         # trailing foot keeps its CoP: contact moment decays with the load
-        M2v = sys.const([-(1.0 - s) * (q[IU_AX] + q[IRU_AX]),
-                         (1.0 - s) * (q[IU_AY] + q[IRU_AY]), 0.0])
-        M2v = sys.with_entry(M2v, 2, "M2z")
-        M3v = sys.const([s * q[IU_AX], s * q[IU_AY], 0.0])
-        M3v = sys.with_entry(M3v, 2, "M3z")
-
-    gterm = sys.const(g * EZ)
-    sys.add(m1 * (ydd1 + gterm) - f1 - F1v, "N1")
-    sys.add(m2 * (ydd2 + gterm) - f2 - F2v, "N2")
-    sys.add(m3 * (ydd3 + gterm) - f3 - F3v, "N3")
-    sys.add(sys.cross(X1 - y1, f1) + M1v + tau1, "E1")
-    sys.add(sys.cross(X2 - y2, F2v) + sys.cross(x2 - y2, f2) + M2v + tau2, "E2")
-    sys.add(sys.cross(X3 - y3, F3v) + sys.cross(x3 - y3, f3) + M3v + tau3, "E3")
-    sys.add(-f1 - f2 - f3, "PF")
-    sys.add(-tau1 - tau2 - tau3 - (w * d / 2.0) * sys.cross(EY, f2 - f3), "PM")
-    return sys
+        M2 = _columns(-(1.0 - s) * (q[:, IU_AX] + q[:, IRU_AX]),
+                    (1.0 - s) * (q[:, IU_AY] + q[:, IRU_AY]), 0.0)
+        M3 = _columns(s * q[:, IU_AX], s * q[:, IU_AY], 0.0)
+        c[:, _E2:_E2 + 3] = M2
+        given = dict(M2=M2)
+    c[:, _E3:_E3 + 3] = M3
+    return A, -c, dict(given, F1=F1, M1=M1, M3=M3)
 
 
-# variables of the double-support residual system E, in the order
-# (tau2, F2z, tau3, F3z); E itself is what is left of the balance laws
-# (pelvis moment + total vertical load) after eliminating everything else
-_V2_NAMES = ("tau2x", "tau2y", "tau2z", "F2z")
-_V3_NAMES = ("tau3x", "tau3y", "tau3z", "F3z")
-_KEPT_LABELS = ("PMx", "PMy", "PMz", "PFz")
+# the double-support residual system E: its unknowns, in the order (tau2,
+# F2z, tau3, F3z), and its equations (pelvis moment + total vertical load),
+# which is what is left of the balance laws after eliminating the rest
+_DS = _COL[DOUBLE]
+_V_COLS = np.array([_DS["tau2"], _DS["tau2"] + 1, _DS["tau2"] + 2, _DS["F2"] + 2,
+                    _DS["tau3"], _DS["tau3"] + 1, _DS["tau3"] + 2, _DS["F3"] + 2])
+_OTHER_COLS = np.setdiff1d(np.arange(_N_UNKNOWN[DOUBLE]), _V_COLS)
+_KEPT_ROWS = np.array([_PM, _PM + 1, _PM + 2, _PF + 2])
+_ELIM_ROWS = np.setdiff1d(np.arange(24), _KEPT_ROWS)
 
 
-def _transfer_rows(sys: _LinearSystem, q: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+def _transfer_rows(A: np.ndarray, q: np.ndarray,
+                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cleared-denominator uniform transfer rule rows for double support.
 
-    Probes the residual E(V) by solving the remaining equations, extracts
-    its Jacobians with respect to the trailing- and leading-leg variables,
-    and returns s*J2 (V2 - V2hat) - (1-s)*J3 (V3 - V3hat) = 0 as four rows
-    over the full unknown vector.
+    Eliminates everything but the residual E(V) with one stacked solve,
+    takes its Jacobians with respect to the trailing- and leading-leg
+    variables, and returns s*J2 (V2 - V2hat) - (1-s)*J3 (V3 - V3hat) = 0 as
+    four rows (k, 4, 28) over the full unknown vector, and their right-hand
+    sides (k, 4).
     """
-    A, b = sys.matrices()
-    v_idx = [sys.ix[n] for n in _V2_NAMES + _V3_NAMES]
-    other_idx = [i for i in range(sys.n) if i not in v_idx]
-    kept = [sys.labels.index(lbl) for lbl in _KEPT_LABELS]
-    elim = [i for i in range(len(sys.labels)) if i not in kept]
-
-    A_eo = A[np.ix_(elim, other_idx)]
-    A_ev = A[np.ix_(elim, v_idx)]
-    b_e = b[elim]
-    A_ko = A[np.ix_(kept, other_idx)]
-    A_kv = A[np.ix_(kept, v_idx)]
-    b_k = b[kept]
-
+    elim, kept = _ELIM_ROWS[:, None], _KEPT_ROWS[:, None]
     try:
-        sol = np.linalg.solve(A_eo, np.column_stack([b_e[:, None], -A_ev]))
+        sol = np.linalg.solve(A[:, elim, _OTHER_COLS], -A[:, elim, _V_COLS])
     except np.linalg.LinAlgError as exc:
         raise DegenerateModelError("double-support elimination is singular") from exc
-    # residual E(V) = J V - c with both pieces from the eliminated solve
-    J = A_kv + A_ko @ sol[:, 1:]
-    c = b_k - A_ko @ sol[:, 0]
-    J2, J3 = J[:, :4], J[:, 4:]
+    J = A[:, kept, _V_COLS] + A[:, kept, _OTHER_COLS] @ sol
+    J2, J3 = J[..., :4], J[..., 4:]
 
-    v2_hat = np.array([q[IU_HX], q[IU_HY], 0.0, 0.0])
-    v3_hat = np.array([-q[IU_HX] - q[IRU_HX], q[IU_HY] + q[IRU_HY], 0.0, 0.0])
-
-    rows = np.zeros((4, sys.n))
-    rows[:, v_idx[:4]] = s * J2
-    rows[:, v_idx[4:]] = -(1.0 - s) * J3
-    rhs = s * (J2 @ v2_hat) - (1.0 - s) * (J3 @ v3_hat)
+    v2_hat = _columns(q[:, IU_HX], q[:, IU_HY], 0.0, 0.0)
+    v3_hat = _columns(-q[:, IU_HX] - q[:, IRU_HX], q[:, IU_HY] + q[:, IRU_HY],
+                      0.0, 0.0)
+    rows = np.zeros((len(q), 4, _N_UNKNOWN[DOUBLE]))
+    rows[..., _V_COLS[:4]] = s[:, None, None] * J2
+    rows[..., _V_COLS[4:]] = -(1.0 - s)[:, None, None] * J3
+    rhs = (s[:, None] * (J2 @ v2_hat[..., None])[..., 0]
+           - (1.0 - s)[:, None] * (J3 @ v3_hat[..., None])[..., 0])
     return rows, rhs
 
 
 def solve_forces(params: BodyParams, timing: StrideTiming, phase: str,
-                q: np.ndarray, t: float) -> ForceSolution:
-    """Solve the assembled system at (q, t): accelerations and all wrenches."""
+                 q: np.ndarray, t: float | np.ndarray) -> ForceSolution:
+    """Accelerations and all wrenches at (q, t).
+
+    q is one state (23,) with its phase time t, giving 3-vector fields, or
+    k states (k, 23) with k times, giving (k, 3) fields; all k systems are
+    assembled and solved as one stack.
+    """
     duration = timing.T_ss if phase == SINGLE else timing.T_ds
-    if t < -1e-12 or t > duration + 1e-12:
-        raise ValueError(f"t={t} outside the {phase}-support phase [0, {duration}]")
-    sys = _assemble(params, timing, phase, q, t)
-    A, b = sys.matrices()
+    q = np.asarray(q, dtype=float)
+    qs = np.atleast_2d(q)
+    ts = np.broadcast_to(np.asarray(t, dtype=float), qs.shape[:1])
+    outside = (ts < -1e-12) | (ts > duration + 1e-12)
+    if np.any(outside):
+        raise ValueError(f"t={ts[outside][0]} outside the {phase}-support "
+                         f"phase [0, {duration}]")
+    s = ts / duration
+    A, b, given = _assemble(params, phase, qs, s)
     if phase == DOUBLE:
-        rows, rhs = _transfer_rows(sys, q, t / timing.T_ds)
-        A = np.vstack([A, rows])
-        b = np.concatenate([b, rhs])
+        rows, rhs = _transfer_rows(A, qs, s)
+        A = np.concatenate([A, rows], axis=1)
+        b = np.concatenate([b, rhs], axis=1)
     try:
-        u = np.linalg.solve(A, b)
+        u = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateModelError(f"{phase}-support system is singular") from exc
 
-    def vec3(base: str) -> np.ndarray:
-        return np.array([u[sys.ix[base + s]] for s in "xyz"])
+    col = _COL[phase]
 
-    q = np.asarray(q, dtype=float)
-    single = phase == SINGLE
-    if single:
-        rt = t / timing.T_ss
-        accel = np.array([u[sys.ix["a2x"]], u[sys.ix["a2y"]],
-                          u[sys.ix["a1x"]], u[sys.ix["a1y"]]])
-        F2 = np.zeros(3)
-        M2 = np.zeros(3)
-        tau2 = np.array([q[IU_HX] + rt * q[IRU_HX],
-                         q[IU_HY] + rt * q[IRU_HY], u[sys.ix["tau2z"]]])
-        M3 = np.array([q[IU_AX] + rt * q[IRU_AX],
-                       q[IU_AY] + rt * q[IRU_AY], u[sys.ix["M3z"]]])
+    def vec3(name: str) -> np.ndarray:
+        return u[:, col[name]:col[name] + 3]
+
+    accel = np.zeros((len(qs), 4))
+    accel[:, 2:] = u[:, col["a1"]:col["a1"] + 2]
+    given["M3"][:, 2] = u[:, col["M3z"]]
+    if phase == SINGLE:
+        accel[:, :2] = u[:, col["a2"]:col["a2"] + 2]
+        given["tau2"][:, 2] = u[:, col["tau2z"]]
     else:
-        s = t / timing.T_ds
-        accel = np.array([0.0, 0.0, u[sys.ix["a1x"]], u[sys.ix["a1y"]]])
-        F2 = vec3("F2")
-        M2 = np.array([-(1.0 - s) * (q[IU_AX] + q[IRU_AX]),
-                       (1.0 - s) * (q[IU_AY] + q[IRU_AY]), u[sys.ix["M2z"]]])
-        tau2 = vec3("tau2")
-        M3 = np.array([s * q[IU_AX], s * q[IU_AY], u[sys.ix["M3z"]]])
-    return ForceSolution(
-        f1=vec3("f1"), f2=vec3("f2"), f3=vec3("f3"),
-        F1=np.array([q[IW_F1X], q[IW_F1Y], 0.0]),
-        F2=F2, F3=vec3("F3"),
-        M1=np.array([q[IW_M1X], q[IW_M1Y], 0.0]),
-        M2=M2, M3=M3,
-        tau1=vec3("tau1"), tau2=tau2, tau3=vec3("tau3"),
-        accel=accel,
-    )
+        given["M2"][:, 2] = u[:, col["M2z"]]
+        given.update(F2=vec3("F2"), tau2=vec3("tau2"))
+    forces = ForceSolution(f1=vec3("f1"), f2=vec3("f2"), f3=vec3("f3"), F3=vec3("F3"),
+                           tau1=vec3("tau1"), tau3=vec3("tau3"), accel=accel, **given)
+    return forces if q.ndim == 2 else forces[0]
 
 
 def point_accel(params: BodyParams, timing: StrideTiming, phase: str,
@@ -371,18 +330,17 @@ _UNIT_TIMING = StrideTiming(T_ds=1.0, T_ss=1.0)
 
 @lru_cache(maxsize=256)
 def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
-    """Phase ODE of one body at unit phase duration (read-only arrays)."""
-    K = []
-    for t in (0.0, 0.5, 1.0):
-        base = point_accel(params, _UNIT_TIMING, phase, np.zeros(Q_DIM), t)
-        if np.max(np.abs(base)) > 1e-9:
-            raise DegenerateModelError(f"{phase}-support accelerations not homogeneous")
-        cols = []
-        for i in range(Q_DIM):
-            e = np.zeros(Q_DIM)
-            e[i] = 1.0
-            cols.append(point_accel(params, _UNIT_TIMING, phase, e, t) - base)
-        K.append(np.column_stack(cols))
+    """Phase ODE of one body at unit phase duration (read-only arrays).
+
+    One stacked solve probes the zero state and the 23 basis vectors at
+    s = 0, 0.5 and 1."""
+    probes = np.tile(np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)]), (3, 1))
+    s = np.repeat([0.0, 0.5, 1.0], Q_DIM + 1)
+    acc = solve_forces(params, _UNIT_TIMING, phase, probes, s).accel
+    acc = acc.reshape(3, Q_DIM + 1, 4)
+    if np.max(np.abs(acc[:, 0])) > 1e-9:
+        raise DegenerateModelError(f"{phase}-support accelerations not homogeneous")
+    K = np.ascontiguousarray((acc[:, 1:] - acc[:, :1]).transpose(0, 2, 1))
     K0 = K[0]
     K1 = K[2] - K0
     # the differencing leaves ~1e-17 dust on genuinely constant columns;

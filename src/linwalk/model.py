@@ -101,16 +101,19 @@ def scaled_body(base: BodyParams, total_mass: float, height_scale: float = 1.0) 
                    z3=base.z3 * height_scale, w=base.w * height_scale)
 
 
-def geometry(params: BodyParams, X1, X2, X3, d: float) -> dict[str, np.ndarray]:
+def geometry(params: BodyParams, X1, X2, X3, d) -> dict[str, np.ndarray]:
     """Hip and mass positions from the pelvis and foot points.
 
     x2/x3 are the swing/stance hip points, y1 the torso mass, y2/y3 the leg
-    masses interpolated a fraction z2/z1 down the leg from the hip.
+    masses interpolated a fraction z2/z1 down the leg from the hip.  The
+    points may be stacked as rows (k, 3) with one side d per row (k,).
     """
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
     X3 = np.asarray(X3, dtype=float)
-    half = np.array([0.0, params.w * d / 2.0, 0.0])
+    d = np.asarray(d, dtype=float)
+    half = np.zeros(d.shape + (3,))
+    half[..., 1] = params.w * d / 2.0
     x2 = X1 + half
     x3 = X1 - half
     k = params.kappa

@@ -336,6 +336,23 @@ def test_propagation_reuses_one_exponential_per_step_length(gait, monkeypatch):
     assert len(calls) <= 6
 
 
+def test_trajectory_solves_forces_once_per_phase(gait, monkeypatch):
+    """The wrenches of a 401-sample stride come from one stacked solve per
+    phase, not one solve per sample."""
+    import linwalk.analysis as analysis
+    calls = []
+    real = analysis.solve_forces
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "solve_forces", counted)
+    samples = sample_trajectory(gait, 401)
+    assert len(calls) <= 2
+    assert len(samples) == 402 and all(s.forces.F3.shape == (3,) for s in samples)
+
+
 def test_memory_bounded_over_economy_cells(body66):
     """Cells at distinct timings leave only their cached stride maps behind
     (~40 kB each); no per-time exponentials accumulate (~1.1 MB per cell

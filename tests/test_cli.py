@@ -150,6 +150,24 @@ def test_gait_non_finite_flag_exit_2(adult_config, tmp_path, capsys, flags):
     assert flags[-2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gait", "--scenario", "minimal-torque", "--speed", "1.0", "--freq", "nan"),
+    ("gait", "--scenario", "minimal-torque", "--speed", "1.0", "--samples", "1"),
+    ("gait", "--scenario", "minimal-torque", "--speed", "1.0", "--samples", "0"),
+    ("gait", "--scenario", "minimal-torque", "--speed", "1.0", "--samples", "-5"),
+    ("relax", "--bracket-lo", "nan"),
+    ("relax", "--bracket-hi", "nan"),
+])
+def test_bad_flag_exit_2_names_flag(adult_config, tmp_path, capsys, argv):
+    """Bad numeric flags are refused at parse time, naming the flag, before
+    any gait is synthesized or any bracket scanned."""
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--config", adult_config, "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_maps_command(adult_config, tmp_path):
     out = tmp_path / "maps"
     rc = run(["maps", "--config", adult_config, "--out", str(out)])

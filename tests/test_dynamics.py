@@ -1,15 +1,23 @@
 """Constraint assembly and elimination, cross-checked against the
 independent algebraic reduction in the oracle module."""
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_states
 from linwalk.dynamics import (
-    DOUBLE, SINGLE, DegenerateModelError, _extract_ode, assemble_double_support,
-    assemble_single_support, point_accel, solve_forces,
+    DOUBLE, SINGLE, DegenerateModelError, ForceSolution, _extract_ode,
+    assemble_double_support, assemble_single_support, point_accel, solve_forces,
 )
-from linwalk.model import BodyParams, StrideTiming, geometry, scaled_body
+from linwalk.model import (
+    BodyParams, StrideTiming, default_params, geometry, scaled_body,
+)
 from linwalk.oracle import accel_double, accel_single
+
+FORCES_REF = Path(__file__).parent / "data" / "forces_adult.json"
 
 
 def phase_cases(timing):
@@ -122,17 +130,55 @@ def _balance_residuals(params, q, F):
 
 
 def test_force_solution_satisfies_balance(adult, timing):
-    """Newton/Euler balance holds to 1e-9 relative for random states."""
+    """Newton/Euler balance holds to 1e-9 relative for random states, on the
+    adult body and on random bodies and timings."""
     Q = random_states(20, seed=21)
-    rng = np.random.default_rng(22)
+    cases = [(adult, timing, np.random.default_rng(22))]
+    cases += list(_random_bodies_and_timings(adult, 6, seed=23))
+    for body, tm, rng in cases:
+        for phase, T, _ in phase_cases(tm):
+            for q in Q:
+                t = rng.uniform(0, T)
+                F = solve_forces(body, tm, phase, q, t)
+                scale = max(np.max(np.abs(v)) for v in
+                            (F.f1, F.f2, F.f3, F.F3, F.tau1, F.tau2, F.tau3))
+                res = _balance_residuals(body, q, F)
+                assert np.max(np.abs(res)) <= 1e-9 * max(scale, 1.0)
+
+
+def test_forces_and_phase_odes_match_pinned_reference(adult):
+    """Every field of a stacked solve at 16 seeded (q, t) per phase, for
+    the adult and a scaled body, and the unit-duration phase ODEs of the
+    adult and kid bodies, equal those pinned from the per-sample assembly
+    that the stacked one replaced."""
+    ref = json.loads(FORCES_REF.read_text())
+    timing = StrideTiming(ref["T_ds"], ref["T_ss"])
+    bodies = {"adult": adult, "scaled": scaled_body(adult, **ref["scaled_body"])}
+    Q = random_states(ref["states"]["n"], seed=ref["states"]["seed"])
+    for name, body in bodies.items():
+        for phase in (SINGLE, DOUBLE):
+            F = solve_forces(body, timing, phase, Q, np.array(ref["times"][phase]))
+            for field, expected in ref["forces"][name][phase].items():
+                assert np.array_equal(getattr(F, field), expected), (name, phase, field)
+    for size, odes in ref["ode_unit"].items():
+        for phase, K in odes.items():
+            ode = _extract_ode(default_params(size), phase)
+            assert np.array_equal(ode.K0, K["K0"]), (size, phase)
+            assert np.array_equal(ode.K1, K["K1"]), (size, phase)
+
+
+def test_stacked_solve_equals_one_row_solves(adult, timing):
+    """One solve over k stacked (q, t) gives, bit for bit, the k one-row
+    solves, phase ends included."""
+    Q = random_states(40, seed=24)
+    rng = np.random.default_rng(25)
     for phase, T, _ in phase_cases(timing):
-        for q in Q:
-            t = rng.uniform(0, T)
-            F = solve_forces(adult, timing, phase, q, t)
-            scale = max(np.max(np.abs(v)) for v in
-                        (F.f1, F.f2, F.f3, F.F3, F.tau1, F.tau2, F.tau3))
-            res = _balance_residuals(adult, q, F)
-            assert np.max(np.abs(res)) <= 1e-9 * max(scale, 1.0)
+        ts = np.concatenate([[0.0, T], rng.uniform(0.0, T, len(Q) - 2)])
+        stacked = solve_forces(adult, timing, phase, Q, ts)
+        rows = [solve_forces(adult, timing, phase, q, t) for q, t in zip(Q, ts)]
+        for f in fields(ForceSolution):
+            one = np.array([getattr(F, f.name) for F in rows])
+            assert getattr(stacked, f.name).tobytes() == one.tobytes(), (phase, f.name)
 
 
 def test_swing_foot_unloaded_in_single_support(adult, timing):
@@ -276,6 +322,23 @@ def test_extraction_runs_once_per_body_and_phase(adult):
     after = _extract_ode.cache_info()
     assert after.misses - before.misses == 2
     assert after.hits - before.hits == 6
+
+
+def test_extraction_is_one_stacked_solve_per_phase(adult, monkeypatch):
+    """Probing a new body's phase ODE solves all its probes in one call."""
+    import linwalk.dynamics as dynamics
+    calls = []
+    real = dynamics.solve_forces
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "solve_forces", counted)
+    body = scaled_body(adult, 71.3917, 0.9613)
+    for phase in (SINGLE, DOUBLE):
+        _extract_ode.__wrapped__(body, phase)
+    assert calls == [SINGLE, DOUBLE]
 
 
 def test_degenerate_body_raises_on_every_call(timing):
