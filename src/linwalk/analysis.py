@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,25 +78,62 @@ def sample_trajectory(gait: GaitSolution, n: int = 401,
             for t, Q, p, v, F in zip(ts, states, com_pos, com_vel, forces)]
 
 
+def _series_flow(A: np.ndarray, h: float, x: np.ndarray):
+    """The exact flow x(delta) = expm(A delta) x for 0 <= delta <= h, as a
+    function of delta, without an exponential.
+
+    x(delta) is the truncated Taylor series sum_k delta^k A^k x / k!,
+    evaluated by Horner's rule.  [0, h] is split into m = ceil(h |A|_1)
+    equal pieces (one when h |A|_1 <= 1), so that along a piece the terms
+    shrink in the 1-norm by at least 1/k from one to the next; each piece
+    keeps its terms until the next is below roundoff of its start state,
+    and starts from the previous piece's end.
+    """
+    m = max(1, math.ceil(h * np.linalg.norm(A, 1)))
+    dh = h / m
+
+    def horner(terms: list, s: float) -> np.ndarray:
+        y = terms[-1]
+        for c in reversed(terms[:-1]):
+            y = y * s + c
+        return y
+
+    pieces = []                     # (h/m)^k A^k x0 / k! from each piece start x0
+    for _ in range(m):
+        terms = [x]
+        floor = np.finfo(float).eps * np.sum(np.abs(x))
+        while True:
+            nxt = (dh / len(terms)) * (A @ terms[-1])
+            if np.sum(np.abs(nxt)) <= floor:
+                break
+            terms.append(nxt)
+        pieces.append(terms)
+        x = horner(terms, 1.0)
+
+    def at(delta: float) -> np.ndarray:
+        p = min(int(delta / dh), m - 1)
+        return horner(pieces[p], delta / dh - p)
+
+    return at
+
+
 def _power_zero(power, pm: PhaseMap, ta: float, tb: float,
                 xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Augmented state at the sign change of power(pm, x) inside one phase's
-    [ta, tb], by Brent's method; xa and xb are the states at the ends."""
+    [ta, tb], by Brent's method; xa and xb are the states at the ends.
+
+    Brent's evaluations read the states off one Taylor series of the phase
+    flow from xa (`_series_flow`), built once per call: no exponential.
+    """
     from scipy.optimize import brentq
 
-    # states at every time evaluated: the ends come from the grid, and
-    # brentq returns one of its evaluation points
-    seen = {ta: xa, tb: xb}
+    flow = _series_flow(pm.generator, tb - ta, xa)
 
-    def p_at(t: float) -> float:
-        x = seen.get(t)
-        if x is None:
-            x = seen[t] = pm.step(t - ta) @ xa
-        return power(pm, x)
+    def x_at(t: float) -> np.ndarray:
+        # the end keeps its grid state, and so the sign brentq was given
+        return xb if t == tb else flow(t - ta)
 
-    t_star = brentq(p_at, ta, tb)
-    x = seen.get(t_star)
-    return pm.step(t_star - ta) @ xa if x is None else x
+    return x_at(brentq(lambda t: power(pm, x_at(t)), ta, tb))
 
 
 def com_work_per_distance(gait: GaitSolution, n_dense: int = 1000) -> float:
@@ -107,7 +145,10 @@ def com_work_per_distance(gait: GaitSolution, n_dense: int = 1000) -> float:
     pump-and-brake flow is what penalizes fast stepping.  Turning points
     are located on a dense grid and sharpened to the zeros of the exact
     mechanical power P = sum m v.a by Brent's method, so the value is
-    insensitive to the sampling density.  Each half-interval beside a turning
+    insensitive to the sampling density.  Brent's method reads the states
+    off a Taylor series of the phase flow, exact to roundoff, so sharpening
+    takes no matrix exponential: the dense grid's few step lengths are the
+    only exponentials of the integral.  Each half-interval beside a turning
     point is searched inside its phase; one whose end powers share a sign
     (the kink at T_ds) keeps the grid value.
     """
@@ -309,20 +350,24 @@ def _fmt(x) -> str:
 
 TRAJECTORY_HEADER = ("t,X2x,X2y,X1x,X1y,vX2x,vX2y,vX1x,vX1y,comx,comy,"
                      "comvx,comvy,grf3z,grf2z,tau2y,tau2x,M3y,M3x,tau1y,tau1x")
+# one trajectory row, formatted as `_fmt` formats a cell; CRLF ends it, as
+# the csv module ends the rows of the other CSV files
+_TRAJECTORY_ROW = ",".join(["%.17g"] * len(TRAJECTORY_HEADER.split(","))) + "\r\n"
 
 
 def write_trajectory_csv(path: str | Path, samples: list[TrajectorySample]) -> None:
+    rows = []
+    for s in samples:
+        if s.forces is None:
+            raise ValueError("trajectory CSV needs force reconstruction")
+        F = s.forces
+        rows.append(_TRAJECTORY_ROW % (
+            s.t, *s.Q[0:8], *s.com_pos, *s.com_vel,
+            F.F3[2], F.F2[2], F.tau2[1], F.tau2[0],
+            F.M3[1], F.M3[0], F.tau1[1], F.tau1[0]))
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(TRAJECTORY_HEADER.split(","))
-        for s in samples:
-            if s.forces is None:
-                raise ValueError("trajectory CSV needs force reconstruction")
-            F = s.forces
-            out.writerow([_fmt(x) for x in (
-                s.t, *s.Q[0:4], *s.Q[4:8], *s.com_pos, *s.com_vel,
-                F.F3[2], F.F2[2], F.tau2[1], F.tau2[0],
-                F.M3[1], F.M3[0], F.tau1[1], F.tau1[0])])
+        fh.write(TRAJECTORY_HEADER + "\r\n")
+        fh.writelines(rows)
 
 
 def write_economy_csv(path: str | Path, grid: EconomyGrid) -> None:

@@ -282,7 +282,7 @@ def point_accel(params: BodyParams, timing: StrideTiming, phase: str,
     return solve_forces(params, timing, phase, q, t).accel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseODE:
     """Exact linear form of one phase: Xdd = (K0 + t K1) Q.
 
@@ -291,12 +291,17 @@ class PhaseODE:
     torque/ramp/disturbance/support columns, plus the swing-foot position
     columns during double support (the trailing foot's decaying vertical
     load acts at that fixed point).
+
+    ``unit`` is the cached unit-duration ODE of the same body and phase that
+    this one rescales (None on that ODE itself).  ODEs compare and hash by
+    identity, so the unit ODE can key what is built once per (body, phase).
     """
 
     phase: str
     duration: float
     K0: np.ndarray
     K1: np.ndarray
+    unit: PhaseODE | None = None
 
     @property
     def A(self) -> np.ndarray:
@@ -364,10 +369,10 @@ def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
 def assemble_single_support(params: BodyParams, timing: StrideTiming) -> PhaseODE:
     """Single-support phase ODE: swing foot free, stance foot fixed."""
     unit = _extract_ode(params, SINGLE)
-    return PhaseODE(SINGLE, timing.T_ss, unit.K0, unit.K1 / timing.T_ss)
+    return PhaseODE(SINGLE, timing.T_ss, unit.K0, unit.K1 / timing.T_ss, unit)
 
 
 def assemble_double_support(params: BodyParams, timing: StrideTiming) -> PhaseODE:
     """Double-support phase ODE: both feet fixed, load transferring linearly."""
     unit = _extract_ode(params, DOUBLE)
-    return PhaseODE(DOUBLE, timing.T_ds, unit.K0, unit.K1 / timing.T_ds)
+    return PhaseODE(DOUBLE, timing.T_ds, unit.K0, unit.K1 / timing.T_ds, unit)

@@ -12,11 +12,18 @@ flow from time t to t + dt on Q alone is
 
     Phi(t -> t+dt) = E_QQ(dt) + t * E_Qz(dt) * Pi
 
-Each map is one fresh exponential and nothing is cached per time value;
-dense output steps x with one E(h) per step length.  A full stride is
-double support followed by single support; only `StrideMaps.flow` and
-`StrideMaps.states` split a stride time into its phase.  H(t) and the
-back-transfer map G(tau), with G(tau) H(tau) = H(T), are flows.
+The generator's structure (the constant block, the clock columns, Pi and
+the rows that stay put) depends only on the body and phase, and is built
+once per (body, phase) as a template that lives as long as the cached phase
+ODE it comes from.  The clock block K1_unit / T_phase is the only part that
+depends on the timing: a map at a timing copies the template and writes
+that block.  Each map is one fresh exponential and nothing is cached per
+time value; dense output steps x with one E(h) per step length.
+
+A full stride is double support followed by single support; only
+`StrideMaps.flow` and `StrideMaps.states` split a stride time into its
+phase.  H(t) and the back-transfer map G(tau), with G(tau) H(tau) = H(T),
+are flows.
 
 The constrained map H'(T) eliminates the constant hip-torque inputs to pin
 the swing-foot velocity to zero at the stride end:
@@ -32,6 +39,7 @@ cached objects are safe to share.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -51,50 +59,65 @@ class ControlDegeneracyError(RuntimeError):
     """Hip torques cannot control the end-of-stride foot velocity."""
 
 
+# one template per cached unit-duration phase ODE, i.e. per (body, phase);
+# an entry lives only as long as its ODE does, so the `_extract_ode` bound
+# (and the ODEs the cached stride maps hold) bound the templates too
+_TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _map_template(unit: PhaseODE) -> tuple:
+    """The timing-free parts of a phase's augmented generator, read-only and
+    built on first use: the generator with the unit-duration clock block,
+    the clock columns, Pi, and the rows of Q whose generator row is zero."""
+    tpl = _TEMPLATES.get(unit)
+    if tpl is not None:
+        return tpl
+    clock_cols = tuple(int(j) for j in
+                       np.flatnonzero(np.max(np.abs(unit.K1), axis=0) > 1e-300))
+    nc = len(clock_cols)
+    A = np.zeros((Q_DIM + nc, Q_DIM + nc))
+    if unit.phase == SINGLE:
+        A[0:2, 4:6] = np.eye(2)           # swing foot moves in single support
+    A[2:4, 6:8] = np.eye(2)
+    A[4:8, :Q_DIM] = unit.K0
+    A[4:8, Q_DIM:] = unit.K1[:, clock_cols]
+    pi = np.eye(Q_DIM)[list(clock_cols)]
+    A[Q_DIM:, :Q_DIM] = pi
+    # entries with an identically zero generator row stay put exactly;
+    # the Pade solve inside expm would otherwise leave eps-level dust
+    rows = np.flatnonzero(~np.any(A[:Q_DIM], axis=1))
+    for a in (A, pi, rows):
+        a.flags.writeable = False
+    tpl = _TEMPLATES[unit] = (A, clock_cols, pi, rows)
+    return tpl
+
+
 class PhaseMap:
     """Exact transition map of one phase, t in [0, duration].
 
-    Every map comes from one uncached exponential of the clock-augmented
-    generator: ``step(h)`` is E(h) itself, ``map_at`` and ``flow`` its Q
-    blocks.
+    The generator's structure (its constant block, the clock columns, Pi
+    and the identity rows) is a per-body template, built once per (body,
+    phase); a timing copies it and writes only the 4 x nc clock block
+    K1_unit[:, clock_cols] / T_phase.  Every map comes from one uncached
+    exponential of the generator: ``step(h)`` is E(h) itself, ``map_at`` and
+    ``flow`` its Q blocks.
     """
 
     def __init__(self, ode: PhaseODE):
         self.ode = ode
         self.phase = ode.phase
         self.duration = ode.duration
-
-        G0 = np.zeros((Q_DIM, Q_DIM))
-        if ode.phase == SINGLE:
-            G0[0:2, 4:6] = np.eye(2)      # swing foot moves in single support
-        G0[2:4, 6:8] = np.eye(2)
-        G0[4:8, :] = ode.K0
-
-        self.clock_cols = tuple(
-            j for j in range(Q_DIM) if np.max(np.abs(ode.K1[:, j])) > 1e-300
-        )
-        nc = len(self.clock_cols)
-        A = np.zeros((Q_DIM + nc, Q_DIM + nc))
-        A[:Q_DIM, :Q_DIM] = G0
-        if nc:
-            A[4:8, Q_DIM:] = ode.K1[:, list(self.clock_cols)]
-            for k, j in enumerate(self.clock_cols):
-                A[Q_DIM + k, j] = 1.0
-        self.generator = A
-        self._pi = np.zeros((nc, Q_DIM))
-        for k, j in enumerate(self.clock_cols):
-            self._pi[k, j] = 1.0
-        # entries with an identically zero generator row stay put exactly;
-        # the Pade solve inside expm would otherwise leave eps-level dust
-        self._identity_rows = [i for i in range(Q_DIM)
-                               if not np.any(A[i, :])]
+        A, self.clock_cols, self._pi, self._identity_rows = _map_template(
+            ode.unit or ode)
+        self.generator = A.copy()
+        self.generator[4:8, Q_DIM:] = ode.K1[:, self.clock_cols]
 
     def step(self, h: float) -> np.ndarray:
         """E(h): exact map of the augmented state [Q; t * Pi Q] over h."""
         E = expm(self.generator * h)
-        for i in self._identity_rows:
-            E[i, :] = 0.0
-            E[i, i] = 1.0
+        rows = self._identity_rows
+        E[rows] = 0.0
+        E[rows, rows] = 1.0
         return E
 
     def augment(self, Q: np.ndarray, t: float) -> np.ndarray:

@@ -254,6 +254,28 @@ def test_peak_line_interior_and_boundary():
         peak_line(grid_bad)
 
 
+def test_trajectory_csv_matches_csv_module_rows(tmp_path, adult):
+    """The preformatted rows are the bytes the csv module writes from one
+    %.17g cell at a time, on every scenario."""
+    import csv
+    from linwalk.gaits import SCENARIOS
+    for tag in SCENARIOS:
+        samples = sample_trajectory(synthesize_gait(adult, SIIIC, 1.3, tag), 41)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(TRAJECTORY_HEADER.split(","))
+            for s in samples:
+                F = s.forces
+                out.writerow([format(float(x), ".17g") for x in (
+                    s.t, *s.Q[0:8], *s.com_pos, *s.com_vel,
+                    F.F3[2], F.F2[2], F.tau2[1], F.tau2[0],
+                    F.M3[1], F.M3[0], F.tau1[1], F.tau1[0])])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, samples)
+        assert path.read_bytes() == ref.read_bytes(), tag
+
+
 def test_csv_outputs(tmp_path, gait, body66):
     traj = tmp_path / "traj.csv"
     write_trajectory_csv(traj, sample_trajectory(gait, 11))
@@ -334,6 +356,58 @@ def test_propagation_reuses_one_exponential_per_step_length(gait, monkeypatch):
     monkeypatch.setattr(transition, "expm", counted)
     propagate_states(gait, sample_times(gait.timing, 1000))
     assert len(calls) <= 6
+
+
+def test_cold_economy_cell_takes_at_most_six_exponentials(adult, monkeypatch):
+    """A cell at a new timing takes two exponentials for its phase maps and
+    at most four for the step lengths of its dense grid; the work's turning
+    points take none."""
+    import linwalk.transition as transition
+    calls = []
+    real = transition.expm
+
+    def counted(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(transition, "expm", counted)
+    body = scaled_body(adult, 67.4193, 1.0213)
+    policy = TdsPolicy("human")
+    for speed, freq in ((1.3, 1.83), (0.9, 1.41), (1.9, 2.37), (1.6, 1.77)):
+        calls.clear()
+        economy_cell(body, speed, freq, policy.ratio_at(speed))
+        assert len(calls) <= 6, (speed, freq)
+
+
+@pytest.mark.parametrize("base", ["adult", "kid"])
+def test_series_flow_matches_exponential(base):
+    """The exponential-free flow that Brent's method reads the work's turning
+    points from equals E(delta) xa across one dense-grid interval, on random
+    bodies at short and human double-support shares; the shortest shares
+    need h |A|_1 > 1 and take the split path."""
+    from conftest import random_states
+    from linwalk.analysis import _series_flow
+    from linwalk.transition import stride_maps
+    rng = np.random.default_rng(61)
+    base = default_params(base)
+    split = 0
+    for _ in range(3):
+        body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                           rng.uniform(0.9, 1.1))
+        speed, freq = rng.uniform(0.8, 2.0), rng.uniform(0.8, 3.0)
+        for ratio in (0.005, 0.02, TdsPolicy("human").ratio_at(speed)):
+            T = 1.0 / freq
+            maps = stride_maps(body, StrideTiming(ratio * T, (1.0 - ratio) * T))
+            h = T / 999                  # one interval of the work's dense grid
+            for pm in (maps.ds, maps.ss):
+                split += h * np.linalg.norm(pm.generator, 1) > 1.0
+                Q = random_states(1, seed=int(rng.integers(1 << 30)))[0]
+                xa = pm.augment(Q, rng.uniform(0.0, pm.duration - h))
+                flow = _series_flow(pm.generator, h, xa)
+                for delta in np.append(np.linspace(0.0, h, 9), rng.uniform(0.0, h, 4)):
+                    ref = pm.step(delta) @ xa
+                    assert np.max(np.abs(flow(delta) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert split >= 3
 
 
 def test_trajectory_solves_forces_once_per_phase(gait, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from linwalk.dynamics import SINGLE, solve_forces
 from linwalk.layout import selection_matrices
-from linwalk.model import StrideTiming
+from linwalk.model import StrideTiming, scaled_body
 from linwalk.gaits import (
     GaitSolution, InfeasibleConstraintsError, M_MAT, NoRelaxTimeError,
     NullSpaceDimensionError, O_MAT, R0_COLS, R1_COLS, ScenarioSpec, T_MAT,
@@ -284,6 +284,21 @@ def test_every_scenario_closes_periodically(adult):
         gait = synthesize_gait(adult, SIIIC, 1.0, tag)
         assert gait.diagnostics["periodicity_residual"] <= 1e-7, tag
         assert gait.diagnostics["end_foot_speed"] <= 1e-8, tag
+
+
+def test_gaits_close_periodically_over_random_bodies(adult, kid):
+    """Minimal-torque gaits of seeded random bodies, timings, speeds and
+    sides close periodically with the swing foot at rest."""
+    rng = np.random.default_rng(54)
+    for k in range(10):
+        base = (adult, kid)[k % 2]
+        body = scaled_body(base, base.total_mass * rng.uniform(0.75, 1.25),
+                           rng.uniform(0.85, 1.15))
+        tm = StrideTiming(rng.uniform(0.05, 0.4), rng.uniform(0.2, 0.8))
+        gait = synthesize_gait(body, tm, rng.uniform(0.5, 2.0),
+                               d_sign=rng.choice([-1.0, 1.0]))
+        assert gait.diagnostics["periodicity_residual"] <= 1e-7, (body, tm)
+        assert gait.diagnostics["end_foot_speed"] <= 1e-8, (body, tm)
 
 
 def test_infeasible_constraints_report_block(adult):

@@ -1,10 +1,14 @@
 """Phase/stride transition maps against the RK4 oracle and their algebra."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import random_states
+from linwalk.dynamics import (
+    SINGLE, assemble_double_support, assemble_single_support,
+)
 from linwalk.layout import Q_DIM, selection_matrices
-from linwalk.model import StrideTiming
+from linwalk.model import StrideTiming, scaled_body
 from linwalk.oracle import integrate_batch
 from linwalk.transition import (
     ControlDegeneracyError, constrain_foot_velocity, dump_stride_maps,
@@ -74,6 +78,69 @@ def test_back_transfer_identity(adult, timing):
     for tau in rng.uniform(0.0, timing.T_stride, 20):
         err = np.max(np.abs(maps.G(tau) @ maps.H(tau) - HT))
         assert err <= 1e-9
+
+
+def _random_bodies_and_timings(bases, n, seed):
+    """n seeded (body, timing) draws, two timings per scaled body."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        if k % 2 == 0:
+            base = bases[(k // 2) % len(bases)]
+            body = scaled_body(base, base.total_mass * rng.uniform(0.75, 1.25),
+                               rng.uniform(0.85, 1.15))
+        yield body, StrideTiming(rng.uniform(0.01, 0.4), rng.uniform(0.2, 0.8)), rng
+
+
+def test_back_transfer_identity_over_random_bodies(adult, kid):
+    for body, tm, rng in _random_bodies_and_timings((adult, kid), 10, seed=53):
+        maps = stride_maps(body, tm)
+        for tau in np.append(rng.uniform(0.0, tm.T_stride, 4), tm.T_ds):
+            err = np.max(np.abs(maps.G(tau) @ maps.H(tau) - maps.H_stride))
+            assert err <= 1e-9, (body, tm, tau)
+
+
+def _direct_generator(ode):
+    """The parts of one timing's phase map, built from its phase ODE alone,
+    column by column and row by row."""
+    G0 = np.zeros((Q_DIM, Q_DIM))
+    if ode.phase == SINGLE:
+        G0[0:2, 4:6] = np.eye(2)
+    G0[2:4, 6:8] = np.eye(2)
+    G0[4:8, :] = ode.K0
+    cols = tuple(j for j in range(Q_DIM) if np.max(np.abs(ode.K1[:, j])) > 1e-300)
+    A = np.zeros((Q_DIM + len(cols), Q_DIM + len(cols)))
+    A[:Q_DIM, :Q_DIM] = G0
+    for k, j in enumerate(cols):
+        A[4:8, Q_DIM + k] = ode.K1[:, j]
+        A[Q_DIM + k, j] = 1.0
+    rows = [i for i in range(Q_DIM) if not np.any(A[i, :])]
+    return A, cols, rows
+
+
+def _direct_map(A, rows, t):
+    E = expm(A * t)
+    for i in rows:
+        E[i, :] = 0.0
+        E[i, i] = 1.0
+    return E[:Q_DIM, :Q_DIM]
+
+
+def test_map_template_matches_direct_construction(adult, kid):
+    """Phase maps copied from the per-body template equal maps built from
+    each timing's phase ODE alone, bit for bit, at first use of a body and
+    at a second timing of it."""
+    for body, tm, _ in _random_bodies_and_timings((adult, kid), 8, seed=52):
+        maps = stride_maps(body, tm)
+        direct = {}
+        for pm, ode, T in ((maps.ds, assemble_double_support(body, tm), tm.T_ds),
+                           (maps.ss, assemble_single_support(body, tm), tm.T_ss)):
+            A, cols, rows = _direct_generator(ode)
+            assert np.array_equal(pm.generator, A)
+            assert pm.clock_cols == cols
+            assert np.array_equal(pm._identity_rows, rows)
+            direct[pm.phase] = _direct_map(A, rows, T)
+        assert np.array_equal(maps.H_ds_end, direct["double"])
+        assert np.array_equal(maps.H_stride, direct["single"] @ direct["double"])
 
 
 def test_cross_phase_flow(adult, timing):
