@@ -117,41 +117,22 @@ def _series_flow(A: np.ndarray, h: float, x: np.ndarray):
     return at
 
 
-def _power_zero(power, pm: PhaseMap, ta: float, tb: float,
-                xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Augmented state at the sign change of power(pm, x) inside one phase's
-    [ta, tb], by Brent's method; xa and xb are the states at the ends.
-
-    Brent's evaluations read the states off one Taylor series of the phase
-    flow from xa (`_series_flow`), built once per call: no exponential.
-    """
-    from scipy.optimize import brentq
-
-    flow = _series_flow(pm.generator, tb - ta, xa)
-
-    def x_at(t: float) -> np.ndarray:
-        # the end keeps its grid state, and so the sign brentq was given
-        return xb if t == tb else flow(t - ta)
-
-    return x_at(brentq(lambda t: power(pm, x_at(t)), ta, tb))
-
-
 def com_work_per_distance(gait: GaitSolution, n_dense: int = 1000) -> float:
     """Net positive mechanical work per unit mass and distance, J/(kg m).
 
-    The work is the sum of kinetic-energy rises over one stride (equal to
-    the kinetic-energy range when the profile has a single rise and fall).
-    The energy is that of the three moving masses; the swing leg's
-    pump-and-brake flow is what penalizes fast stepping.  Turning points
-    are located on a dense grid and sharpened to the zeros of the exact
-    mechanical power P = sum m v.a by Brent's method, so the value is
-    insensitive to the sampling density.  Brent's method reads the states
-    off a Taylor series of the phase flow, exact to roundoff, so sharpening
-    takes no matrix exponential: the dense grid's few step lengths are the
-    only exponentials of the integral.  Each half-interval beside a turning
-    point is searched inside its phase; one whose end powers share a sign
-    (the kink at T_ds) keeps the grid value.
+    The work is the integral of the positive part of the mechanical power
+    P = sum m v.a of the three moving masses over one stride: the sum of
+    the kinetic-energy rises between consecutive extrema, taken cyclically.
+    The swing leg's pump-and-brake flow is what penalizes fast stepping.
+    The extrema are the strict sign changes of P between consecutive states
+    of a dense grid, on which the sample at T_ds is taken with both phases'
+    generators.  One inside a phase is polished to the zero of P by Brent's
+    method on a Taylor series of the phase flow (`_series_flow`, no
+    exponential), so the value does not depend on the sampling density; one
+    across T_ds or the stride boundary is an extremum at that switch.
     """
+    from scipy.optimize import brentq
+
     if gait.v_des == 0.0:
         raise ValueError("work per distance is undefined at zero speed")
     maps = stride_maps(gait.params, gait.timing)
@@ -163,36 +144,34 @@ def com_work_per_distance(gait: GaitSolution, n_dense: int = 1000) -> float:
     def kinetic(Q: np.ndarray) -> np.ndarray:
         return 0.5 * np.sum(masses * (Q @ Vm.T) ** 2, axis=-1)
 
-    def power(pm: PhaseMap, x: np.ndarray) -> float:
-        """Mechanical power sum m v.a at the augmented state x of phase pm."""
-        return np.sum(masses * (Vm @ x[:Q_DIM]) * (Vm @ (pm.generator[:Q_DIM] @ x)))
+    def power(pm: PhaseMap, x: np.ndarray) -> np.ndarray:
+        """Power sum m v.a at the augmented states x (..., n) of phase pm."""
+        v = x[..., :Q_DIM] @ Vm.T
+        return np.sum(masses * v * (x @ pm.generator[:Q_DIM].T @ Vm.T), axis=-1)
 
-    ke = kinetic(states)
-    d = np.diff(ke)
-    turn = [i for i in range(1, len(ts) - 1)
-            if d[i - 1] * d[i] <= 0.0 and (d[i - 1] != 0.0 or d[i] != 0.0)]
-    if not turn:
-        return 0.0  # constant kinetic energy over the stride
-    T_ds = gait.timing.T_ds
+    # rows of double support, then of single support: the sample at T_ds
+    # ends the one and starts the other
+    b = int(np.argmin(np.abs(ts - gait.timing.T_ds))) + 1
+    sides = [(pm, tl, pm.augment(Q, tl[:, None])) for pm, tl, Q in (
+        (maps.ds, ts[:b], states[:b]),
+        (maps.ss, ts[b - 1:] - gait.timing.T_ds, states[b - 1:]))]
+    P = np.concatenate([power(pm, X) for pm, _, X in sides])
+    ke = kinetic(np.concatenate([states[:b], states[b - 1:]]))
     values = []
-    for i in turn:
-        pick = max if d[i - 1] > 0.0 else min
-        best = ke[i]
-        for j in (i - 1, i):                 # half-interval [t_j, t_j+1]
-            ta, tb = ts[j], ts[j + 1]
-            if tb <= T_ds:
-                pm, t0 = maps.ds, 0.0
-            elif ta >= T_ds:
-                pm, t0 = maps.ss, T_ds
-            else:
-                continue                     # straddles the phase boundary
-            xa = pm.augment(states[j], ta - t0)
-            xb = pm.augment(states[j + 1], tb - t0)
-            if power(pm, xa) * power(pm, xb) < 0.0:
-                x = _power_zero(power, pm, ta, tb, xa, xb)
-                best = pick(best, kinetic(x[:Q_DIM]))
-        values.append(best)
-    # cyclic sequence of extrema (KE is stride-periodic for a valid gait)
+    for k in np.flatnonzero(P * np.roll(P, 1) < 0.0):   # rows k - 1, k (cyclic)
+        s, j = (0, k) if k < b else (1, k - b)
+        if j == 0:                   # a switch: the stride boundary or T_ds
+            values.append(ke[k])
+            continue
+        pm, tl, X = sides[s]
+        ta, tb = tl[j - 1], tl[j]
+        # a copy: Brent's closure outlives the call, and a row view would
+        # keep the whole grid alive with it
+        flow = _series_flow(pm.generator, tb - ta, X[j - 1].copy())
+        t = brentq(lambda t: power(pm, flow(t - ta)), ta, tb)
+        values.append(kinetic(flow(t - ta)[:Q_DIM]))
+    if not values:
+        return 0.0  # constant kinetic energy over the stride
     work = sum(max(values[(k + 1) % len(values)] - values[k], 0.0)
                for k in range(len(values)))
     distance = abs(gait.v_des) * gait.timing.T_stride

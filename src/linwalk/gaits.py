@@ -55,6 +55,10 @@ for _r, _c in ((0, 6), (1, 7), (2, 2), (3, 3), (4, 4), (5, 5), (6, 0), (7, 1)):
 R0_COLS = (0, 1, 2, 3, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17, 22)
 R1_COLS = (0, 1, 2, 3, 6, 7, 22)
 
+# the timing-free factors of the symmetry rows -M S_XP + O M T S_XP H(T)
+_SYM_START = -M_MAT @ selection_matrices().S_XP
+_SYM_END = O_MAT @ M_MAT @ T_MAT @ selection_matrices().S_XP
+
 NULL_RTOL = 1e-9  # singular values below this fraction of the largest are zero
 
 
@@ -97,9 +101,8 @@ def build_periodicity(params: BodyParams, timing: StrideTiming) -> PeriodicitySy
     map degenerates and H' blows up.
     """
     maps = stride_maps(params, timing)
-    sel = selection_matrices()
-    symmetry = -M_MAT @ sel.S_XP + O_MAT @ M_MAT @ T_MAT @ sel.S_XP @ maps.H_stride
-    foot_rows = sel.S_Xdot2 @ maps.H_stride
+    symmetry = _SYM_START + _SYM_END @ maps.H_stride
+    foot_rows = selection_matrices().S_Xdot2 @ maps.H_stride
     R_full = np.vstack([symmetry, foot_rows])
     return PeriodicitySystem(params=params, timing=timing, maps=maps,
                              R_full=R_full,

@@ -104,7 +104,6 @@ class PhaseMap:
     """
 
     def __init__(self, ode: PhaseODE):
-        self.ode = ode
         self.phase = ode.phase
         self.duration = ode.duration
         A, self.clock_cols, self._pi, self._identity_rows = _map_template(
@@ -130,19 +129,21 @@ class PhaseMap:
         (non-decreasing, >= 0), stepped exactly from the k augmented states
         X (k, n), one per row, at phase time 0.
 
-        Consecutive steps whose lengths agree with the first to 1e-12
-        relative form one run that shares E(h), one exponential per distinct
+        Consecutive steps whose lengths agree with the first to 8 ulp of the
+        last time form one run that shares E(h), one exponential per distinct
         length; the run's states E x, E^2 x, ... come from log2(run length)
-        doublings.
+        doublings.  The bound is absolute: the rounding jitter of a uniform
+        grid's steps is a few ulp of its times, however short the steps.
         """
         hs = np.diff(tl, prepend=0.0)
+        tol = 8.0 * np.spacing(np.max(tl, initial=0.0))
         k = len(X)
         out = np.empty((len(tl),) + X.shape)
         exps = {}
         i = 0
         while i < len(hs):
             h = hs[i]
-            off = np.flatnonzero(np.abs(hs[i:] - h) > 1e-12 * h)
+            off = np.flatnonzero(np.abs(hs[i:] - h) > tol)
             end = i + off[0] if off.size else len(hs)
             if h > 0.0:
                 E = exps.get(h)

@@ -104,22 +104,28 @@ def test_work_rejects_zero_speed(adult, gait):
         com_work_per_distance(still)
 
 
-def test_work_matches_dense_positive_power_integral(body66):
+@pytest.mark.parametrize("body, speed, freq", [
+    ("body66", 1.6, 1.8),
+    # a kinetic-energy extremum inside the first or last grid interval
+    ("adult", 1.2, 0.5),
+])
+def test_work_matches_dense_positive_power_integral(request, body, speed, freq):
     """Independent check of the refined-extrema evaluation: sum of positive
     kinetic-energy increments on a very dense grid."""
     from linwalk.analysis import propagate_states, sample_times
     from linwalk.model import mass_velocity_matrix
-    ratio = TdsPolicy("human").ratio_at(1.6)
-    T = 1.0 / 1.8
+    body = request.getfixturevalue(body)
+    ratio = TdsPolicy("human").ratio_at(speed)
+    T = 1.0 / freq
     tm = StrideTiming(ratio * T, (1 - ratio) * T)
-    g = synthesize_gait(body66, tm, 1.6)
+    g = synthesize_gait(body, tm, speed)
     work = com_work_per_distance(g)
-    Vm = mass_velocity_matrix(body66)
-    masses = np.repeat([body66.m1, body66.m2, body66.m3], 2)
+    Vm = mass_velocity_matrix(body)
+    masses = np.repeat([body.m1, body.m2, body.m3], 2)
     ts = sample_times(tm, 20000)
     ke = 0.5 * np.sum(masses * (propagate_states(g, ts) @ Vm.T) ** 2, axis=1)
     dense = np.sum(np.clip(np.diff(ke), 0.0, None))
-    dense /= body66.total_mass * 1.6 * tm.T_stride
+    dense /= body.total_mass * speed * tm.T_stride
     assert work == pytest.approx(dense, rel=1e-4)
 
 
@@ -304,7 +310,9 @@ FIXTURE = Path(__file__).parent / "data" / "economy_adult_human.json"
 def test_economy_grid_matches_pinned_fixture(adult):
     """Economy values and feasibility match a grid pinned from the
     golden-section work evaluation (turning points by golden-section search
-    on H(t) Q0)."""
+    on H(t) Q0).  The cell at 1.2 m/s and 0.5 steps/s is pinned from the
+    sign changes of the exact power: the older evaluations missed its
+    extremum beside the stride boundary."""
     ref = json.loads(FIXTURE.read_text())
     grid = economy_surface(adult, ref["speeds"], ref["frequencies"],
                            TdsPolicy(ref["policy"]))
@@ -342,8 +350,10 @@ def test_propagate_states_straddling_phase_boundary_matches_maps(gait):
         assert np.max(np.abs(states[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_propagation_reuses_one_exponential_per_step_length(gait, monkeypatch):
-    """A uniform grid costs a handful of exponentials, not one per sample."""
+@pytest.mark.parametrize("n", [1000, 100_000])
+def test_propagation_reuses_one_exponential_per_step_length(gait, monkeypatch, n):
+    """A uniform grid costs a handful of exponentials, not one per sample,
+    however fine: its steps jitter by a few ulp of the stride times."""
     import linwalk.transition as transition
     from linwalk.analysis import propagate_states, sample_times
     calls = []
@@ -354,7 +364,7 @@ def test_propagation_reuses_one_exponential_per_step_length(gait, monkeypatch):
         return real(A)
 
     monkeypatch.setattr(transition, "expm", counted)
-    propagate_states(gait, sample_times(gait.timing, 1000))
+    propagate_states(gait, sample_times(gait.timing, n))
     assert len(calls) <= 6
 
 
