@@ -224,9 +224,6 @@ _VALIDATE_TOL = 1e-6
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    if args.trials < 1:
-        print("validate: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -318,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", type=lambda s: _parse_range(s, "frequency"),
                    required=True, help="START:STEP:STOP (steps/s)")
     p.add_argument("--tds-policy", default="human", help="human or fixed:R")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_count("worker count", 1), default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="closed-form maps vs RK4 integration")
     common(p, "out_validate")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=_count("seed", 0), default=0)
+    p.add_argument("--trials", type=_count("trial count", 1), default=100)
     p.add_argument("--step", type=_number("RK4 step", positive=True),
                    default=1e-5)
     p.set_defaults(func=cmd_validate)

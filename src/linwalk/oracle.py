@@ -11,12 +11,13 @@ The balance laws reduce by hand to small closed forms:
 
 RK4 integrates these at fixed step; it never touches the production
 elimination or the stride maps.  At fixed t the closed forms are linear in
-the state, so for each block of steps the oracle evaluates them at every
-stage time and folds the four stages of each step into one increment
-matrix (`_rk4_increments`); a step is then one small matmul added to the
-active positions and velocities.  Steps stay sequential and fixed-size,
-so trajectories are bit-reproducible, and memory is set by one block of
-steps, not by their number.
+the state with coefficients affine in t, so the oracle probes them at the
+two ends of a phase and interpolates the map K(t) to every stage time.
+The four stages of each step fold into one increment matrix
+(`_rk4_increments`), and the steps of a block are multiplied together
+(`_compose`) before one matmul updates the states.  Steps are fixed-size
+and composed in a fixed order, so trajectories are bit-reproducible, and
+memory is set by one block of steps, not by their number.
 """
 from __future__ import annotations
 
@@ -86,10 +87,7 @@ def accel_single(params: BodyParams, T_ss: float, q: np.ndarray, t) -> np.ndarra
     a1y = (a22 * b1l - a12 * b2l) / det
     a2y = (-a21 * b1l + a11 * b2l) / det
 
-    shape = np.broadcast(rt, q[0]).shape
-    out = np.zeros((4,) + shape)
-    out[0], out[1], out[2], out[3] = a2x, a2y, a1x, a1y
-    return out
+    return np.stack([a2x, a2y, a1x, a1y])
 
 
 def accel_double(params: BodyParams, T_ds: float, q: np.ndarray, t) -> np.ndarray:
@@ -118,10 +116,8 @@ def accel_double(params: BodyParams, T_ds: float, q: np.ndarray, t) -> np.ndarra
            - (r2y * F2z + r3y * F3z) + k * m_leg * g * (r2y + r3y)
            + (w * d / 2.0) * (F3z - F2z)) / den
 
-    shape = np.broadcast(s, q[0]).shape
-    out = np.zeros((4,) + shape)
-    out[2], out[3] = a1x, a1y
-    return out
+    zero = np.zeros_like(a1x)
+    return np.stack([zero, zero, a1x, a1y])
 
 
 def phase_operator(params: BodyParams, phase_T: float, single: bool,
@@ -194,10 +190,10 @@ def _rk4_increments(A: np.ndarray, h: float, na: int) -> np.ndarray:
     positions, then their velocities; A[2j], A[2j + 1], A[2j + 2] map it
     to the accelerations at the start, middle and end of step j.  Each
     stage acceleration k1..k4 is a linear map of the whole state (the
-    frozen entries enter through A), so one step is
-    X[:, :2 na] += X @ D[j].  D is formed directly, never as I + D: a
-    matrix with 1 + delta on its diagonal would round every increment
-    delta the same way on every step.
+    frozen entries enter through A), so step j adds X @ D[j] to the first
+    2 na entries of a state row X and leaves the rest.  D is formed
+    directly, never as I + D: a matrix with 1 + delta on its diagonal
+    would round every increment delta the same way on every step.
     """
     A0, Am, Ae = A[0:-1:2], A[1::2], A[2::2]
     AmP, AeP = Am[:, :, :na], Ae[:, :, :na]
@@ -215,44 +211,52 @@ def _rk4_increments(A: np.ndarray, h: float, na: int) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([dP, dV], axis=1).transpose(0, 2, 1))
 
 
-def _rk4_phase(params: BodyParams, phase_T: float, single: bool,
-               Q: np.ndarray, step: float, t_local: float = 0.0,
-               duration: float | None = None,
-               record=None, record_offset: float = 0.0) -> np.ndarray:
-    """March a batch of states (n, 23) over [t_local, t_local + duration]
-    of one phase (default: the whole phase).  All non-state entries of Q,
-    including the disturbance wrench, are held constant.
+def _compose(D: np.ndarray, na: int) -> np.ndarray:
+    """Increment E (23, 2 na) of the steps D[0], D[1], ... taken in order.
 
-    `record(t, current)` is called after every step; `current()` returns
-    the states (n, 23) in the usual layout.
+    Steps a then b give X (I + a)(I + b) = X (I + a + b + a b), and a b
+    needs only the first 2 na rows of b, as a is zero beyond its first
+    2 na columns.  Neighbours merge pairwise; E, like D, never holds I + E.
     """
-    if duration is None:
-        duration = phase_T - t_local
-    n_steps = max(1, int(round(duration / step)))
-    h = duration / n_steps
+    while len(D) > 1:
+        a, b = D[:-1:2], D[1::2]
+        ab = a + b + a @ b[:, :2 * na]
+        D = np.concatenate([ab, D[-1:]]) if len(D) % 2 else ab
+    return D[0]
+
+
+def _grid(duration: float, step: float) -> tuple[int, float]:
+    """Step count and step size of the fixed-step march over `duration`."""
+    n = max(1, int(round(duration / step)))
+    return n, duration / n
+
+
+def _rk4_phase(params: BodyParams, phase_T: float, single: bool,
+               Q: np.ndarray, h: float, marks, t_local: float = 0.0) -> np.ndarray:
+    """March a batch of states (n, 23) by RK4 steps of size h from t_local
+    in one phase; return the states after each (non-decreasing) step count
+    in `marks`, shape (len(marks), n, 23).  All non-state entries of Q,
+    including the disturbance wrench, are held constant.  The steps up to
+    each mark go in blocks of at most _CHUNK, one matmul per block.
+    """
     pos = [0, 1, 2, 3] if single else [2, 3]
     na = len(pos)
     active = pos + [p + 4 for p in pos]
     perm = np.array(active + [i for i in range(Q_DIM) if i not in active])
+    K0, KT = phase_operator(params, phase_T, single, [0.0, phase_T])[:, pos][..., perm]
+    slope = (KT - K0) / phase_T
     X = Q[:, perm]                    # active positions, velocities, frozen
-    head = X[:, :2 * na]
-    inc = np.empty((len(X), 2 * na))
-    out = np.empty_like(X)
-
-    def current() -> np.ndarray:
-        out[:, perm] = X
-        return out
-
-    for done in range(0, n_steps, _CHUNK):
-        m = min(_CHUNK, n_steps - done)
-        ts = t_local + (2 * done + np.arange(2 * m + 1)) * (0.5 * h)
-        A = phase_operator(params, phase_T, single, ts)[:, pos][:, :, perm]
-        for j, D in enumerate(_rk4_increments(A, h, na)):
-            np.dot(X, D, out=inc)
-            head += inc
-            if record is not None:
-                record(record_offset + (done + j + 1) * h, current)
-    return current()
+    out = np.empty((len(marks),) + X.shape)
+    done = 0
+    for i, mark in enumerate(marks):
+        while done < mark:
+            m = min(_CHUNK, mark - done)
+            ts = t_local + (2 * done + np.arange(2 * m + 1)) * (0.5 * h)
+            D = _rk4_increments(K0 + ts[:, None, None] * slope, h, na)
+            X[:, :2 * na] += X @ _compose(D, na)
+            done += m
+        out[i][:, perm] = X
+    return out
 
 
 def integrate_batch(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
@@ -260,12 +264,16 @@ def integrate_batch(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     """End states after one stride (or one phase) for a batch (n, 23)."""
     _check_step(step)
     Q0 = np.atleast_2d(np.asarray(Q0, dtype=float))
+
+    def march(T: float, single: bool, Q: np.ndarray) -> np.ndarray:
+        n, h = _grid(T, step)
+        return _rk4_phase(params, T, single, Q, h, [n])[0]
+
     if phase == "single":
-        return _rk4_phase(params, timing.T_ss, True, Q0, step)
+        return march(timing.T_ss, True, Q0)
     if phase == "double":
-        return _rk4_phase(params, timing.T_ds, False, Q0, step)
-    mid = _rk4_phase(params, timing.T_ds, False, Q0, step)
-    return _rk4_phase(params, timing.T_ss, True, mid, step)
+        return march(timing.T_ds, False, Q0)
+    return march(timing.T_ss, True, march(timing.T_ds, False, Q0))
 
 
 def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
@@ -299,17 +307,9 @@ def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
         cuts.add(p.t_on + p.duration)
     edges = sorted(t for t in cuts if 0.0 <= t <= timing.T_stride + 1e-12)
 
-    times = [0.0]
-    states = [Q0.copy()]
-    counter = {"k": 0}
-
-    def record(t, current):
-        counter["k"] += 1
-        if counter["k"] % config.save_every == 0:
-            times.append(t)
-            states.append(current()[0].copy())
-
-    Q = np.atleast_2d(Q0).copy()
+    times, states = [np.zeros(1)], [Q0[None, :]]
+    done = 0                          # steps so far: a state is kept every save_every
+    Q = Q0[None, :].copy()
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a < 1e-15:
             continue
@@ -317,14 +317,17 @@ def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
         single = a >= timing.T_ds - 1e-15
         phase_T = timing.T_ss if single else timing.T_ds
         t_local = a - timing.T_ds if single else a
-        Q = _rk4_phase(params, phase_T, single, Q, config.step,
-                       t_local=t_local, duration=b - a,
-                       record=record, record_offset=a)
-    end = Q[0].copy()
-    end[W_SLICE] = base_w
-    if times[-1] < timing.T_stride - 1e-12:
-        times.append(timing.T_stride)
-        states.append(end)
-    else:
-        states[-1] = end
-    return OracleTrajectory(t=np.array(times), Q=np.vstack(states))
+        n, h = _grid(b - a, config.step)
+        saves = np.arange(config.save_every - done % config.save_every, n + 1,
+                          config.save_every)
+        marched = _rk4_phase(params, phase_T, single, Q, h, np.append(saves, n),
+                             t_local)
+        times.append(a + saves * h)
+        states.append(marched[:-1, 0])
+        Q = marched[-1]
+        done += n
+    t, states = np.concatenate(times), np.concatenate(states)
+    if t[-1] < timing.T_stride - 1e-12:       # the last step was not kept
+        t, states = np.append(t, timing.T_stride), np.vstack([states, Q[:1]])
+    states[-1, W_SLICE] = base_w
+    return OracleTrajectory(t=t, Q=states)

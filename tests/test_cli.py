@@ -123,10 +123,12 @@ def test_validate_deterministic_and_passing(adult_config, tmp_path):
     assert b"PASS" in r1
 
 
-def test_validate_zero_trials_exit_2(adult_config, tmp_path):
-    rc = run(["validate", "--config", adult_config, "--trials", "0",
-              "--out", str(tmp_path / "v")])
-    assert rc == 2
+def test_validate_zero_trials_exit_2(adult_config, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["validate", "--config", adult_config, "--trials", "0",
+             "--out", str(tmp_path / "v")])
+    assert err.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
@@ -157,6 +159,10 @@ def test_gait_non_finite_flag_exit_2(adult_config, tmp_path, capsys, flags):
     ("gait", "--scenario", "minimal-torque", "--speed", "1.0", "--samples", "-5"),
     ("relax", "--bracket-lo", "nan"),
     ("relax", "--bracket-hi", "nan"),
+    ("validate", "--seed", "-1"),
+    ("validate", "--trials", "-3"),
+    ("sweep", "--speed", "1.4", "--freq", "1.8", "--workers", "0"),
+    ("sweep", "--speed", "1.4", "--freq", "1.8", "--workers", "-3"),
 ])
 def test_bad_flag_exit_2_names_flag(adult_config, tmp_path, capsys, argv):
     """Bad numeric flags are refused at parse time, naming the flag, before

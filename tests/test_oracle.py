@@ -9,22 +9,27 @@ import pytest
 
 from conftest import random_states
 from linwalk.dynamics import solve_forces
-from linwalk.model import StrideTiming, default_params, mass_velocity_matrix
+from linwalk.model import (
+    StrideTiming, default_params, mass_velocity_matrix, scaled_body,
+)
 from linwalk.oracle import (
-    OracleConfig, Push, accel_double, accel_single, integrate, integrate_batch,
-    phase_operator,
+    OracleConfig, Push, _rk4_increments, accel_double, accel_single, integrate,
+    integrate_batch, phase_operator,
 )
 from linwalk.transition import push_end_state, stride_maps
 
 
 def test_oracle_imports_no_production_path():
-    """The oracle stays independent of the code it checks."""
+    """The oracle stays independent of the code it checks: neither the
+    modules nor the names it imports (`from . import dynamics`) may be
+    production ones."""
     import linwalk.oracle as oracle
     tree = ast.parse(Path(oracle.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
             imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
     assert "model" in imported
@@ -94,6 +99,119 @@ def test_increment_stepping_matches_textbook_rk4(adult, timing):
     for phase, ref in (("double", mid), (None, end)):
         ends = integrate_batch(adult, timing, Q0, step=step, phase=phase)
         assert np.max(np.abs(ends - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _per_step_march(params, phase_T, single, Q, n_steps):
+    """The increment march one step at a time, as before steps were
+    composed: the closed forms at every stage time, then
+    X[:, :2 na] += X @ D[j] for each step j in turn."""
+    pos = [0, 1, 2, 3] if single else [2, 3]
+    na = len(pos)
+    active = pos + [p + 4 for p in pos]
+    perm = np.array(active + [i for i in range(23) if i not in active])
+    h = phase_T / n_steps
+    ts = np.arange(2 * n_steps + 1) * (0.5 * h)
+    A = phase_operator(params, phase_T, single, ts)[:, pos][:, :, perm]
+    X = Q[:, perm]
+    for D in _rk4_increments(A, h, na):
+        X[:, :2 * na] += X @ D
+    out = np.empty_like(X)
+    out[:, perm] = X
+    return out
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 499, 500, 501, 1001])
+@pytest.mark.parametrize("phase", ["single", "double"])
+def test_composed_march_matches_per_step_march(adult, timing, phase, n_steps):
+    """Composing a block's steps before touching the states, with stage
+    maps interpolated from the phase ends, changes only the rounding:
+    odd tree levels and a partial last block included."""
+    single = phase == "single"
+    T = timing.T_ss if single else timing.T_ds
+    Q0 = random_states(4, seed=62)
+    ref = _per_step_march(adult, T, single, Q0, n_steps)
+    ends = integrate_batch(adult, timing, Q0, step=T / n_steps, phase=phase)
+    assert np.max(np.abs(ends - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _short_phase_cases(adult, kid):
+    """Seeded random adult and kid bodies at double-support shares down to
+    0.005."""
+    rng = np.random.default_rng(63)
+    for k, share in enumerate((0.005, 0.005, 0.01, 0.02, 0.1, 0.4)):
+        base = (adult, kid)[k % 2]
+        body = scaled_body(base, base.total_mass * rng.uniform(0.75, 1.25),
+                           rng.uniform(0.85, 1.15))
+        T = rng.uniform(0.3, 1.2)
+        yield body, StrideTiming(share * T, (1.0 - share) * T), rng
+
+
+def test_phase_operator_is_affine_in_t(adult, kid):
+    """K(t) = K(0) + t (K(T) - K(0)) / T, which lets the march probe the
+    closed forms at the phase ends only."""
+    for body, tm, rng in _short_phase_cases(adult, kid):
+        for single, T in ((True, tm.T_ss), (False, tm.T_ds)):
+            ts = np.append(np.linspace(0.0, T, 9), rng.uniform(0.0, T, 4))
+            K = phase_operator(body, T, single, ts)
+            line = K[0] + ts[:, None, None] * ((K[8] - K[0]) / T)
+            assert np.max(np.abs(K - line)) <= 1e-12 * np.max(np.abs(K))
+
+
+def test_oracle_matches_maps_on_short_phases(adult, kid):
+    """RK4 ends agree with the closed-form maps for each phase and for the
+    stride, down to a double-support share of 0.005 (15 steps)."""
+    for body, tm, rng in _short_phase_cases(adult, kid):
+        maps = stride_maps(body, tm)
+        Q0 = random_states(4, seed=int(rng.integers(1 << 30)))
+        for phase, H in (("double", maps.H_ds_end),
+                         ("single", maps.ss.map_at(tm.T_ss)),
+                         (None, maps.H_stride)):
+            ends = integrate_batch(body, tm, Q0, step=1e-4, phase=phase)
+            exact = Q0 @ H.T
+            assert np.max(np.abs(ends - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def _save_grid(T_stride, step, save_every, edges):
+    """Save times of the per-step march: a + k h at every save_every-th
+    step, counted over the stride, then T_stride unless the last step was
+    kept."""
+    times, count = [0.0], 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        n = max(1, round((b - a) / step))
+        for k in range(1, n + 1):
+            count += 1
+            if count % save_every == 0:
+                times.append(a + k * ((b - a) / n))
+    if times[-1] < T_stride - 1e-12:
+        times.append(T_stride)
+    return np.array(times)
+
+
+@pytest.mark.parametrize("save_every", [1, 7, 200, 430])
+@pytest.mark.parametrize("pushed", [False, True])
+def test_integrate_saves_on_the_step_grid(adult, timing, save_every, pushed):
+    """States are kept every save_every steps of the stride, at the step
+    times, across segment ends; the last one is the end of integrate_batch.
+    The push carries the state's own wrench, so it only splits the march
+    at 0.25 s and 0.35 s, across T_ds."""
+    Q0 = random_states(1, seed=64)[0]
+    step = 1e-3
+    edges = [0.0, timing.T_ds, timing.T_stride]
+    pushes = ()
+    if pushed:
+        push = Push(0.25, 0.1, tuple(Q0[18:22]))
+        pushes = (push,)
+        edges = [0.0, push.t_on, timing.T_ds, push.t_on + push.duration,
+                 timing.T_stride]
+    traj = integrate(adult, timing, Q0, OracleConfig(
+        step=step, save_every=save_every, pushes=pushes))
+    assert np.array_equal(traj.t, _save_grid(timing.T_stride, step, save_every, edges))
+    end = integrate_batch(adult, timing, Q0, step=step)[0]
+    assert np.max(np.abs(traj.end - end)) <= 1e-12 * np.max(np.abs(end))
+    maps = stride_maps(adult, timing)
+    for t, Q in zip(traj.t, traj.Q):
+        exact = maps.flow(0.0, t) @ Q0
+        assert np.max(np.abs(Q - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def test_integrate_batch_memory_does_not_grow_with_steps(adult):
