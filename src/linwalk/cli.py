@@ -240,12 +240,15 @@ def cmd_validate(args) -> int:
     Q0[:, 22] = rng.choice([-1.0, 1.0], args.trials)
 
     maps = stride_maps(params, timing)
+    ds_ends = integrate_batch(params, timing, Q0, step=args.step, phase="double")
+    ss_ends = integrate_batch(params, timing, Q0, step=args.step, phase="single")
+    # the stride continues the double-support march into single support
+    stride_ends = integrate_batch(params, timing, ds_ends, step=args.step,
+                                  phase="single")
     results = {}
-    for label, phase, H in (
-            ("double-support", "double", maps.H_ds_end),
-            ("single-support", "single", maps.ss.map_at(timing.T_ss)),
-            ("full-stride", None, maps.H_stride)):
-        ends = integrate_batch(params, timing, Q0, step=args.step, phase=phase)
+    for label, ends, H in (("double-support", ds_ends, maps.H_ds_end),
+                           ("single-support", ss_ends, maps.ss.map_at(timing.T_ss)),
+                           ("full-stride", stride_ends, maps.H_stride)):
         results[label] = float(np.max(np.abs(ends - Q0 @ H.T)))
 
     lines = [f"trials: {args.trials}", f"seed: {args.seed}",

@@ -12,12 +12,16 @@ The balance laws reduce by hand to small closed forms:
 RK4 integrates these at fixed step; it never touches the production
 elimination or the stride maps.  At fixed t the closed forms are linear in
 the state with coefficients affine in t, so the oracle probes them at the
-two ends of a phase and interpolates the map K(t) to every stage time.
-The four stages of each step fold into one increment matrix
-(`_rk4_increments`), and the steps of a block are multiplied together
-(`_compose`) before one matmul updates the states.  Steps are fixed-size
-and composed in a fixed order, so trajectories are bit-reproducible, and
-memory is set by one block of steps, not by their number.
+two ends of a phase and interpolates the map K(t) to any stage time.  The
+four stages of a step fold into one increment matrix (`_rk4_increments`).
+With K(t) affine, the increment of a step of size h starting at t is a
+quadratic in t, so each march forms it for the steps starting at 0, T/2
+and T only, and every other step's increment comes from the quadratic
+through those three (`_increment_nodes`, `_increments_at`).  The steps of
+a block are multiplied together (`_compose`) before one matmul updates the
+states.  Steps are fixed-size and composed in a fixed order, so
+trajectories are bit-reproducible, and memory is set by one block of
+steps, not by their number.
 """
 from __future__ import annotations
 
@@ -193,7 +197,9 @@ def _rk4_increments(A: np.ndarray, h: float, na: int) -> np.ndarray:
     frozen entries enter through A), so step j adds X @ D[j] to the first
     2 na entries of a state row X and leaves the rest.  D is formed
     directly, never as I + D: a matrix with 1 + delta on its diagonal
-    would round every increment delta the same way on every step.
+    would round every increment delta the same way on every step.  With
+    the stage maps affine in t, D has degree 2 in the step's start time:
+    k3 and k4 take one product of two stage maps each.
     """
     A0, Am, Ae = A[0:-1:2], A[1::2], A[2::2]
     AmP, AeP = Am[:, :, :na], Ae[:, :, :na]
@@ -209,6 +215,27 @@ def _rk4_increments(A: np.ndarray, h: float, na: int) -> np.ndarray:
     dP[:, :, v] += h * np.eye(na)
     dV = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return np.ascontiguousarray(np.concatenate([dP, dV], axis=1).transpose(0, 2, 1))
+
+
+def _increment_nodes(K0: np.ndarray, slope: np.ndarray, T: float, h: float,
+                     na: int) -> np.ndarray:
+    """Increments of the RK4 steps of size h starting at t = 0, T/2 and T
+    of a phase with stage maps K0 + t slope, flattened to (3, 23 * 2 na):
+    the nodes of the quadratic D(t)."""
+    stages = np.array([0.0, 0.5 * h, h])
+    return np.concatenate([
+        _rk4_increments(K0 + (t + stages)[:, None, None] * slope, h, na)
+        for t in (0.0, 0.5 * T, T)]).reshape(3, -1)
+
+
+def _increments_at(nodes: np.ndarray, u: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Increments D (len(u), 23, 2 na) of the steps starting at t = u T,
+    from the quadratic through the nodes at u = 0, 1/2, 1 (Lagrange),
+    written into `out` (len(u), 23 * 2 na) if given."""
+    basis = np.stack([(2.0 * u - 1.0) * (u - 1.0), 4.0 * u * (1.0 - u),
+                      u * (2.0 * u - 1.0)], axis=1)
+    return np.matmul(basis, nodes, out=out).reshape(len(u), Q_DIM, -1)
 
 
 def _compose(D: np.ndarray, na: int) -> np.ndarray:
@@ -236,23 +263,28 @@ def _rk4_phase(params: BodyParams, phase_T: float, single: bool,
     """March a batch of states (n, 23) by RK4 steps of size h from t_local
     in one phase; return the states after each (non-decreasing) step count
     in `marks`, shape (len(marks), n, 23).  All non-state entries of Q,
-    including the disturbance wrench, are held constant.  The steps up to
-    each mark go in blocks of at most _CHUNK, one matmul per block.
+    including the disturbance wrench, are held constant.  The increments
+    of all steps come from three probed at t = 0, T/2 and T; the steps up
+    to each mark go in blocks of at most _CHUNK, one matmul per block.
     """
     pos = [0, 1, 2, 3] if single else [2, 3]
     na = len(pos)
     active = pos + [p + 4 for p in pos]
     perm = np.array(active + [i for i in range(Q_DIM) if i not in active])
     K0, KT = phase_operator(params, phase_T, single, [0.0, phase_T])[:, pos][..., perm]
-    slope = (KT - K0) / phase_T
+    nodes = _increment_nodes(K0, (KT - K0) / phase_T, phase_T, h, na)
     X = Q[:, perm]                    # active positions, velocities, frozen
     out = np.empty((len(marks),) + X.shape)
+    # every block's increments go into this one buffer: a fresh array per
+    # block let the allocator hand its pages back between blocks and fault
+    # them in again, which doubled the time of a march
+    buf = np.empty((_CHUNK, nodes.shape[1]))
     done = 0
     for i, mark in enumerate(marks):
         while done < mark:
             m = min(_CHUNK, mark - done)
-            ts = t_local + (2 * done + np.arange(2 * m + 1)) * (0.5 * h)
-            D = _rk4_increments(K0 + ts[:, None, None] * slope, h, na)
+            starts = t_local + (done + np.arange(m)) * h
+            D = _increments_at(nodes, starts / phase_T, buf[:m])
             X[:, :2 * na] += X @ _compose(D, na)
             done += m
         out[i][:, perm] = X

@@ -123,6 +123,24 @@ def test_validate_deterministic_and_passing(adult_config, tmp_path):
     assert b"PASS" in r1
 
 
+def test_validate_marches_each_phase_once(adult_config, tmp_path, monkeypatch):
+    """Double support, single support, and single support again from the
+    double-support ends for the full stride: three phase marches."""
+    import linwalk.oracle as oracle
+    calls = []
+    real = oracle._rk4_phase
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_rk4_phase", counted)
+    rc = run(["validate", "--config", adult_config, "--trials", "3",
+              "--step", "2e-4", "--out", str(tmp_path / "v")])
+    assert rc == 0
+    assert len(calls) == 3
+
+
 def test_validate_zero_trials_exit_2(adult_config, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run(["validate", "--config", adult_config, "--trials", "0",

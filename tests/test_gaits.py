@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from linwalk.dynamics import SINGLE, solve_forces
-from linwalk.layout import selection_matrices
+from linwalk.layout import Q_NAMES, selection_matrices
 from linwalk.model import StrideTiming, scaled_body
 from linwalk.gaits import (
     GaitSolution, InfeasibleConstraintsError, M_MAT, NoRelaxTimeError,
-    NullSpaceDimensionError, O_MAT, R0_COLS, R1_COLS, ScenarioSpec, T_MAT,
+    NullSpaceDimensionError, O_MAT, R0_COLS, R1_COLS, SCENARIOS, ScenarioSpec, T_MAT,
     build_periodicity, cop_ramp_torque, find_relax_time, lift_reduced,
     null_basis, scenario, scenario_model, singular_spectrum, solve_eqp,
     synthesize_gait,
@@ -192,14 +192,33 @@ def test_speed_scaling_of_sagittal_solution(adult, relax_03):
     assert np.allclose(g2.Q0[lat], g1.Q0[lat], atol=1e-8)
 
 
-def test_side_flip_mirrors_lateral(adult, timing):
-    g_pos = synthesize_gait(adult, timing, 1.0, d_sign=+1.0)
-    g_neg = synthesize_gait(adult, timing, 1.0, d_sign=-1.0)
-    lat = [1, 3, 7, 11, 13, 15, 17]
-    sag = [0, 2, 6, 10, 12, 14, 16]
-    assert np.allclose(g_pos.Q0[sag], g_neg.Q0[sag], atol=1e-9)
-    assert np.allclose(g_pos.Q0[lat], -g_neg.Q0[lat], atol=1e-9)
-    assert g_pos.Q0[22] == pytest.approx(1.0) and g_neg.Q0[22] == pytest.approx(-1.0)
+# entries that flip with the support side: lateral (y) positions, velocities
+# and forces, x-axis moments and their ramps, and d itself
+LATERAL = [i for i, name in enumerate(Q_NAMES)
+           if name == "d" or name.endswith("x" if "M" in name else "y")]
+
+
+def test_side_flip_mirrors_lateral(adult, kid, timing):
+    """d -> -d negates exactly the lateral entries of every scenario's
+    gait and leaves the sagittal ones: the adult at the reference timing,
+    then seeded random bodies, timings and speeds."""
+    rng = np.random.default_rng(66)
+    cases = [(adult, timing, 1.0)]
+    for k in range(4):
+        base = (adult, kid)[k % 2]
+        cases.append((scaled_body(base, base.total_mass * rng.uniform(0.75, 1.25),
+                                  rng.uniform(0.85, 1.15)),
+                      StrideTiming(rng.uniform(0.05, 0.25), rng.uniform(0.4, 0.8)),
+                      rng.uniform(0.5, 2.0)))
+    sign = np.ones(len(Q_NAMES))
+    sign[LATERAL] = -1.0
+    for body, tm, speed in cases:
+        for tag in SCENARIOS:
+            pos = synthesize_gait(body, tm, speed, tag, d_sign=1.0).Q0
+            neg = synthesize_gait(body, tm, speed, tag, d_sign=-1.0).Q0
+            assert pos[-1] == pytest.approx(1.0)
+            assert np.max(np.abs(neg - sign * pos)) <= 1e-12 * np.max(np.abs(pos)), (
+                tag, body, tm)
 
 
 def test_nesting_all_torques_zero_feasible_at_relax(adult, relax_03):

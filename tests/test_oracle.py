@@ -12,9 +12,10 @@ from linwalk.dynamics import solve_forces
 from linwalk.model import (
     StrideTiming, default_params, mass_velocity_matrix, scaled_body,
 )
+import linwalk.oracle as oracle
 from linwalk.oracle import (
-    OracleConfig, Push, _rk4_increments, accel_double, accel_single, integrate,
-    integrate_batch, phase_operator,
+    OracleConfig, Push, _increment_nodes, _increments_at, _rk4_increments,
+    accel_double, accel_single, integrate, integrate_batch, phase_operator,
 )
 from linwalk.transition import push_end_state, stride_maps
 
@@ -101,19 +102,30 @@ def test_increment_stepping_matches_textbook_rk4(adult, timing):
         assert np.max(np.abs(ends - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _active_operator(params, phase_T, single, ts):
+    """Stage maps K(ts) of the active rows, columns permuted as the march
+    permutes the state, with the active count na and the permutation."""
+    pos = [0, 1, 2, 3] if single else [2, 3]
+    active = pos + [p + 4 for p in pos]
+    perm = np.array(active + [i for i in range(23) if i not in active])
+    return phase_operator(params, phase_T, single, ts)[:, pos][:, :, perm], len(pos), perm
+
+
+def _per_step_increments(params, phase_T, single, n_steps):
+    """Increments of every step from the closed forms at every stage time."""
+    h = phase_T / n_steps
+    ts = np.arange(2 * n_steps + 1) * (0.5 * h)
+    A, na, _ = _active_operator(params, phase_T, single, ts)
+    return _rk4_increments(A, h, na)
+
+
 def _per_step_march(params, phase_T, single, Q, n_steps):
     """The increment march one step at a time, as before steps were
     composed: the closed forms at every stage time, then
     X[:, :2 na] += X @ D[j] for each step j in turn."""
-    pos = [0, 1, 2, 3] if single else [2, 3]
-    na = len(pos)
-    active = pos + [p + 4 for p in pos]
-    perm = np.array(active + [i for i in range(23) if i not in active])
-    h = phase_T / n_steps
-    ts = np.arange(2 * n_steps + 1) * (0.5 * h)
-    A = phase_operator(params, phase_T, single, ts)[:, pos][:, :, perm]
+    _, na, perm = _active_operator(params, phase_T, single, [0.0])
     X = Q[:, perm]
-    for D in _rk4_increments(A, h, na):
+    for D in _per_step_increments(params, phase_T, single, n_steps):
         X[:, :2 * na] += X @ D
     out = np.empty_like(X)
     out[:, perm] = X
@@ -123,9 +135,10 @@ def _per_step_march(params, phase_T, single, Q, n_steps):
 @pytest.mark.parametrize("n_steps", [1, 2, 499, 500, 501, 1001])
 @pytest.mark.parametrize("phase", ["single", "double"])
 def test_composed_march_matches_per_step_march(adult, timing, phase, n_steps):
-    """Composing a block's steps before touching the states, with stage
-    maps interpolated from the phase ends, changes only the rounding:
-    odd tree levels and a partial last block included."""
+    """Composing a block's steps before touching the states, with the
+    increments interpolated from the three probed at t = 0, T/2 and T,
+    changes only the rounding: odd tree levels and a partial last block
+    included."""
     single = phase == "single"
     T = timing.T_ss if single else timing.T_ds
     Q0 = random_states(4, seed=62)
@@ -155,6 +168,38 @@ def test_phase_operator_is_affine_in_t(adult, kid):
             K = phase_operator(body, T, single, ts)
             line = K[0] + ts[:, None, None] * ((K[8] - K[0]) / T)
             assert np.max(np.abs(K - line)) <= 1e-12 * np.max(np.abs(K))
+
+
+def test_interpolated_increments_match_per_step_increments(adult, kid):
+    """The increments the march takes from the quadratic through its three
+    probes equal those formed from the closed forms at every stage time,
+    down to a double-support share of 0.005."""
+    for body, tm, _ in _short_phase_cases(adult, kid):
+        for single, T in ((True, tm.T_ss), (False, tm.T_ds)):
+            (K0, KT), na, _ = _active_operator(body, T, single, [0.0, T])
+            for n_steps in (15, 1000, 20000):
+                h = T / n_steps
+                nodes = _increment_nodes(K0, (KT - K0) / T, T, h, na)
+                D = _increments_at(nodes, np.arange(n_steps) * h / T)
+                ref = _per_step_increments(body, T, single, n_steps)
+                assert np.max(np.abs(D - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_march_probes_three_steps_per_phase(adult, monkeypatch):
+    """A stride of 1001 steps per phase forms the RK4 increments of three
+    steps per phase march, not of every step."""
+    steps = []
+    real = oracle._rk4_increments
+
+    def counted(A, h, na):
+        D = real(A, h, na)
+        steps.append(len(D))
+        return D
+
+    monkeypatch.setattr(oracle, "_rk4_increments", counted)
+    timing = StrideTiming(0.3, 0.3)
+    integrate_batch(adult, timing, random_states(2, seed=65), step=0.3 / 1001)
+    assert 0 < sum(steps) <= 2 * 3
 
 
 def test_oracle_matches_maps_on_short_phases(adult, kid):
