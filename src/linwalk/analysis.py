@@ -5,6 +5,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from .model import (
     BodyParams, DegenerateModelError, StrideTiming, com_position_matrix,
     com_velocity_matrix, mass_velocity_matrix,
 )
-from .transition import PhaseMap, stride_maps
+from .transition import stride_maps
 
 
 class NonPositiveWorkError(RuntimeError):
@@ -78,102 +79,98 @@ def sample_trajectory(gait: GaitSolution, n: int = 401,
             for t, Q, p, v, F in zip(ts, states, com_pos, com_vel, forces)]
 
 
-def _series_flow(A: np.ndarray, h: float, x: np.ndarray):
-    """The exact flow x(delta) = expm(A delta) x for 0 <= delta <= h, as a
-    function of delta, without an exponential.
+@lru_cache(maxsize=8)
+def _bernstein(n: int) -> np.ndarray:
+    """The Bernstein coefficients on [0, 1] of a degree-n polynomial from its
+    monomial ones a: b_i = sum_j C(i, j) / C(n, j) a_j, as a read-only matrix."""
+    T = np.array([[math.comb(i, j) / math.comb(n, j) for j in range(n + 1)]
+                  for i in range(n + 1)])
+    T.flags.writeable = False
+    return T
 
-    x(delta) is the truncated Taylor series sum_k delta^k A^k x / k!,
-    evaluated by Horner's rule.  [0, h] is split into m = ceil(h |A|_1)
-    equal pieces (one when h |A|_1 <= 1), so that along a piece the terms
-    shrink in the 1-norm by at least 1/k from one to the next; each piece
-    keeps its terms until the next is below roundoff of its start state,
-    and starts from the previous piece's end.
+
+def _turning_points(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points (p, s) that include every root in (0, 1) of the polynomials
+    sum_j a[p, j] s^j.
+
+    A polynomial whose Bernstein coefficients hold no sign change has no
+    root in (0, 1), and one whose coefficients change sign once has exactly
+    one (Lane and Riesenfeld, "Bounds on a polynomial", BIT 1981).  Those
+    roots are solved at once by Newton's method from the crossing of the
+    control polygon, safeguarded by bisection.  Any other polynomial takes
+    the real parts in (0, 1) of the nearly real eigenvalues of its
+    companion matrix; a point that is no root is harmless to the work.
     """
-    m = max(1, math.ceil(h * np.linalg.norm(A, 1)))
-    dh = h / m
-
-    def horner(terms: list, s: float) -> np.ndarray:
-        y = terms[-1]
-        for c in reversed(terms[:-1]):
-            y = y * s + c
-        return y
-
-    pieces = []                     # (h/m)^k A^k x0 / k! from each piece start x0
-    for _ in range(m):
-        terms = [x]
-        floor = np.finfo(float).eps * np.sum(np.abs(x))
-        while True:
-            nxt = (dh / len(terms)) * (A @ terms[-1])
-            if np.sum(np.abs(nxt)) <= floor:
+    n = a.shape[1] - 1
+    b = a @ _bernstein(n).T
+    # a coefficient within roundoff of zero has no sign, and zeros at an end
+    # only factor out roots at that end, which are piece junctions: the
+    # sign changes are counted between the nonzero coefficients
+    sign = np.sign(b) * (np.abs(b) > 1e-12 * np.max(np.abs(b), axis=1, keepdims=True))
+    last = np.maximum.accumulate(np.where(sign != 0.0, np.arange(n + 1), 0), axis=1)
+    held = np.take_along_axis(sign, last, axis=1)     # the last nonzero sign
+    change = held[:, :-1] * held[:, 1:] < 0.0
+    flips = np.count_nonzero(change, axis=1)
+    rows, j = np.flatnonzero(flips == 1), np.arange(n + 1)
+    i = np.argmax(change[rows], axis=1)
+    bi, bk = b[rows, i] * (sign[rows, i] != 0.0), b[rows, i + 1]
+    s = (i + bi / (bi - bk)) / n
+    c = a[rows] * np.sign(bk)[:, None]                # rising through the root
+    cd = np.stack([c, np.append(c[:, 1:] * j[1:], 0.0 * c[:, :1], axis=1)])
+    lo, hi = np.zeros(len(rows)), np.ones(len(rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            f, df = np.einsum("irj,rj->ir", cd, s[:, None] ** j)
+            low = f < 0.0                              # the root lies above s
+            lo, hi = np.where(low, s, lo), np.where(low, hi, s)
+            nxt = s - f / df
+            nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            step, s = np.abs(nxt - s), nxt
+            if np.all(step <= 1e-9):
                 break
-            terms.append(nxt)
-        pieces.append(terms)
-        x = horner(terms, 1.0)
-
-    def at(delta: float) -> np.ndarray:
-        p = min(int(delta / dh), m - 1)
-        return horner(pieces[p], delta / dh - p)
-
-    return at
+    more = [(p, z.real) for p in np.flatnonzero(flips > 1)
+            for z in np.roots(a[p, ::-1]) if abs(z.imag) <= 1e-6 and 0.0 < z.real < 1.0]
+    p, x = np.reshape(more, (-1, 2)).T
+    return np.append(rows, p.astype(int)), np.append(s, x)
 
 
-def com_work_per_distance(gait: GaitSolution, n_dense: int = 1000) -> float:
+def com_work_per_distance(gait: GaitSolution) -> float:
     """Net positive mechanical work per unit mass and distance, J/(kg m).
 
     The work is the integral of the positive part of the mechanical power
-    P = sum m v.a of the three moving masses over one stride: the sum of
-    the kinetic-energy rises between consecutive extrema, taken cyclically.
-    The swing leg's pump-and-brake flow is what penalizes fast stepping.
-    The extrema are the strict sign changes of P between consecutive states
-    of a dense grid, on which the sample at T_ds is taken with both phases'
-    generators.  One inside a phase is polished to the zero of P by Brent's
-    method on a Taylor series of the phase flow (`_series_flow`, no
-    exponential), so the value does not depend on the sampling density; one
-    across T_ds or the stride boundary is an extremum at that switch.
+    P = sum m v.a of the three moving masses over one stride: the sum of the
+    kinetic-energy rises between its turning points.  The swing leg's
+    pump-and-brake flow is what penalizes fast stepping.  Each phase's flow
+    is exact Taylor polynomials on a few pieces (`PhaseMap.pieces`), so the
+    kinetic energy KE = 1/2 sum m |Vm x|^2 is a polynomial on each piece,
+    and its turning points there are the roots of dKE/ds
+    (`_turning_points`).  The work is the positive variation of KE over
+    those roots and the time-ordered piece junctions, phase ends included:
+    a point that is no extremum adds nothing.  No grid, no exponential.
     """
-    from scipy.optimize import brentq
-
     if gait.v_des == 0.0:
         raise ValueError("work per distance is undefined at zero speed")
     maps = stride_maps(gait.params, gait.timing)
-    Vm = mass_velocity_matrix(gait.params)
+    Vm = mass_velocity_matrix(gait.params)[:, 4:8]    # reads the 4 velocities
     masses = np.repeat([gait.params.m1, gait.params.m2, gait.params.m3], 2)
-    ts = sample_times(gait.timing, n_dense)
-    states = propagate_states(gait, ts)
-
-    def kinetic(Q: np.ndarray) -> np.ndarray:
-        return 0.5 * np.sum(masses * (Q @ Vm.T) ** 2, axis=-1)
-
-    def power(pm: PhaseMap, x: np.ndarray) -> np.ndarray:
-        """Power sum m v.a at the augmented states x (..., n) of phase pm."""
-        v = x[..., :Q_DIM] @ Vm.T
-        return np.sum(masses * v * (x @ pm.generator[:Q_DIM].T @ Vm.T), axis=-1)
-
-    # rows of double support, then of single support: the sample at T_ds
-    # ends the one and starts the other
-    b = int(np.argmin(np.abs(ts - gait.timing.T_ds))) + 1
-    sides = [(pm, tl, pm.augment(Q, tl[:, None])) for pm, tl, Q in (
-        (maps.ds, ts[:b], states[:b]),
-        (maps.ss, ts[b - 1:] - gait.timing.T_ds, states[b - 1:]))]
-    P = np.concatenate([power(pm, X) for pm, _, X in sides])
-    ke = kinetic(np.concatenate([states[:b], states[b - 1:]]))
-    values = []
-    for k in np.flatnonzero(P * np.roll(P, 1) < 0.0):   # rows k - 1, k (cyclic)
-        s, j = (0, k) if k < b else (1, k - b)
-        if j == 0:                   # a switch: the stride boundary or T_ds
-            values.append(ke[k])
-            continue
-        pm, tl, X = sides[s]
-        ta, tb = tl[j - 1], tl[j]
-        # a copy: Brent's closure outlives the call, and a row view would
-        # keep the whole grid alive with it
-        flow = _series_flow(pm.generator, tb - ta, X[j - 1].copy())
-        t = brentq(lambda t: power(pm, flow(t - ta)), ta, tb)
-        values.append(kinetic(flow(t - ta)[:Q_DIM]))
-    if not values:
-        return 0.0  # constant kinetic energy over the stride
-    work = sum(max(values[(k + 1) % len(values)] - values[k], 0.0)
-               for k in range(len(values)))
+    G = Vm.T @ (masses[:, None] * Vm)                 # KE = 1/2 v.G v
+    ds = maps.ds.pieces(maps.ds.augment(gait.Q0, 0.0))
+    ss = maps.ss.pieces(maps.ss.augment(ds[-1].sum(axis=0)[:Q_DIM], 0.0))
+    V = np.concatenate([ds[..., 4:8], ss[..., 4:8]])  # (m, K, 4), time order
+    m, K = V.shape[:2]
+    # 2 KE(s) = sum_kl gram[k, l] s^(k + l): the anti-diagonal sums, as the
+    # column sums of gram's rows shifted right by k (rows of 2K + 1 read
+    # back as rows of 2K)
+    skew = np.zeros((m, K, 2 * K + 1))
+    skew[..., :K] = V @ G @ V.transpose(0, 2, 1)
+    ke2 = skew.reshape(m, -1)[:, :2 * K * K].reshape(m, K, 2 * K).sum(axis=1)
+    p, s = _turning_points(ke2[:, 1:-1] * np.arange(1, 2 * K - 1))
+    # piece starts j, roots j + s and the stride end, in time order
+    v = np.concatenate([V[:, 0], np.einsum("rk,rkc->rc", s[:, None] ** np.arange(K), V[p]),
+                        ss[-1:].sum(axis=1)[:, 4:8]])
+    order = np.argsort(np.concatenate([np.arange(m), p + s, [m]]), kind="stable")
+    ke = 0.5 * np.sum((v @ G) * v, axis=1)[order]
+    work = np.sum(np.maximum(np.diff(ke), 0.0))
     distance = abs(gait.v_des) * gait.timing.T_stride
     return work / (gait.params.total_mass * distance)
 

@@ -18,7 +18,10 @@ once per (body, phase) as a template that lives as long as the cached phase
 ODE it comes from.  The clock block K1_unit / T_phase is the only part that
 depends on the timing: a map at a timing copies the template and writes
 that block.  Each map is one fresh exponential and nothing is cached per
-time value; dense output steps x with one E(h) per step length.
+time value; dense output steps x with one E(h) per step length.  Without
+any exponential, `PhaseMap.pieces` writes a phase's whole flow as Taylor
+polynomials on a few pieces, on states scaled by the exact powers of two
+that the template also holds.
 
 A full stride is double support followed by single support; only
 `StrideMaps.flow` and `StrideMaps.states` split a stride time into its
@@ -39,6 +42,7 @@ cached objects are safe to share.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,11 +68,38 @@ class ControlDegeneracyError(RuntimeError):
 # (and the ODEs the cached stride maps hold) bound the templates too
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+# 1 / k! for the Taylor terms k < 18 of a flow piece (`PhaseMap.pieces`)
+_INV_FACTORIALS = 1.0 / np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None, None]
+
+
+def _balance(A: np.ndarray) -> np.ndarray:
+    """Powers of two d such that diag(1/d) A diag(d), an exact similarity,
+    has each state's row and column of about equal 1-norm: Osborne's
+    iteration as in LAPACK gebal, without its permutations.  Only states
+    coupled both ways move; the sweeps run on their few nonzero entries."""
+    M = np.abs(A) - np.diag(np.abs(np.diag(A)))
+    nodes = [(j, [(i, v) for i, v in enumerate(M[:, j].tolist()) if v],
+              [(k, v) for k, v in enumerate(M[j].tolist()) if v])
+             for j in np.flatnonzero(M.any(axis=0) & M.any(axis=1)).tolist()]
+    d = [1.0] * len(A)
+    for _ in range(32):                 # sweeps; a few suffice
+        moved = False
+        for j, col, row in nodes:
+            c = d[j] * sum(v / d[i] for i, v in col)
+            r = sum(v * d[k] for k, v in row) / d[j]
+            f = 2.0 ** round(0.5 * math.log2(r / c))
+            if c * f + r / f < 0.95 * (c + r):
+                d[j], moved = d[j] * f, True
+        if not moved:
+            break
+    return np.array(d)
+
 
 def _map_template(unit: PhaseODE) -> tuple:
     """The timing-free parts of a phase's augmented generator, read-only and
     built on first use: the generator with the unit-duration clock block,
-    the clock columns, Pi, and the rows of Q whose generator row is zero."""
+    the clock columns, Pi, the rows of Q whose generator row is zero, and
+    the power-of-two state scales that balance it (`_balance`)."""
     tpl = _TEMPLATES.get(unit)
     if tpl is not None:
         return tpl
@@ -86,9 +117,10 @@ def _map_template(unit: PhaseODE) -> tuple:
     # entries with an identically zero generator row stay put exactly;
     # the Pade solve inside expm would otherwise leave eps-level dust
     rows = np.flatnonzero(~np.any(A[:Q_DIM], axis=1))
-    for a in (A, pi, rows):
+    d = _balance(A)
+    for a in (A, pi, rows, d):
         a.flags.writeable = False
-    tpl = _TEMPLATES[unit] = (A, clock_cols, pi, rows)
+    tpl = _TEMPLATES[unit] = (A, clock_cols, pi, rows, d)
     return tpl
 
 
@@ -106,8 +138,8 @@ class PhaseMap:
     def __init__(self, ode: PhaseODE):
         self.phase = ode.phase
         self.duration = ode.duration
-        A, self.clock_cols, self._pi, self._identity_rows = _map_template(
-            ode.unit or ode)
+        A, self.clock_cols, self._pi, self._identity_rows, self._scale = (
+            _map_template(ode.unit or ode))
         self.generator = A.copy()
         self.generator[4:8, Q_DIM:] = ode.K1[:, self.clock_cols]
 
@@ -118,6 +150,33 @@ class PhaseMap:
         E[rows] = 0.0
         E[rows, rows] = 1.0
         return E
+
+    def pieces(self, x: np.ndarray) -> np.ndarray:
+        """The exact flow from the augmented state x over the phase duration,
+        as Taylor polynomials on m equal pieces of length h = duration / m:
+        x(j h + s h) = sum_k C[j, k] s^k for s in [0, 1].  Returns C (m, 18, n).
+
+        They are formed on the states x / scale (clock states divided by
+        T_phase, all by the template's powers of two), whose generator B
+        takes m = ceil(T_phase |B|_1) pieces: then |(h B)^k / k!|_1 <= 1 / k!,
+        and 1 / 18! < 2^-52.  The terms are formed once, by doubling; each
+        piece starts where the previous one's Taylor sum ends.
+        """
+        n = len(self.generator)
+        scale = np.where(np.arange(n) < Q_DIM, 1.0, self.duration) * self._scale
+        B = self.generator * scale / scale[:, None]
+        m = max(1, math.ceil(self.duration * np.abs(B).sum(axis=0).max()))
+        terms = np.empty((18, n, n))
+        terms[0], terms[1], k = np.eye(n), B * (self.duration / m), 2
+        while k < 18:                       # powers k, ..., 2k - 2
+            r = min(k - 1, 18 - k)
+            terms[k:k + r] = terms[1:r + 1] @ terms[k - 1]
+            k += r
+        terms *= _INV_FACTORIALS
+        step, y = terms.sum(axis=0), [x / scale]
+        for _ in range(1, m):
+            y.append(step @ y[-1])
+        return (terms @ np.transpose(y)).transpose(2, 0, 1) * scale
 
     def augment(self, Q: np.ndarray, t: float) -> np.ndarray:
         """Augmented state [Q; t * Pi Q] at phase time t; Q may hold one

@@ -129,11 +129,31 @@ def test_work_matches_dense_positive_power_integral(request, body, speed, freq):
     assert work == pytest.approx(dense, rel=1e-4)
 
 
-def test_work_invariant_under_grid_refinement(body66):
-    g = synthesize_gait(body66, SIIIC, 1.3)
-    w1 = com_work_per_distance(g, n_dense=1000)
-    w2 = com_work_per_distance(g, n_dense=2000)
-    assert abs(w2 - w1) <= 1e-6 * w1
+@pytest.mark.parametrize("base", ["adult", "kid"])
+def test_work_matches_dense_kinetic_energy_scan(base):
+    """The grid-free work equals the sum of positive kinetic-energy
+    increments over 200 000 samples, on random bodies at short and human
+    double-support shares."""
+    from linwalk.analysis import propagate_states, sample_times
+    from linwalk.model import mass_velocity_matrix
+    rng = np.random.default_rng(67)
+    base = default_params(base)
+    for _ in range(2):
+        body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                           rng.uniform(0.9, 1.1))
+        speed, freq = rng.uniform(0.8, 2.0), rng.uniform(0.8, 3.0)
+        Vm = mass_velocity_matrix(body)
+        masses = np.repeat([body.m1, body.m2, body.m3], 2)
+        for ratio in (0.005, 0.02, TdsPolicy("human").ratio_at(speed)):
+            T = 1.0 / freq
+            tm = StrideTiming(ratio * T, (1.0 - ratio) * T)
+            g = synthesize_gait(body, tm, speed)
+            ke = 0.5 * np.sum(masses * (propagate_states(g, sample_times(tm, 200_000))
+                                        @ Vm.T) ** 2, axis=1)
+            dense = np.sum(np.clip(np.diff(ke), 0.0, None))
+            dense /= body.total_mass * speed * T
+            work = com_work_per_distance(g)
+            assert work == pytest.approx(dense, rel=1e-9), (ratio, speed, freq)
 
 
 def test_lip_like_has_larger_sagittal_com_swings(adult):
@@ -389,14 +409,50 @@ def test_cold_economy_cell_takes_at_most_six_exponentials(adult, monkeypatch):
         assert len(calls) <= 6, (speed, freq)
 
 
+def test_cold_economy_cell_takes_two_exponentials(adult, monkeypatch):
+    """A cell at a new timing takes exactly the two exponentials of its
+    stride map: the work's polynomial pieces take none."""
+    import linwalk.transition as transition
+    calls = []
+    real = transition.expm
+
+    def counted(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(transition, "expm", counted)
+    body = scaled_body(adult, 72.3117, 0.9788)
+    policy = TdsPolicy("human")
+    for speed, freq in ((1.1, 1.67), (0.85, 2.71), (1.95, 1.13), (1.45, 2.03)):
+        calls.clear()
+        economy_cell(body, speed, freq, policy.ratio_at(speed))
+        assert len(calls) == 2, (speed, freq)
+
+
+def test_economy_cell_leaves_scipy_optimize_unimported():
+    """The economy path needs no root finder from scipy."""
+    import os
+    import subprocess
+    import sys
+    import linwalk
+    code = ("import sys\n"
+            "from linwalk.analysis import economy_cell\n"
+            "from linwalk.model import default_params\n"
+            "economy_cell(default_params('adult'), 1.3, 1.8, 0.15)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = str(Path(linwalk.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("base", ["adult", "kid"])
 def test_series_flow_matches_exponential(base):
-    """The exponential-free flow that Brent's method reads the work's turning
-    points from equals E(delta) xa across one dense-grid interval, on random
-    bodies at short and human double-support shares; the shortest shares
-    need h |A|_1 > 1 and take the split path."""
+    """The exponential-free polynomial pieces that the work reads its
+    turning points from equal E(delta) xa across a whole phase, on random
+    bodies and states at short and human double-support shares; several
+    phases need more than one piece."""
     from conftest import random_states
-    from linwalk.analysis import _series_flow
     from linwalk.transition import stride_maps
     rng = np.random.default_rng(61)
     base = default_params(base)
@@ -408,16 +464,41 @@ def test_series_flow_matches_exponential(base):
         for ratio in (0.005, 0.02, TdsPolicy("human").ratio_at(speed)):
             T = 1.0 / freq
             maps = stride_maps(body, StrideTiming(ratio * T, (1.0 - ratio) * T))
-            h = T / 999                  # one interval of the work's dense grid
             for pm in (maps.ds, maps.ss):
-                split += h * np.linalg.norm(pm.generator, 1) > 1.0
                 Q = random_states(1, seed=int(rng.integers(1 << 30)))[0]
-                xa = pm.augment(Q, rng.uniform(0.0, pm.duration - h))
-                flow = _series_flow(pm.generator, h, xa)
-                for delta in np.append(np.linspace(0.0, h, 9), rng.uniform(0.0, h, 4)):
+                xa = pm.augment(Q, rng.uniform(0.0, pm.duration))
+                C = pm.pieces(xa)
+                dh = pm.duration / len(C)
+                split += len(C) > 1
+                for delta in np.append(np.linspace(0.0, pm.duration, 9),
+                                       rng.uniform(0.0, pm.duration, 4)):
+                    j = min(int(delta / dh), len(C) - 1)
+                    x = (delta / dh - j) ** np.arange(C.shape[1]) @ C[j]
                     ref = pm.step(delta) @ xa
-                    assert np.max(np.abs(flow(delta) - ref)) <= 1e-13 * np.max(np.abs(ref))
+                    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert split >= 3
+
+
+def test_turning_points_isolate_two_roots_in_one_piece():
+    """A piece whose Bernstein coefficients change sign twice yields both of
+    its roots, from the fallback for two or more changes; a double change
+    without a real root yields none, and a single change is solved by the
+    certified Newton iteration."""
+    from numpy.polynomial import polynomial as P
+    from linwalk.analysis import _bernstein, _turning_points
+    a = np.zeros((3, 4))
+    a[0, :3] = P.polyfromroots([0.3, 0.6])           # two roots in one piece
+    a[1, :3] = [0.26, -1.0, 1.0]                     # (s - 1/2)^2 + 0.01
+    a[2] = P.polyfromroots([0.7, 2.0, -1.5])
+    b = a @ _bernstein(3).T
+    assert [np.count_nonzero(np.diff(np.sign(row))) for row in b] == [2, 2, 1]
+    rows, s = _turning_points(a)
+    assert np.all((s > 0.0) & (s < 1.0))
+    values = np.array([P.polyval(x, a[r]) for r, x in zip(rows, s)])
+    roots = sorted((r, x) for r, x, f in zip(rows.tolist(), s.tolist(), values)
+                   if abs(f) <= 1e-14)
+    assert [r for r, _ in roots] == [0, 0, 2]
+    assert np.allclose([x for _, x in roots], [0.3, 0.6, 0.7], rtol=0.0, atol=1e-14)
 
 
 def test_trajectory_solves_forces_once_per_phase(gait, monkeypatch):

@@ -7,8 +7,8 @@ from conftest import random_states
 from linwalk.dynamics import (
     SINGLE, assemble_double_support, assemble_single_support,
 )
-from linwalk.layout import Q_DIM, selection_matrices
-from linwalk.model import StrideTiming, scaled_body
+from linwalk.layout import Q_DIM, Q_NAMES, selection_matrices
+from linwalk.model import StrideTiming, default_params, scaled_body
 from linwalk.oracle import integrate_batch
 from linwalk.transition import (
     ControlDegeneracyError, constrain_foot_velocity, dump_stride_maps,
@@ -46,6 +46,42 @@ def test_state_block_decoupling(adult, timing):
                 for j in range(8):
                     if (i - j) % 2:
                         assert abs(H[i, j]) <= 1e-12
+
+
+def _sagittal(name: str) -> bool:
+    """Forces, positions and velocities along x, and moments about y, act in
+    the sagittal plane; the support side d is lateral."""
+    return name != "d" and (name[-1] == "y") == name.lstrip("r").startswith("M")
+
+
+def test_sagittal_lateral_decoupling_is_exact():
+    """No entry couples a sagittal state to a lateral one, exactly, in the
+    phase generators, every phase flow, H and H' of random adult and kid
+    bodies at double-support shares down to 0.005."""
+    sag = [i for i, name in enumerate(Q_NAMES) if _sagittal(name)]
+    lat = [i for i, name in enumerate(Q_NAMES) if not _sagittal(name)]
+    assert len(sag) == 11 and len(lat) == 12
+
+    def cross(M, a, b):
+        return np.count_nonzero(M[np.ix_(a, b)]) + np.count_nonzero(M[np.ix_(b, a)])
+
+    rng = np.random.default_rng(71)
+    for base in (default_params("adult"), default_params("kid")):
+        for _ in range(2):
+            body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                               rng.uniform(0.9, 1.1))
+            freq = rng.uniform(0.8, 3.0)
+            for ratio in (0.005, 0.02, rng.uniform(0.1, 0.3)):
+                maps = stride_maps(body, StrideTiming(ratio / freq, (1.0 - ratio) / freq))
+                for pm in (maps.ds, maps.ss):
+                    a = sag + [Q_DIM + k for k, j in enumerate(pm.clock_cols) if j in sag]
+                    b = lat + [Q_DIM + k for k, j in enumerate(pm.clock_cols) if j in lat]
+                    assert cross(pm.generator, a, b) == 0, (ratio, pm.phase)
+                    for t in rng.uniform(0.0, pm.duration, 3):
+                        flow = pm.flow(t, rng.uniform(0.0, pm.duration - t))
+                        assert cross(flow, sag, lat) == 0, (ratio, pm.phase, t)
+                for H in (maps.H_stride, maps.Hprime_stride):
+                    assert cross(H, sag, lat) == 0, ratio
 
 
 def test_phase_maps_match_rk4(adult, timing):
