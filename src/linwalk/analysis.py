@@ -15,7 +15,6 @@ from .gaits import (
     GaitSolution, InfeasibleConstraintsError, NullSpaceDimensionError,
     synthesize_gait,
 )
-from .layout import Q_DIM
 from .model import (
     BodyParams, DegenerateModelError, StrideTiming, com_position_matrix,
     com_velocity_matrix, mass_velocity_matrix,
@@ -53,7 +52,8 @@ def sample_times(timing: StrideTiming, n: int) -> np.ndarray:
 
 
 def propagate_states(gait: GaitSolution, ts: np.ndarray) -> np.ndarray:
-    """States (len(ts), 23) at the non-decreasing stride times ts."""
+    """States (len(ts), 23) at the non-decreasing stride times ts in
+    [0, T_stride]."""
     return stride_maps(gait.params, gait.timing).states(gait.Q0, ts)
 
 
@@ -63,10 +63,8 @@ def sample_trajectory(gait: GaitSolution, n: int = 401,
     with one stacked force solve per phase."""
     ts = sample_times(gait.timing, n)
     states = propagate_states(gait, ts)
-    # a matrix-vector product per row: states @ C.T sums in another order
-    # and moves the last digits of the written trajectory
-    com_pos = (com_position_matrix(gait.params) @ states[..., None])[..., 0]
-    com_vel = (com_velocity_matrix(gait.params) @ states[..., None])[..., 0]
+    com_pos = states @ com_position_matrix(gait.params).T
+    com_vel = states @ com_velocity_matrix(gait.params).T
     forces = [None] * len(ts)
     if with_forces:
         T_ds = gait.timing.T_ds
@@ -154,8 +152,7 @@ def com_work_per_distance(gait: GaitSolution) -> float:
     Vm = mass_velocity_matrix(gait.params)[:, 4:8]    # reads the 4 velocities
     masses = np.repeat([gait.params.m1, gait.params.m2, gait.params.m3], 2)
     G = Vm.T @ (masses[:, None] * Vm)                 # KE = 1/2 v.G v
-    ds = maps.ds.pieces(maps.ds.augment(gait.Q0, 0.0))
-    ss = maps.ss.pieces(maps.ss.augment(ds[-1].sum(axis=0)[:Q_DIM], 0.0))
+    ds, ss = maps.pieces(gait.Q0)
     V = np.concatenate([ds[..., 4:8], ss[..., 4:8]])  # (m, K, 4), time order
     m, K = V.shape[:2]
     # 2 KE(s) = sum_kl gram[k, l] s^(k + l): the anti-diagonal sums, as the

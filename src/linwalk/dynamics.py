@@ -308,16 +308,6 @@ class PhaseODE:
         """Constant acceleration-from-position block (4 x 4)."""
         return self.K0[:, 0:4]
 
-    @property
-    def B0(self) -> np.ndarray:
-        """Constant forcing on [P, U, rU, W, d] (4 x 15)."""
-        return self.K0[:, 8:]
-
-    @property
-    def B1(self) -> np.ndarray:
-        """Time-linear forcing on [P, U, rU, W, d] (4 x 15)."""
-        return self.K1[:, 8:]
-
     def accel(self, q: np.ndarray, t: float) -> np.ndarray:
         return (self.K0 + t * self.K1) @ np.asarray(q, dtype=float)
 

@@ -18,10 +18,10 @@ once per (body, phase) as a template that lives as long as the cached phase
 ODE it comes from.  The clock block K1_unit / T_phase is the only part that
 depends on the timing: a map at a timing copies the template and writes
 that block.  Each map is one fresh exponential and nothing is cached per
-time value; dense output steps x with one E(h) per step length.  Without
-any exponential, `PhaseMap.pieces` writes a phase's whole flow as Taylor
-polynomials on a few pieces, on states scaled by the exact powers of two
-that the template also holds.
+time value.  Dense output takes no exponential: `PhaseMap.pieces` writes a
+phase's whole flow from given states as Taylor polynomials on a few pieces,
+on states scaled by the exact powers of two that the template also holds,
+and the states at any times are those polynomials evaluated.
 
 A full stride is double support followed by single support; only
 `StrideMaps.flow` and `StrideMaps.states` split a stride time into its
@@ -132,7 +132,8 @@ class PhaseMap:
     phase); a timing copies it and writes only the 4 x nc clock block
     K1_unit[:, clock_cols] / T_phase.  Every map comes from one uncached
     exponential of the generator: ``step(h)`` is E(h) itself, ``map_at`` and
-    ``flow`` its Q blocks.
+    ``flow`` its Q blocks.  ``pieces`` writes the flow of given states over
+    the whole phase without one.
     """
 
     def __init__(self, ode: PhaseODE):
@@ -152,15 +153,18 @@ class PhaseMap:
         return E
 
     def pieces(self, x: np.ndarray) -> np.ndarray:
-        """The exact flow from the augmented state x over the phase duration,
-        as Taylor polynomials on m equal pieces of length h = duration / m:
-        x(j h + s h) = sum_k C[j, k] s^k for s in [0, 1].  Returns C (m, 18, n).
+        """The exact flow from the augmented state x (n,), or the states x
+        (k, n) one per row, over the phase duration, as Taylor polynomials on
+        m equal pieces of length h = duration / m: x(j h + s h) =
+        sum_i C[j, i] s^i for s in [0, 1].  Returns C (m, 18) + x.shape.
 
         They are formed on the states x / scale (clock states divided by
         T_phase, all by the template's powers of two), whose generator B
-        takes m = ceil(T_phase |B|_1) pieces: then |(h B)^k / k!|_1 <= 1 / k!,
+        takes m = ceil(T_phase |B|_1) pieces: then |(h B)^i / i!|_1 <= 1 / i!,
         and 1 / 18! < 2^-52.  The terms are formed once, by doubling; each
-        piece starts where the previous one's Taylor sum ends.
+        piece starts where the previous one's Taylor sum ends.  The states
+        are carried as columns, so all pieces of all states take one product
+        with the terms.
         """
         n = len(self.generator)
         scale = np.where(np.arange(n) < Q_DIM, 1.0, self.duration) * self._scale
@@ -173,51 +177,17 @@ class PhaseMap:
             terms[k:k + r] = terms[1:r + 1] @ terms[k - 1]
             k += r
         terms *= _INV_FACTORIALS
-        step, y = terms.sum(axis=0), [x / scale]
+        step, y = terms.sum(axis=0), [np.transpose(x / scale)]
         for _ in range(1, m):
             y.append(step @ y[-1])
-        return (terms @ np.transpose(y)).transpose(2, 0, 1) * scale
+        C = terms @ np.asarray(y).swapaxes(0, 1).reshape(n, -1)   # (18, n, m k)
+        return C.reshape(18, n, m, -1).transpose(2, 0, 3, 1).reshape(
+            (m, 18) + x.shape) * scale
 
     def augment(self, Q: np.ndarray, t: float) -> np.ndarray:
         """Augmented state [Q; t * Pi Q] at phase time t; Q may hold one
         state per row."""
         return np.concatenate([Q, t * (Q @ self._pi.T)], axis=-1)
-
-    def march(self, X: np.ndarray, tl: np.ndarray) -> np.ndarray:
-        """Augmented states (len(tl), k, n) at the phase times tl
-        (non-decreasing, >= 0), stepped exactly from the k augmented states
-        X (k, n), one per row, at phase time 0.
-
-        Consecutive steps whose lengths agree with the first to 8 ulp of the
-        last time form one run that shares E(h), one exponential per distinct
-        length; the run's states E x, E^2 x, ... come from log2(run length)
-        doublings.  The bound is absolute: the rounding jitter of a uniform
-        grid's steps is a few ulp of its times, however short the steps.
-        """
-        hs = np.diff(tl, prepend=0.0)
-        tol = 8.0 * np.spacing(np.max(tl, initial=0.0))
-        k = len(X)
-        out = np.empty((len(tl),) + X.shape)
-        exps = {}
-        i = 0
-        while i < len(hs):
-            h = hs[i]
-            off = np.flatnonzero(np.abs(hs[i:] - h) > tol)
-            end = i + off[0] if off.size else len(hs)
-            if h > 0.0:
-                E = exps.get(h)
-                if E is None:
-                    E = exps[h] = self.step(h)
-                Y, P = X, E                  # rows of x, E x, ..., E^m x
-                while len(Y) <= (end - i) * k:
-                    Y = np.concatenate([Y, Y[:(end - i + 1) * k - len(Y)] @ P.T])
-                    P = P @ P
-                out[i:end] = Y[k:].reshape(end - i, k, -1)
-                X = Y[-k:]
-            else:
-                out[i:end] = X
-            i = end
-        return out
 
     def map_at(self, t: float) -> np.ndarray:
         """H_phase(t): exact 23 x 23 map from the phase start."""
@@ -287,28 +257,42 @@ class StrideMaps:
             return self.ss.flow(t0 - T_ds, t1 - t0)
         return self.ss.flow(0.0, t1 - T_ds) @ self.ds.flow(t0, T_ds - t0)
 
-    def states(self, Q0: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """H(t) Q0 at the non-decreasing stride times ts, shape
-        (len(ts),) + Q0.shape, for one state Q0 (23,) or a block (23, k).
+    def pieces(self, Q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both phases' flows from the stride-start state Q0 (23,), or the
+        states Q0 (k, 23) one per row, as `PhaseMap.pieces`; single support
+        starts where the double-support pieces end."""
+        ds = self.ds.pieces(self.ds.augment(Q0, 0.0))
+        return ds, self.ss.pieces(self.ss.augment(ds[-1].sum(axis=0)[..., :Q_DIM], 0.0))
 
-        Inside each phase the augmented states step exactly with one E(h)
-        per distinct step length, so a uniform grid costs a few
-        exponentials; single support restarts from the states at T_ds.
-        Times before 0 keep Q0.
+    def states(self, Q0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """H(t) Q0 at the non-decreasing stride times ts in [0, T_stride],
+        shape (len(ts),) + Q0.shape, for one state Q0 (23,) or a block (23, k).
+
+        The flow pieces (`pieces`) are evaluated at the times: no
+        exponential.  The times are sorted, so those on one piece form one
+        run and take one product with its Taylor terms.
         """
         Q0 = np.asarray(Q0, dtype=float)
         ts = np.asarray(ts, dtype=float)
-        T_ds = self.timing.T_ds
-        n_ds = int(np.searchsorted(ts, T_ds, side="right"))   # samples t <= T_ds
-        tl = np.maximum(ts[:n_ds], 0.0)
-        if n_ds < len(ts):
-            tl = np.append(tl, T_ds)         # carry the states to the boundary
+        T_ds, T = self.timing.T_ds, self.timing.T_stride
+        for bad, what in ((~((ts >= -1e-12) & (ts <= T + 1e-9)), f"outside [0, {T}]"),
+                          (np.diff(ts, prepend=-np.inf) < 0.0, "follows a later one")):
+            if np.any(bad):
+                raise ValueError(f"stride time {ts[np.argmax(bad)]} {what}")
         rows = Q0.reshape(Q_DIM, -1).T       # one state per row
-        X = self.ds.march(self.ds.augment(rows, 0.0), tl)[..., :Q_DIM]
-        if n_ds < len(ts):
-            x = self.ss.augment(X[-1], 0.0)
-            X = np.concatenate([X[:n_ds], self.ss.march(x, ts[n_ds:] - T_ds)[..., :Q_DIM]])
-        return X.transpose(0, 2, 1).reshape((len(ts),) + Q0.shape)
+        out = np.empty((len(ts),) + rows.shape)
+        n_ds = int(np.searchsorted(ts, T_ds, side="right"))   # samples t <= T_ds
+        for pm, C, tl, run in zip((self.ds, self.ss), self.pieces(rows),
+                                  (ts[:n_ds], ts[n_ds:] - T_ds), (out[:n_ds], out[n_ds:])):
+            m = len(C)
+            u = tl * (m / pm.duration)                 # in pieces
+            j = np.clip(np.floor(u), 0, m - 1).astype(int)
+            s = (u - j)[:, None] ** np.arange(C.shape[1])
+            C = C[..., :Q_DIM].reshape(m, C.shape[1], -1)
+            ends = np.searchsorted(j, np.arange(m + 1))
+            for Cp, a, b in zip(C, ends, ends[1:]):
+                run[a:b] = (s[a:b] @ Cp).reshape((b - a,) + rows.shape)
+        return out.transpose(0, 2, 1).reshape((len(ts),) + Q0.shape)
 
 
 @lru_cache(maxsize=4096)

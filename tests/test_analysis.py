@@ -362,7 +362,7 @@ def test_propagate_states_straddling_phase_boundary_matches_maps(gait):
     for t, B in zip(ts, blocks):
         ref = maps.H(t) @ gait.basis
         assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # long uniform runs (stepped by doubling) stay exact too
+    # long uniform runs, many samples to a piece, stay exact too
     ts = sample_times(gait.timing, 2000)
     states = propagate_states(gait, ts)
     for k in range(0, len(ts), 97):
@@ -370,10 +370,39 @@ def test_propagate_states_straddling_phase_boundary_matches_maps(gait):
         assert np.max(np.abs(states[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("base", ["adult", "kid"])
+def test_propagate_states_matches_maps_on_random_bodies(base):
+    """One state and the 23 x 7 null-space basis block agree with H(t) Q0
+    on random bodies at short and human double-support shares, at repeated
+    times, T_ds twice and both stride ends."""
+    from linwalk.analysis import propagate_states, sample_times
+    from linwalk.transition import stride_maps
+    rng = np.random.default_rng(68)
+    base = default_params(base)
+    for _ in range(2):
+        body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                           rng.uniform(0.9, 1.1))
+        speed, freq = rng.uniform(0.8, 1.8), rng.uniform(1.0, 2.5)
+        for ratio in (0.005, 0.02, TdsPolicy("human").ratio_at(speed)):
+            T = 1.0 / freq
+            g = synthesize_gait(body, StrideTiming(ratio * T, (1.0 - ratio) * T), speed)
+            T_ds = g.timing.T_ds
+            ts = np.sort(np.concatenate([
+                sample_times(g.timing, 23), rng.uniform(0.0, T, 6),
+                [0.0, 0.5 * T_ds, 0.5 * T_ds, T_ds, T_ds, T, T]]))
+            maps = stride_maps(g.params, g.timing)
+            for Q0, states in ((g.Q0, propagate_states(g, ts)),
+                               (g.basis, maps.states(g.basis, ts))):
+                assert states.shape == (len(ts),) + Q0.shape
+                for t, Q in zip(ts, states):
+                    ref = maps.H(t) @ Q0
+                    assert np.max(np.abs(Q - ref)) <= 1e-12 * np.max(np.abs(ref)), (ratio, t)
+
+
 @pytest.mark.parametrize("n", [1000, 100_000])
-def test_propagation_reuses_one_exponential_per_step_length(gait, monkeypatch, n):
-    """A uniform grid costs a handful of exponentials, not one per sample,
-    however fine: its steps jitter by a few ulp of the stride times."""
+def test_propagation_takes_no_exponential(gait, monkeypatch, n):
+    """States on a grid of any size, one state or the 23 x 7 basis block,
+    come from the flow pieces without a matrix exponential."""
     import linwalk.transition as transition
     from linwalk.analysis import propagate_states, sample_times
     calls = []
@@ -383,9 +412,12 @@ def test_propagation_reuses_one_exponential_per_step_length(gait, monkeypatch, n
         calls.append(1)
         return real(A)
 
+    maps = transition.stride_maps(gait.params, gait.timing)
     monkeypatch.setattr(transition, "expm", counted)
-    propagate_states(gait, sample_times(gait.timing, n))
-    assert len(calls) <= 6
+    ts = sample_times(gait.timing, n)
+    propagate_states(gait, ts)
+    maps.states(gait.basis, ts)
+    assert len(calls) == 0
 
 
 def test_cold_economy_cell_takes_at_most_six_exponentials(adult, monkeypatch):

@@ -71,6 +71,17 @@ def test_gait_stage_walk_reports_lateral(adult_config, tmp_path):
     assert lat <= 1e-6
 
 
+def test_gait_stage_walk_deterministic(adult_config, tmp_path):
+    """Two runs of the stage-walk gait write the same bytes: its objective
+    rows and trajectory both come from the flow pieces."""
+    outs = [tmp_path / "s1", tmp_path / "s2"]
+    for out in outs:
+        assert run(["gait", "--config", adult_config, "--scenario", "stage-walk",
+                    "--speed", "1.0", "--out", str(out)]) == 0
+    for name in ("trajectory.csv", "gait_solution.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_sweep_command(adult_config, tmp_path):
     out = tmp_path / "sweep"
     rc = run(["sweep", "--config", adult_config,

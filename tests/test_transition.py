@@ -238,6 +238,23 @@ def test_out_of_range_times(adult, timing):
         maps.G(-0.5)
 
 
+def test_states_reject_times_outside_stride_or_decreasing(adult, timing):
+    """Flow pieces extrapolate badly past their ends, so times outside
+    [0, T_stride] (beyond the slack of `flow`), NaN and decreasing times are
+    rejected by name; times within the slack are kept."""
+    maps = stride_maps(adult, timing)
+    Q0 = random_states(1, seed=69)[0]
+    T = timing.T_stride
+    for bad, ts in ((-1e-6, [-1e-6, 0.1]), (T + 1e-6, [0.0, 0.1, T + 1e-6]),
+                    (np.nan, [0.0, np.nan])):
+        with pytest.raises(ValueError, match=f"stride time {bad} outside"):
+            maps.states(Q0, np.array(ts))
+    with pytest.raises(ValueError, match="stride time 0.2 follows a later one"):
+        maps.states(Q0, np.array([0.0, 0.3, 0.2, 0.5]))
+    ends = maps.states(Q0, np.array([-1e-13, T + 1e-10]))
+    assert np.allclose(ends, [Q0, maps.H_stride @ Q0], rtol=0.0, atol=1e-7)
+
+
 def test_dump_stride_maps(adult, timing, tmp_path):
     import json
     path = tmp_path / "maps.json"
