@@ -23,6 +23,7 @@ null-space coefficients, solved in closed form by the null-space method.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,15 +154,27 @@ def lift_reduced(V: np.ndarray, which: str = "R0") -> np.ndarray:
     return out
 
 
-def relax_scan(params: BodyParams, T_ds: float,
-               bracket: tuple[float, float], n: int = 81) -> np.ndarray:
-    """Singular values of R1 over a stride-time grid; column 0 is T_stride."""
+def _stride_times(T_ds: float, bracket: tuple[float, float], n: int,
+                  name: str) -> np.ndarray:
+    """n evenly spaced stride times over the bracket, clamped to leave a
+    single-support phase of at least 1 ms; `name` is the argument holding n."""
+    if not all(math.isfinite(b) for b in bracket):
+        raise ValueError(f"bracket ends must be finite, got {bracket!r}")
+    if n < 2:
+        raise ValueError(f"{name} must be at least 2, got {n!r}")
     lo = max(bracket[0], T_ds + 1e-3)
     hi = bracket[1]
     if hi <= lo:
         raise ValueError("empty stride-time bracket")
+    return np.linspace(lo, hi, n)
+
+
+def relax_scan(params: BodyParams, T_ds: float,
+               bracket: tuple[float, float], n: int = 81) -> np.ndarray:
+    """Singular values of R1 over a stride-time grid; column 0 is T_stride."""
+    ts = _stride_times(T_ds, bracket, n, "n")
     out = np.zeros((n, 8))
-    for i, T in enumerate(np.linspace(lo, hi, n)):
+    for i, T in enumerate(ts):
         system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
         out[i, 0] = T
         out[i, 1:] = singular_spectrum(system, "R1")
@@ -194,11 +207,7 @@ def find_relax_time(params: BodyParams, T_ds: float,
     """
     from scipy.optimize import brentq
 
-    lo = max(bracket[0], T_ds + 1e-3)
-    hi = bracket[1]
-    if hi <= lo:
-        raise ValueError("empty stride-time bracket")
-    ts = np.linspace(lo, hi, scan_points)
+    ts = _stride_times(T_ds, bracket, scan_points, "scan_points")
     vals = [_sagittal_minor(params, T_ds, T) for T in ts]
 
     candidates = []

@@ -17,8 +17,8 @@ the rows that stay put) depends only on the body and phase, and is built
 once per (body, phase) as a template that lives as long as the cached phase
 ODE it comes from.  The clock block K1_unit / T_phase is the only part that
 depends on the timing: a map at a timing copies the template and writes
-that block.  Each map is one fresh exponential and nothing is cached per
-time value.  Dense output takes no exponential: `PhaseMap.pieces` writes a
+that block.  Each map is one exponential and nothing is keyed by a time
+value.  Dense output takes no exponential: `PhaseMap.pieces` writes a
 phase's whole flow from given states as Taylor polynomials on a few pieces,
 on states scaled by the exact powers of two that the template also holds,
 and the states at any times are those polynomials evaluated.
@@ -37,7 +37,11 @@ It is formed on demand, never in a stride-map build: the inverted 2 x 2
 block is singular at isolated timings, and only code reading H' fails there.
 
 Stride maps are cached per (params, timing); construction is pure and the
-cached objects are safe to share.
+cached objects are safe to share.  The double-support half of a stride map
+depends only on the body and T_ds, so a build shares it (read-only) with the
+last stride map built for the same body while that map is alive and has the
+same T_ds: a relax run, which holds T_ds fixed, takes one exponential per
+new stride time, not two.
 """
 from __future__ import annotations
 
@@ -67,6 +71,11 @@ class ControlDegeneracyError(RuntimeError):
 # an entry lives only as long as its ODE does, so the `_extract_ode` bound
 # (and the ODEs the cached stride maps hold) bound the templates too
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# the last stride maps built per body, keyed like the templates by the unit
+# double-support ODE and held weakly: once the `stride_maps` LRU (and every
+# caller) drops a map it shares nothing, so `cache_clear()` makes builds cold
+_LAST_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # 1 / k! for the Taylor terms k < 18 of a flow piece (`PhaseMap.pieces`)
 _INV_FACTORIALS = 1.0 / np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None, None]
@@ -130,10 +139,10 @@ class PhaseMap:
     The generator's structure (its constant block, the clock columns, Pi
     and the identity rows) is a per-body template, built once per (body,
     phase); a timing copies it and writes only the 4 x nc clock block
-    K1_unit[:, clock_cols] / T_phase.  Every map comes from one uncached
-    exponential of the generator: ``step(h)`` is E(h) itself, ``map_at`` and
-    ``flow`` its Q blocks.  ``pieces`` writes the flow of given states over
-    the whole phase without one.
+    K1_unit[:, clock_cols] / T_phase, and the generator is read-only.  Every
+    map comes from one uncached exponential of the generator: ``step(h)`` is
+    E(h) itself, ``map_at`` and ``flow`` its Q blocks.  ``pieces`` writes the
+    flow of given states over the whole phase without one.
     """
 
     def __init__(self, ode: PhaseODE):
@@ -143,6 +152,7 @@ class PhaseMap:
             _map_template(ode.unit or ode))
         self.generator = A.copy()
         self.generator[4:8, Q_DIM:] = ode.K1[:, self.clock_cols]
+        self.generator.flags.writeable = False
 
     def step(self, h: float) -> np.ndarray:
         """E(h): exact map of the augmented state [Q; t * Pi Q] over h."""
@@ -297,13 +307,28 @@ class StrideMaps:
 
 @lru_cache(maxsize=4096)
 def stride_maps(params: BodyParams, timing: StrideTiming) -> StrideMaps:
-    """Build (or fetch) all transition maps for one parameter/timing pair."""
-    ds = PhaseMap(assemble_double_support(params, timing))
+    """Build (or fetch) all transition maps for one parameter/timing pair.
+
+    A build takes one exponential for single support.  Double support (`ds`
+    and `H_ds_end`) comes from the last stride maps built for the same body
+    when those are still alive and have the same T_ds, and from one more
+    exponential otherwise; either way it is the same, bit for bit.
+    """
+    ode = assemble_double_support(params, timing)
+    ref = _LAST_BUILT.get(ode.unit)
+    last = ref() if ref is not None else None
+    if last is not None and last.timing.T_ds == timing.T_ds:
+        ds, H_ds_end = last.ds, last.H_ds_end
+    else:
+        ds = PhaseMap(ode)
+        H_ds_end = ds.map_at(timing.T_ds)
+        H_ds_end.flags.writeable = False
     ss = PhaseMap(assemble_single_support(params, timing))
-    H_ds_end = ds.map_at(timing.T_ds)
     H_stride = ss.map_at(timing.T_ss) @ H_ds_end
-    return StrideMaps(params=params, timing=timing, ds=ds, ss=ss,
+    maps = StrideMaps(params=params, timing=timing, ds=ds, ss=ss,
                       H_ds_end=H_ds_end, H_stride=H_stride)
+    _LAST_BUILT[ode.unit] = weakref.ref(maps)
+    return maps
 
 
 def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,

@@ -32,6 +32,22 @@ def random_states(n: int, seed: int = 0) -> np.ndarray:
     return Q
 
 
+@pytest.fixture
+def count_expm(monkeypatch) -> list:
+    """The calls of `linwalk.transition.expm` made during the test, one
+    entry each; clear it to start counting afresh."""
+    import linwalk.transition as transition
+    calls = []
+    real = transition.expm
+
+    def counted(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(transition, "expm", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def adult_config(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("cfg") / "adult.yaml"

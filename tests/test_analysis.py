@@ -400,65 +400,31 @@ def test_propagate_states_matches_maps_on_random_bodies(base):
 
 
 @pytest.mark.parametrize("n", [1000, 100_000])
-def test_propagation_takes_no_exponential(gait, monkeypatch, n):
+def test_propagation_takes_no_exponential(gait, count_expm, n):
     """States on a grid of any size, one state or the 23 x 7 basis block,
     come from the flow pieces without a matrix exponential."""
-    import linwalk.transition as transition
     from linwalk.analysis import propagate_states, sample_times
-    calls = []
-    real = transition.expm
-
-    def counted(A):
-        calls.append(1)
-        return real(A)
-
-    maps = transition.stride_maps(gait.params, gait.timing)
-    monkeypatch.setattr(transition, "expm", counted)
+    from linwalk.transition import stride_maps
+    maps = stride_maps(gait.params, gait.timing)
+    count_expm.clear()
     ts = sample_times(gait.timing, n)
     propagate_states(gait, ts)
     maps.states(gait.basis, ts)
-    assert len(calls) == 0
+    assert len(count_expm) == 0
 
 
-def test_cold_economy_cell_takes_at_most_six_exponentials(adult, monkeypatch):
-    """A cell at a new timing takes two exponentials for its phase maps and
-    at most four for the step lengths of its dense grid; the work's turning
-    points take none."""
-    import linwalk.transition as transition
-    calls = []
-    real = transition.expm
-
-    def counted(A):
-        calls.append(1)
-        return real(A)
-
-    monkeypatch.setattr(transition, "expm", counted)
-    body = scaled_body(adult, 67.4193, 1.0213)
-    policy = TdsPolicy("human")
-    for speed, freq in ((1.3, 1.83), (0.9, 1.41), (1.9, 2.37), (1.6, 1.77)):
-        calls.clear()
-        economy_cell(body, speed, freq, policy.ratio_at(speed))
-        assert len(calls) <= 6, (speed, freq)
-
-
-def test_cold_economy_cell_takes_two_exponentials(adult, monkeypatch):
+def test_cold_economy_cell_takes_two_exponentials(adult, count_expm):
     """A cell at a new timing takes exactly the two exponentials of its
     stride map: the work's polynomial pieces take none."""
-    import linwalk.transition as transition
-    calls = []
-    real = transition.expm
-
-    def counted(A):
-        calls.append(1)
-        return real(A)
-
-    monkeypatch.setattr(transition, "expm", counted)
-    body = scaled_body(adult, 72.3117, 0.9788)
     policy = TdsPolicy("human")
-    for speed, freq in ((1.1, 1.67), (0.85, 2.71), (1.95, 1.13), (1.45, 2.03)):
-        calls.clear()
-        economy_cell(body, speed, freq, policy.ratio_at(speed))
-        assert len(calls) == 2, (speed, freq)
+    for mass, height, cells in (
+            (72.3117, 0.9788, ((1.1, 1.67), (0.85, 2.71), (1.95, 1.13), (1.45, 2.03))),
+            (67.4193, 1.0213, ((1.3, 1.83), (0.9, 1.41), (1.9, 2.37), (1.6, 1.77)))):
+        body = scaled_body(adult, mass, height)
+        for speed, freq in cells:
+            count_expm.clear()
+            economy_cell(body, speed, freq, policy.ratio_at(speed))
+            assert len(count_expm) == 2, (mass, speed, freq)
 
 
 def test_economy_cell_leaves_scipy_optimize_unimported():

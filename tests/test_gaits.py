@@ -9,8 +9,8 @@ from linwalk.gaits import (
     GaitSolution, InfeasibleConstraintsError, M_MAT, NoRelaxTimeError,
     NullSpaceDimensionError, O_MAT, R0_COLS, R1_COLS, SCENARIOS, ScenarioSpec, T_MAT,
     build_periodicity, cop_ramp_torque, find_relax_time, lift_reduced,
-    null_basis, scenario, scenario_model, singular_spectrum, solve_eqp,
-    synthesize_gait,
+    null_basis, relax_scan, scenario, scenario_model, singular_spectrum,
+    solve_eqp, synthesize_gait,
 )
 from linwalk.transition import stride_maps
 
@@ -132,6 +132,42 @@ def test_no_relax_time_in_bad_bracket(adult):
         find_relax_time(adult, 0.3, bracket=(1.0, 1.2))
 
 
+@pytest.mark.parametrize("bracket", [(0.4, np.inf), (np.nan, 1.5)])
+def test_relax_rejects_non_finite_bracket(adult, bracket):
+    for solve in (relax_scan, find_relax_time):
+        with pytest.raises(ValueError, match="bracket ends must be finite"):
+            solve(adult, 0.3, bracket)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_relax_scan_rejects_fewer_than_two_points(adult, n):
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        relax_scan(adult, 0.3, (0.4, 1.5), n=n)
+
+
+def test_find_relax_time_rejects_fewer_than_two_scan_points(adult):
+    with pytest.raises(ValueError, match="scan_points must be at least 2"):
+        find_relax_time(adult, 0.3, scan_points=1)
+
+
+def test_cold_relax_scan_takes_one_exponential_per_stride_time(adult, count_expm):
+    """T_ds is fixed over the scan, so the double-support exponential is
+    taken once: 81 single-support maps and one double-support map."""
+    relax_scan(scaled_body(adult, 68.2291, 1.0437), 0.2, (0.4, 1.5), n=81)
+    assert len(count_expm) == 82
+
+
+def test_find_relax_time_takes_one_exponential_per_miss(adult, count_expm):
+    """Once the body's double support at T_ds is live, each stride map the
+    scan and the Brent polish build takes only its single-support map."""
+    body = scaled_body(adult, 71.8443, 0.9917)
+    live = stride_maps(body, StrideTiming(T_ds=0.25, T_ss=0.5))
+    count_expm.clear()
+    misses = stride_maps.cache_info().misses
+    find_relax_time(body, live.timing.T_ds)
+    assert len(count_expm) == stride_maps.cache_info().misses - misses > 0
+
+
 def test_null_basis_dimension_error(adult, timing):
     system = build_periodicity(adult, timing)
     bad = system.__class__(**{**system.__dict__, "R0": np.zeros((8, 15))})
@@ -244,21 +280,13 @@ def test_stage_walk_kills_lateral_bounce(adult):
     assert gait.diagnostics["end_foot_speed"] <= 1e-8
 
 
-def test_stage_walk_objective_steps_the_basis(adult, monkeypatch):
-    """On warm maps the lateral objective steps the null-space basis with
-    one exponential per step length, not one per objective sample."""
-    import linwalk.transition as transition
+def test_stage_walk_objective_takes_no_exponential(adult, count_expm):
+    """On warm maps the lateral objective reads the flow pieces of the
+    null-space basis: no exponential at all."""
     synthesize_gait(adult, SIIIC, 1.0, "stage-walk")
-    calls = []
-    real = transition.expm
-
-    def counted(A):
-        calls.append(1)
-        return real(A)
-
-    monkeypatch.setattr(transition, "expm", counted)
+    count_expm.clear()
     synthesize_gait(adult, SIIIC, 1.0, "stage-walk")
-    assert len(calls) <= 6
+    assert len(count_expm) == 0
 
 
 def test_cop_modulated_ramp_and_cop_offset(adult):

@@ -1,4 +1,7 @@
 """Phase/stride transition maps against the RK4 oracle and their algebra."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -223,6 +226,60 @@ def test_cold_build_never_forms_hprime(adult, monkeypatch):
     misses = stride_maps.cache_info().misses
     stride_maps(adult, StrideTiming(T_ds=0.1357, T_ss=0.4681))
     assert stride_maps.cache_info().misses == misses + 1
+
+
+def test_shared_arrays_are_read_only(adult, timing):
+    """H_ds_end and the phase generators can be held by many stride maps."""
+    maps = stride_maps(adult, timing)
+    for a in (maps.H_ds_end, maps.ds.generator, maps.ss.generator):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
+def test_same_t_ds_shares_double_support(adult, count_expm):
+    """A build at a new T_ss shares the double-support half of the last
+    stride map built for the body at the same T_ds and takes one
+    exponential; a build at a new T_ds takes two."""
+    body = scaled_body(adult, 63.1729, 1.0371)
+    first = stride_maps(body, StrideTiming(T_ds=0.2113, T_ss=0.5))
+    assert len(count_expm) == 2
+    count_expm.clear()
+    second = stride_maps(body, StrideTiming(T_ds=0.2113, T_ss=0.6))
+    assert len(count_expm) == 1
+    assert second.ds is first.ds and second.H_ds_end is first.H_ds_end
+    count_expm.clear()
+    third = stride_maps(body, StrideTiming(T_ds=0.2114, T_ss=0.6))
+    assert len(count_expm) == 2 and third.ds is not first.ds
+
+
+def test_cache_clear_leaves_the_next_build_cold(adult, count_expm):
+    body = scaled_body(adult, 58.9317, 0.9623)
+    stride_maps(body, StrideTiming(T_ds=0.1931, T_ss=0.5))
+    stride_maps.cache_clear()
+    gc.collect()
+    count_expm.clear()
+    stride_maps(body, StrideTiming(T_ds=0.1931, T_ss=0.6))
+    assert len(count_expm) == 2
+
+
+def test_shared_double_support_matches_a_fresh_build(adult, kid):
+    """A stride map built on a shared double-support half equals a cold build
+    of the same timing bit for bit, and the half dies with the maps that
+    hold it."""
+    for body, tm, rng in _random_bodies_and_timings((adult, kid), 8, seed=54):
+        other = StrideTiming(tm.T_ds, rng.uniform(0.2, 0.8))
+        first = stride_maps(body, tm)
+        shared = stride_maps(body, other)
+        assert shared.ds is first.ds
+        half = weakref.ref(shared.ds)
+        H_ds_end, H_stride = shared.H_ds_end, shared.H_stride
+        del first, shared
+        stride_maps.cache_clear()
+        gc.collect()
+        assert half() is None
+        fresh = stride_maps(body, other)
+        assert np.array_equal(fresh.H_ds_end, H_ds_end)
+        assert np.array_equal(fresh.H_stride, H_stride)
 
 
 def test_maps_are_cached(adult, timing):
