@@ -195,9 +195,6 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     speeds = args.speed
     freqs = args.freq
-    if speeds.size == 0 or freqs.size == 0:
-        print("sweep: empty speed or frequency range", file=sys.stderr)
-        return EXIT_USAGE
     policy = parse_tds_policy(args.tds_policy)
     grid = economy_surface(cfg.params, speeds, freqs, policy,
                            workers=args.workers)

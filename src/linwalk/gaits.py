@@ -4,10 +4,12 @@ A periodic symmetric stride compares relative vectors (pelvis to each foot,
 pelvis velocity) before and after one stride, with the feet exchanged and
 lateral components mirrored.  Packing those comparisons against the
 stride map H and the end-of-stride foot-velocity rows gives a matrix whose
-null space holds every valid periodic gait:
+null space holds every valid periodic gait, one affine map of H(T_stride):
 
-    R_full = [ -M S_XP + O M T S_XP H(T_stride) ]       (6 symmetry rows)
-             [  S_Xdot2 H(T_stride)              ]      (2 foot-velocity rows)
+    R_full = [ -M S_XP ] + [ O M T S_XP ] H(T_stride)   (6 symmetry rows)
+             [    0    ]   [  S_Xdot2   ]               (2 foot-velocity rows)
+
+Both 8 x 23 factors are timing-free and formed once, at import.
 
 Dropping the columns for initial foot velocity, contact position, and
 disturbances (all zero in a nominal gait) leaves R0 (8 x 15) with a
@@ -53,14 +55,18 @@ for _r, _c in ((0, 6), (1, 7), (2, 2), (3, 3), (4, 4), (5, 5), (6, 0), (7, 1)):
 
 # columns kept in the reduced systems (Q order): positions, pelvis
 # velocity, torques, support side / then torque columns removed
-R0_COLS = (0, 1, 2, 3, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17, 22)
-R1_COLS = (0, 1, 2, 3, 6, 7, 22)
+R0_COLS = np.array((0, 1, 2, 3, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17, 22))
+R1_COLS = np.array((0, 1, 2, 3, 6, 7, 22))
 
-# the timing-free factors of the symmetry rows -M S_XP + O M T S_XP H(T)
-_SYM_START = -M_MAT @ selection_matrices().S_XP
-_SYM_END = O_MAT @ M_MAT @ T_MAT @ selection_matrices().S_XP
+# the timing-free factors of R_full = _R_START + _R_END @ H(T_stride)
+_SEL = selection_matrices()
+_R_START = np.vstack([-M_MAT @ _SEL.S_XP, np.zeros((2, Q_DIM))])
+_R_END = np.vstack([O_MAT @ M_MAT @ T_MAT @ _SEL.S_XP, _SEL.S_Xdot2])
+for _a in (R0_COLS, R1_COLS, _R_START, _R_END):
+    _a.flags.writeable = False
 
 NULL_RTOL = 1e-9  # singular values below this fraction of the largest are zero
+OBJECTIVE_SAMPLES = 50  # stride-time samples of the lateral-velocity objective
 
 
 class NoRelaxTimeError(RuntimeError):
@@ -95,20 +101,18 @@ class PeriodicitySystem:
 def build_periodicity(params: BodyParams, timing: StrideTiming) -> PeriodicitySystem:
     """Assemble the stride-symmetry system at one parameter/timing pair.
 
-    The symmetry rows are written on the plain stride map: together with
-    the two explicit foot-velocity rows they have the same null space as
-    the H'-based form (H' v = H v whenever the foot-velocity rows hold),
-    but they stay bounded at timings where the hip-torque-to-foot-velocity
-    map degenerates and H' blows up.
+    R_full = _R_START + _R_END H(T_stride) is one product with the stride
+    map.  Its symmetry rows are written on the plain map: with the two
+    foot-velocity rows they have the same null space as the H'-based form
+    (H' v = H v whenever the foot-velocity rows hold), but they stay
+    bounded at timings where the hip-torque-to-foot-velocity map
+    degenerates and H' blows up.
     """
     maps = stride_maps(params, timing)
-    symmetry = _SYM_START + _SYM_END @ maps.H_stride
-    foot_rows = selection_matrices().S_Xdot2 @ maps.H_stride
-    R_full = np.vstack([symmetry, foot_rows])
+    R_full = _R_START + _R_END @ maps.H_stride
     return PeriodicitySystem(params=params, timing=timing, maps=maps,
                              R_full=R_full,
-                             R0=R_full[:, list(R0_COLS)],
-                             R1=R_full[:, list(R1_COLS)])
+                             R0=R_full[:, R0_COLS], R1=R_full[:, R1_COLS])
 
 
 def _reduced(system: PeriodicitySystem, which: str) -> np.ndarray:
@@ -149,8 +153,7 @@ def lift_reduced(V: np.ndarray, which: str = "R0") -> np.ndarray:
     if V.shape[0] != len(cols):
         V = V.T
     out = np.zeros((Q_DIM, V.shape[1]))
-    for k, c in enumerate(cols):
-        out[c] = V[k]
+    out[cols] = V
     return out
 
 
@@ -183,27 +186,25 @@ def relax_scan(params: BodyParams, T_ds: float,
 
 # sagittal sub-block of R1: symmetry rows 1/3/5 and the sagittal
 # foot-velocity row, against the X2x / X1x / vX1x columns
-_SAG_ROWS = (0, 2, 4, 6)
-_SAG_COLS = (0, 2, 4)
+_SAG = np.ix_((0, 2, 4, 6), (0, 2, 4))
 
 
 def _sagittal_minor(params: BodyParams, T_ds: float, T_stride: float) -> float:
     """Signed indicator of the torque-free sagittal gait: one 3x3 minor of
     the 4x3 sagittal block, which crosses zero when the block drops rank."""
     system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T_stride - T_ds))
-    B = system.R1[np.ix_(list(_SAG_ROWS), list(_SAG_COLS))]
-    return float(np.linalg.det(B[1:]))
+    return float(np.linalg.det(system.R1[_SAG][1:]))
 
 
 def find_relax_time(params: BodyParams, T_ds: float,
                     bracket: tuple[float, float] = (0.4, 1.5),
-                    tol: float = 1e-6, scan_points: int = 41) -> float:
+                    scan_points: int = 41) -> float:
     """Stride time admitting a torque-free forward (sagittal) gait.
 
     The lateral step-in-place null direction exists at every stride time,
     so the zero of interest is the sagittal one: the second-smallest
     singular value of R1 vanishes.  The root is bracketed by sign changes
-    of a sagittal minor and polished well below `tol` by Brent's method.
+    of a sagittal minor and polished by Brent's method to xtol = 1e-10.
     """
     from scipy.optimize import brentq
 
@@ -214,7 +215,7 @@ def find_relax_time(params: BodyParams, T_ds: float,
     for i in range(len(ts) - 1):
         if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
             T = float(brentq(lambda T: _sagittal_minor(params, T_ds, T),
-                             ts[i], ts[i + 1], xtol=min(tol, 1e-10)))
+                             ts[i], ts[i + 1], xtol=1e-10))
             system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
             s2 = singular_spectrum(system, "R1") ** 2
             if s2[-2] <= 1e-9 * s2[0]:
@@ -247,7 +248,6 @@ class ScenarioSpec:
     zero_ankle: bool = False
     cop_ramp: float | None = None
     lateral_velocity_objective: bool = False
-    objective_samples: int = 50
     tds_scale: float = 1.0
     leg_mass_fraction: float | None = None
     z_shrink: float | None = None
@@ -369,15 +369,14 @@ def solve_eqp(G: np.ndarray, blocks: list[tuple[str, np.ndarray, np.ndarray]],
 
 
 def _gait_diagnostics(system: PeriodicitySystem, Q0: np.ndarray) -> dict:
-    sel = selection_matrices()
     Q_end = system.maps.H_stride @ Q0
-    v0 = sel.S_XP @ Q0
-    v1 = sel.S_XP @ Q_end
+    v0 = _SEL.S_XP @ Q0
+    v1 = _SEL.S_XP @ Q_end
     residual = M_MAT @ v0 - O_MAT @ M_MAT @ T_MAT @ v1
     return {
         "periodicity_residual": float(np.max(np.abs(residual))),
-        "end_foot_speed": float(np.linalg.norm(sel.S_Xdot2 @ Q_end)),
-        "torque_norm": float(np.linalg.norm(sel.S_U @ Q0)),
+        "end_foot_speed": float(np.linalg.norm(_SEL.S_Xdot2 @ Q_end)),
+        "torque_norm": float(np.linalg.norm(_SEL.S_U @ Q0)),
     }
 
 
@@ -387,29 +386,28 @@ def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
 
     V is the lifted 23 x 7 basis from the R0 null space of `system`.
     """
-    sel = selection_matrices()
     T_stride = system.timing.T_stride
     blocks = [
-        ("support-side", sel.S_d @ V, np.array([d_sign])),
-        ("speed", sel.S_X2x @ V, np.array([-v_des * T_stride])),
+        ("support-side", _SEL.S_d @ V, np.array([d_sign])),
+        ("speed", _SEL.S_X2x @ V, np.array([-v_des * T_stride])),
     ]
+    if spec.zero_ankle or spec.cop_ramp is not None:
+        ankle = np.vstack([_SEL.S_Ma @ V, _SEL.S_rMa @ V])
     if spec.zero_ankle:
-        blocks.append(("ankle-torque",
-                       np.vstack([sel.S_Ma @ V, sel.S_rMa @ V]), np.zeros(4)))
+        blocks.append(("ankle-torque", ankle, np.zeros(4)))
     if spec.cop_ramp is not None:
         # negative sagittal ramp moment drives the stance CoP toe-ward
-        blocks.append(("cop-ramp",
-                       np.vstack([sel.S_Ma @ V, sel.S_rMa @ V]),
+        blocks.append(("cop-ramp", ankle,
                        np.array([0.0, 0.0, -spec.cop_ramp, 0.0])))
 
     lateral_rows = None
     if spec.lateral_velocity_objective:
         C = com_velocity_matrix(system.params)[1]     # lateral CoM velocity row
-        ts = np.linspace(0.0, T_stride, spec.objective_samples)
+        ts = np.linspace(0.0, T_stride, OBJECTIVE_SAMPLES)
         lateral_rows = C @ system.maps.states(V, ts)
         G = lateral_rows
     else:
-        G = sel.S_U @ V
+        G = _SEL.S_U @ V
 
     alpha = solve_eqp(G, blocks)
     Q0 = V @ alpha

@@ -8,6 +8,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .layout import (IP_X, IP_Y, IV_X1X, IV_X1Y, IV_X2X, IV_X2Y, IX_X1X,
+                     IX_X1Y, IX_X2X, IX_X2Y, Q_DIM)
+
 
 class ConfigError(ValueError):
     """Raised for malformed parameter/timing config files."""
@@ -133,8 +136,6 @@ def com_velocity_matrix(params: BodyParams) -> np.ndarray:
     v3 = (1-k) Xdot1 (stance foot fixed), so the CoM velocity is a fixed
     linear functional of the augmented vector in both phases.
     """
-    from .layout import Q_DIM, IV_X1X, IV_X1Y, IV_X2X, IV_X2Y
-
     k = params.kappa
     m_eff = params.m1 + (1.0 - k) * (params.m2 + params.m3)
     M = params.total_mass
@@ -152,8 +153,6 @@ def mass_velocity_matrix(params: BodyParams) -> np.ndarray:
     Order: torso (vx, vy), swing-leg mass, stance-leg mass.  The matching
     mass for each row pair is (m1, m2, m3).
     """
-    from .layout import Q_DIM, IV_X1X, IV_X1Y, IV_X2X, IV_X2Y
-
     k = params.kappa
     V = np.zeros((6, Q_DIM))
     V[0, IV_X1X] = 1.0
@@ -170,8 +169,6 @@ def mass_velocity_matrix(params: BodyParams) -> np.ndarray:
 def com_position_matrix(params: BodyParams) -> np.ndarray:
     """Rows mapping Q to the horizontal CoM position (the +-w d/2 hip
     offsets cancel between the equal leg masses)."""
-    from .layout import Q_DIM, IP_X, IP_Y, IX_X1X, IX_X1Y, IX_X2X, IX_X2Y
-
     k = params.kappa
     m_eff = params.m1 + (1.0 - k) * (params.m2 + params.m3)
     M = params.total_mass

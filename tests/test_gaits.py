@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from linwalk import gaits
+from linwalk.analysis import TdsPolicy
 from linwalk.dynamics import SINGLE, solve_forces
 from linwalk.layout import Q_NAMES, selection_matrices
-from linwalk.model import StrideTiming, scaled_body
+from linwalk.model import StrideTiming, default_params, scaled_body
 from linwalk.gaits import (
     GaitSolution, InfeasibleConstraintsError, M_MAT, NoRelaxTimeError,
     NullSpaceDimensionError, O_MAT, R0_COLS, R1_COLS, SCENARIOS, ScenarioSpec, T_MAT,
@@ -59,6 +61,34 @@ def test_system_shapes(adult, timing):
     assert system.R0.shape == (8, 15)
     assert system.R1.shape == (8, 7)
     assert len(R0_COLS) == 15 and len(R1_COLS) == 7
+
+
+@pytest.mark.parametrize("base", ["adult", "kid"])
+def test_periodicity_rows_match_two_product_form(base):
+    """R_full is the symmetry rows -M S_XP + O M T S_XP H over the
+    foot-velocity rows S_Xdot2 H, bit for bit, on random bodies at short
+    and human double-support shares; R0, R1 and the sagittal block of the
+    relax minor are column reads of it."""
+    sel = selection_matrices()
+    rng = np.random.default_rng(72)
+    base = default_params(base)
+    for _ in range(3):
+        body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                           rng.uniform(0.9, 1.1))
+        speed, freq = rng.uniform(0.8, 1.8), rng.uniform(0.8, 2.5)
+        for ratio in (0.005, 0.02, TdsPolicy("human").ratio_at(speed)):
+            system = build_periodicity(
+                body, StrideTiming(ratio / freq, (1.0 - ratio) / freq))
+            H = system.maps.H_stride
+            ref = np.vstack([-M_MAT @ sel.S_XP + O_MAT @ M_MAT @ T_MAT @ sel.S_XP @ H,
+                             sel.S_Xdot2 @ H])
+            assert np.array_equal(system.R_full, ref), ratio
+            assert np.array_equal(system.R0, ref[:, list(R0_COLS)])
+            assert np.array_equal(system.R1, ref[:, list(R1_COLS)])
+            # symmetry rows 1/3/5 and the sagittal foot-velocity row
+            # against the X2x, X1x and vX1x columns
+            assert np.array_equal(system.R1[gaits._SAG],
+                                  ref[np.ix_([0, 2, 4, 6], [0, 2, 6])])
 
 
 def test_spectrum_descending_and_scale_invariant(adult, timing):
@@ -183,6 +213,18 @@ def test_lift_reduced_layout(adult, timing):
     assert np.max(np.abs(V[4:6])) == 0.0       # foot velocity
     assert np.max(np.abs(V[8:10])) == 0.0      # contact position
     assert np.max(np.abs(V[18:22])) == 0.0     # disturbances
+    # a 1-D vector and a transposed block (one reduced vector a row)
+    # against a per-column loop
+    rng = np.random.default_rng(73)
+    block = rng.normal(size=(7, 15))
+    for which, cols, given, columns in (
+            ("R0", R0_COLS, block[0], block[0][:, None]),
+            ("R1", R1_COLS, block[1, :7], block[1, :7][:, None]),
+            ("R0", R0_COLS, block, block.T)):
+        loop = np.zeros((23, columns.shape[1]))
+        for k, c in enumerate(cols):
+            loop[c] = columns[k]
+        assert np.array_equal(lift_reduced(given, which), loop), (which, given.shape)
 
 
 def test_cop_ramp_torque_value(adult):
