@@ -1,8 +1,10 @@
 """Command-line front end: relax / gait / sweep / validate / maps.
 
-Every command reads a YAML config (body parameters, optionally timing),
-writes its outputs plus a run manifest into --out, and is deterministic
-given (config, flags, seed).
+`main` runs every command: it loads the YAML config (body parameters,
+optionally timing), creates --out, times the command, writes the run
+manifest, and maps each named failure to its exit code.  A command only
+computes and writes its own files, returning (exit code, manifest flags,
+output names).  Every command is deterministic given (config, flags, seed).
 """
 from __future__ import annotations
 
@@ -21,16 +23,24 @@ from .analysis import (
     write_economy_csv, write_peaks_csv, write_trajectory_csv,
 )
 from .gaits import (
-    InfeasibleConstraintsError, NoRelaxTimeError, SCENARIOS, build_periodicity,
-    find_relax_time, relax_scan, singular_spectrum, synthesize_gait,
+    InfeasibleConstraintsError, NoRelaxTimeError, NullSpaceDimensionError,
+    SCENARIOS, build_periodicity, find_relax_time, relax_scan,
+    singular_spectrum, synthesize_gait,
 )
-from .model import ConfigError, LoadedConfig, StrideTiming, load_config
+from .model import (
+    ConfigError, DegenerateModelError, LoadedConfig, StrideTiming, load_config,
+)
 from .oracle import integrate_batch
 from .transition import ControlDegeneracyError, dump_stride_maps, stride_maps
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# named failure -> exit code, first match wins (ConfigError is a ValueError)
+_EXIT_CODES = {ConfigError: EXIT_USAGE, **dict.fromkeys(
+    (NoRelaxTimeError, InfeasibleConstraintsError, ControlDegeneracyError,
+     DegenerateModelError, NullSpaceDimensionError, ValueError), EXIT_FAIL)}
 
 
 def _parse_range(text: str, what: str) -> np.ndarray:
@@ -115,20 +125,12 @@ def _resolve_timing(cfg: LoadedConfig, freq: float | None,
     return StrideTiming(T_ds=ratio * T_stride, T_ss=(1.0 - ratio) * T_stride)
 
 
-def cmd_relax(args) -> int:
-    cfg = load_config(args.config)
+def cmd_relax(cfg: LoadedConfig, args, outdir: Path):
     if cfg.T_ds is None:
         raise ConfigError("relax needs T_ds in the config")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
     bracket = (args.bracket_lo, args.bracket_hi)
     scan = relax_scan(cfg.params, cfg.T_ds, bracket)
-    try:
-        T_relax = find_relax_time(cfg.params, cfg.T_ds, bracket)
-    except NoRelaxTimeError as exc:
-        print(f"relax: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    T_relax = find_relax_time(cfg.params, cfg.T_ds, bracket)
     system = build_periodicity(
         cfg.params, StrideTiming(T_ds=cfg.T_ds, T_ss=T_relax - cfg.T_ds))
     sv = singular_spectrum(system, "R1")
@@ -143,28 +145,17 @@ def cmd_relax(args) -> int:
           f"T_ss = {T_relax - cfg.T_ds:.6f})")
     print(f"smallest singular values at the root: {sv[-1]:.3e}, {sv[-2]:.3e} "
           f"(largest {sv[0]:.3e})")
-    _write_manifest(outdir, "relax", args.config,
-                    {"bracket": list(bracket)}, [scan_path.name],
-                    time.perf_counter() - t0)
-    return EXIT_OK
+    return EXIT_OK, {"bracket": list(bracket)}, [scan_path.name]
 
 
-def cmd_gait(args) -> int:
-    cfg = load_config(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+def cmd_gait(cfg: LoadedConfig, args, outdir: Path):
     timing = _resolve_timing(cfg, args.freq, args.tds_policy, args.speed)
     if args.scenario == "pseudo-passive":
         T_relax = find_relax_time(cfg.params, timing.T_ds,
                                   bracket=(timing.T_ds + 0.05, 1.6))
         timing = StrideTiming(T_ds=timing.T_ds, T_ss=T_relax - timing.T_ds)
-    try:
-        gait = synthesize_gait(cfg.params, timing, v_des=args.speed,
-                               spec=args.scenario, foot_length=args.foot_length)
-    except InfeasibleConstraintsError as exc:
-        print(f"gait: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    gait = synthesize_gait(cfg.params, timing, v_des=args.speed,
+                           spec=args.scenario, foot_length=args.foot_length)
 
     samples = sample_trajectory(gait, n=args.samples)
     traj_path = outdir / "trajectory.csv"
@@ -179,24 +170,15 @@ def cmd_gait(args) -> int:
     lines += [f"{k}: {_fmt(v)}" for k, v in sorted(gait.diagnostics.items())]
     res_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    _write_manifest(outdir, "gait", args.config,
-                    {"scenario": args.scenario, "speed": args.speed,
-                     "freq": args.freq, "foot_length": args.foot_length,
-                     "samples": args.samples, "tds_policy": args.tds_policy},
-                    [traj_path.name, sol_path.name, res_path.name],
-                    time.perf_counter() - t0)
-    return EXIT_OK
+    flags = {"scenario": args.scenario, "speed": args.speed,
+             "freq": args.freq, "foot_length": args.foot_length,
+             "samples": args.samples, "tds_policy": args.tds_policy}
+    return EXIT_OK, flags, [traj_path.name, sol_path.name, res_path.name]
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    speeds = args.speed
-    freqs = args.freq
+def cmd_sweep(cfg: LoadedConfig, args, outdir: Path):
     policy = parse_tds_policy(args.tds_policy)
-    grid = economy_surface(cfg.params, speeds, freqs, policy,
+    grid = economy_surface(cfg.params, args.speed, args.freq, policy,
                            workers=args.workers)
     econ_path = outdir / "economy.csv"
     write_economy_csv(econ_path, grid)
@@ -208,22 +190,16 @@ def cmd_sweep(args) -> int:
     for p in peaks:
         print(f"peak v={p.speed:g}: f={p.frequency:.4f}"
               + (" (boundary)" if p.boundary else ""))
-    _write_manifest(outdir, "sweep", args.config,
-                    {"speed": speeds.tolist(), "freq": freqs.tolist(),
-                     "tds_policy": args.tds_policy},
-                    [econ_path.name, peaks_path.name],
-                    time.perf_counter() - t0)
-    return EXIT_OK if frac >= 0.9 else EXIT_FAIL
+    flags = {"speed": args.speed.tolist(), "freq": args.freq.tolist(),
+             "tds_policy": args.tds_policy}
+    return (EXIT_OK if frac >= 0.9 else EXIT_FAIL, flags,
+            [econ_path.name, peaks_path.name])
 
 
 _VALIDATE_TOL = 1e-6
 
 
-def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+def cmd_validate(cfg: LoadedConfig, args, outdir: Path):
     timing = cfg.timing()
     params = cfg.params
     rng = np.random.default_rng(args.seed)
@@ -258,23 +234,16 @@ def cmd_validate(args) -> int:
     report_path = outdir / "validate_report.txt"
     report_path.write_text(report)
     print(report, end="")
-    _write_manifest(outdir, "validate", args.config,
-                    {"seed": args.seed, "trials": args.trials, "step": args.step},
-                    [report_path.name], time.perf_counter() - t0)
-    return EXIT_OK if verdict == "PASS" else EXIT_FAIL
+    flags = {"seed": args.seed, "trials": args.trials, "step": args.step}
+    return (EXIT_OK if verdict == "PASS" else EXIT_FAIL, flags,
+            [report_path.name])
 
 
-def cmd_maps(args) -> int:
-    cfg = load_config(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+def cmd_maps(cfg: LoadedConfig, args, outdir: Path):
     path = outdir / "stride_maps.json"
     dump_stride_maps(cfg.params, cfg.timing(), path)
     print(f"wrote {path}")
-    _write_manifest(outdir, "maps", args.config, {}, [path.name],
-                    time.perf_counter() - t0)
-    return EXIT_OK
+    return EXIT_OK, {}, [path.name]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,17 +302,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command; a named failure prints one `error:` line, exits
+    with its _EXIT_CODES code and writes no manifest."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        cfg = load_config(args.config)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        code, flags, outputs = args.func(cfg, args, outdir)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NoRelaxTimeError, InfeasibleConstraintsError,
-            ControlDegeneracyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(exit_code for kind, exit_code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
+    _write_manifest(outdir, args.command, args.config, flags, outputs,
+                    time.perf_counter() - t0)
+    return code
 
 
 if __name__ == "__main__":

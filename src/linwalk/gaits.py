@@ -66,6 +66,7 @@ for _a in (R0_COLS, R1_COLS, _R_START, _R_END):
     _a.flags.writeable = False
 
 NULL_RTOL = 1e-9  # singular values below this fraction of the largest are zero
+EQP_RTOL = 1e-8   # solve_eqp: largest constraint residual per unit of 1 + max|b|
 OBJECTIVE_SAMPLES = 50  # stride-time samples of the lateral-velocity objective
 
 
@@ -115,12 +116,14 @@ def build_periodicity(params: BodyParams, timing: StrideTiming) -> PeriodicitySy
                              R0=R_full[:, R0_COLS], R1=R_full[:, R1_COLS])
 
 
+def _check_which(which: str) -> None:
+    if which not in ("R0", "R1"):
+        raise ValueError("which must be 'R0' or 'R1'")
+
+
 def _reduced(system: PeriodicitySystem, which: str) -> np.ndarray:
-    if which == "R0":
-        return system.R0
-    if which == "R1":
-        return system.R1
-    raise ValueError("which must be 'R0' or 'R1'")
+    _check_which(which)
+    return system.R0 if which == "R0" else system.R1
 
 
 def singular_spectrum(system: PeriodicitySystem, which: str = "R0") -> np.ndarray:
@@ -147,11 +150,20 @@ def null_basis(system: PeriodicitySystem, which: str = "R0") -> np.ndarray:
 
 def lift_reduced(V: np.ndarray, which: str = "R0") -> np.ndarray:
     """Embed reduced-coordinate vectors into the full 23-entry layout
-    (zero foot velocity, contact at the origin, no disturbance)."""
+    (zero foot velocity, contact at the origin, no disturbance).
+
+    V is one reduced vector, shape (len(cols),), lifted to (23, 1), or a
+    block of reduced columns, shape (len(cols), k); any other shape raises
+    ValueError, as does a `which` other than "R0" or "R1".
+    """
+    _check_which(which)
     cols = R0_COLS if which == "R0" else R1_COLS
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] != len(cols):
-        V = V.T
+    V = np.asarray(V, dtype=float)
+    if V.ndim == 1:
+        V = V[:, None]
+    if V.ndim != 2 or V.shape[0] != len(cols):
+        raise ValueError(f"{which} vectors need shape ({len(cols)},) or "
+                         f"({len(cols)}, k), got {V.shape}")
     out = np.zeros((Q_DIM, V.shape[1]))
     out[cols] = V
     return out
@@ -338,8 +350,8 @@ class GaitSolution:
                             diagnostics=data["diagnostics"])
 
 
-def solve_eqp(G: np.ndarray, blocks: list[tuple[str, np.ndarray, np.ndarray]],
-              rtol: float = 1e-8) -> np.ndarray:
+def solve_eqp(G: np.ndarray,
+              blocks: list[tuple[str, np.ndarray, np.ndarray]]) -> np.ndarray:
     """Minimize |G a|^2 subject to labeled equality blocks A a = b.
 
     Closed-form null-space method; a degenerate reduced Hessian falls back
@@ -349,7 +361,7 @@ def solve_eqp(G: np.ndarray, blocks: list[tuple[str, np.ndarray, np.ndarray]],
     A = np.vstack([blk[1] for blk in blocks])
     b = np.concatenate([blk[2] for blk in blocks])
     a0, *_ = np.linalg.lstsq(A, b, rcond=None)
-    tol = rtol * (1.0 + np.max(np.abs(b)))
+    tol = EQP_RTOL * (1.0 + np.max(np.abs(b)))
     bad = []
     r = A @ a0 - b
     k = 0

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from linwalk.cli import main
+from linwalk.gaits import InfeasibleConstraintsError
 
 
 def run(argv):
@@ -257,3 +259,78 @@ def test_negative_timing_config_exit_2(adult_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(bad) in err and "T_ds" in err
     assert not (tmp_path / "m" / "stride_maps.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("maps",),
+    ("relax",),
+    ("gait", "--scenario", "minimal-torque", "--speed", "1.0"),
+    ("validate", "--trials", "3", "--step", "2e-4"),
+])
+def test_degenerate_body_exit_1_one_error_line(adult_config, tmp_path, capsys,
+                                               argv):
+    """A body with z2 = 0 passes the config checks but its single-support
+    balance system is singular: the named failure exits 1 with one line."""
+    cfg = Path(adult_config).read_text().replace("z2: 0.32", "z2: 0")
+    bad = tmp_path / "z2.yaml"
+    bad.write_text(cfg)
+    rc = run([*argv, "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "singular" in lines[0]
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_relax_no_root_prints_one_error_line(adult_config, tmp_path, capsys):
+    rc = run(["relax", "--config", adult_config, "--out", str(tmp_path / "x"),
+              "--bracket-lo", "1.0", "--bracket-hi", "1.2"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: no stride time in (1.0, 1.2)")
+
+
+def test_infeasible_gait_prints_one_error_line(adult_config, tmp_path, capsys,
+                                               monkeypatch):
+    """An infeasible constraint set prints the same `error:` line as every
+    other named failure, naming its blocks, and writes no manifest."""
+    import linwalk.cli as cli
+
+    def infeasible(*args, **kwargs):
+        raise InfeasibleConstraintsError(["ankle-torque", "cop-ramp"])
+
+    monkeypatch.setattr(cli, "synthesize_gait", infeasible)
+    out = tmp_path / "g"
+    rc = run(["gait", "--config", adult_config, "--scenario", "minimal-torque",
+              "--speed", "1.0", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: infeasible constraint block(s): ankle-torque, cop-ramp"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("relax",), {"bracket": [0.4, 1.5]}),
+    (("gait", "--scenario", "stage-walk", "--speed", "1.0", "--samples", "41"),
+     {"scenario": "stage-walk", "speed": 1.0, "freq": None,
+      "foot_length": 0.24, "samples": 41, "tds_policy": None}),
+    (("sweep", "--speed", "1.5:0.25:1.75", "--freq", "1.5:0.25:2.0"),
+     {"speed": [1.5, 1.75], "freq": [1.5, 1.75, 2.0], "tds_policy": "human"}),
+    (("validate", "--trials", "3", "--step", "2e-4"),
+     {"seed": 0, "trials": 3, "step": 2e-4}),
+    (("maps",), {}),
+])
+def test_manifest_contract(adult_config, tmp_path, argv, flags):
+    """Each command's manifest names exactly the files it wrote, its own
+    subcommand, and the hash of (command, config text, recorded flags)."""
+    out = tmp_path / "o"
+    run([*argv, "--config", adult_config, "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["outputs"] == written
+    assert manifest["command"] == argv[0]
+    blob = json.dumps({"command": argv[0],
+                       "config": Path(adult_config).read_text(),
+                       "flags": flags}, sort_keys=True)
+    assert manifest["parameter_hash"] == hashlib.sha256(blob.encode()).hexdigest()

@@ -213,18 +213,24 @@ def test_lift_reduced_layout(adult, timing):
     assert np.max(np.abs(V[4:6])) == 0.0       # foot velocity
     assert np.max(np.abs(V[8:10])) == 0.0      # contact position
     assert np.max(np.abs(V[18:22])) == 0.0     # disturbances
-    # a 1-D vector and a transposed block (one reduced vector a row)
-    # against a per-column loop
+    # a 1-D vector and blocks of reduced columns against a per-column loop;
+    # a 7 x 7 R1 block is read as columns, never guessed from its shape
     rng = np.random.default_rng(73)
     block = rng.normal(size=(7, 15))
     for which, cols, given, columns in (
             ("R0", R0_COLS, block[0], block[0][:, None]),
             ("R1", R1_COLS, block[1, :7], block[1, :7][:, None]),
-            ("R0", R0_COLS, block, block.T)):
+            ("R0", R0_COLS, block.T, block.T),
+            ("R1", R1_COLS, block[:, :7], block[:, :7])):
         loop = np.zeros((23, columns.shape[1]))
         for k, c in enumerate(cols):
             loop[c] = columns[k]
         assert np.array_equal(lift_reduced(given, which), loop), (which, given.shape)
+    # one reduced vector a row is refused, as is an unknown system
+    for given, which in ((block, "R0"), (block[:6, :7], "R1"),
+                         (block[None, :, 0], "R0"), (block[0], "R2")):
+        with pytest.raises(ValueError):
+            lift_reduced(given, which)
 
 
 def test_cop_ramp_torque_value(adult):
