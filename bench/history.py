@@ -1,0 +1,167 @@
+"""Perf history: benchmark commits with each tree's own harness.
+
+    python3 bench/history.py --out BENCH_16.json --seeds 3 8d2ec58 HEAD
+
+Each commit is checked out as a detached `git worktree` under a temporary
+directory.  Seed by seed, every workload runs that tree's own
+`perfbench/run.py --trace 0`, the commits one after the other and the first
+of them alternating from seed to seed, so that each pair of runs sees the
+host in the same state.  Then the five README commands are launched from
+each tree on the README's reference adult config, 5 times each, again
+alternating, and their wall times are taken from launch to exit.
+
+The JSON file holds the machine block and, per commit, the median and
+interquartile range of `op_p50_cal`, `setup_s` and `peak_rss_mb` per
+workload (with every run's value, `correct` over all runs and the total
+`failed`), and the median wall and the exit codes of each CLI command.
+The tool records numbers and asserts none.  Its worktrees are removed
+when it finishes.  Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+WORKLOADS = ("sweep-cold", "gait-batch", "relax-cold", "validate-rk4")
+METRICS = ("op_p50_cal", "setup_s", "peak_rss_mb")
+SECONDS = 15        # BENCHMARK.json's run_seconds
+LAUNCHES = 5        # per CLI command and commit
+# the README's configuration file and its command-line examples
+CONFIG = ("m1: 45.7\nm2: 12.15\nm3: 12.15\nz1: 0.89\nz2: 0.32\nz3: 0.36\n"
+          "w: 0.20\ng: 9.81\nT_ds: 0.3\nT_ss: 0.56\n")
+CLI = {
+    "relax": ["relax"],
+    "gait": ["gait", "--scenario", "pseudo-passive", "--speed", "1.0"],
+    "sweep": ["sweep", "--speed", "0.8:0.05:2.0", "--freq", "0.8:0.05:3.0",
+              "--tds-policy", "human"],
+    "validate": ["validate", "--seed", "0", "--trials", "100"],
+    "maps": ["maps"],
+}
+
+
+def git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(repo), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def alternate(items: list, k: int) -> list:
+    """The items in order on even k, reversed on odd k."""
+    return items if k % 2 == 0 else items[::-1]
+
+
+def spread(values: list[float]) -> dict:
+    """Median, interquartile range and the values themselves."""
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
+    return {"median": statistics.median(values), "iqr": q3 - q1,
+            "runs": values}
+
+
+def run_workload(tree: Path, workload: str, seed: int) -> dict:
+    """One `perfbench/run.py --trace 0` run: its result line, with the
+    machine block from its details line, or the error it ended with."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        return {"error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
+    result = json.loads(lines[-1])
+    result["machine"] = json.loads(lines[-2])["details"]["machine"]
+    return result
+
+
+def time_cli(tree: Path, work: Path, argv: list[str]) -> tuple[float, int]:
+    """Wall seconds and exit code of one launch of `linwalk` from tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "linwalk.cli", *argv,
+           "--config", str(work / "body.yaml"), "--out", str(work / "out")]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return time.perf_counter() - t0, proc.returncode
+
+
+def summarize(runs: list[dict]) -> dict:
+    ok = [r for r in runs if "error" not in r]
+    out = {name: spread([r["metrics"][name]["value"] for r in ok])
+           for name in METRICS if ok}
+    out["correct"] = bool(ok) and len(ok) == len(runs) and all(
+        r["correct"] for r in ok)
+    out["failed"] = sum(r["failed"] for r in ok)
+    out["errors"] = [r["error"] for r in runs if "error" in r]
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("commits", nargs="+", help="revisions to benchmark")
+    ap.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    ap.add_argument("--repo", default=str(Path(__file__).resolve().parent.parent),
+                    help="the git repository holding the commits")
+    ap.add_argument("--seeds", type=int, default=3,
+                    help="seeds 0, 1, ... per workload and commit")
+    args = ap.parse_args(argv)
+    repo = Path(args.repo)
+    shas = [git(repo, "rev-parse", "--verify", f"{c}^{{commit}}")
+            for c in args.commits]
+    runs = {sha: {w: [] for w in WORKLOADS} for sha in shas}
+    walls = {sha: {name: [] for name in CLI} for sha in shas}
+    codes = {sha: {name: set() for name in CLI} for sha in shas}
+    machine = None
+    with tempfile.TemporaryDirectory(prefix="linwalk-history-") as tmp:
+        trees = {sha: Path(tmp) / f"tree{i}" for i, sha in enumerate(shas)}
+        try:
+            for sha, tree in trees.items():
+                git(repo, "worktree", "add", "--detach", str(tree), sha)
+            for seed in range(args.seeds):
+                for w in WORKLOADS:
+                    for sha in alternate(shas, seed):
+                        r = run_workload(trees[sha], w, seed)
+                        machine = machine or r.get("machine")
+                        runs[sha][w].append(r)
+                        print(f"seed {seed} {w} {sha[:7]}: "
+                              + json.dumps(r.get("metrics", r)), flush=True)
+            work = Path(tmp) / "cli"
+            work.mkdir()
+            (work / "body.yaml").write_text(CONFIG)
+            for k in range(LAUNCHES):
+                for name, cmd in CLI.items():
+                    for sha in alternate(shas, k):
+                        wall, code = time_cli(trees[sha], work, cmd)
+                        walls[sha][name].append(wall)
+                        codes[sha][name].add(code)
+        finally:
+            for tree in trees.values():
+                if tree.exists():
+                    git(repo, "worktree", "remove", "--force", str(tree))
+            git(repo, "worktree", "prune")
+    record = {
+        "machine": {"host": machine, "platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "cpu_count": os.cpu_count()},
+        "seeds": list(range(args.seeds)), "seconds": SECONDS,
+        "launches": LAUNCHES,
+        "commits": [{
+            "commit": sha, "rev": rev,
+            "workloads": {w: summarize(runs[sha][w]) for w in WORKLOADS},
+            "cli_wall_s": {name: {"median": statistics.median(walls[sha][name]),
+                                  "exit_codes": sorted(codes[sha][name])}
+                           for name in CLI},
+        } for rev, sha in zip(args.commits, shas)],
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,13 +32,22 @@ class TdsRatioError(ValueError):
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """State, wrenches and CoM kinematics at one stride time."""
+    """States, CoM kinematics and wrenches at n stride times, stacked in time
+    order: t (n,), Q (n, 23), com_pos and com_vel (n, 2), and one stacked
+    ForceSolution.  The sample at index i is one time."""
 
-    t: float
+    t: np.ndarray
     Q: np.ndarray
     com_pos: np.ndarray
     com_vel: np.ndarray
-    forces: ForceSolution | None
+    forces: ForceSolution
+
+    def __getitem__(self, i) -> TrajectorySample:
+        """The sample at index i (or the samples of a slice)."""
+        return TrajectorySample(*(v[i] for v in vars(self).values()))
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def sample_times(timing: StrideTiming, n: int) -> np.ndarray:
@@ -57,24 +66,19 @@ def propagate_states(gait: GaitSolution, ts: np.ndarray) -> np.ndarray:
     return stride_maps(gait.params, gait.timing).states(gait.Q0, ts)
 
 
-def sample_trajectory(gait: GaitSolution, n: int = 401,
-                      with_forces: bool = True) -> list[TrajectorySample]:
-    """Reconstruct the stride at n uniform times (plus the phase boundary),
-    with one stacked force solve per phase."""
+def sample_trajectory(gait: GaitSolution, n: int = 401) -> TrajectorySample:
+    """Reconstruct the stride at n uniform times (plus the phase boundary) as
+    one stacked sample, with one stacked force solve per phase."""
     ts = sample_times(gait.timing, n)
-    states = propagate_states(gait, ts)
-    com_pos = states @ com_position_matrix(gait.params).T
-    com_vel = states @ com_velocity_matrix(gait.params).T
-    forces = [None] * len(ts)
-    if with_forces:
-        T_ds = gait.timing.T_ds
-        ds = ts <= T_ds
-        phases = (solve_forces(gait.params, gait.timing, DOUBLE, states[ds], ts[ds]),
-                  solve_forces(gait.params, gait.timing, SINGLE, states[~ds],
-                               ts[~ds] - T_ds))
-        forces = [F[i] for F in phases for i in range(len(F.accel))]
-    return [TrajectorySample(t=float(t), Q=Q, com_pos=p, com_vel=v, forces=F)
-            for t, Q, p, v, F in zip(ts, states, com_pos, com_vel, forces)]
+    Q = propagate_states(gait, ts)
+    T_ds = gait.timing.T_ds
+    ds = ts <= T_ds
+    phases = (solve_forces(gait.params, gait.timing, DOUBLE, Q[ds], ts[ds]),
+              solve_forces(gait.params, gait.timing, SINGLE, Q[~ds], ts[~ds] - T_ds))
+    # each wrench field: the double-support rows, then the single-support ones
+    forces = ForceSolution(*map(np.concatenate, zip(*(vars(F).values() for F in phases))))
+    return TrajectorySample(ts, Q, Q @ com_position_matrix(gait.params).T,
+                            Q @ com_velocity_matrix(gait.params).T, forces)
 
 
 @lru_cache(maxsize=8)
@@ -291,21 +295,19 @@ def peak_line(grid: EconomyGrid) -> list[PeakPoint]:
 
     Interior maxima are sharpened by a quadratic fit through the three
     surrounding cells; maxima at the grid edge (or beside an infeasible
-    cell) are flagged as boundary points.
+    cell) are flagged as boundary points, and a speed with no feasible cell
+    gets a boundary point at frequency NaN.
     """
     peaks = []
     for i, v in enumerate(grid.speeds):
         row = grid.economy[i]
         ok = grid.feasible[i]
-        if not np.any(ok):
-            raise ValueError(f"all cells infeasible at speed {v}")
-        masked = np.where(ok, row, -np.inf)
-        j = int(np.argmax(masked))
+        # a row with no feasible cell peaks at its (infeasible) first cell
+        j = int(np.argmax(np.where(ok, row, -np.inf)))
         interior = 0 < j < len(row) - 1 and ok[j - 1] and ok[j + 1]
         if not interior:
-            peaks.append(PeakPoint(speed=float(v),
-                                   frequency=float(grid.frequencies[j]),
-                                   boundary=True))
+            f = grid.frequencies[j] if ok[j] else np.nan
+            peaks.append(PeakPoint(speed=float(v), frequency=float(f), boundary=True))
             continue
         em, e0, ep = row[j - 1], row[j], row[j + 1]
         denom = em - 2.0 * e0 + ep
@@ -328,19 +330,15 @@ TRAJECTORY_HEADER = ("t,X2x,X2y,X1x,X1y,vX2x,vX2y,vX1x,vX1y,comx,comy,"
 _TRAJECTORY_ROW = ",".join(["%.17g"] * len(TRAJECTORY_HEADER.split(","))) + "\r\n"
 
 
-def write_trajectory_csv(path: str | Path, samples: list[TrajectorySample]) -> None:
-    rows = []
-    for s in samples:
-        if s.forces is None:
-            raise ValueError("trajectory CSV needs force reconstruction")
-        F = s.forces
-        rows.append(_TRAJECTORY_ROW % (
-            s.t, *s.Q[0:8], *s.com_pos, *s.com_vel,
-            F.F3[2], F.F2[2], F.tau2[1], F.tau2[0],
-            F.M3[1], F.M3[0], F.tau1[1], F.tau1[0]))
+def write_trajectory_csv(path: str | Path, traj: TrajectorySample) -> None:
+    F = traj.forces
+    block = np.column_stack([
+        traj.t, traj.Q[:, 0:8], traj.com_pos, traj.com_vel,
+        F.F3[:, 2], F.F2[:, 2], F.tau2[:, 1], F.tau2[:, 0],
+        F.M3[:, 1], F.M3[:, 0], F.tau1[:, 1], F.tau1[:, 0]])
     with open(path, "w", newline="") as fh:
         fh.write(TRAJECTORY_HEADER + "\r\n")
-        fh.writelines(rows)
+        fh.writelines(_TRAJECTORY_ROW % tuple(row) for row in block.tolist())
 
 
 def write_economy_csv(path: str | Path, grid: EconomyGrid) -> None:

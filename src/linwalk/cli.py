@@ -188,8 +188,11 @@ def cmd_sweep(cfg: LoadedConfig, args, outdir: Path):
     frac = float(np.mean(grid.feasible))
     print(f"feasible cells: {100.0 * frac:.1f}%")
     for p in peaks:
-        print(f"peak v={p.speed:g}: f={p.frequency:.4f}"
-              + (" (boundary)" if p.boundary else ""))
+        if np.isnan(p.frequency):
+            print(f"peak v={p.speed:g}: none (no feasible cell)")
+        else:
+            print(f"peak v={p.speed:g}: f={p.frequency:.4f}"
+                  + (" (boundary)" if p.boundary else ""))
     flags = {"speed": args.speed.tolist(), "freq": args.freq.tolist(),
              "tds_policy": args.tds_policy}
     return (EXIT_OK if frac >= 0.9 else EXIT_FAIL, flags,

@@ -203,7 +203,10 @@ def load_config(path: str | Path) -> LoadedConfig:
     Allowed keys are exactly m1 m2 m3 z1 z2 z3 w g T_ds T_ss; anything else
     is rejected by name.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"config {path}: cannot read ({exc.strerror})") from exc
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -123,7 +123,7 @@ def test_criterion_06_decoupling(adult):
 
 
 def _sagittal_com_range(gait, n=600):
-    samples = sample_trajectory(gait, n, with_forces=False)
+    samples = sample_trajectory(gait, n)
     vx = np.array([s.com_vel[0] for s in samples])
     return float(vx.max() - vx.min())
 

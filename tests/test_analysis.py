@@ -33,14 +33,14 @@ def body66(adult):
 
 
 def test_sampling_includes_phase_boundary(gait):
-    samples = sample_trajectory(gait, 50, with_forces=False)
+    samples = sample_trajectory(gait, 50)
     ts = [s.t for s in samples]
     assert any(abs(t - gait.timing.T_ds) < 1e-12 for t in ts)
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(gait.timing.T_stride)
 
 
 def test_endpoints_satisfy_mirror_relation(gait):
-    samples = sample_trajectory(gait, 11, with_forces=False)
+    samples = sample_trajectory(gait, 11)
     sel = selection_matrices()
     v0 = sel.S_XP @ samples[0].Q
     v1 = sel.S_XP @ samples[-1].Q
@@ -49,7 +49,7 @@ def test_endpoints_satisfy_mirror_relation(gait):
 
 
 def test_swing_foot_at_rest_at_stride_ends(gait):
-    samples = sample_trajectory(gait, 11, with_forces=False)
+    samples = sample_trajectory(gait, 11)
     assert np.max(np.abs(samples[0].Q[4:6])) <= 1e-8
     assert np.max(np.abs(samples[-1].Q[4:6])) <= 1e-8
 
@@ -160,7 +160,7 @@ def test_lip_like_has_larger_sagittal_com_swings(adult):
     """Removing swing/torso mass dynamics costs more CoM speed variation."""
     def sagittal_range(tag):
         g = synthesize_gait(adult, SIIIC, 1.0, tag)
-        samples = sample_trajectory(g, 400, with_forces=False)
+        samples = sample_trajectory(g, 400)
         vx = np.array([s.com_vel[0] for s in samples])
         return vx.max() - vx.min()
     assert sagittal_range("lip-like") > sagittal_range("minimal-torque")
@@ -276,8 +276,8 @@ def test_peak_line_interior_and_boundary():
                            economy=np.array([[np.nan]]),
                            tds_ratio=np.array([[0.2]]),
                            feasible=np.zeros((1, 1), dtype=bool))
-    with pytest.raises(ValueError):
-        peak_line(grid_bad)
+    [none] = peak_line(grid_bad)
+    assert none.speed == 1.0 and np.isnan(none.frequency) and none.boundary
 
 
 def test_trajectory_csv_matches_csv_module_rows(tmp_path, adult):
@@ -397,6 +397,52 @@ def test_propagate_states_matches_maps_on_random_bodies(base):
                 for t, Q in zip(ts, states):
                     ref = maps.H(t) @ Q0
                     assert np.max(np.abs(Q - ref)) <= 1e-12 * np.max(np.abs(ref)), (ratio, t)
+
+
+def _sample_fields(traj) -> list:
+    return [traj.t, traj.Q, traj.com_pos, traj.com_vel, *vars(traj.forces).values()]
+
+
+@pytest.mark.parametrize("base", ["adult", "kid"])
+def test_stacked_trajectory_on_random_bodies(base):
+    """The stacked trajectory of every scenario holds the maps' states and
+    the two per-phase force solves bit for bit, with the sample at T_ds in
+    the double-support block; index, iteration and slice read its rows."""
+    from linwalk.dynamics import DOUBLE, SINGLE, solve_forces
+    from linwalk.gaits import SCENARIOS
+    from linwalk.transition import stride_maps
+    rng = np.random.default_rng(69)
+    base = default_params(base)
+    for _ in range(2):
+        body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                           rng.uniform(0.9, 1.1))
+        speed, freq = rng.uniform(0.8, 1.8), rng.uniform(1.0, 2.5)
+        T = 1.0 / freq
+        for ratio in (0.005, 0.02, TdsPolicy("human").ratio_at(speed)):
+            for tag in SCENARIOS:
+                g = synthesize_gait(body, StrideTiming(ratio * T, (1.0 - ratio) * T),
+                                    speed, tag)
+                P, tm = g.params, g.timing   # lip-like and long-double-support move them
+                traj = sample_trajectory(g, 31)
+                fields, n = _sample_fields(traj), len(traj.t)
+                assert len(traj) == n and all(len(f) == n for f in fields)
+                assert np.array_equal(traj.Q, stride_maps(P, tm).states(g.Q0, traj.t))
+                k = np.count_nonzero(traj.t <= tm.T_ds)
+                assert traj.t[k - 1] == tm.T_ds, (tag, ratio)
+                for F, rows in ((solve_forces(P, tm, DOUBLE, traj.Q[:k], traj.t[:k]),
+                                 slice(None, k)),
+                                (solve_forces(P, tm, SINGLE, traj.Q[k:],
+                                              traj.t[k:] - tm.T_ds), slice(k, None))):
+                    for name, field in vars(F).items():
+                        assert np.array_equal(getattr(traj.forces, name)[rows], field), name
+                rows = list(traj)
+                assert len(rows) == n
+                for i, s in enumerate(rows):
+                    assert all(np.array_equal(a, f[i])
+                               for a, f in zip(_sample_fields(s), fields)), (tag, i)
+                assert all(np.array_equal(a, f[k:])
+                           for a, f in zip(_sample_fields(traj[k:]), fields))
+                assert traj[-1].t == traj.t[n - 1]
 
 
 @pytest.mark.parametrize("n", [1000, 100_000])

@@ -282,6 +282,33 @@ def test_degenerate_body_exit_1_one_error_line(adult_config, tmp_path, capsys,
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_missing_config_exit_2_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    rc = run(["maps", "--config", str(missing), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and str(missing) in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_row_without_feasible_cell_writes_manifest(adult_config, tmp_path,
+                                                          capsys):
+    """A speed with no feasible cell gets a NaN boundary peak; the run
+    writes both CSV files and its manifest and exits 1 on its verdict."""
+    bad = tmp_path / "z2.yaml"
+    bad.write_text(Path(adult_config).read_text().replace("z2: 0.32", "z2: 0"))
+    out = tmp_path / "sweep"
+    rc = run(["sweep", "--config", str(bad), "--speed", "1.0", "--freq", "1.8",
+              "--out", str(out)])
+    assert rc == 1
+    assert "peak v=1: none (no feasible cell)" in capsys.readouterr().out
+    assert (out / "economy.csv").exists()
+    assert (out / "peaks.csv").read_text().splitlines()[1:] == ["1,nan,1"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["economy.csv", "peaks.csv"]
+
+
 def test_relax_no_root_prints_one_error_line(adult_config, tmp_path, capsys):
     rc = run(["relax", "--config", adult_config, "--out", str(tmp_path / "x"),
               "--bracket-lo", "1.0", "--bracket-hi", "1.2"])

@@ -114,6 +114,13 @@ def test_load_config_defaults_gravity(tmp_path):
         cfg.timing()
 
 
+def test_load_config_unreadable_path_is_config_error(tmp_path):
+    """A missing file or a directory is a ConfigError naming the path."""
+    for path in (tmp_path / "missing.yaml", tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(path)
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("m1: 1\nm2: 1\nm3: 1\nz1: 1\nz2: 0\nz3: 0\nw: 0\nmass: 3\n")
