@@ -15,7 +15,7 @@ from .model import (
 )
 from .dynamics import (
     ForceSolution, PhaseODE, assemble_double_support, assemble_single_support,
-    solve_forces,
+    map_forces, solve_forces,
 )
 from .transition import StrideMaps, dump_stride_maps, stride_maps
 from .gaits import (
@@ -31,7 +31,7 @@ from .oracle import OracleConfig, Push, integrate, integrate_batch
 __all__ = [
     "Q_NAMES", "pack_state", "selection_matrices", "BodyParams", "StrideTiming", "default_params", "geometry", "load_config",
     "scaled_body", "ForceSolution", "PhaseODE", "assemble_double_support",
-    "assemble_single_support", "solve_forces", "StrideMaps", "dump_stride_maps",
+    "assemble_single_support", "map_forces", "solve_forces", "StrideMaps", "dump_stride_maps",
     "stride_maps", "GaitSolution", "PeriodicitySystem", "build_periodicity",
     "cop_ramp_torque", "find_relax_time", "null_basis", "scenario",
     "singular_spectrum", "synthesize_gait", "EconomyGrid", "TdsPolicy",

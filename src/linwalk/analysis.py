@@ -10,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DOUBLE, SINGLE, ForceSolution, solve_forces
+# solve_forces is not called here: it is the reference for map_forces, and
+# stays importable from this module, where benchmarks look it up
+from .dynamics import DOUBLE, SINGLE, ForceSolution, map_forces, solve_forces  # noqa: F401
 from .gaits import (
     GaitSolution, InfeasibleConstraintsError, NullSpaceDimensionError,
     synthesize_gait,
@@ -68,13 +70,15 @@ def propagate_states(gait: GaitSolution, ts: np.ndarray) -> np.ndarray:
 
 def sample_trajectory(gait: GaitSolution, n: int = 401) -> TrajectorySample:
     """Reconstruct the stride at n uniform times (plus the phase boundary) as
-    one stacked sample, with one stacked force solve per phase."""
+    one stacked sample.  The wrenches come from the body's wrench maps
+    (`map_forces`), one product per phase and no linear solve; they agree
+    with `solve_forces`, the reference, up to roundoff."""
     ts = sample_times(gait.timing, n)
     Q = propagate_states(gait, ts)
     T_ds = gait.timing.T_ds
     ds = ts <= T_ds
-    phases = (solve_forces(gait.params, gait.timing, DOUBLE, Q[ds], ts[ds]),
-              solve_forces(gait.params, gait.timing, SINGLE, Q[~ds], ts[~ds] - T_ds))
+    phases = (map_forces(gait.params, gait.timing, DOUBLE, Q[ds], ts[ds]),
+              map_forces(gait.params, gait.timing, SINGLE, Q[~ds], ts[~ds] - T_ds))
     # each wrench field: the double-support rows, then the single-support ones
     forces = ForceSolution(*map(np.concatenate, zip(*(vars(F).values() for F in phases))))
     return TrajectorySample(ts, Q, Q @ com_position_matrix(gait.params).T,

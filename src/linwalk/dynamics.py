@@ -28,6 +28,15 @@ systems with one more.  The phase ODE matrices come from one such call per
 Time enters the balance system only through s = t / T_phase, so the probing
 runs once per (body, phase) at unit duration and is cached; each timing
 then only rescales the time-linear part, K1 = K1_unit / T_phase.
+
+The same probe solve gives each phase's wrench map (`WrenchMap`).  The
+vertical loads do not depend on Q, so every wrench entry but the yaw
+torques is affine in Q, and it is affine (single support) or quadratic
+(double support) in s: a table over [1, Q] fixed by the three probed s.
+The yaw torques are bilinear and come in closed form from the z rows of
+the balance laws.  A trajectory's wrenches come from these maps
+(`map_forces`: one product per phase, no linear solve); `solve_forces`
+stays the probe and the reference they are tested against.
 """
 from __future__ import annotations
 
@@ -37,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .layout import (
-    Q_DIM, ID_SIDE, IP_X, IP_Y, IU_AX, IU_AY, IU_HX, IU_HY,
+    Q_DIM, ID_SIDE, IP_X, IP_Y, IU_AX, IU_AY, IU_HX, IU_HY, IV_X1Y, IV_X2X,
     IRU_AX, IRU_AY, IRU_HX, IRU_HY, IW_F1X, IW_F1Y, IW_M1X, IW_M1Y,
     IX_X1X, IX_X1Y, IX_X2X, IX_X2Y,
 )
@@ -58,7 +67,10 @@ def _skew(r: np.ndarray) -> np.ndarray:
 
 def _columns(*cols) -> np.ndarray:
     """Stack length-k columns, or constants, side by side: (k, len(cols))."""
-    return np.column_stack(np.broadcast_arrays(*cols))
+    out = np.empty((next(len(c) for c in cols if np.ndim(c)), len(cols)))
+    for j, c in enumerate(cols):
+        out[:, j] = c
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,12 +117,51 @@ _N_UNKNOWN = {SINGLE: 24, DOUBLE: 28}
 _N1, _N2, _N3, _E1, _E2, _E3, _PF, _PM = range(0, 24, 3)
 
 
+# the entries of Q that the balance laws read: all but the velocities; of
+# those, the coefficients A read only the side d and the points of `_points`
+_BALANCE_COLS = [i for i in range(Q_DIM) if not IV_X2X <= i <= IV_X1Y]
+_POINT_COLS = [IX_X1X, IX_X1Y, IX_X2X, IX_X2Y, IP_X, IP_Y]
+
+
+def _points(params: BodyParams, q: np.ndarray) -> tuple:
+    """The pelvis and foot points X1, X2, X3 (k, 3) of the k states q, and
+    their `geometry`."""
+    X1 = _columns(q[:, IX_X1X], q[:, IX_X1Y], params.z1)
+    X2 = _columns(q[:, IX_X2X], q[:, IX_X2Y], 0.0)
+    X3 = _columns(q[:, IP_X], q[:, IP_Y], 0.0)
+    return X1, X2, X3, geometry(params, X1, X2, X3, q[:, ID_SIDE])
+
+
+def _given(phase: str, q: np.ndarray, s: np.ndarray) -> dict:
+    """The prescribed wrenches at the k states q and phase fractions s, as
+    fresh (k, 3) rows whose unknown z entries are zero: the torso
+    disturbance F1, M1, and the contact moment M3, with the unloaded swing
+    foot and the hip torque inputs in single support (torque inputs are
+    constant plus ramp), and the trailing foot's moment in double support,
+    which decays with its load so that its centre of pressure stays put."""
+    k = len(q)
+    given = dict(F1=_columns(q[:, IW_F1X], q[:, IW_F1Y], 0.0),
+                 M1=_columns(q[:, IW_M1X], q[:, IW_M1Y], 0.0))
+    if phase == SINGLE:
+        given.update(
+            F2=np.zeros((k, 3)), M2=np.zeros((k, 3)),
+            tau2=_columns(q[:, IU_HX] + s * q[:, IRU_HX],
+                          q[:, IU_HY] + s * q[:, IRU_HY], 0.0),
+            M3=_columns(q[:, IU_AX] + s * q[:, IRU_AX],
+                        q[:, IU_AY] + s * q[:, IRU_AY], 0.0))
+    else:
+        given.update(
+            M2=_columns(-(1.0 - s) * (q[:, IU_AX] + q[:, IRU_AX]),
+                        (1.0 - s) * (q[:, IU_AY] + q[:, IRU_AY]), 0.0),
+            M3=_columns(s * q[:, IU_AX], s * q[:, IU_AY], 0.0))
+    return given
+
+
 def _assemble(params: BodyParams, phase: str, q: np.ndarray,
               s: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """The balance systems A u = b at the k states q (k, 23) and phase
     fractions s = t / T_phase (k,): A (k, 24, n), b (k, 24), and the
-    prescribed wrenches as fresh (k, 3) rows whose unknown z entries are
-    zero."""
+    prescribed wrenches (`_given`)."""
     col = _COL[phase]
     k = len(q)
     A = np.zeros((k, 24, _N_UNKNOWN[phase]))
@@ -120,12 +171,8 @@ def _assemble(params: BodyParams, phase: str, q: np.ndarray,
     def put(row: int, name: str, block) -> None:
         A[:, row:row + 3, col[name]:col[name] + 3] = block
 
-    X1 = _columns(q[:, IX_X1X], q[:, IX_X1Y], params.z1)
-    X2 = _columns(q[:, IX_X2X], q[:, IX_X2Y], 0.0)
-    X3 = _columns(q[:, IP_X], q[:, IP_Y], 0.0)
-    geo = geometry(params, X1, X2, X3, q[:, ID_SIDE])
-    F1 = _columns(q[:, IW_F1X], q[:, IW_F1Y], 0.0)
-    M1 = _columns(q[:, IW_M1X], q[:, IW_M1Y], 0.0)
+    X1, X2, X3, geo = _points(params, q)
+    given = _given(phase, q, s)
 
     # Newton: the leg masses move with the pelvis and, for a free swing
     # foot, with it: ydd2 = (1 - kappa) a1 + kappa a2, ydd3 = (1 - kappa) a1
@@ -139,14 +186,14 @@ def _assemble(params: BodyParams, phase: str, q: np.ndarray,
         put(row, f, -eye)
         put(_PF, f, -eye)
     put(_N3, "F3", -eye)
-    c[:, _N1:_N1 + 3] = params.m1 * gez - F1
+    c[:, _N1:_N1 + 3] = params.m1 * gez - given["F1"]
     c[:, _N2:_N2 + 3] = params.m2 * gez
     c[:, _N3:_N3 + 3] = params.m3 * gez
 
     # moments about each mass
     put(_E1, "f1", _skew(X1 - geo["y1"]))
     put(_E1, "tau1", eye)
-    c[:, _E1:_E1 + 3] = M1
+    c[:, _E1:_E1 + 3] = given["M1"]
     put(_E2, "f2", _skew(geo["x2"] - geo["y2"]))
     put(_E3, "f3", _skew(geo["x3"] - geo["y3"]))
     put(_E3, "F3", _skew(X3 - geo["y3"]))
@@ -164,30 +211,19 @@ def _assemble(params: BodyParams, phase: str, q: np.ndarray,
 
     if phase == SINGLE:
         A[:, _N2, col["a2"]] = A[:, _N2 + 1, col["a2"] + 1] = params.m2 * kappa
-        # swing foot unloaded; hip and ankle torque inputs, constant + ramp
-        tau2 = _columns(q[:, IU_HX] + s * q[:, IRU_HX],
-                        q[:, IU_HY] + s * q[:, IRU_HY], 0.0)
-        M3 = _columns(q[:, IU_AX] + s * q[:, IRU_AX],
-                      q[:, IU_AY] + s * q[:, IRU_AY], 0.0)
         A[:, _E2 + 2, col["tau2z"]] = 1.0
         A[:, _PM + 2, col["tau2z"]] = -1.0
-        c[:, _E2:_E2 + 3] = tau2
-        c[:, _PM:_PM + 3] = -tau2
-        given = dict(F2=np.zeros((k, 3)), M2=np.zeros((k, 3)), tau2=tau2)
+        c[:, _E2:_E2 + 3] = given["tau2"]
+        c[:, _PM:_PM + 3] = -given["tau2"]
     else:
         put(_N2, "F2", -eye)
         put(_E2, "F2", _skew(X2 - geo["y2"]))
         put(_E2, "tau2", eye)
         put(_PM, "tau2", -eye)
         A[:, _E2 + 2, col["M2z"]] = 1.0
-        # trailing foot keeps its CoP: contact moment decays with the load
-        M2 = _columns(-(1.0 - s) * (q[:, IU_AX] + q[:, IRU_AX]),
-                    (1.0 - s) * (q[:, IU_AY] + q[:, IRU_AY]), 0.0)
-        M3 = _columns(s * q[:, IU_AX], s * q[:, IU_AY], 0.0)
-        c[:, _E2:_E2 + 3] = M2
-        given = dict(M2=M2)
-    c[:, _E3:_E3 + 3] = M3
-    return A, -c, dict(given, F1=F1, M1=M1, M3=M3)
+        c[:, _E2:_E2 + 3] = given["M2"]
+    c[:, _E3:_E3 + 3] = given["M3"]
+    return A, -c, given
 
 
 # the double-support residual system E: its unknowns, in the order (tau2,
@@ -201,22 +237,28 @@ _KEPT_ROWS = np.array([_PM, _PM + 1, _PM + 2, _PF + 2])
 _ELIM_ROWS = np.setdiff1d(np.arange(24), _KEPT_ROWS)
 
 
-def _transfer_rows(A: np.ndarray, q: np.ndarray,
-                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cleared-denominator uniform transfer rule rows for double support.
-
-    Eliminates everything but the residual E(V) with one stacked solve,
-    takes its Jacobians with respect to the trailing- and leading-leg
-    variables, and returns s*J2 (V2 - V2hat) - (1-s)*J3 (V3 - V3hat) = 0 as
-    four rows (k, 4, 28) over the full unknown vector, and their right-hand
-    sides (k, 4).
-    """
+def _transfer_jacobian(A: np.ndarray) -> np.ndarray:
+    """The Jacobian J (k, 4, 8) of the double-support residual E(V) at the
+    k balance systems A: everything but V is eliminated with one stacked
+    solve."""
     elim, kept = _ELIM_ROWS[:, None], _KEPT_ROWS[:, None]
     try:
         sol = np.linalg.solve(A[:, elim, _OTHER_COLS], -A[:, elim, _V_COLS])
     except np.linalg.LinAlgError as exc:
         raise DegenerateModelError("double-support elimination is singular") from exc
-    J = A[:, kept, _V_COLS] + A[:, kept, _OTHER_COLS] @ sol
+    return A[:, kept, _V_COLS] + A[:, kept, _OTHER_COLS] @ sol
+
+
+def _transfer_rows(A: np.ndarray, q: np.ndarray,
+                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cleared-denominator uniform transfer rule rows for double support.
+
+    Takes the Jacobians of the residual E(V) with respect to the trailing-
+    and leading-leg variables, and returns s*J2 (V2 - V2hat) -
+    (1-s)*J3 (V3 - V3hat) = 0 as four rows (k, 4, 28) over the full
+    unknown vector, and their right-hand sides (k, 4).
+    """
+    J = _transfer_jacobian(A)
     J2, J3 = J[..., :4], J[..., 4:]
 
     v2_hat = _columns(q[:, IU_HX], q[:, IU_HY], 0.0, 0.0)
@@ -230,23 +272,31 @@ def _transfer_rows(A: np.ndarray, q: np.ndarray,
     return rows, rhs
 
 
+def _fractions(timing: StrideTiming, phase: str, qs: np.ndarray,
+               t: float | np.ndarray) -> np.ndarray:
+    """The phase fractions s = t / T_phase (k,) of the k states qs at their
+    times t, which must lie in the phase."""
+    duration = timing.T_ss if phase == SINGLE else timing.T_ds
+    ts = np.broadcast_to(np.asarray(t, dtype=float), qs.shape[:1])
+    outside = (ts < -1e-12) | (ts > duration + 1e-12)
+    if np.any(outside):
+        raise ValueError(f"t={ts[outside][0]} outside the {phase}-support "
+                         f"phase [0, {duration}]")
+    return ts / duration
+
+
 def solve_forces(params: BodyParams, timing: StrideTiming, phase: str,
                  q: np.ndarray, t: float | np.ndarray) -> ForceSolution:
     """Accelerations and all wrenches at (q, t).
 
     q is one state (23,) with its phase time t, giving 3-vector fields, or
     k states (k, 23) with k times, giving (k, 3) fields; all k systems are
-    assembled and solved as one stack.
+    assembled and solved as one stack.  This is the probe of the phase
+    ODEs and wrench maps, and the reference for `map_forces`.
     """
-    duration = timing.T_ss if phase == SINGLE else timing.T_ds
     q = np.asarray(q, dtype=float)
     qs = np.atleast_2d(q)
-    ts = np.broadcast_to(np.asarray(t, dtype=float), qs.shape[:1])
-    outside = (ts < -1e-12) | (ts > duration + 1e-12)
-    if np.any(outside):
-        raise ValueError(f"t={ts[outside][0]} outside the {phase}-support "
-                         f"phase [0, {duration}]")
-    s = ts / duration
+    s = _fractions(timing, phase, qs, t)
     A, b, given = _assemble(params, phase, qs, s)
     if phase == DOUBLE:
         rows, rhs = _transfer_rows(A, qs, s)
@@ -276,6 +326,124 @@ def solve_forces(params: BodyParams, timing: StrideTiming, phase: str,
     return forces if q.ndim == 2 else forces[0]
 
 
+# the fields each phase solves for, each (k, 3) but accel (k, 4), which is
+# last; the other fields are `_given`
+_SOLVED = {SINGLE: ("f1", "f2", "f3", "F3", "tau1", "tau3", "accel"),
+           DOUBLE: ("f1", "f2", "f3", "F2", "F3", "tau1", "tau2", "tau3", "accel")}
+# the pelvis-z row of the transfer Jacobian, on (tau2y, F2z, tau3y, F3z)
+_YAW_ROW, _YAW_COLS = 2, [1, 3, 5, 7]
+
+
+@dataclass(frozen=True, eq=False)
+class WrenchMap:
+    """The solved wrenches of one body and phase as maps of the state.
+
+    Each entry of the solved fields (`_SOLVED`) other than a yaw (z) torque
+    is affine in Q, the side d included, and a polynomial in s = t / T_phase
+    of degree P - 1, affine in single support and quadratic in double
+    support: at the k states q (k, 23) the n entries are sum_p s^p c_p, with
+    [c_0 ... c_P-1] = q[:, _BALANCE_COLS] @ table[1:] + table[0] and
+    ``table`` (20, P n).  The
+    yaw torque columns are zero; they are bilinear and come from
+    `_yaw_moments`.  In double support ``yaw`` (7, 4) holds the entries of
+    the pelvis-z row of the transfer Jacobian that split the yaw torque:
+    they are d (q[:, _POINT_COLS] @ yaw[1:] + yaw[0]).  Both arrays are
+    read-only.
+    """
+
+    table: np.ndarray
+    yaw: np.ndarray | None = None
+
+
+def _wrench_map(params: BodyParams, phase: str, probes: np.ndarray,
+                forces: ForceSolution) -> WrenchMap:
+    """The wrench map of one body and phase from the solved probes: the
+    zero state and the 23 basis states, at s = 0, 1/2 and 1."""
+    names = _SOLVED[phase]
+    v = np.concatenate([getattr(forces, name) for name in names], axis=1)
+    v = v.reshape(3, Q_DIM + 1, -1)
+    v[..., [3 * names.index(name) + 2 for name in ("tau1", "tau2", "tau3")
+            if name in names]] = 0.0
+    v[:, 1:] -= v[:, :1]           # the value at Q = 0, then one slope per entry
+    v = v[:, [0] + [1 + i for i in _BALANCE_COLS]]
+    v0, vh, v1 = v
+    # the polynomial in s through the nodes: single support is affine in s
+    coef = ([v0, v1 - v0] if phase == SINGLE
+            else [v0, 4.0 * vh - 3.0 * v0 - v1, 2.0 * (v0 + v1) - 4.0 * vh])
+    table = np.concatenate(coef, axis=1)
+    table.flags.writeable = False
+    if phase == SINGLE:
+        return WrenchMap(table)
+    # the Jacobian is d times an affine map of the points: probe them at d = 1
+    at_side = probes[[0] + [1 + i for i in _POINT_COLS]].copy()
+    at_side[:, ID_SIDE] = 1.0
+    A = _assemble(params, DOUBLE, at_side, np.zeros(len(at_side)))[0]
+    yaw = _transfer_jacobian(A)[:, _YAW_ROW, _YAW_COLS]
+    yaw[1:] -= yaw[:1]
+    yaw.flags.writeable = False
+    return WrenchMap(table, yaw)
+
+
+def _cz(r: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The z entries of the cross products of the rows of r and f."""
+    return r[:, 0] * f[:, 1] - r[:, 1] * f[:, 0]
+
+
+def _yaw_moments(params: BodyParams, phase: str, yaw: np.ndarray | None,
+                 q: np.ndarray, s: np.ndarray, F: dict) -> None:
+    """Write the yaw torques tau2z, tau3z, M2z and M3z into the wrenches F,
+    whose other entries are set, from the z rows of the balance laws.
+
+    The torso arm is vertical, so tau1z = 0 (its table column is zero), and
+    the pelvis moment gives tau2z + tau3z = S = (w d / 2)(f2x - f3x).  In
+    single support the moment about the swing mass fixes tau2z.  In double
+    support the pelvis-z row of the transfer rule, -s tau2z + (1 - s) tau3z
+    = R, splits S, and the moment about the trailing mass gives M2z.  The
+    moment about the stance mass gives M3z.
+    """
+    X1, X2, X3, geo = _points(params, q)
+    f2, f3, d = F["f2"], F["f3"], q[:, ID_SIDE]
+    S = params.w * d / 2.0 * (f2[:, 0] - f3[:, 0])
+    if phase == SINGLE:
+        tau2z = -_cz(geo["x2"] - geo["y2"], f2)
+        tau3z = S - tau2z
+    else:
+        J = d[:, None] * (q[:, _POINT_COLS] @ yaw[1:] + yaw[0])
+        R = ((1.0 - s) * (J[:, 2] * (F["tau3"][:, 1] - q[:, IU_HY] - q[:, IRU_HY])
+                          + J[:, 3] * F["F3"][:, 2])
+             - s * (J[:, 0] * (F["tau2"][:, 1] - q[:, IU_HY]) + J[:, 1] * F["F2"][:, 2]))
+        tau3z = R + s * S
+        tau2z = S - tau3z
+        F["M2"][:, 2] = (-_cz(X2 - geo["y2"], F["F2"]) - _cz(geo["x2"] - geo["y2"], f2)
+                         - tau2z)
+    F["tau2"][:, 2] = tau2z
+    F["tau3"][:, 2] = tau3z
+    F["M3"][:, 2] = -_cz(geo["x3"] - geo["y3"], f3) - _cz(X3 - geo["y3"], F["F3"]) - tau3z
+
+
+def map_forces(params: BodyParams, timing: StrideTiming, phase: str,
+               q: np.ndarray, t: float | np.ndarray) -> ForceSolution:
+    """Accelerations and all wrenches at (q, t), as `solve_forces` gives
+    them up to roundoff, from the body's wrench map of the phase
+    (`WrenchMap`): one product and closed forms, no linear solve."""
+    q = np.asarray(q, dtype=float)
+    qs = np.atleast_2d(q)
+    s = _fractions(timing, phase, qs, t)
+    wrenches = _extract_ode(params, phase).wrenches
+    names = _SOLVED[phase]
+    n = 3 * len(names) + 1                          # accel has four entries
+    c = qs[:, _BALANCE_COLS] @ wrenches.table[1:] + wrenches.table[0]
+    c = c.reshape(len(qs), -1, n)
+    v = c[:, -1]
+    for p in range(c.shape[1] - 2, -1, -1):        # Horner in s
+        v = c[:, p] + s[:, None] * v
+    F = dict(zip(names, np.split(v, 3 * np.arange(1, len(names)), axis=1)))
+    F.update(_given(phase, qs, s))
+    _yaw_moments(params, phase, wrenches.yaw, qs, s, F)
+    forces = ForceSolution(**F)
+    return forces if q.ndim == 2 else forces[0]
+
+
 def point_accel(params: BodyParams, timing: StrideTiming, phase: str,
                 q: np.ndarray, t: float) -> np.ndarray:
     """Horizontal accelerations (a2x a2y a1x a1y) at one (q, t)."""
@@ -295,6 +463,7 @@ class PhaseODE:
     ``unit`` is the cached unit-duration ODE of the same body and phase that
     this one rescales (None on that ODE itself).  ODEs compare and hash by
     identity, so the unit ODE can key what is built once per (body, phase).
+    ``wrenches`` is the unit ODE's `WrenchMap` (None on a rescaled ODE).
     """
 
     phase: str
@@ -302,6 +471,7 @@ class PhaseODE:
     K0: np.ndarray
     K1: np.ndarray
     unit: PhaseODE | None = None
+    wrenches: WrenchMap | None = None
 
     @property
     def A(self) -> np.ndarray:
@@ -323,16 +493,19 @@ _CONST_COLS = {
 _UNIT_TIMING = StrideTiming(T_ds=1.0, T_ss=1.0)
 
 
-@lru_cache(maxsize=256)
+# an entry, with its wrench map and the map template built on it, takes
+# about 24 kB: 128 entries (64 bodies) bound the cache near 3 MB
+@lru_cache(maxsize=128)
 def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
-    """Phase ODE of one body at unit phase duration (read-only arrays).
+    """Phase ODE of one body at unit phase duration, with its wrench map
+    (read-only arrays).
 
     One stacked solve probes the zero state and the 23 basis vectors at
     s = 0, 0.5 and 1."""
     probes = np.tile(np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)]), (3, 1))
     s = np.repeat([0.0, 0.5, 1.0], Q_DIM + 1)
-    acc = solve_forces(params, _UNIT_TIMING, phase, probes, s).accel
-    acc = acc.reshape(3, Q_DIM + 1, 4)
+    forces = solve_forces(params, _UNIT_TIMING, phase, probes, s)
+    acc = forces.accel.reshape(3, Q_DIM + 1, 4)
     if np.max(np.abs(acc[:, 0])) > 1e-9:
         raise DegenerateModelError(f"{phase}-support accelerations not homogeneous")
     K = np.ascontiguousarray((acc[:, 1:] - acc[:, :1]).transpose(0, 2, 1))
@@ -353,7 +526,8 @@ def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
     K1[:, [i for i in range(Q_DIM) if i not in allowed]] = 0.0
     K0.flags.writeable = False
     K1.flags.writeable = False
-    return PhaseODE(phase=phase, duration=1.0, K0=K0, K1=K1)
+    return PhaseODE(phase=phase, duration=1.0, K0=K0, K1=K1,
+                    wrenches=_wrench_map(params, phase, probes, forces))
 
 
 def assemble_single_support(params: BodyParams, timing: StrideTiming) -> PhaseODE:

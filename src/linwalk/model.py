@@ -219,6 +219,8 @@ def load_config(path: str | Path) -> LoadedConfig:
     values = {}
     for key, raw in data.items():
         try:
+            if isinstance(raw, bool):       # float() would take true as 1.0
+                raise TypeError
             values[key] = float(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"config {path}: key {key!r} is not a number")

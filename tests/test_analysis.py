@@ -403,12 +403,32 @@ def _sample_fields(traj) -> list:
     return [traj.t, traj.Q, traj.com_pos, traj.com_vel, *vars(traj.forces).values()]
 
 
+def _solved_forces(traj, P, tm) -> list:
+    """The two per-phase `solve_forces` solutions on the trajectory's own
+    states and times, each with the rows of the trajectory it covers."""
+    from linwalk.dynamics import DOUBLE, SINGLE, solve_forces
+    k = np.count_nonzero(traj.t <= tm.T_ds)
+    return [(solve_forces(P, tm, DOUBLE, traj.Q[:k], traj.t[:k]), slice(None, k)),
+            (solve_forces(P, tm, SINGLE, traj.Q[k:], traj.t[k:] - tm.T_ds),
+             slice(k, None))]
+
+
+def _assert_fields_match(traj, solved, rtol=1e-11) -> None:
+    """Every wrench field of the trajectory equals the solved one to rtol of
+    that field's largest entry."""
+    for F, rows in solved:
+        for name, field in vars(F).items():
+            got = getattr(traj.forces, name)[rows]
+            scale = np.max(np.abs(field))
+            assert np.max(np.abs(got - field)) <= rtol * scale, name
+
+
 @pytest.mark.parametrize("base", ["adult", "kid"])
 def test_stacked_trajectory_on_random_bodies(base):
-    """The stacked trajectory of every scenario holds the maps' states and
-    the two per-phase force solves bit for bit, with the sample at T_ds in
-    the double-support block; index, iteration and slice read its rows."""
-    from linwalk.dynamics import DOUBLE, SINGLE, solve_forces
+    """The stacked trajectory of every scenario holds the maps' states bit
+    for bit, and the two per-phase force solves to 1e-11 of each field's
+    largest entry, with the sample at T_ds in the double-support block;
+    index, iteration and slice read its rows."""
     from linwalk.gaits import SCENARIOS
     from linwalk.transition import stride_maps
     rng = np.random.default_rng(69)
@@ -429,12 +449,7 @@ def test_stacked_trajectory_on_random_bodies(base):
                 assert np.array_equal(traj.Q, stride_maps(P, tm).states(g.Q0, traj.t))
                 k = np.count_nonzero(traj.t <= tm.T_ds)
                 assert traj.t[k - 1] == tm.T_ds, (tag, ratio)
-                for F, rows in ((solve_forces(P, tm, DOUBLE, traj.Q[:k], traj.t[:k]),
-                                 slice(None, k)),
-                                (solve_forces(P, tm, SINGLE, traj.Q[k:],
-                                              traj.t[k:] - tm.T_ds), slice(k, None))):
-                    for name, field in vars(F).items():
-                        assert np.array_equal(getattr(traj.forces, name)[rows], field), name
+                _assert_fields_match(traj, _solved_forces(traj, P, tm))
                 rows = list(traj)
                 assert len(rows) == n
                 for i, s in enumerate(rows):
@@ -545,21 +560,60 @@ def test_turning_points_isolate_two_roots_in_one_piece():
     assert np.allclose([x for _, x in roots], [0.3, 0.6, 0.7], rtol=0.0, atol=1e-14)
 
 
-def test_trajectory_solves_forces_once_per_phase(gait, monkeypatch):
-    """The wrenches of a 401-sample stride come from one stacked solve per
-    phase, not one solve per sample."""
+def test_trajectory_takes_no_force_solve(gait, monkeypatch):
+    """On a warm body the wrenches of a 401-sample stride come from the
+    wrench maps: no `solve_forces` call, and no linear solve at all."""
     import linwalk.analysis as analysis
+    import linwalk.dynamics as dynamics
     calls = []
-    real = analysis.solve_forces
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(analysis, "solve_forces", counted)
+    sample_trajectory(gait, 11)                        # warm
+    for module, name in ((analysis, "solve_forces"), (dynamics, "solve_forces"),
+                         (np.linalg, "solve")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     samples = sample_trajectory(gait, 401)
-    assert len(calls) <= 2
+    assert calls == []
     assert len(samples) == 402 and all(s.forces.F3.shape == (3,) for s in samples)
+
+
+# the eight wrench columns of trajectory.csv, as (field, entry)
+CSV_WRENCHES = (("F3", 2), ("F2", 2), ("tau2", 1), ("tau2", 0),
+                ("M3", 1), ("M3", 0), ("tau1", 1), ("tau1", 0))
+
+
+@pytest.mark.parametrize("base", ["adult", "kid"])
+def test_wrench_maps_match_solve_on_random_trajectories(base):
+    """On seeded random bodies, at shares 0.005, 0.02 and the human law, in
+    every scenario and on both sides, the mapped wrenches of a trajectory
+    equal `solve_forces` on the same (Q, t): every field to 1e-11 of its
+    largest entry, and the CSV's eight wrench columns to 1e-13 of their
+    largest entry."""
+    from linwalk.gaits import SCENARIOS
+    rng = np.random.default_rng(70)
+    base = default_params(base)
+    body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2), rng.uniform(0.9, 1.1))
+    for d_sign in (1.0, -1.0):
+        speed, freq = rng.uniform(0.8, 1.8), rng.uniform(1.0, 2.5)
+        T = 1.0 / freq
+        for ratio in (0.005, 0.02, TdsPolicy("human").ratio_at(speed)):
+            for tag in SCENARIOS:
+                g = synthesize_gait(body, StrideTiming(ratio * T, (1.0 - ratio) * T),
+                                    speed, tag, d_sign=d_sign)
+                traj = sample_trajectory(g, 61)
+                assert np.allclose(traj.Q[:, 22], d_sign, rtol=0.0, atol=1e-9)
+                solved = _solved_forces(traj, g.params, g.timing)
+                _assert_fields_match(traj, solved)
+                got = np.column_stack([getattr(traj.forces, f)[:, i] for f, i in CSV_WRENCHES])
+                ref = np.concatenate([np.column_stack([getattr(F, f)[:, i]
+                                                       for f, i in CSV_WRENCHES])
+                                      for F, _ in solved])
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (tag, ratio)
 
 
 def test_memory_bounded_over_economy_cells(body66):

@@ -282,6 +282,22 @@ def test_degenerate_body_exit_1_one_error_line(adult_config, tmp_path, capsys,
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_boolean_config_value_exit_2_one_error_line(adult_config, tmp_path, capsys):
+    """`w: true` is rejected with one `error:` line, not read as w = 1.0."""
+    lines = ["w: true" if line.startswith("w:") else line
+             for line in open(adult_config).read().splitlines()]
+    path = tmp_path / "boolean.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    rc = run(["gait", "--config", str(path), "--scenario", "minimal-torque",
+              "--speed", "1.0", "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "key 'w' is not a number" in lines[0]
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_missing_config_exit_2_one_error_line(tmp_path, capsys):
     missing = tmp_path / "missing.yaml"
     rc = run(["maps", "--config", str(missing), "--out", str(tmp_path / "o")])

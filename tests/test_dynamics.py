@@ -10,7 +10,8 @@ import pytest
 from conftest import random_states
 from linwalk.dynamics import (
     DOUBLE, SINGLE, DegenerateModelError, ForceSolution, _extract_ode,
-    assemble_double_support, assemble_single_support, point_accel, solve_forces,
+    assemble_double_support, assemble_single_support, map_forces, point_accel,
+    solve_forces,
 )
 from linwalk.model import (
     BodyParams, StrideTiming, default_params, geometry, scaled_body,
@@ -144,6 +145,37 @@ def test_force_solution_satisfies_balance(adult, timing):
                             (F.f1, F.f2, F.f3, F.F3, F.tau1, F.tau2, F.tau3))
                 res = _balance_residuals(body, q, F)
                 assert np.max(np.abs(res)) <= 1e-9 * max(scale, 1.0)
+
+
+def test_mapped_forces_satisfy_balance(adult, timing):
+    """The wrenches from the wrench maps satisfy the Newton/Euler balance
+    laws to 1e-9 relative, on the adult body and on random bodies and
+    timings, at random states on both sides and at both phase ends."""
+    Q = random_states(20, seed=26)
+    cases = [(adult, timing, np.random.default_rng(27))]
+    cases += list(_random_bodies_and_timings(adult, 6, seed=28))
+    for body, tm, rng in cases:
+        for phase, T, _ in phase_cases(tm):
+            ts = np.concatenate([[0.0, T], rng.uniform(0.0, T, len(Q) - 2)])
+            mapped = map_forces(body, tm, phase, Q, ts)
+            for q, F in zip(Q, mapped):
+                scale = max(np.max(np.abs(v)) for v in
+                            (F.f1, F.f2, F.f3, F.F3, F.tau1, F.tau2, F.tau3))
+                res = _balance_residuals(body, q, F)
+                assert np.max(np.abs(res)) <= 1e-9 * max(scale, 1.0)
+
+
+def test_wrench_maps_are_read_only_and_built_with_the_ode(adult):
+    """The unit ODE of each phase holds its wrench map, read-only; a
+    rescaled ODE holds none and reads its unit's."""
+    for phase, assemble in ((SINGLE, assemble_single_support),
+                            (DOUBLE, assemble_double_support)):
+        unit = _extract_ode(adult, phase)
+        maps = [unit.wrenches.table] + ([unit.wrenches.yaw] if phase == DOUBLE else [])
+        assert all(not a.flags.writeable for a in maps)
+        ode = assemble(adult, StrideTiming(0.2, 0.5))
+        assert ode.unit is unit and ode.wrenches is None
+    assert _extract_ode(adult, SINGLE).wrenches.yaw is None
 
 
 def test_forces_and_phase_odes_match_pinned_reference(adult):

@@ -135,6 +135,18 @@ def test_load_config_rejects_non_numeric(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("bad", ["true", "false", "yes", "on"])
+def test_load_config_rejects_boolean(adult_config, tmp_path, bad):
+    """A YAML boolean is not a number, though float() would take it as 1.0
+    or 0.0."""
+    lines = [f"w: {bad}" if line.startswith("w:") else line
+             for line in open(adult_config).read().splitlines()]
+    path = tmp_path / "boolean.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="key 'w' is not a number"):
+        load_config(path)
+
+
 def test_load_config_missing_required(tmp_path):
     path = tmp_path / "missing.yaml"
     path.write_text("m1: 45.7\nm2: 12.15\nm3: 12.15\n")
