@@ -8,12 +8,14 @@ directory.  Seed by seed, every workload runs that tree's own
 of them alternating from seed to seed, so that each pair of runs sees the
 host in the same state.  Then the five README commands are launched from
 each tree on the README's reference adult config, 5 times each, again
-alternating, and their wall times are taken from launch to exit.
+alternating, and their wall times are taken from launch to exit, with
+each launch's peak RSS.
 
 The JSON file holds the machine block and, per commit, the median and
 interquartile range of `op_p50_cal`, `setup_s` and `peak_rss_mb` per
 workload (with every run's value, `correct` over all runs and the total
-`failed`), and the median wall and the exit codes of each CLI command.
+`failed`), and the median wall, the exit codes and the median peak RSS of
+each CLI command.
 The tool records numbers and asserts none.  Its worktrees are removed
 when it finishes.  Standard library only.
 """
@@ -80,15 +82,19 @@ def run_workload(tree: Path, workload: str, seed: int) -> dict:
     return result
 
 
-def time_cli(tree: Path, work: Path, argv: list[str]) -> tuple[float, int]:
-    """Wall seconds and exit code of one launch of `linwalk` from tree."""
+def time_cli(tree: Path, work: Path, argv: list[str]) -> tuple[float, int, float]:
+    """Wall seconds, exit code and peak RSS (MB) of one launch of `linwalk`
+    from tree; the RSS is the child's own, read by `os.wait4`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "linwalk.cli", *argv,
            "--config", str(work / "body.yaml"), "--out", str(work / "out")]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL)
-    return time.perf_counter() - t0, proc.returncode
+    proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return wall, proc.returncode, usage.ru_maxrss / 1024.0
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -117,6 +123,7 @@ def main(argv=None) -> int:
     runs = {sha: {w: [] for w in WORKLOADS} for sha in shas}
     walls = {sha: {name: [] for name in CLI} for sha in shas}
     codes = {sha: {name: set() for name in CLI} for sha in shas}
+    rss = {sha: {name: [] for name in CLI} for sha in shas}
     machine = None
     with tempfile.TemporaryDirectory(prefix="linwalk-history-") as tmp:
         trees = {sha: Path(tmp) / f"tree{i}" for i, sha in enumerate(shas)}
@@ -137,9 +144,10 @@ def main(argv=None) -> int:
             for k in range(LAUNCHES):
                 for name, cmd in CLI.items():
                     for sha in alternate(shas, k):
-                        wall, code = time_cli(trees[sha], work, cmd)
+                        wall, code, peak = time_cli(trees[sha], work, cmd)
                         walls[sha][name].append(wall)
                         codes[sha][name].add(code)
+                        rss[sha][name].append(peak)
         finally:
             for tree in trees.values():
                 if tree.exists():
@@ -157,6 +165,8 @@ def main(argv=None) -> int:
             "cli_wall_s": {name: {"median": statistics.median(walls[sha][name]),
                                   "exit_codes": sorted(codes[sha][name])}
                            for name in CLI},
+            "cli_peak_rss_mb": {name: statistics.median(rss[sha][name])
+                                for name in CLI},
         } for rev, sha in zip(args.commits, shas)],
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -93,6 +93,15 @@ def _count(what: str, minimum: int):
     return parse
 
 
+def _tds_policy(text: str) -> str:
+    """argparse type: a double-support policy that parse_tds_policy accepts."""
+    try:
+        parse_tds_policy(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
 def _write_manifest(outdir: Path, command: str, config_path: str,
                     flags: dict, outputs: list[str], wall: float) -> None:
     config_text = Path(config_path).read_text()
@@ -177,9 +186,8 @@ def cmd_gait(cfg: LoadedConfig, args, outdir: Path):
 
 
 def cmd_sweep(cfg: LoadedConfig, args, outdir: Path):
-    policy = parse_tds_policy(args.tds_policy)
-    grid = economy_surface(cfg.params, args.speed, args.freq, policy,
-                           workers=args.workers)
+    grid = economy_surface(cfg.params, args.speed, args.freq,
+                           parse_tds_policy(args.tds_policy), workers=args.workers)
     econ_path = outdir / "economy.csv"
     write_economy_csv(econ_path, grid)
     peaks = peak_line(grid)
@@ -275,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed", type=_number("speed"), required=True, help="m/s")
     p.add_argument("--freq", type=_number("frequency", positive=True),
                    default=None, help="steps/s")
-    p.add_argument("--tds-policy", default=None, help="human or fixed:R")
+    p.add_argument("--tds-policy", type=_tds_policy, help="human or fixed:R")
     p.add_argument("--foot-length", type=_number("foot length"), default=0.24)
     p.add_argument("--samples", type=_count("sample count", 2), default=401)
     p.set_defaults(func=cmd_gait)
@@ -286,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True, help="START:STEP:STOP (m/s)")
     p.add_argument("--freq", type=lambda s: _parse_range(s, "frequency"),
                    required=True, help="START:STEP:STOP (steps/s)")
-    p.add_argument("--tds-policy", default="human", help="human or fixed:R")
+    p.add_argument("--tds-policy", type=_tds_policy, default="human",
+                   help="human or fixed:R")
     p.add_argument("--workers", type=_count("worker count", 1), default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -307,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; a named failure prints one `error:` line, exits
     with its _EXIT_CODES code and writes no manifest."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "gait" and args.tds_policy is not None and args.freq is None:
+        parser.error("argument --tds-policy: needs --freq")
     try:
         cfg = load_config(args.config)
         outdir = Path(args.out)

@@ -27,10 +27,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import pairwise
 
 import numpy as np
 
-from .layout import Q_DIM, selection_matrices
+from .layout import ID_SIDE, Q_DIM, selection_matrices
 from .model import BodyParams, StrideTiming, com_velocity_matrix
 from .transition import StrideMaps, stride_maps
 
@@ -68,6 +69,7 @@ for _a in (R0_COLS, R1_COLS, _R_START, _R_END):
 NULL_RTOL = 1e-9  # singular values below this fraction of the largest are zero
 EQP_RTOL = 1e-8   # solve_eqp: largest constraint residual per unit of 1 + max|b|
 OBJECTIVE_SAMPLES = 50  # stride-time samples of the lateral-velocity objective
+RELAX_SCAN_POINTS = 81  # relax scan grid; find_relax_time brackets on its even points
 
 
 class NoRelaxTimeError(RuntimeError):
@@ -169,31 +171,22 @@ def lift_reduced(V: np.ndarray, which: str = "R0") -> np.ndarray:
     return out
 
 
-def _stride_times(T_ds: float, bracket: tuple[float, float], n: int,
-                  name: str) -> np.ndarray:
-    """n evenly spaced stride times over the bracket, clamped to leave a
-    single-support phase of at least 1 ms; `name` is the argument holding n."""
+def _stride_times(T_ds: float, bracket: tuple[float, float]) -> np.ndarray:
+    """The relax grid: RELAX_SCAN_POINTS evenly spaced stride times over the
+    bracket, clamped to leave a single-support phase of at least 1 ms."""
     if not all(math.isfinite(b) for b in bracket):
         raise ValueError(f"bracket ends must be finite, got {bracket!r}")
-    if n < 2:
-        raise ValueError(f"{name} must be at least 2, got {n!r}")
     lo = max(bracket[0], T_ds + 1e-3)
-    hi = bracket[1]
-    if hi <= lo:
+    if bracket[1] <= lo:
         raise ValueError("empty stride-time bracket")
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, bracket[1], RELAX_SCAN_POINTS)
 
 
-def relax_scan(params: BodyParams, T_ds: float,
-               bracket: tuple[float, float], n: int = 81) -> np.ndarray:
-    """Singular values of R1 over a stride-time grid; column 0 is T_stride."""
-    ts = _stride_times(T_ds, bracket, n, "n")
-    out = np.zeros((n, 8))
-    for i, T in enumerate(ts):
-        system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
-        out[i, 0] = T
-        out[i, 1:] = singular_spectrum(system, "R1")
-    return out
+def relax_scan(params: BodyParams, T_ds: float, bracket: tuple[float, float]) -> np.ndarray:
+    """Singular values of R1 over the relax grid; column 0 is T_stride."""
+    ts = _stride_times(T_ds, bracket)
+    systems = (build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds)) for T in ts)
+    return np.column_stack([ts, [singular_spectrum(s, "R1") for s in systems]])
 
 
 # sagittal sub-block of R1: symmetry rows 1/3/5 and the sagittal
@@ -201,41 +194,34 @@ def relax_scan(params: BodyParams, T_ds: float,
 _SAG = np.ix_((0, 2, 4, 6), (0, 2, 4))
 
 
-def _sagittal_minor(params: BodyParams, T_ds: float, T_stride: float) -> float:
-    """Signed indicator of the torque-free sagittal gait: one 3x3 minor of
-    the 4x3 sagittal block, which crosses zero when the block drops rank."""
-    system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T_stride - T_ds))
-    return float(np.linalg.det(system.R1[_SAG][1:]))
-
-
 def find_relax_time(params: BodyParams, T_ds: float,
-                    bracket: tuple[float, float] = (0.4, 1.5),
-                    scan_points: int = 41) -> float:
-    """Stride time admitting a torque-free forward (sagittal) gait.
+                    bracket: tuple[float, float] = (0.4, 1.5)) -> float:
+    """Smallest stride time in the bracket admitting a torque-free forward
+    (sagittal) gait, where the second-smallest singular value of R1 vanishes
+    (the smallest, the lateral step in place, vanishes at every stride time).
 
-    The lateral step-in-place null direction exists at every stride time,
-    so the zero of interest is the sagittal one: the second-smallest
-    singular value of R1 vanishes.  The root is bracketed by sign changes
-    of a sagittal minor and polished by Brent's method to xtol = 1e-10.
+    The walk goes up the relax grid's even points and Brent-polishes
+    (xtol = 1e-10) each sign change of a sagittal minor; the first root
+    passing that rank check is returned.  Grid points above it, with any
+    error they would raise, are never reached.
     """
     from scipy.optimize import brentq
 
-    ts = _stride_times(T_ds, bracket, scan_points, "scan_points")
-    vals = [_sagittal_minor(params, T_ds, T) for T in ts]
+    def minor(T: float) -> float:
+        # one 3x3 minor of the sagittal block: zero where the block drops rank
+        system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
+        return float(np.linalg.det(system.R1[_SAG][1:]))
 
-    candidates = []
-    for i in range(len(ts) - 1):
-        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            T = float(brentq(lambda T: _sagittal_minor(params, T_ds, T),
-                             ts[i], ts[i + 1], xtol=1e-10))
+    grid = ((T, minor(T)) for T in _stride_times(T_ds, bracket)[::2])
+    for (lo, at_lo), (hi, at_hi) in pairwise(grid):
+        if np.sign(at_lo) * np.sign(at_hi) < 0:
+            T = float(brentq(minor, lo, hi, xtol=1e-10))
             system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
             s2 = singular_spectrum(system, "R1") ** 2
             if s2[-2] <= 1e-9 * s2[0]:
-                candidates.append(T)
-    if not candidates:
-        raise NoRelaxTimeError(
-            f"no stride time in {bracket} zeroes the sagittal singular value")
-    return min(candidates)
+                return T
+    raise NoRelaxTimeError(
+        f"no stride time in {bracket} zeroes the sagittal singular value")
 
 
 def cop_ramp_torque(params: BodyParams, foot_length: float) -> float:
@@ -423,6 +409,7 @@ def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
 
     alpha = solve_eqp(G, blocks)
     Q0 = V @ alpha
+    Q0[ID_SIDE] = d_sign  # the support-side row holds only to a few ulps
     diag = _gait_diagnostics(system, Q0)
     if lateral_rows is not None:
         diag["max_lateral_com_speed"] = float(np.max(np.abs(lateral_rows @ alpha)))

@@ -305,7 +305,7 @@ class StrideMaps:
         return out.transpose(0, 2, 1).reshape((len(ts),) + Q0.shape)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def stride_maps(params: BodyParams, timing: StrideTiming) -> StrideMaps:
     """Build (or fetch) all transition maps for one parameter/timing pair.
 

@@ -18,6 +18,7 @@ from linwalk.analysis import (
     write_economy_csv, write_peaks_csv, write_trajectory_csv,
     TRAJECTORY_HEADER,
 )
+from linwalk.transition import StrideMaps
 
 SIIIC = StrideTiming(T_ds=0.1, T_ss=0.6028)
 
@@ -634,3 +635,14 @@ def test_memory_bounded_over_economy_cells(body66):
     finally:
         tracemalloc.stop()
     assert growth / n < 200_000
+
+
+def test_memory_bounded_over_long_sweep(body66):
+    """A human-policy sweep shares no timing between cells, so each cell
+    caches one more stride map (~26 kB with its pieces); over a long sweep
+    at most the cache's 256 maps stay alive."""
+    freqs = 1.2 + 0.004 * np.arange(300)
+    economy_surface(body66, [1.3], freqs, TdsPolicy("human"))
+    gc.collect()
+    alive = sum(isinstance(o, StrideMaps) for o in gc.get_objects())
+    assert alive <= 256

@@ -194,10 +194,17 @@ def test_gait_non_finite_flag_exit_2(adult_config, tmp_path, capsys, flags):
     ("validate", "--trials", "-3"),
     ("sweep", "--speed", "1.4", "--freq", "1.8", "--workers", "0"),
     ("sweep", "--speed", "1.4", "--freq", "1.8", "--workers", "-3"),
+    ("sweep", "--speed", "1.0", "--freq", "1.8", "--tds-policy", "bogus"),
+    ("sweep", "--speed", "1.0", "--freq", "1.8", "--tds-policy", "fixed:1.5"),
+    ("gait", "--scenario", "minimal-torque", "--speed", "1.0", "--freq", "1.8",
+     "--tds-policy", "fixed:x"),
+    ("gait", "--scenario", "minimal-torque", "--speed", "1.0",
+     "--tds-policy", "fixed:0.5"),
 ])
 def test_bad_flag_exit_2_names_flag(adult_config, tmp_path, capsys, argv):
-    """Bad numeric flags are refused at parse time, naming the flag, before
-    any gait is synthesized or any bracket scanned."""
+    """Bad flags are refused at parse time, naming the flag, before any gait
+    is synthesized or any bracket scanned; so is gait's --tds-policy
+    without --freq, which it would not use."""
     with pytest.raises(SystemExit) as err:
         run([*argv, "--config", adult_config, "--out", str(tmp_path / "o")])
     assert err.value.code == 2

@@ -169,21 +169,84 @@ def test_relax_rejects_non_finite_bracket(adult, bracket):
             solve(adult, 0.3, bracket)
 
 
-@pytest.mark.parametrize("n", [0, 1])
-def test_relax_scan_rejects_fewer_than_two_points(adult, n):
-    with pytest.raises(ValueError, match="n must be at least 2"):
-        relax_scan(adult, 0.3, (0.4, 1.5), n=n)
+def _relax_time_all_roots(params, T_ds, bracket):
+    """Reference: evaluate a sagittal minor at all 41 points of the bracket
+    grid, Brent-polish every sign change, and return the smallest root
+    whose R1 drops to rank 5."""
+    from scipy.optimize import brentq
+
+    def minor(T):
+        system = build_periodicity(params, StrideTiming(T_ds, T - T_ds))
+        return float(np.linalg.det(system.R1[np.ix_((0, 2, 4, 6), (0, 2, 4))][1:]))
+
+    ts = np.linspace(max(bracket[0], T_ds + 1e-3), bracket[1], 41)
+    vals = [minor(T) for T in ts]
+    roots = []
+    for i in range(len(ts) - 1):
+        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
+            T = float(brentq(minor, ts[i], ts[i + 1], xtol=1e-10))
+            system = build_periodicity(params, StrideTiming(T_ds, T - T_ds))
+            s2 = singular_spectrum(system, "R1") ** 2
+            if s2[-2] <= 1e-9 * s2[0]:
+                roots.append(T)
+    return min(roots)
 
 
-def test_find_relax_time_rejects_fewer_than_two_scan_points(adult):
-    with pytest.raises(ValueError, match="scan_points must be at least 2"):
-        find_relax_time(adult, 0.3, scan_points=1)
+def test_relax_time_is_smallest_valid_root_of_all_sign_changes(adult, kid):
+    """The one-pass walk returns, bit for bit, the smallest valid root over
+    every sign change of the bracket grid, on 60 seeded bodies and
+    brackets: both CLI brackets at each drawn T_ds."""
+    rng = np.random.default_rng(18)
+    cases = 0
+    for base in (adult, kid):
+        for _ in range(15):
+            body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                               rng.uniform(0.9, 1.1))
+            T_ds = float(rng.uniform(0.1, 0.35))
+            for bracket in ((0.4, 1.5), (T_ds + 0.05, 1.6)):
+                assert (find_relax_time(body, T_ds, bracket)
+                        == _relax_time_all_roots(body, T_ds, bracket))
+                cases += 1
+    assert cases == 60
+
+
+def test_relax_bracket_grid_is_even_points_of_scan_grid(adult):
+    """The solve's 41-point bracket grid is every other scan point, so a
+    scan after a solve reuses the solve's stride maps."""
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        T_ds = float(rng.uniform(0.05, 0.4))
+        bracket = (float(rng.uniform(0.2, 0.6)), float(rng.uniform(1.0, 2.0)))
+        ts = gaits._stride_times(T_ds, bracket)
+        assert len(ts) == gaits.RELAX_SCAN_POINTS == 81
+        assert np.array_equal(
+            ts[::2], np.linspace(max(bracket[0], T_ds + 1e-3), bracket[1], 41))
+
+
+def test_cold_relax_solve_polishes_one_root(adult, monkeypatch):
+    """A cold solve walks the bracket grid only up to its first valid
+    root: one Brent polish and fewer stride maps than grid points."""
+    import scipy.optimize
+
+    polished = []
+    real = scipy.optimize.brentq
+
+    def counted(*args, **kwargs):
+        polished.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "brentq", counted)
+    body = scaled_body(adult, 63.5172, 1.0268)
+    misses = stride_maps.cache_info().misses
+    find_relax_time(body, 0.2)
+    assert len(polished) == 1
+    assert stride_maps.cache_info().misses - misses < 41
 
 
 def test_cold_relax_scan_takes_one_exponential_per_stride_time(adult, count_expm):
     """T_ds is fixed over the scan, so the double-support exponential is
     taken once: 81 single-support maps and one double-support map."""
-    relax_scan(scaled_body(adult, 68.2291, 1.0437), 0.2, (0.4, 1.5), n=81)
+    relax_scan(scaled_body(adult, 68.2291, 1.0437), 0.2, (0.4, 1.5))
     assert len(count_expm) == 82
 
 
@@ -303,6 +366,17 @@ def test_side_flip_mirrors_lateral(adult, kid, timing):
             assert pos[-1] == pytest.approx(1.0)
             assert np.max(np.abs(neg - sign * pos)) <= 1e-12 * np.max(np.abs(pos)), (
                 tag, body, tm)
+
+
+def test_support_side_is_exact(adult, kid, timing):
+    """Every scenario's gait starts on the requested side exactly, as the
+    state layout treats d as exactly +-1."""
+    for body in (adult, kid):
+        for tm in (SIIIC, timing):
+            for tag in SCENARIOS:
+                for d_sign in (1.0, -1.0):
+                    gait = synthesize_gait(body, tm, 1.0, tag, d_sign=d_sign)
+                    assert gait.Q0[-1] == d_sign, (tag, tm, d_sign)
 
 
 def test_nesting_all_torques_zero_feasible_at_relax(adult, relax_03):
