@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .layout import Q_NAMES, pack_state, selection_matrices
 from .model import (
-    BodyParams, StrideTiming, default_params, geometry, load_config, scaled_body,
+    BodyParams, Push, StrideTiming, default_params, geometry, load_config, scaled_body,
 )
 from .dynamics import (
     ForceSolution, PhaseODE, assemble_double_support, assemble_single_support,
@@ -26,7 +26,7 @@ from .analysis import (
     EconomyGrid, TdsPolicy, com_work_per_distance, economy_surface, peak_line,
     sample_trajectory,
 )
-from .oracle import OracleConfig, Push, integrate, integrate_batch
+from .oracle import OracleConfig, integrate, integrate_batch
 
 __all__ = [
     "Q_NAMES", "pack_state", "selection_matrices", "BodyParams", "StrideTiming", "default_params", "geometry", "load_config",

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -252,6 +254,25 @@ def _economy_row(args) -> list[tuple[float, bool]]:
     return row
 
 
+def _pool_map(fn, jobs: list, workers: int) -> list:
+    """`[fn(j) for j in jobs]` in `workers` spawned processes, each with one
+    OpenBLAS thread (a full pool per process oversubscribes the cores).
+    OpenBLAS reads the variable when numpy loads, so it is set while the
+    jobs are submitted, which starts the processes, and restored after."""
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            results = pool.map(fn, jobs)
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
+        return list(results)
+
+
 def economy_surface(params: BodyParams, speeds, frequencies,
                     policy: TdsPolicy, workers: int | None = None) -> EconomyGrid:
     """Walking economy over a speed x frequency grid.
@@ -276,8 +297,7 @@ def economy_surface(params: BodyParams, speeds, frequencies,
     jobs = [(params, float(v), frequencies, float(r))
             for v, r in zip(speeds, ratios)]
     if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_economy_row, jobs))
+        rows = _pool_map(_economy_row, jobs, workers)
     else:
         rows = [_economy_row(j) for j in jobs]
     econ = np.array([[c[0] for c in row] for row in rows])

@@ -43,25 +43,30 @@ _EXIT_CODES = {ConfigError: EXIT_USAGE, **dict.fromkeys(
      DegenerateModelError, NullSpaceDimensionError, ValueError), EXIT_FAIL)}
 
 
-def _parse_range(text: str, what: str) -> np.ndarray:
-    """Parse 'start:step:stop' (inclusive stop) or a single number, all finite."""
+def _parse_range(text: str, what: str, positive: bool) -> np.ndarray:
+    """Parse 'start:step:stop' (inclusive stop) or a single number, all
+    finite; every value non-zero, and positive if `positive`."""
     parts = text.split(":")
     try:
         values = [float(p) for p in parts]
-        if not all(np.isfinite(values)):
+        if not all(np.isfinite(values)) or len(parts) not in (1, 3):
             raise ValueError
-        if len(parts) == 1:
-            return np.array(values)
         if len(parts) == 3:
             a, h, b = values
             if h <= 0.0 or b < a:
                 raise ValueError
             n = int(np.floor((b - a) / h + 1e-9)) + 1
-            return a + h * np.arange(n)
+            values = a + h * np.arange(n)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"bad {what} range {text!r}: expected NUMBER or START:STEP:STOP")
+        raise argparse.ArgumentTypeError(
+            f"bad {what} range {text!r}: expected NUMBER or START:STEP:STOP"
+        ) from None
+    values = np.asarray(values)
+    if np.any(values <= 0.0 if positive else values == 0.0):
+        raise argparse.ArgumentTypeError(
+            f"bad {what} range {text!r}: every {what} must be "
+            f"{'positive' if positive else 'non-zero'}")
+    return values
 
 
 def _number(what: str, positive: bool = False):
@@ -103,8 +108,8 @@ def _tds_policy(text: str) -> str:
 
 
 def _write_manifest(outdir: Path, command: str, config_path: str,
-                    flags: dict, outputs: list[str], wall: float) -> None:
-    config_text = Path(config_path).read_text()
+                    config_text: str, flags: dict, outputs: list[str],
+                    wall: float) -> None:
     blob = json.dumps({"command": command, "config": config_text,
                        "flags": flags}, sort_keys=True)
     manifest = {
@@ -290,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="economy over a speed x frequency grid")
     common(p, "out_sweep")
-    p.add_argument("--speed", type=lambda s: _parse_range(s, "speed"),
+    p.add_argument("--speed", type=lambda s: _parse_range(s, "speed", False),
                    required=True, help="START:STEP:STOP (m/s)")
-    p.add_argument("--freq", type=lambda s: _parse_range(s, "frequency"),
+    p.add_argument("--freq", type=lambda s: _parse_range(s, "frequency", True),
                    required=True, help="START:STEP:STOP (steps/s)")
     p.add_argument("--tds-policy", type=_tds_policy, default="human",
                    help="human or fixed:R")
@@ -320,6 +325,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gait" and args.tds_policy is not None and args.freq is None:
         parser.error("argument --tds-policy: needs --freq")
+    if args.command == "relax" and args.bracket_hi <= args.bracket_lo:
+        parser.error("argument --bracket-hi: must exceed --bracket-lo")
     try:
         cfg = load_config(args.config)
         outdir = Path(args.out)
@@ -330,8 +337,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(exit_code for kind, exit_code in _EXIT_CODES.items()
                     if isinstance(exc, kind))
-    _write_manifest(outdir, args.command, args.config, flags, outputs,
-                    time.perf_counter() - t0)
+    _write_manifest(outdir, args.command, args.config, cfg.text, flags,
+                    outputs, time.perf_counter() - t0)
     return code
 
 

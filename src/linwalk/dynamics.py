@@ -444,12 +444,6 @@ def map_forces(params: BodyParams, timing: StrideTiming, phase: str,
     return forces if q.ndim == 2 else forces[0]
 
 
-def point_accel(params: BodyParams, timing: StrideTiming, phase: str,
-                q: np.ndarray, t: float) -> np.ndarray:
-    """Horizontal accelerations (a2x a2y a1x a1y) at one (q, t)."""
-    return solve_forces(params, timing, phase, q, t).accel
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseODE:
     """Exact linear form of one phase: Xdd = (K0 + t K1) Q.
@@ -472,11 +466,6 @@ class PhaseODE:
     K1: np.ndarray
     unit: PhaseODE | None = None
     wrenches: WrenchMap | None = None
-
-    @property
-    def A(self) -> np.ndarray:
-        """Constant acceleration-from-position block (4 x 4)."""
-        return self.K0[:, 0:4]
 
     def accel(self, q: np.ndarray, t: float) -> np.ndarray:
         return (self.K0 + t * self.K1) @ np.asarray(q, dtype=float)

@@ -118,57 +118,37 @@ def build_periodicity(params: BodyParams, timing: StrideTiming) -> PeriodicitySy
                              R0=R_full[:, R0_COLS], R1=R_full[:, R1_COLS])
 
 
-def _check_which(which: str) -> None:
-    if which not in ("R0", "R1"):
-        raise ValueError("which must be 'R0' or 'R1'")
-
-
-def _reduced(system: PeriodicitySystem, which: str) -> np.ndarray:
-    _check_which(which)
-    return system.R0 if which == "R0" else system.R1
+def _reduced(system: PeriodicitySystem, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced system named by `which` and the Q columns it keeps."""
+    if which == "R0":
+        return system.R0, R0_COLS
+    if which == "R1":
+        return system.R1, R1_COLS
+    raise ValueError("which must be 'R0' or 'R1'")
 
 
 def singular_spectrum(system: PeriodicitySystem, which: str = "R0") -> np.ndarray:
     """Singular values (descending), the square roots of eig(R^T R)."""
-    return np.linalg.svd(_reduced(system, which), compute_uv=False)
+    return np.linalg.svd(_reduced(system, which)[0], compute_uv=False)
 
 
 def null_basis(system: PeriodicitySystem, which: str = "R0") -> np.ndarray:
-    """Orthonormal basis of the numerical null space, in reduced coordinates.
+    """Orthonormal basis of the numerical null space, lifted into the full
+    23-entry layout: the columns the reduced system drops (foot velocity,
+    contact position, disturbances, and for R1 the torques) are zero.
 
-    R0 must have exactly 7 null directions; R1 returns however many exist
-    (one lateral step-in-place direction away from the relaxed time, two
-    at it).
+    R0 must have exactly 7 null directions (23 x 7); R1 returns however
+    many exist (one lateral step-in-place direction away from the relaxed
+    time, two at it).
     """
-    R = _reduced(system, which)
+    R, cols = _reduced(system, which)
     _, s, vt = np.linalg.svd(R)
-    thr = NULL_RTOL * s[0]
-    rank = int(np.sum(s > thr))
-    V = vt[rank:].T
-    if which == "R0" and V.shape[1] != 7:
-        raise NullSpaceDimensionError(found=V.shape[1], expected=7)
+    rank = int(np.sum(s > NULL_RTOL * s[0]))
+    if which == "R0" and len(cols) - rank != 7:
+        raise NullSpaceDimensionError(found=len(cols) - rank, expected=7)
+    V = np.zeros((Q_DIM, len(cols) - rank))
+    V[cols] = vt[rank:].T
     return V
-
-
-def lift_reduced(V: np.ndarray, which: str = "R0") -> np.ndarray:
-    """Embed reduced-coordinate vectors into the full 23-entry layout
-    (zero foot velocity, contact at the origin, no disturbance).
-
-    V is one reduced vector, shape (len(cols),), lifted to (23, 1), or a
-    block of reduced columns, shape (len(cols), k); any other shape raises
-    ValueError, as does a `which` other than "R0" or "R1".
-    """
-    _check_which(which)
-    cols = R0_COLS if which == "R0" else R1_COLS
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    if V.ndim != 2 or V.shape[0] != len(cols):
-        raise ValueError(f"{which} vectors need shape ({len(cols)},) or "
-                         f"({len(cols)}, k), got {V.shape}")
-    out = np.zeros((Q_DIM, V.shape[1]))
-    out[cols] = V
-    return out
 
 
 def _stride_times(T_ds: float, bracket: tuple[float, float]) -> np.ndarray:
@@ -327,11 +307,12 @@ class GaitSolution:
         data = json.loads(text)
         params = BodyParams(**data["params"])
         timing = StrideTiming(T_ds=data["timing"]["T_ds"], T_ss=data["timing"]["T_ss"])
+        # the model's own params and timing: the basis is rebuilt bit for bit
         return GaitSolution(params=params, timing=timing,
                             scenario=data["scenario"], v_des=data["v_des"],
                             d_sign=data["d_sign"],
                             alpha=np.array(data["alpha"]),
-                            basis=np.zeros((Q_DIM, len(data["alpha"]))),
+                            basis=null_basis(build_periodicity(params, timing), "R0"),
                             Q0=np.array(data["Q0"]),
                             diagnostics=data["diagnostics"])
 
@@ -382,7 +363,7 @@ def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
                spec: ScenarioSpec, d_sign: float = 1.0) -> GaitSolution:
     """Pick null-space coefficients for one scenario by an equality-constrained QP.
 
-    V is the lifted 23 x 7 basis from the R0 null space of `system`.
+    V is the 23 x 7 basis of the R0 null space of `system` (`null_basis`).
     """
     T_stride = system.timing.T_stride
     blocks = [
@@ -430,5 +411,4 @@ def synthesize_gait(params: BodyParams, timing: StrideTiming, v_des: float,
         spec = scenario(spec, params=params, foot_length=foot_length)
     model_params, model_timing = scenario_model(params, timing, spec)
     system = build_periodicity(model_params, model_timing)
-    V = lift_reduced(null_basis(system, "R0"), "R0")
-    return solve_gait(V, system, v_des, spec, d_sign=d_sign)
+    return solve_gait(null_basis(system, "R0"), system, v_des, spec, d_sign=d_sign)

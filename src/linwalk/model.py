@@ -76,6 +76,19 @@ class StrideTiming:
         return self.T_ds + self.T_ss
 
 
+@dataclass(frozen=True)
+class Push:
+    """Piecewise-constant disturbance wrench active on [t_on, t_on + duration)."""
+
+    t_on: float
+    duration: float
+    wrench: tuple[float, float, float, float]  # (F1x, F1y, M1y, M1x)
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_on, self.duration, *self.wrench))):
+            raise ValueError("push times and wrench must be finite")
+
+
 _TABLE_TOTALS = {"adult": 70.0, "kid": 30.0}
 
 _DEFAULTS = {
@@ -190,6 +203,7 @@ class LoadedConfig:
     params: BodyParams
     T_ds: float | None
     T_ss: float | None
+    text: str           # the file as it was read and parsed
 
     def timing(self) -> StrideTiming:
         if self.T_ds is None or self.T_ss is None:
@@ -240,4 +254,5 @@ def load_config(path: str | Path) -> LoadedConfig:
             StrideTiming(T_ds=values["T_ds"], T_ss=values["T_ss"])
         except ValueError as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
-    return LoadedConfig(params=params, T_ds=values.get("T_ds"), T_ss=values.get("T_ss"))
+    return LoadedConfig(params=params, T_ds=values.get("T_ds"),
+                        T_ss=values.get("T_ss"), text=text)

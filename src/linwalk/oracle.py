@@ -34,7 +34,7 @@ from .layout import (
     IRU_AX, IRU_AY, IRU_HX, IRU_HY, IW_F1X, IW_F1Y, IW_M1X, IW_M1Y,
     IX_X1X, IX_X1Y, IX_X2X, IX_X2Y, W_SLICE,
 )
-from .model import BodyParams, DegenerateModelError, StrideTiming
+from .model import BodyParams, DegenerateModelError, Push, StrideTiming
 
 
 def _consts(params: BodyParams) -> dict[str, float]:
@@ -139,26 +139,9 @@ def phase_operator(params: BodyParams, phase_T: float, single: bool,
     return np.ascontiguousarray((acc[:, :, 1:] - acc[:, :, :1]).transpose(1, 0, 2))
 
 
-def _finite(*values) -> bool:
-    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
-
-
 def _check_step(step: float) -> None:
-    if not (_finite(step) and step > 0.0):
+    if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"RK4 step must be finite and positive, got {step!r}")
-
-
-@dataclass(frozen=True)
-class Push:
-    """Piecewise-constant disturbance wrench active on [t_on, t_on + duration)."""
-
-    t_on: float
-    duration: float
-    wrench: tuple[float, float, float, float]  # (F1x, F1y, M1y, M1x)
-
-    def __post_init__(self):
-        if not _finite(self.t_on, self.duration, *self.wrench):
-            raise ValueError("push times and wrench must be finite")
 
 
 @dataclass(frozen=True)

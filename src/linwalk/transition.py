@@ -17,8 +17,9 @@ the rows that stay put) depends only on the body and phase, and is built
 once per (body, phase) as a template that lives as long as the cached phase
 ODE it comes from.  The clock block K1_unit / T_phase is the only part that
 depends on the timing: a map at a timing copies the template and writes
-that block.  Each map is one exponential and nothing is keyed by a time
-value.  Dense output takes no exponential: `PhaseMap.pieces` writes a
+that block.  Each map is one exponential, and no template is keyed by a
+time value (only the stride-map cache below is, by (params, timing)).
+Dense output takes no exponential: `PhaseMap.pieces` writes a
 phase's whole flow from given states as Taylor polynomials on a few pieces,
 on states scaled by the exact powers of two that the template also holds,
 and the states at any times are those polynomials evaluated.
@@ -59,8 +60,7 @@ from .dynamics import (
     SINGLE, PhaseODE, assemble_double_support, assemble_single_support,
 )
 from .layout import Q_DIM, Q_NAMES, W_SLICE, selection_matrices
-from .model import BodyParams, StrideTiming
-from .oracle import Push
+from .model import BodyParams, Push, StrideTiming
 
 
 class ControlDegeneracyError(RuntimeError):

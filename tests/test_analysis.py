@@ -1,6 +1,7 @@
 """Trajectory reconstruction, CoM work, and economy surfaces."""
 import gc
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from linwalk.analysis import (
     EconomyGrid, TdsPolicy, com_work_per_distance, economy_cell,
     economy_surface, parse_tds_policy, peak_line, sample_trajectory,
     write_economy_csv, write_peaks_csv, write_trajectory_csv,
-    TRAJECTORY_HEADER,
+    TRAJECTORY_HEADER, _pool_map,
 )
 from linwalk.transition import StrideMaps
 
@@ -260,6 +261,19 @@ def test_parallel_surface_matches_serial(body66):
                                workers=2)
     assert np.array_equal(serial.economy, parallel.economy)
     assert np.array_equal(serial.feasible, parallel.feasible)
+
+
+@pytest.mark.parametrize("parent", ["7", None])
+def test_pool_workers_run_one_blas_thread(monkeypatch, parent):
+    """Sweep workers start with one OpenBLAS thread; the parent's own
+    setting, or its absence, is back once they have started."""
+    if parent is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", parent)
+    seen = _pool_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 3, 2)
+    assert seen == ["1", "1", "1"]
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == parent
 
 
 def test_peak_line_interior_and_boundary():

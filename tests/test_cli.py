@@ -115,11 +115,15 @@ def test_sweep_non_finite_range_exit_2(adult_config, tmp_path, flag, text):
     assert err.value.code == 2
 
 
-def test_sweep_zero_frequency_exit_1(adult_config, tmp_path, capsys):
-    rc = run(["sweep", "--config", adult_config, "--speed", "1.4",
-              "--freq", "0:1:2", "--out", str(tmp_path / "s")])
-    assert rc == 1
-    assert "error: frequency 0.0" in capsys.readouterr().err
+def test_sweep_zero_frequency_exit_2(adult_config, tmp_path, capsys):
+    """A frequency range reaching 0 is refused at parse time, before --out
+    exists; economy_surface keeps its own check as the library boundary."""
+    with pytest.raises(SystemExit) as err:
+        run(["sweep", "--config", adult_config, "--speed", "1.4",
+             "--freq", "0:1:2", "--out", str(tmp_path / "s")])
+    assert err.value.code == 2
+    assert "every frequency must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_validate_deterministic_and_passing(adult_config, tmp_path):
@@ -200,6 +204,11 @@ def test_gait_non_finite_flag_exit_2(adult_config, tmp_path, capsys, flags):
      "--tds-policy", "fixed:x"),
     ("gait", "--scenario", "minimal-torque", "--speed", "1.0",
      "--tds-policy", "fixed:0.5"),
+    ("relax", "--bracket-lo", "1.5", "--bracket-hi", "0.4"),
+    ("relax", "--bracket-lo", "0.9", "--bracket-hi", "0.9"),
+    ("sweep", "--freq", "1.8", "--speed", "0"),
+    ("sweep", "--freq", "1.8", "--speed", "0:0.5:1.0"),
+    ("sweep", "--speed", "1.0", "--freq", "0"),
 ])
 def test_bad_flag_exit_2_names_flag(adult_config, tmp_path, capsys, argv):
     """Bad flags are refused at parse time, naming the flag, before any gait
@@ -210,6 +219,30 @@ def test_bad_flag_exit_2_names_flag(adult_config, tmp_path, capsys, argv):
     assert err.value.code == 2
     assert argv[-2] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_manifest_hashes_the_config_as_loaded(adult_config, tmp_path,
+                                            monkeypatch):
+    """A config removed while the command runs still gets its manifest, with
+    the hash of the text that was loaded."""
+    import linwalk.cli as cli
+    plain = tmp_path / "plain"
+    assert run(["maps", "--config", adult_config, "--out", str(plain)]) == 0
+    config = tmp_path / "gone.yaml"
+    config.write_text(Path(adult_config).read_text())
+    dump = cli.dump_stride_maps
+
+    def dump_then_remove(*args):
+        dump(*args)
+        config.unlink()
+
+    monkeypatch.setattr(cli, "dump_stride_maps", dump_then_remove)
+    out = tmp_path / "removed"
+    assert run(["maps", "--config", str(config), "--out", str(out)]) == 0
+    assert not config.exists()
+    hashes = [json.loads((d / "manifest.json").read_text())["parameter_hash"]
+              for d in (plain, out)]
+    assert hashes[0] == hashes[1]
 
 
 def test_maps_command(adult_config, tmp_path):

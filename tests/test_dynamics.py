@@ -10,8 +10,7 @@ import pytest
 from conftest import random_states
 from linwalk.dynamics import (
     DOUBLE, SINGLE, DegenerateModelError, ForceSolution, _extract_ode,
-    assemble_double_support, assemble_single_support, map_forces, point_accel,
-    solve_forces,
+    assemble_double_support, assemble_single_support, map_forces, solve_forces,
 )
 from linwalk.model import (
     BodyParams, StrideTiming, default_params, geometry, scaled_body,
@@ -30,7 +29,7 @@ def test_equilibrium_zero_state(timing):
     """No offsets, no inputs, no side: the assembled system is at rest."""
     p0 = BodyParams(m1=45.7, m2=12.15, m3=12.15, z1=0.89, z2=0.32, z3=0.36, w=0.0)
     for phase, T, _ in phase_cases(timing):
-        a = point_accel(p0, timing, phase, np.zeros(23), 0.4 * T)
+        a = solve_forces(p0, timing, phase, np.zeros(23), 0.4 * T).accel
         assert np.max(np.abs(a)) < 1e-12
 
 
@@ -42,7 +41,7 @@ def test_accelerations_match_algebraic_reduction(adult, timing):
     for phase, T, reduced in phase_cases(timing):
         for q in Q:
             t = rng.uniform(0.0, T)
-            a = point_accel(adult, timing, phase, q, t)
+            a = solve_forces(adult, timing, phase, q, t).accel
             b = reduced(adult, T, q, t)
             assert np.max(np.abs(a - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
@@ -51,7 +50,7 @@ def test_unit_hip_torque_case(adult, timing):
     """Pure sagittal constant hip torque at t = 0.1 s, both paths agree."""
     q = np.zeros(23)
     q[10] = 1.0  # M_hy
-    a = point_accel(adult, timing, SINGLE, q, 0.1)
+    a = solve_forces(adult, timing, SINGLE, q, 0.1).accel
     b = accel_single(adult, timing.T_ss, q, 0.1)
     assert np.max(np.abs(a - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
     assert np.max(np.abs(a)) > 1e-3  # the torque actually moves something
@@ -64,9 +63,9 @@ def test_acceleration_linearity(adult, timing):
             q1 = rng.uniform(-1, 1, 23)
             q2 = rng.uniform(-1, 1, 23)
             t = rng.uniform(0, T)
-            lhs = point_accel(adult, timing, phase, q1 + q2, t)
-            rhs = (point_accel(adult, timing, phase, q1, t)
-                   + point_accel(adult, timing, phase, q2, t))
+            lhs = solve_forces(adult, timing, phase, q1 + q2, t).accel
+            rhs = (solve_forces(adult, timing, phase, q1, t).accel
+                   + solve_forces(adult, timing, phase, q2, t).accel)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -76,7 +75,7 @@ def test_time_affinity(adult, timing):
     for phase, T, _ in phase_cases(timing):
         q = rng.uniform(-1, 1, 23)
         ts = np.linspace(0.0, T, 10)
-        acc = np.array([point_accel(adult, timing, phase, q, t) for t in ts])
+        acc = np.array([solve_forces(adult, timing, phase, q, t).accel for t in ts])
         coef = np.polyfit(ts, acc, 1)
         fit = np.outer(ts, coef[0]) + coef[1]
         scale = 1.0 + np.max(np.abs(acc))
@@ -96,8 +95,8 @@ def test_side_mirror_symmetry(adult, timing):
             qm[lateral] = -qm[lateral]
             qm[22] = -1.0
             t = rng.uniform(0, T)
-            a = point_accel(adult, timing, phase, q, t)
-            am = point_accel(adult, timing, phase, qm, t)
+            a = solve_forces(adult, timing, phase, q, t).accel
+            am = solve_forces(adult, timing, phase, qm, t).accel
             assert np.allclose(a[[0, 2]], am[[0, 2]], atol=1e-10)
             assert np.allclose(a[[1, 3]], -am[[1, 3]], atol=1e-10)
 
@@ -241,13 +240,13 @@ def test_double_support_weight_transfer(adult, timing):
 def test_phase_ode_structure(adult, timing):
     ss = assemble_single_support(adult, timing)
     ds = assemble_double_support(adult, timing)
-    assert ss.A.shape == (4, 4)
-    # sagittal/lateral decoupling of the state block
+    assert ss.K0.shape == ss.K1.shape == (4, 23)
+    # sagittal/lateral decoupling of the state block K0[:, 0:4]
     for ode in (ss, ds):
         for i in range(4):
             for j in range(4):
                 if (i - j) % 2:
-                    assert abs(ode.A[i, j]) <= 1e-12
+                    assert abs(ode.K0[i, j]) <= 1e-12
     # single support has no time-linear state coefficients
     assert np.max(np.abs(ss.K1[:, 0:8])) == 0.0
     # double support: the swing-foot rows do not accelerate
@@ -265,7 +264,7 @@ def test_phase_ode_reproduces_assembly(adult, timing):
         for _ in range(10):
             q = rng.uniform(-1, 1, 23)
             t = rng.uniform(0, T)
-            a = point_accel(adult, timing, phase, q, t)
+            a = solve_forces(adult, timing, phase, q, t).accel
             b = ode.accel(q, t)
             assert np.max(np.abs(a - b)) <= 1e-10 * (1.0 + np.max(np.abs(a)))
 
@@ -328,7 +327,7 @@ def test_scaled_phase_ode_matches_solve_over_random_bodies(adult):
                 q = rng.uniform(-1, 1, 23)
                 q[22] = rng.choice([-1.0, 1.0])
                 t = rng.uniform(0.0, T)
-                a = point_accel(body, tm, phase, q, t)
+                a = solve_forces(body, tm, phase, q, t).accel
                 assert np.max(np.abs(ode.accel(q, t) - a)) <= 1e-12 * np.max(np.abs(a))
 
 

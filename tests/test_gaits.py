@@ -10,8 +10,8 @@ from linwalk.model import StrideTiming, default_params, scaled_body
 from linwalk.gaits import (
     GaitSolution, InfeasibleConstraintsError, M_MAT, NoRelaxTimeError,
     NullSpaceDimensionError, O_MAT, R0_COLS, R1_COLS, SCENARIOS, ScenarioSpec, T_MAT,
-    build_periodicity, cop_ramp_torque, find_relax_time, lift_reduced,
-    null_basis, relax_scan, scenario, scenario_model, singular_spectrum,
+    build_periodicity, cop_ramp_torque, find_relax_time, null_basis,
+    relax_scan, scenario, scenario_model, singular_spectrum,
     solve_eqp, synthesize_gait,
 )
 from linwalk.transition import stride_maps
@@ -108,7 +108,7 @@ def test_seven_null_directions_at_any_timing(adult):
     for T in (0.7, 0.9, 1.1):
         system = build_periodicity(adult, StrideTiming(0.3, T - 0.3))
         V = null_basis(system, "R0")
-        assert V.shape == (15, 7)
+        assert V.shape == (23, 7)
         assert np.allclose(V.T @ V, np.eye(7), atol=1e-12)
 
 
@@ -137,8 +137,8 @@ def test_away_from_relax_only_lateral_zero(adult):
     assert s[-1] <= 1e-9 * s[0]            # lateral sway, always present
     assert s[-2] > 1e-3 * s[0]             # no sagittal solution
     V = null_basis(system, "R1")
-    assert V.shape[1] == 1
-    sag = np.linalg.norm(V[[0, 2, 4], 0])
+    assert V.shape == (23, 1)
+    sag = np.linalg.norm(V[[0, 2, 6], 0])
     assert sag < 1e-9
 
 
@@ -147,10 +147,11 @@ def test_relax_null_space_splits_by_parity(adult, relax_03):
     lateral direction (the basis itself may come back rotated)."""
     system = build_periodicity(adult, StrideTiming(0.3, relax_03 - 0.3))
     V = null_basis(system, "R1")
-    assert V.shape[1] == 2
-    # columns of R1: X2x X2y X1x X1y vX1x vX1y d -> sagittal rows 0,2,4
-    sag = V[[0, 2, 4], :]
-    lat = V[[1, 3, 5, 6], :]
+    assert V.shape == (23, 2)
+    # sagittal X2x X1x vX1x are Q rows 0, 2, 6; lateral X2y X1y vX1y d are
+    # rows 1, 3, 7, 22
+    sag = V[[0, 2, 6], :]
+    lat = V[[1, 3, 7, 22], :]
     s_sag = np.linalg.svd(sag, compute_uv=False)
     s_lat = np.linalg.svd(lat, compute_uv=False)
     assert s_sag[0] > 0.1 and s_sag[1] < 1e-6      # one sagittal direction
@@ -270,30 +271,39 @@ def test_null_basis_dimension_error(adult, timing):
 
 
 def test_lift_reduced_layout(adult, timing):
+    """The basis comes lifted: the columns R0 drops are zero rows, and an
+    unknown system is refused."""
     system = build_periodicity(adult, timing)
-    V = lift_reduced(null_basis(system, "R0"), "R0")
+    V = null_basis(system, "R0")
     assert V.shape == (23, 7)
     assert np.max(np.abs(V[4:6])) == 0.0       # foot velocity
     assert np.max(np.abs(V[8:10])) == 0.0      # contact position
     assert np.max(np.abs(V[18:22])) == 0.0     # disturbances
-    # a 1-D vector and blocks of reduced columns against a per-column loop;
-    # a 7 x 7 R1 block is read as columns, never guessed from its shape
-    rng = np.random.default_rng(73)
-    block = rng.normal(size=(7, 15))
-    for which, cols, given, columns in (
-            ("R0", R0_COLS, block[0], block[0][:, None]),
-            ("R1", R1_COLS, block[1, :7], block[1, :7][:, None]),
-            ("R0", R0_COLS, block.T, block.T),
-            ("R1", R1_COLS, block[:, :7], block[:, :7])):
-        loop = np.zeros((23, columns.shape[1]))
-        for k, c in enumerate(cols):
-            loop[c] = columns[k]
-        assert np.array_equal(lift_reduced(given, which), loop), (which, given.shape)
-    # one reduced vector a row is refused, as is an unknown system
-    for given, which in ((block, "R0"), (block[:6, :7], "R1"),
-                         (block[None, :, 0], "R0"), (block[0], "R2")):
-        with pytest.raises(ValueError):
-            lift_reduced(given, which)
+    with pytest.raises(ValueError):
+        null_basis(system, "R2")
+
+
+def test_null_basis_is_reduced_basis_zero_filled(adult, kid):
+    """Against the reduced-coordinate basis (SVD of R0 or R1, rank cut at
+    NULL_RTOL) zero-filled into Q rows by a per-column loop: bit for bit,
+    on seeded adult and kid bodies and timings."""
+    rng = np.random.default_rng(19)
+    for base in (adult, kid):
+        for _ in range(4):
+            body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                               rng.uniform(0.9, 1.1))
+            T_ds = rng.uniform(0.1, 0.3)
+            system = build_periodicity(
+                body, StrideTiming(T_ds, rng.uniform(0.4, 0.9)))
+            for which, R, cols in (("R0", system.R0, R0_COLS),
+                                   ("R1", system.R1, R1_COLS)):
+                _, s, vt = np.linalg.svd(R)
+                rank = int(np.sum(s > gaits.NULL_RTOL * s[0]))
+                reduced = vt[rank:].T
+                expected = np.zeros((23, reduced.shape[1]))
+                for k, c in enumerate(cols):
+                    expected[c] = reduced[k]
+                assert np.array_equal(null_basis(system, which), expected), which
 
 
 def test_cop_ramp_torque_value(adult):
@@ -384,7 +394,7 @@ def test_nesting_all_torques_zero_feasible_at_relax(adult, relax_03):
     still leaves a valid gait (the actuation block loses only 5 ranks)."""
     tm = StrideTiming(0.3, relax_03 - 0.3)
     system = build_periodicity(adult, tm)
-    V = lift_reduced(null_basis(system, "R0"), "R0")
+    V = null_basis(system, "R0")
     sel = selection_matrices()
     alpha = solve_eqp(sel.S_U @ V, [
         ("support-side", sel.S_d @ V, np.array([1.0])),
@@ -484,11 +494,14 @@ def test_unknown_scenario_rejected(adult):
 
 
 def test_gait_record_roundtrip(adult, timing):
-    gait = synthesize_gait(adult, timing, 1.0)
-    text = gait.to_record()
-    back = GaitSolution.from_record(text)
-    assert back.scenario == gait.scenario
-    assert back.timing == gait.timing
-    assert np.allclose(back.Q0, gait.Q0)
-    assert np.allclose(back.alpha, gait.alpha)
-    assert back.params == gait.params
+    """A record reads back as the gait that was written, its basis rebuilt
+    from the model's params and timing, in every scenario."""
+    for tag in SCENARIOS:
+        gait = synthesize_gait(adult, timing, 1.0, tag)
+        back = GaitSolution.from_record(gait.to_record())
+        assert back.scenario == gait.scenario
+        assert back.timing == gait.timing
+        assert np.allclose(back.Q0, gait.Q0)
+        assert np.allclose(back.alpha, gait.alpha)
+        assert back.params == gait.params
+        assert np.array_equal(back.basis, gait.basis), tag

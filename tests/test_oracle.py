@@ -37,6 +37,28 @@ def test_oracle_imports_no_production_path():
     assert not imported & {"dynamics", "transition", "gaits", "analysis"}
 
 
+def test_production_path_imports_no_oracle():
+    """The mirror: no production module imports the oracle, as a module
+    (`from . import oracle`) or a name from it (`from .oracle import Push`)."""
+    import linwalk
+    for name in ("layout", "model", "dynamics", "transition", "gaits", "analysis"):
+        tree = ast.parse((Path(linwalk.__file__).parent / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(m.rsplit(".", 1)[-1] == "oracle" for m in modules), name
+
+
+def test_push_is_one_class():
+    import linwalk
+    import linwalk.model
+    assert linwalk.Push is oracle.Push is linwalk.model.Push
+
+
 ORACLE_ENDS = Path(__file__).parent / "data" / "oracle_ends_adult.json"
 
 
