@@ -27,13 +27,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import pairwise
 
 import numpy as np
 
+from .dynamics import DOUBLE, SINGLE
 from .layout import ID_SIDE, Q_DIM, selection_matrices
 from .model import BodyParams, StrideTiming, com_velocity_matrix
-from .transition import StrideMaps, stride_maps
+from .roots import brentq
+from .transition import StrideMaps, phase_ends, stride_maps
 
 # relative-vector map on [X2, X1, Xdot1, P]: pelvis-to-swing-foot,
 # pelvis-to-stance-foot, pelvis velocity
@@ -162,11 +163,22 @@ def _stride_times(T_ds: float, bracket: tuple[float, float]) -> np.ndarray:
     return np.linspace(lo, bracket[1], RELAX_SCAN_POINTS)
 
 
+def _relax_R1(params: BodyParams, T_ds: float):
+    """R1 of one body at double-support time T_ds as a function of stride
+    times ts (k,), giving (k, 8, 7): _R_START[:, R1_COLS] + _R_END
+    H_ss(T - T_ds) H_ds(T_ds)[:, R1_COLS].  The double-support map is
+    taken once, here; each call evaluates the single-support maps at all
+    its times at once.  No stride map is built or cached."""
+    right = phase_ends(params, DOUBLE, T_ds)[0][:, R1_COLS]
+    start = _R_START[:, R1_COLS]
+    return lambda ts: start + _R_END @ phase_ends(params, SINGLE, ts - T_ds) @ right
+
+
 def relax_scan(params: BodyParams, T_ds: float, bracket: tuple[float, float]) -> np.ndarray:
     """Singular values of R1 over the relax grid; column 0 is T_stride."""
     ts = _stride_times(T_ds, bracket)
-    systems = (build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds)) for T in ts)
-    return np.column_stack([ts, [singular_spectrum(s, "R1") for s in systems]])
+    return np.column_stack(
+        [ts, np.linalg.svd(_relax_R1(params, T_ds)(ts), compute_uv=False)])
 
 
 # sagittal sub-block of R1: symmetry rows 1/3/5 and the sagittal
@@ -180,24 +192,23 @@ def find_relax_time(params: BodyParams, T_ds: float,
     (sagittal) gait, where the second-smallest singular value of R1 vanishes
     (the smallest, the lateral step in place, vanishes at every stride time).
 
-    The walk goes up the relax grid's even points and Brent-polishes
-    (xtol = 1e-10) each sign change of a sagittal minor; the first root
-    passing that rank check is returned.  Grid points above it, with any
-    error they would raise, are never reached.
+    A sagittal minor of R1 is evaluated at all even points of the relax
+    grid at once; going up the grid, each sign change is Brent-polished
+    (`roots.brentq`, xtol = 1e-10, one map per step) and the first root
+    passing the rank check is returned.
     """
-    from scipy.optimize import brentq
+    ts = _stride_times(T_ds, bracket)[::2]
+    R1 = _relax_R1(params, T_ds)
 
     def minor(T: float) -> float:
         # one 3x3 minor of the sagittal block: zero where the block drops rank
-        system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
-        return float(np.linalg.det(system.R1[_SAG][1:]))
+        return float(np.linalg.det(R1(np.array([T]))[0][_SAG][1:]))
 
-    grid = ((T, minor(T)) for T in _stride_times(T_ds, bracket)[::2])
-    for (lo, at_lo), (hi, at_hi) in pairwise(grid):
-        if np.sign(at_lo) * np.sign(at_hi) < 0:
-            T = float(brentq(minor, lo, hi, xtol=1e-10))
-            system = build_periodicity(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
-            s2 = singular_spectrum(system, "R1") ** 2
+    signs = np.sign(np.linalg.det(R1(ts)[(..., *_SAG)][:, 1:]))
+    for lo, hi, at_lo, at_hi in zip(ts, ts[1:], signs, signs[1:]):
+        if at_lo * at_hi < 0:
+            T = brentq(minor, lo, hi, xtol=1e-10)
+            s2 = np.linalg.svd(R1(np.array([T]))[0], compute_uv=False) ** 2
             if s2[-2] <= 1e-9 * s2[0]:
                 return T
     raise NoRelaxTimeError(

@@ -1,28 +1,42 @@
 """Exact phase and stride transition maps for the augmented gait vector.
 
-Each phase ODE is time-affine, so the flow is computed exactly by matrix
-exponential of an augmented constant generator: every Q entry whose
-acceleration coefficient is time-linear is constant within the phase, and
-gets a companion clock state z = t * (that entry) with dz/dt = entry.  With
-Pi selecting the clocked entries and t the phase-local time, the augmented
-state x = [Q; t * Pi Q] obeys the autonomous x' = generator x, so one step
-of any length h is exact: x(t + h) = E(h) x(t) with E(h) = expm(generator * h).
-The 23 x 23 phase map H(t) is the top-left block of E(t), and the in-phase
-flow from time t to t + dt on Q alone is
+Each phase ODE is time-affine and second order: only the swing-foot (single
+support) and pelvis positions p move, their accelerations read no velocity,
+and every other entry of Q is constant within the phase, so
 
-    Phi(t -> t+dt) = E_QQ(dt) + t * E_Qz(dt) * Pi
+    p'' = A p + (K0_u + (t / T_phase) K1_u) u
 
-The generator's structure (the constant block, the clock columns, Pi and
-the rows that stay put) depends only on the body and phase, and is built
-once per (body, phase) as a template that lives as long as the cached phase
-ODE it comes from.  The clock block K1_unit / T_phase is the only part that
-depends on the timing: a map at a timing copies the template and writes
-that block.  Each map is one exponential, and no template is keyed by a
-time value (only the stride-map cache below is, by (params, timing)).
-Dense output takes no exponential: `PhaseMap.pieces` writes a
-phase's whole flow from given states as Taylor polynomials on a few pieces,
-on states scaled by the exact powers of two that the template also holds,
-and the states at any times are those polynomials evaluated.
+with u the constant entries.  The sagittal and lateral axes decouple
+exactly, so A is one 2 x 2 block per axis in single support and one scalar
+per axis in double support.  With its real, distinct eigenvalues lambda and
+spectral projectors P (A = sum lambda P), the flow is closed form: over a
+time h, from phase time t0,
+
+    c = cosh(sqrt(lambda) h)          s = sinh(sqrt(lambda) h) / sqrt(lambda)
+    C = (c - 1) / lambda              S = (s - h) / lambda
+
+(cos and sin where lambda < 0, a short series where |lambda| h^2 < 1/2), and
+
+    p(h)  = p + sum P [lambda C p + s v + C K0_u u + (t0 C + S) / T K1_u u]
+    p'(h) = v + sum P [lambda s p + lambda C v + s K0_u u + (t0 s + C) / T K1_u u]
+
+So a map is the identity plus a feature vector phi(h, t0, T) of the four
+functions s, C, (t0 C + S) / T and (t0 s + C) / T per eigenvalue times a
+timing-free matrix Z on the moving rows.  `_map_template` builds the
+eigenvalues and Z once per (body, phase), with the augmented generator
+(below) and its clock columns, as a template that lives as long as the
+cached phase ODE it comes from; `expm` evaluates the maps at any number of
+(h, t0, T) at once.  Rows that do not move are the identity exactly, and no
+entry couples the axes.  A complex or repeated eigenvalue pair raises
+`DegenerateModelError`.  No template is keyed by a time value (only the
+stride-map cache below is, by (params, timing)).
+
+Dense output takes no map at all: the states x = [Q; t * Pi Q], with Pi
+selecting the clocked entries (those with a time-linear coefficient), obey
+the autonomous x' = generator x, and `PhaseMap.pieces` writes a phase's
+whole flow from given states as Taylor polynomials of the generator on a
+few pieces, on states scaled by powers of two (`_balance`); the states at
+any times are those polynomials evaluated.
 
 A full stride is double support followed by single support; only
 `StrideMaps.flow` and `StrideMaps.states` split a stride time into its
@@ -38,11 +52,8 @@ It is formed on demand, never in a stride-map build: the inverted 2 x 2
 block is singular at isolated timings, and only code reading H' fails there.
 
 Stride maps are cached per (params, timing); construction is pure and the
-cached objects are safe to share.  The double-support half of a stride map
-depends only on the body and T_ds, so a build shares it (read-only) with the
-last stride map built for the same body while that map is alive and has the
-same T_ds: a relax run, which holds T_ds fixed, takes one exponential per
-new stride time, not two.
+cached objects are safe to share.  `phase_ends` gives one phase's end maps
+at many durations from one evaluation, and builds and caches no stride map.
 """
 from __future__ import annotations
 
@@ -50,17 +61,16 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dynamics import (
     SINGLE, PhaseODE, assemble_double_support, assemble_single_support,
 )
 from .layout import Q_DIM, Q_NAMES, W_SLICE, selection_matrices
-from .model import BodyParams, Push, StrideTiming
+from .model import BodyParams, DegenerateModelError, Push, StrideTiming
 
 
 class ControlDegeneracyError(RuntimeError):
@@ -69,16 +79,21 @@ class ControlDegeneracyError(RuntimeError):
 
 # one template per cached unit-duration phase ODE, i.e. per (body, phase);
 # an entry lives only as long as its ODE does, so the `_extract_ode` bound
-# (and the ODEs the cached stride maps hold) bound the templates too
+# bounds the templates too (a cached stride map holds its own two)
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-# the last stride maps built per body, keyed like the templates by the unit
-# double-support ODE and held weakly: once the `stride_maps` LRU (and every
-# caller) drops a map it shares nothing, so `cache_clear()` makes builds cold
-_LAST_BUILT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# any timing: `phase_ends` reads only the unit ODE of its assembly
+_UNIT = StrideTiming(T_ds=1.0, T_ss=1.0)
 
 # 1 / k! for the Taylor terms k < 18 of a flow piece (`PhaseMap.pieces`)
 _INV_FACTORIALS = 1.0 / np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None, None]
+
+# s / h, C / h^2 and S / h^3 as power series in x = lambda h^2: the
+# coefficients 1 / (2j + 1)!, 1 / (2j + 2)! and 1 / (2j + 3)!, j < 10,
+# whose last terms are below 2^-52 of the first where |x| < 1/2
+_SERIES = np.array([[1.0 / math.factorial(2 * j + i) for i in (1, 2, 3)]
+                    for j in range(10)])
+_POWERS = np.arange(10.0)
 
 
 def _balance(A: np.ndarray) -> np.ndarray:
@@ -104,63 +119,187 @@ def _balance(A: np.ndarray) -> np.ndarray:
     return np.array(d)
 
 
-def _map_template(unit: PhaseODE) -> tuple:
-    """The timing-free parts of a phase's augmented generator, read-only and
-    built on first use: the generator with the unit-duration clock block,
-    the clock columns, Pi, the rows of Q whose generator row is zero, and
-    the power-of-two state scales that balance it (`_balance`)."""
+def _spectrum(A: np.ndarray, phase: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lambda (n,) and spectral projectors P (n, n, n) of one
+    axis' position block A (n x n, n = 1 or 2), with A = sum lambda P.  The
+    larger root of a 2 x 2 is taken without cancellation and the other
+    from the determinant; a complex or repeated pair raises."""
+    if len(A) == 1:
+        return A[0].copy(), np.ones((1, 1, 1))
+    (a, b), (c, d) = A.tolist()
+    half, disc = 0.5 * (a + d), 0.25 * (a - d) ** 2 + b * c
+    if not disc > (1e-8 * max(abs(a), abs(b), abs(c), abs(d))) ** 2:
+        kind = "complex" if disc < 0.0 else "repeated"
+        raise DegenerateModelError(
+            f"{phase}-support position block has a {kind} eigenvalue pair")
+    big = half + math.copysign(math.sqrt(disc), half)
+    lam = np.array([big, (a * d - b * c) / big])
+    eye = np.eye(2)
+    P = np.array([(A - lam[1] * eye) / (lam[0] - lam[1]),
+                  (A - lam[0] * eye) / (lam[1] - lam[0])])
+    return lam, P
+
+
+# the columns of Q each axis reads: the sagittal (even) or lateral (odd)
+# entries, and the support side d, which only the lateral rows read
+_AXIS_COLS = np.array([list(range(axis, Q_DIM - 1, 2)) + [Q_DIM - 1] for axis in (0, 1)])
+
+
+@dataclass(frozen=True, eq=False)
+class _Template:
+    """The timing-free parts of one body's phase maps (read-only arrays).
+
+    ``K0`` and ``K1`` are the unit ODE's, with ``clock_cols`` and ``pi``
+    the entries K1 reads.  Per axis (sagittal, lateral) and eigenvalue
+    lambda of its position block, ``lam`` (2, 1, n) holds lambda, ``reach``
+    sqrt(1 / (2 |lambda|)), below which times take the series, and ``den``
+    and ``root`` the lambda and sqrt(lambda) of the closed forms (imaginary
+    where lambda < 0; a zero lambda, whose times all take the series, is 1
+    there), all shaped to broadcast against (k, 1) times.  ``Z`` (2, 4n,
+    2n * 12) is the map's increment over the identity on the axis' moving
+    positions and velocities and its columns (`_AXIS_COLS`), per feature
+    s, C, (t0 C + S) / T, (t0 s + C) / T of each eigenvalue (`expm`), and
+    ``cells`` the flat indices of those entries in a 23 x 23 map.
+    """
+
+    phase: str
+    K0: np.ndarray
+    K1: np.ndarray
+    clock_cols: tuple
+    pi: np.ndarray
+    lam: np.ndarray
+    reach: np.ndarray
+    den: np.ndarray
+    root: np.ndarray
+    Z: np.ndarray
+    cells: np.ndarray
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """The augmented generator at unit duration, built on first use:
+        only `PhaseMap.pieces` reads it."""
+        nc = len(self.clock_cols)
+        A = np.zeros((Q_DIM + nc, Q_DIM + nc))
+        if self.phase == SINGLE:
+            A[0:2, 4:6] = np.eye(2)       # swing foot moves in single support
+        A[2:4, 6:8] = np.eye(2)
+        A[4:8, :Q_DIM] = self.K0
+        A[4:8, Q_DIM:] = self.K1[:, self.clock_cols]
+        A[Q_DIM:, :Q_DIM] = self.pi
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """The power-of-two state scales that balance the generator
+        (`_balance`)."""
+        d = _balance(self.generator)
+        d.flags.writeable = False
+        return d
+
+
+def _map_template(unit: PhaseODE) -> _Template:
+    """The template of one body's phase, built on first use from its
+    unit-duration ODE.  An acceleration row that reads an entry of the
+    other axis raises `DegenerateModelError`: the closed form treats the
+    axes apart."""
     tpl = _TEMPLATES.get(unit)
     if tpl is not None:
         return tpl
     clock_cols = tuple(int(j) for j in
                        np.flatnonzero(np.max(np.abs(unit.K1), axis=0) > 1e-300))
-    nc = len(clock_cols)
-    A = np.zeros((Q_DIM + nc, Q_DIM + nc))
-    if unit.phase == SINGLE:
-        A[0:2, 4:6] = np.eye(2)           # swing foot moves in single support
-    A[2:4, 6:8] = np.eye(2)
-    A[4:8, :Q_DIM] = unit.K0
-    A[4:8, Q_DIM:] = unit.K1[:, clock_cols]
-    pi = np.eye(Q_DIM)[list(clock_cols)]
-    A[Q_DIM:, :Q_DIM] = pi
-    # entries with an identically zero generator row stay put exactly;
-    # the Pade solve inside expm would otherwise leave eps-level dust
-    rows = np.flatnonzero(~np.any(A[:Q_DIM], axis=1))
-    d = _balance(A)
-    for a in (A, pi, rows, d):
+    moving = (0, 2) if unit.phase == SINGLE else (2,)
+    n = len(moving)
+    lams, Zs = [], []
+    for axis, cols in enumerate(_AXIS_COLS):
+        pos = [axis + i for i in moving]
+        K0, K1 = unit.K0[pos], unit.K1[pos]
+        if np.any(np.delete(K0, cols, axis=1)) or np.any(np.delete(K1, cols, axis=1)):
+            raise DegenerateModelError(
+                f"{unit.phase}-support dynamics couple the sagittal and lateral axes")
+        p = [i // 2 for i in moving]           # positions and velocities
+        v = [i + 2 for i in p]                 # among the axis' columns
+        forcing = K0[:, cols]                  # K0 reads no velocity
+        forcing[:, p] = 0.0
+        lam, P = _spectrum(K0[:, pos], unit.phase)
+        Z = np.zeros((4, n, 2 * n, len(cols)))
+        for k in range(n):
+            s, C, ramp_p, ramp_v = Z[:, k]
+            s[:n, v] = P[k]
+            s[n:, p] = lam[k] * P[k]
+            s[n:] += P[k] @ forcing
+            C[:n, p] = C[n:, v] = lam[k] * P[k]
+            C[:n] += P[k] @ forcing
+            ramp_p[:n] = ramp_v[n:] = P[k] @ K1[:, cols]
+        lams.append(lam)
+        Zs.append(Z.reshape(4 * n, -1))
+    rows = np.array([[axis + i for i in moving + tuple(j + 4 for j in moving)]
+                     for axis in (0, 1)])
+    lam = np.array(lams)[:, None]
+    den = np.where(lam == 0.0, 1.0, lam)
+    tpl = _Template(
+        phase=unit.phase, K0=unit.K0, K1=unit.K1, clock_cols=clock_cols,
+        pi=np.eye(Q_DIM)[list(clock_cols)], lam=lam,
+        reach=np.where(lam == 0.0, np.inf, np.sqrt(0.5 / np.abs(den))),
+        den=den, root=np.sqrt(den.astype(complex)), Z=np.array(Zs),
+        cells=(rows[..., None] * Q_DIM + _AXIS_COLS[:, None]).reshape(2, -1))
+    for a in (tpl.pi, lam, tpl.reach, den, tpl.root, tpl.Z, tpl.cells):
         a.flags.writeable = False
-    tpl = _TEMPLATES[unit] = (A, clock_cols, pi, rows, d)
+    _TEMPLATES[unit] = tpl
     return tpl
+
+
+def expm(tpl: _Template, h, t0, T) -> np.ndarray:
+    """The exact 23 x 23 maps of a phase from phase time t0 over h, for the
+    phase lasting T, at k triples (h, t0, T) given as scalars or (k,)
+    arrays: (k, 23, 23), in closed form from the template (module
+    docstring), one product for all k.  Named for the matrix exponential
+    it replaces: each map is the top-left block of E(h), with the clock
+    states folded back in."""
+    h, t0, T = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (h, t0, T))
+    z = tpl.root * h                                     # (2, k, n)
+    s = (np.sinh(z) / tpl.root).real
+    C = (np.cosh(z).real - 1.0) / tpl.den
+    S = (s - h) / tpl.den
+    near = h < tpl.reach                                 # |lambda| h^2 < 1/2
+    if near.any():
+        x = (tpl.lam * (h * h))[near, None] ** _POWERS
+        hn = np.broadcast_to(h, near.shape)[near, None] ** _POWERS[1:4]
+        s[near], C[near], S[near] = ((x @ _SERIES) * hn).T
+    phi = np.concatenate([s, C, (t0 * C + S) / T, (t0 * s + C) / T], axis=2)
+    out = np.zeros((phi.shape[1], Q_DIM * Q_DIM))
+    out[:, tpl.cells] = (phi @ tpl.Z).swapaxes(0, 1)
+    out[:, ::Q_DIM + 1] += 1.0
+    return out.reshape(-1, Q_DIM, Q_DIM)
 
 
 class PhaseMap:
     """Exact transition map of one phase, t in [0, duration].
 
-    The generator's structure (its constant block, the clock columns, Pi
-    and the identity rows) is a per-body template, built once per (body,
-    phase); a timing copies it and writes only the 4 x nc clock block
-    K1_unit[:, clock_cols] / T_phase, and the generator is read-only.  Every
-    map comes from one uncached exponential of the generator: ``step(h)`` is
-    E(h) itself, ``map_at`` and ``flow`` its Q blocks.  ``pieces`` writes the
-    flow of given states over the whole phase without one.
+    The closed-form maps and the generator's structure (its constant block,
+    the clock columns and Pi) are a per-body template, built once per
+    (body, phase); a timing copies the generator and writes only the 4 x nc
+    clock block K1_unit[:, clock_cols] / T_phase, and the generator is
+    read-only.  ``map_at`` and ``flow`` are one closed-form evaluation each
+    (`expm`); ``pieces`` writes the flow of given states over the whole
+    phase from the generator.
     """
 
     def __init__(self, ode: PhaseODE):
         self.phase = ode.phase
         self.duration = ode.duration
-        A, self.clock_cols, self._pi, self._identity_rows, self._scale = (
-            _map_template(ode.unit or ode))
-        self.generator = A.copy()
-        self.generator[4:8, Q_DIM:] = ode.K1[:, self.clock_cols]
-        self.generator.flags.writeable = False
+        self._tpl = _map_template(ode.unit or ode)
+        self.clock_cols, self._pi = self._tpl.clock_cols, self._tpl.pi
+        self._clock = ode.K1[:, self.clock_cols]
 
-    def step(self, h: float) -> np.ndarray:
-        """E(h): exact map of the augmented state [Q; t * Pi Q] over h."""
-        E = expm(self.generator * h)
-        rows = self._identity_rows
-        E[rows] = 0.0
-        E[rows, rows] = 1.0
-        return E
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """The augmented generator of this timing (read-only), built on
+        first use."""
+        A = self._tpl.generator.copy()
+        A[4:8, Q_DIM:] = self._clock
+        A.flags.writeable = False
+        return A
 
     def pieces(self, x: np.ndarray) -> np.ndarray:
         """The exact flow from the augmented state x (n,), or the states x
@@ -177,7 +316,7 @@ class PhaseMap:
         with the terms.
         """
         n = len(self.generator)
-        scale = np.where(np.arange(n) < Q_DIM, 1.0, self.duration) * self._scale
+        scale = np.where(np.arange(n) < Q_DIM, 1.0, self.duration) * self._tpl.scale
         B = self.generator * scale / scale[:, None]
         m = max(1, math.ceil(self.duration * np.abs(B).sum(axis=0).max()))
         terms = np.empty((18, n, n))
@@ -203,17 +342,25 @@ class PhaseMap:
         """H_phase(t): exact 23 x 23 map from the phase start."""
         if t < -1e-12 or t > self.duration + 1e-9:
             raise ValueError(f"t={t} outside [0, {self.duration}]")
-        return self.step(t)[:Q_DIM, :Q_DIM]
+        return expm(self._tpl, t, 0.0, self.duration)[0]
 
     def flow(self, t: float, dt: float) -> np.ndarray:
         """Map from the state at phase time t to the state at t + dt."""
         if dt < -1e-12:
             raise ValueError("dt must be non-negative")
-        E = self.step(dt)
-        out = E[:Q_DIM, :Q_DIM].copy()
-        if self.clock_cols:
-            out += t * (E[:Q_DIM, Q_DIM:] @ self._pi)
-        return out
+        return expm(self._tpl, dt, t, self.duration)[0]
+
+
+def phase_ends(params: BodyParams, phase: str, durations) -> np.ndarray:
+    """H_phase(T) of one body's phase at the end of each duration T in
+    `durations` (k,): (k, 23, 23) from one closed-form evaluation.  No
+    stride map is built or cached.  The body's unit ODE is fetched through
+    the same `assemble_*` call as a stride-map build's."""
+    assemble = assemble_single_support if phase == SINGLE else assemble_double_support
+    T = np.asarray(durations, dtype=float)
+    if not np.all((T > 0.0) & (T < np.inf)):
+        raise ValueError(f"{phase}-support durations must be finite and positive")
+    return expm(_map_template(assemble(params, _UNIT).unit), T, 0.0, T)
 
 
 def constrain_foot_velocity(H: np.ndarray) -> np.ndarray:
@@ -278,9 +425,9 @@ class StrideMaps:
         """H(t) Q0 at the non-decreasing stride times ts in [0, T_stride],
         shape (len(ts),) + Q0.shape, for one state Q0 (23,) or a block (23, k).
 
-        The flow pieces (`pieces`) are evaluated at the times: no
-        exponential.  The times are sorted, so those on one piece form one
-        run and take one product with its Taylor terms.
+        The flow pieces (`pieces`) are evaluated at the times: no map is
+        formed.  The times are sorted, so those on one piece form one run
+        and take one product with its Taylor terms.
         """
         Q0 = np.asarray(Q0, dtype=float)
         ts = np.asarray(ts, dtype=float)
@@ -307,28 +454,15 @@ class StrideMaps:
 
 @lru_cache(maxsize=256)
 def stride_maps(params: BodyParams, timing: StrideTiming) -> StrideMaps:
-    """Build (or fetch) all transition maps for one parameter/timing pair.
-
-    A build takes one exponential for single support.  Double support (`ds`
-    and `H_ds_end`) comes from the last stride maps built for the same body
-    when those are still alive and have the same T_ds, and from one more
-    exponential otherwise; either way it is the same, bit for bit.
-    """
-    ode = assemble_double_support(params, timing)
-    ref = _LAST_BUILT.get(ode.unit)
-    last = ref() if ref is not None else None
-    if last is not None and last.timing.T_ds == timing.T_ds:
-        ds, H_ds_end = last.ds, last.H_ds_end
-    else:
-        ds = PhaseMap(ode)
-        H_ds_end = ds.map_at(timing.T_ds)
-        H_ds_end.flags.writeable = False
+    """Build (or fetch) all transition maps for one parameter/timing pair:
+    one closed-form evaluation per phase."""
+    ds = PhaseMap(assemble_double_support(params, timing))
     ss = PhaseMap(assemble_single_support(params, timing))
-    H_stride = ss.map_at(timing.T_ss) @ H_ds_end
-    maps = StrideMaps(params=params, timing=timing, ds=ds, ss=ss,
-                      H_ds_end=H_ds_end, H_stride=H_stride)
-    _LAST_BUILT[ode.unit] = weakref.ref(maps)
-    return maps
+    H_ds_end = ds.map_at(timing.T_ds)
+    H_ds_end.flags.writeable = False
+    return StrideMaps(params=params, timing=timing, ds=ds, ss=ss,
+                      H_ds_end=H_ds_end,
+                      H_stride=ss.map_at(timing.T_ss) @ H_ds_end)
 
 
 def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,

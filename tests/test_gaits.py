@@ -170,15 +170,25 @@ def test_relax_rejects_non_finite_bracket(adult, bracket):
             solve(adult, 0.3, bracket)
 
 
+@pytest.mark.parametrize("T_ds", [-0.1, 0.0, np.nan])
+def test_relax_rejects_bad_double_support_time(adult, T_ds):
+    """The relax scan and solve build no `StrideTiming`, so the batched
+    maps check the durations themselves."""
+    for solve in (relax_scan, find_relax_time):
+        with pytest.raises(ValueError, match="durations must be finite and positive"):
+            solve(adult, T_ds, (0.4, 1.5))
+
+
 def _relax_time_all_roots(params, T_ds, bracket):
-    """Reference: evaluate a sagittal minor at all 41 points of the bracket
-    grid, Brent-polish every sign change, and return the smallest root
-    whose R1 drops to rank 5."""
+    """Reference: evaluate the sagittal minor of the closed-form R1 at all
+    41 points of the bracket grid one at a time, polish every sign change
+    with scipy's brentq, and return the smallest root whose R1 drops to
+    rank 5."""
     from scipy.optimize import brentq
+    R1 = gaits._relax_R1(params, T_ds)
 
     def minor(T):
-        system = build_periodicity(params, StrideTiming(T_ds, T - T_ds))
-        return float(np.linalg.det(system.R1[np.ix_((0, 2, 4, 6), (0, 2, 4))][1:]))
+        return float(np.linalg.det(R1(np.array([T]))[0][np.ix_((2, 4, 6), (0, 2, 4))]))
 
     ts = np.linspace(max(bracket[0], T_ds + 1e-3), bracket[1], 41)
     vals = [minor(T) for T in ts]
@@ -186,17 +196,17 @@ def _relax_time_all_roots(params, T_ds, bracket):
     for i in range(len(ts) - 1):
         if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
             T = float(brentq(minor, ts[i], ts[i + 1], xtol=1e-10))
-            system = build_periodicity(params, StrideTiming(T_ds, T - T_ds))
-            s2 = singular_spectrum(system, "R1") ** 2
+            s2 = np.linalg.svd(R1(np.array([T]))[0], compute_uv=False) ** 2
             if s2[-2] <= 1e-9 * s2[0]:
                 roots.append(T)
     return min(roots)
 
 
 def test_relax_time_is_smallest_valid_root_of_all_sign_changes(adult, kid):
-    """The one-pass walk returns, bit for bit, the smallest valid root over
-    every sign change of the bracket grid, on 60 seeded bodies and
-    brackets: both CLI brackets at each drawn T_ds."""
+    """The one-pass walk over the batched grid, polished by the stdlib
+    Brent port, returns bit for bit the smallest valid root over every sign
+    change of the grid evaluated point by point and polished by scipy, on
+    60 seeded bodies and brackets: both CLI brackets at each drawn T_ds."""
     rng = np.random.default_rng(18)
     cases = 0
     for base in (adult, kid):
@@ -209,6 +219,49 @@ def test_relax_time_is_smallest_valid_root_of_all_sign_changes(adult, kid):
                         == _relax_time_all_roots(body, T_ds, bracket))
                 cases += 1
     assert cases == 60
+
+
+def _parent_relax(params, T_ds, bracket):
+    """The relax scan and solve as they ran on Pade stride maps, one
+    periodicity system per stride time: the scan's singular values, and
+    the walk up the even grid points polished by scipy's brentq."""
+    from scipy.optimize import brentq
+
+    from conftest import pade_R1
+
+    def R1(T):
+        return pade_R1(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
+
+    def minor(T):
+        return float(np.linalg.det(R1(T)[gaits._SAG][1:]))
+
+    ts = gaits._stride_times(T_ds, bracket)
+    scan = np.column_stack([ts, [np.linalg.svd(R1(T), compute_uv=False) for T in ts]])
+    grid = [(T, minor(T)) for T in ts[::2]]
+    for (lo, at_lo), (hi, at_hi) in zip(grid, grid[1:]):
+        if np.sign(at_lo) * np.sign(at_hi) < 0:
+            T = float(brentq(minor, lo, hi, xtol=1e-10))
+            s2 = np.linalg.svd(R1(T), compute_uv=False) ** 2
+            if s2[-2] <= 1e-9 * s2[0]:
+                return scan, T
+    raise NoRelaxTimeError("no root")
+
+
+def test_relax_matches_pade_stride_maps(adult, kid):
+    """The batched closed-form scan stays within 1e-12 of its largest
+    singular value, and T_relax within 1e-10 s, of the scan and solve on
+    Pade stride maps, on seeded adult and kid bodies."""
+    rng = np.random.default_rng(23)
+    for base in (adult, kid):
+        for _ in range(3):
+            body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                               rng.uniform(0.9, 1.1))
+            T_ds = float(rng.uniform(0.1, 0.35))
+            ref_scan, ref_T = _parent_relax(body, T_ds, (0.4, 1.5))
+            scan = relax_scan(body, T_ds, (0.4, 1.5))
+            assert np.array_equal(scan[:, 0], ref_scan[:, 0])
+            assert np.max(np.abs(scan - ref_scan)) <= 1e-12 * np.max(ref_scan[:, 1:])
+            assert abs(find_relax_time(body, T_ds) - ref_T) <= 1e-10
 
 
 def test_relax_bracket_grid_is_even_points_of_scan_grid(adult):
@@ -226,40 +279,59 @@ def test_relax_bracket_grid_is_even_points_of_scan_grid(adult):
 
 def test_cold_relax_solve_polishes_one_root(adult, monkeypatch):
     """A cold solve walks the bracket grid only up to its first valid
-    root: one Brent polish and fewer stride maps than grid points."""
-    import scipy.optimize
-
+    root: one Brent polish, and no stride map built."""
     polished = []
-    real = scipy.optimize.brentq
+    real = gaits.brentq
 
     def counted(*args, **kwargs):
         polished.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "brentq", counted)
+    monkeypatch.setattr(gaits, "brentq", counted)
     body = scaled_body(adult, 63.5172, 1.0268)
     misses = stride_maps.cache_info().misses
     find_relax_time(body, 0.2)
     assert len(polished) == 1
-    assert stride_maps.cache_info().misses - misses < 41
+    assert stride_maps.cache_info().misses == misses
 
 
-def test_cold_relax_scan_takes_one_exponential_per_stride_time(adult, count_expm):
-    """T_ds is fixed over the scan, so the double-support exponential is
-    taken once: 81 single-support maps and one double-support map."""
+@pytest.fixture
+def map_rows(monkeypatch) -> list:
+    """The number of maps each call of `linwalk.transition.expm` returns,
+    one entry per call."""
+    import linwalk.transition as transition
+    rows = []
+    real = transition.expm
+
+    def counted(*args):
+        out = real(*args)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(transition, "expm", counted)
+    return rows
+
+
+def test_cold_relax_scan_takes_one_exponential_per_stride_time(adult, map_rows):
+    """T_ds is fixed over the scan, so the double-support map is taken once:
+    two closed-form evaluations, one map per stride time and one more."""
     relax_scan(scaled_body(adult, 68.2291, 1.0437), 0.2, (0.4, 1.5))
-    assert len(count_expm) == 82
+    assert map_rows == [1, gaits.RELAX_SCAN_POINTS]
 
 
-def test_find_relax_time_takes_one_exponential_per_miss(adult, count_expm):
-    """Once the body's double support at T_ds is live, each stride map the
-    scan and the Brent polish build takes only its single-support map."""
+def test_find_relax_time_builds_no_stride_map(adult, map_rows, monkeypatch):
+    """A cold solve builds no stride map and no periodicity system: one
+    double-support map, one evaluation of the 41 grid points, then one map
+    per Brent step and rank check."""
+    built = []
+    monkeypatch.setattr(gaits, "build_periodicity",
+                        lambda *args: built.append(1))
     body = scaled_body(adult, 71.8443, 0.9917)
-    live = stride_maps(body, StrideTiming(T_ds=0.25, T_ss=0.5))
-    count_expm.clear()
     misses = stride_maps.cache_info().misses
-    find_relax_time(body, live.timing.T_ds)
-    assert len(count_expm) == stride_maps.cache_info().misses - misses > 0
+    find_relax_time(body, 0.25)
+    assert stride_maps.cache_info().misses == misses and built == []
+    assert map_rows[:2] == [1, 41] and set(map_rows[2:]) == {1}
+    assert len(map_rows) <= 20
 
 
 def test_null_basis_dimension_error(adult, timing):

@@ -4,18 +4,19 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
-from conftest import random_states
+from conftest import pade_flow, random_states
 from linwalk.dynamics import (
-    SINGLE, assemble_double_support, assemble_single_support,
+    DOUBLE, SINGLE, PhaseODE, assemble_double_support, assemble_single_support,
 )
 from linwalk.layout import Q_DIM, Q_NAMES, selection_matrices
-from linwalk.model import StrideTiming, default_params, scaled_body
+from linwalk.model import (
+    DegenerateModelError, StrideTiming, default_params, scaled_body,
+)
 from linwalk.oracle import integrate_batch
 from linwalk.transition import (
-    ControlDegeneracyError, constrain_foot_velocity, dump_stride_maps,
-    stride_maps,
+    ControlDegeneracyError, PhaseMap, constrain_foot_velocity,
+    dump_stride_maps, stride_maps,
 )
 
 
@@ -139,8 +140,8 @@ def test_back_transfer_identity_over_random_bodies(adult, kid):
 
 
 def _direct_generator(ode):
-    """The parts of one timing's phase map, built from its phase ODE alone,
-    column by column and row by row."""
+    """The augmented generator of one timing's phase map, built from its
+    phase ODE alone, column by column."""
     G0 = np.zeros((Q_DIM, Q_DIM))
     if ode.phase == SINGLE:
         G0[0:2, 4:6] = np.eye(2)
@@ -152,34 +153,79 @@ def _direct_generator(ode):
     for k, j in enumerate(cols):
         A[4:8, Q_DIM + k] = ode.K1[:, j]
         A[Q_DIM + k, j] = 1.0
-    rows = [i for i in range(Q_DIM) if not np.any(A[i, :])]
-    return A, cols, rows
-
-
-def _direct_map(A, rows, t):
-    E = expm(A * t)
-    for i in rows:
-        E[i, :] = 0.0
-        E[i, i] = 1.0
-    return E[:Q_DIM, :Q_DIM]
+    return A, cols
 
 
 def test_map_template_matches_direct_construction(adult, kid):
-    """Phase maps copied from the per-body template equal maps built from
-    each timing's phase ODE alone, bit for bit, at first use of a body and
-    at a second timing of it."""
+    """Generators copied from the per-body template equal generators built
+    from each timing's phase ODE alone, bit for bit, at first use of a body
+    and at a second timing of it; the closed-form maps equal the Pade
+    exponential of those generators to 1e-13 of max|H|."""
     for body, tm, _ in _random_bodies_and_timings((adult, kid), 8, seed=52):
         maps = stride_maps(body, tm)
         direct = {}
         for pm, ode, T in ((maps.ds, assemble_double_support(body, tm), tm.T_ds),
                            (maps.ss, assemble_single_support(body, tm), tm.T_ss)):
-            A, cols, rows = _direct_generator(ode)
+            A, cols = _direct_generator(ode)
             assert np.array_equal(pm.generator, A)
             assert pm.clock_cols == cols
-            assert np.array_equal(pm._identity_rows, rows)
-            direct[pm.phase] = _direct_map(A, rows, T)
-        assert np.array_equal(maps.H_ds_end, direct["double"])
-        assert np.array_equal(maps.H_stride, direct["single"] @ direct["double"])
+            direct[pm.phase] = pade_flow(pm, 0.0, T)
+        for H, ref in ((maps.H_ds_end, direct["double"]),
+                       (maps.H_stride, direct["single"] @ direct["double"])):
+            assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_closed_form_matches_pade_exponential():
+    """`map_at` and `flow(t, dt)` of both phases agree with scipy's Pade
+    exponential of the generator to 1e-13 of max|H|, on seeded adult and kid
+    bodies at double-support shares 0.005, 0.02 and 0.05-0.35, over whole
+    phases and random sub-intervals (short ones take the series)."""
+    rng = np.random.default_rng(81)
+    for base in (default_params("adult"), default_params("kid")):
+        for _ in range(4):
+            body = scaled_body(base, base.total_mass * rng.uniform(0.8, 1.2),
+                               rng.uniform(0.9, 1.1))
+            freq = rng.uniform(0.8, 3.0)
+            for ratio in (0.005, 0.02, rng.uniform(0.05, 0.35)):
+                maps = stride_maps(body, StrideTiming(ratio / freq, (1.0 - ratio) / freq))
+                for pm in (maps.ds, maps.ss):
+                    T = pm.duration
+                    cases = [(0.0, T), (0.0, 1e-3 * T)] + [
+                        (t, rng.uniform(0.0, T - t)) for t in rng.uniform(0.0, T, 3)]
+                    for t, dt in cases:
+                        ref = pade_flow(pm, t, dt)
+                        got = pm.map_at(dt) if t == 0.0 else pm.flow(t, dt)
+                        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (
+                            ratio, pm.phase, t, dt)
+
+
+@pytest.mark.parametrize("block, kind", [
+    ([[-2.0, 3.0], [-4.0, 1.0]], "complex"),
+    ([[5.0, 1.0], [0.0, 5.0]], "repeated"),
+    ([[5.0, 0.0], [0.0, 5.0]], "repeated"),
+])
+def test_complex_or_repeated_pair_raises(block, kind):
+    """The closed form needs real, distinct eigenvalues of each axis'
+    position block; a synthetic unit ODE without them is refused by name,
+    with no fallback."""
+    K0 = np.zeros((4, Q_DIM))
+    for axis in (0, 1):
+        K0[np.ix_([axis, axis + 2], [axis, axis + 2])] = block
+    with pytest.raises(DegenerateModelError, match=f"{kind} eigenvalue pair"):
+        PhaseMap(PhaseODE(SINGLE, 1.0, K0, np.zeros((4, Q_DIM))))
+
+
+def test_double_support_scalar_modes_take_any_sign():
+    """Double support has one scalar mode per axis: a synthetic stiffness
+    of either sign, or zero, gives the exact closed-form flow."""
+    for k in (9.1, -9.1, 0.0):
+        K0 = np.zeros((4, Q_DIM))
+        K0[2:4, 2:4] = k * np.eye(2)
+        K0[2:4, 8:10] = np.eye(2)
+        pm = PhaseMap(PhaseODE(DOUBLE, 0.3, K0, np.zeros((4, Q_DIM))))
+        for dt in (0.0, 0.01, 0.3):
+            ref = pade_flow(pm, 0.0, dt)
+            assert np.max(np.abs(pm.map_at(dt) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_cross_phase_flow(adult, timing):
@@ -236,22 +282,6 @@ def test_shared_arrays_are_read_only(adult, timing):
             a[0, 0] = 1.0
 
 
-def test_same_t_ds_shares_double_support(adult, count_expm):
-    """A build at a new T_ss shares the double-support half of the last
-    stride map built for the body at the same T_ds and takes one
-    exponential; a build at a new T_ds takes two."""
-    body = scaled_body(adult, 63.1729, 1.0371)
-    first = stride_maps(body, StrideTiming(T_ds=0.2113, T_ss=0.5))
-    assert len(count_expm) == 2
-    count_expm.clear()
-    second = stride_maps(body, StrideTiming(T_ds=0.2113, T_ss=0.6))
-    assert len(count_expm) == 1
-    assert second.ds is first.ds and second.H_ds_end is first.H_ds_end
-    count_expm.clear()
-    third = stride_maps(body, StrideTiming(T_ds=0.2114, T_ss=0.6))
-    assert len(count_expm) == 2 and third.ds is not first.ds
-
-
 def test_cache_clear_leaves_the_next_build_cold(adult, count_expm):
     body = scaled_body(adult, 58.9317, 0.9623)
     stride_maps(body, StrideTiming(T_ds=0.1931, T_ss=0.5))
@@ -263,21 +293,26 @@ def test_cache_clear_leaves_the_next_build_cold(adult, count_expm):
 
 
 def test_shared_double_support_matches_a_fresh_build(adult, kid):
-    """A stride map built on a shared double-support half equals a cold build
-    of the same timing bit for bit, and the half dies with the maps that
-    hold it."""
+    """The relax path takes a body's double-support map once per T_ds and
+    shares it across stride times: its R1 equals R1 of fresh stride maps at
+    each stride time to roundoff.  A stride map is pure in its timing: a
+    rebuild after the cache is cleared equals it bit for bit, and nothing
+    of the first build stays alive."""
+    from linwalk.gaits import _relax_R1, build_periodicity
     for body, tm, rng in _random_bodies_and_timings((adult, kid), 8, seed=54):
-        other = StrideTiming(tm.T_ds, rng.uniform(0.2, 0.8))
+        ts = tm.T_ds + rng.uniform(0.2, 0.8, 3)
+        shared = _relax_R1(body, tm.T_ds)(ts)
+        for R1, T in zip(shared, ts):
+            fresh = build_periodicity(body, StrideTiming(tm.T_ds, T - tm.T_ds)).R1
+            assert np.max(np.abs(R1 - fresh)) <= 1e-13 * np.max(np.abs(fresh))
         first = stride_maps(body, tm)
-        shared = stride_maps(body, other)
-        assert shared.ds is first.ds
-        half = weakref.ref(shared.ds)
-        H_ds_end, H_stride = shared.H_ds_end, shared.H_stride
-        del first, shared
+        half = weakref.ref(first.ds)
+        H_ds_end, H_stride = first.H_ds_end, first.H_stride
+        del first
         stride_maps.cache_clear()
         gc.collect()
         assert half() is None
-        fresh = stride_maps(body, other)
+        fresh = stride_maps(body, tm)
         assert np.array_equal(fresh.H_ds_end, H_ds_end)
         assert np.array_equal(fresh.H_stride, H_stride)
 
