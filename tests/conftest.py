@@ -46,18 +46,6 @@ def pade_flow(pm, t: float, dt: float) -> np.ndarray:
     return E[:23, :23] + t * (E[:23, 23:] @ pm._pi)
 
 
-def pade_R1(params, timing) -> np.ndarray:
-    """R1 at one timing from Pade stride maps, as the periodicity system
-    formed it before the maps were closed form."""
-    from linwalk.gaits import R1_COLS, _R_END, _R_START
-    from linwalk.transition import stride_maps
-
-    maps = stride_maps(params, timing)
-    H_stride = (pade_flow(maps.ss, 0.0, timing.T_ss)
-                @ pade_flow(maps.ds, 0.0, timing.T_ds))
-    return (_R_START + _R_END @ H_stride)[:, R1_COLS]
-
-
 @pytest.fixture
 def count_expm(monkeypatch) -> list:
     """The calls of `linwalk.transition.expm` made during the test, one

@@ -227,10 +227,13 @@ def _parent_relax(params, T_ds, bracket):
     the walk up the even grid points polished by scipy's brentq."""
     from scipy.optimize import brentq
 
-    from conftest import pade_R1
+    from conftest import pade_flow
 
     def R1(T):
-        return pade_R1(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
+        maps = stride_maps(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
+        H_stride = (pade_flow(maps.ss, 0.0, T - T_ds)
+                    @ pade_flow(maps.ds, 0.0, T_ds))
+        return (gaits._R_START + gaits._R_END @ H_stride)[:, R1_COLS]
 
     def minor(T):
         return float(np.linalg.det(R1(T)[gaits._SAG][1:]))
