@@ -479,7 +479,7 @@ _CONST_COLS = {
 
 
 # probing timing: both phases last 1 s, so phase time equals s = t / T_phase
-_UNIT_TIMING = StrideTiming(T_ds=1.0, T_ss=1.0)
+UNIT_TIMING = StrideTiming(T_ds=1.0, T_ss=1.0)
 
 
 # an entry, with its wrench map and the map template built on it, takes
@@ -493,7 +493,7 @@ def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
     s = 0, 0.5 and 1."""
     probes = np.tile(np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)]), (3, 1))
     s = np.repeat([0.0, 0.5, 1.0], Q_DIM + 1)
-    forces = solve_forces(params, _UNIT_TIMING, phase, probes, s)
+    forces = solve_forces(params, UNIT_TIMING, phase, probes, s)
     acc = forces.accel.reshape(3, Q_DIM + 1, 4)
     if np.max(np.abs(acc[:, 0])) > 1e-9:
         raise DegenerateModelError(f"{phase}-support accelerations not homogeneous")

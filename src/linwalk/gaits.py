@@ -193,24 +193,28 @@ def find_relax_time(params: BodyParams, T_ds: float,
     (the smallest, the lateral step in place, vanishes at every stride time).
 
     A sagittal minor of R1 is evaluated at all even points of the relax
-    grid at once; going up the grid, each sign change is Brent-polished
-    (`roots.brentq`, xtol = 1e-10, one map per step) and the first root
-    passing the rank check is returned.
+    grid at once; going up the grid, each sign change, or zero, of it is
+    Brent-polished (`roots.brentq`, xtol = 1e-10, one map per step) and the
+    first root passing the rank check is returned.  Brent reads the grid's
+    own values at its bracket ends: a one-point evaluation there may round
+    to the other sign where the minor is near zero.
     """
-    ts = _stride_times(T_ds, bracket)[::2]
+    ts = _stride_times(T_ds, bracket)[::2].tolist()
     R1 = _relax_R1(params, T_ds)
+    vals = np.linalg.det(R1(np.array(ts))[(..., *_SAG)][:, 1:])
+    grid = dict(zip(ts, vals.tolist()))
 
     def minor(T: float) -> float:
         # one 3x3 minor of the sagittal block: zero where the block drops rank
+        if T in grid:
+            return grid[T]
         return float(np.linalg.det(R1(np.array([T]))[0][_SAG][1:]))
 
-    signs = np.sign(np.linalg.det(R1(ts)[(..., *_SAG)][:, 1:]))
-    for lo, hi, at_lo, at_hi in zip(ts, ts[1:], signs, signs[1:]):
-        if at_lo * at_hi < 0:
-            T = brentq(minor, lo, hi, xtol=1e-10)
-            s2 = np.linalg.svd(R1(np.array([T]))[0], compute_uv=False) ** 2
-            if s2[-2] <= 1e-9 * s2[0]:
-                return T
+    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0):
+        T = brentq(minor, ts[i], ts[i + 1], xtol=1e-10)
+        s2 = np.linalg.svd(R1(np.array([T]))[0], compute_uv=False) ** 2
+        if s2[-2] <= 1e-9 * s2[0]:
+            return T
     raise NoRelaxTimeError(
         f"no stride time in {bracket} zeroes the sagittal singular value")
 

@@ -10,18 +10,19 @@ from __future__ import annotations
 import math
 import sys
 
+# scipy's defaults: the relative tolerance and the iteration limit
 _RTOL = 4.0 * sys.float_info.epsilon
+_MAXITER = 100
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
-    xtol + rtol |x|.  Inverse quadratic interpolation, secant steps and
+    xtol + 4 eps |x|.  Inverse quadratic interpolation, secant steps and
     bisection; returns an end whose value is zero at once.  Raises
-    ValueError for a bracket without a sign change and RuntimeError if
-    maxiter steps do not converge."""
-    if not (xtol > 0.0 and rtol >= _RTOL):
-        raise ValueError(f"need xtol > 0 and rtol >= {_RTOL}, got {xtol}, {rtol}")
+    ValueError for xtol <= 0 or a bracket without a sign change, and
+    RuntimeError if 100 steps do not converge."""
+    if not xtol > 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol}")
     xpre, xcur = float(a), float(b)
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0:
@@ -31,7 +32,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre         # the bracket is [xcur, xblk]
@@ -39,7 +40,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
         if abs(fblk) < abs(fcur):           # xcur is the best estimate
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (xtol + rtol * abs(xcur))
+        delta = 0.5 * (xtol + _RTOL * abs(xcur))
         sbis = 0.5 * (xblk - xcur)
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -60,4 +61,4 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _RTOL,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
         fcur = f(xcur)
-    raise RuntimeError(f"no convergence in {maxiter} iterations")
+    raise RuntimeError(f"no convergence in {_MAXITER} iterations")

@@ -67,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    SINGLE, PhaseODE, assemble_double_support, assemble_single_support,
+    SINGLE, UNIT_TIMING, PhaseODE, assemble_double_support, assemble_single_support,
 )
 from .layout import Q_DIM, Q_NAMES, W_SLICE, selection_matrices
 from .model import BodyParams, DegenerateModelError, Push, StrideTiming
@@ -81,9 +81,6 @@ class ControlDegeneracyError(RuntimeError):
 # an entry lives only as long as its ODE does, so the `_extract_ode` bound
 # bounds the templates too (a cached stride map holds its own two)
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# any timing: `phase_ends` reads only the unit ODE of its assembly
-_UNIT = StrideTiming(T_ds=1.0, T_ss=1.0)
 
 # 1 / k! for the Taylor terms k < 18 of a flow piece (`PhaseMap.pieces`)
 _INV_FACTORIALS = 1.0 / np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None, None]
@@ -200,9 +197,12 @@ class _Template:
 
 def _map_template(unit: PhaseODE) -> _Template:
     """The template of one body's phase, built on first use from its
-    unit-duration ODE.  An acceleration row that reads an entry of the
-    other axis raises `DegenerateModelError`: the closed form treats the
-    axes apart."""
+    unit-duration ODE.  The closed form treats the axes apart and holds
+    the entries that do not move constant; `DegenerateModelError` is raised
+    where the ODE breaks that: an acceleration row reading an entry of the
+    other axis, a nonzero acceleration of an entry that does not move, or a
+    moving entry's acceleration reading a velocity of one or a time-linear
+    coefficient on its position or velocity."""
     tpl = _TEMPLATES.get(unit)
     if tpl is not None:
         return tpl
@@ -210,6 +210,10 @@ def _map_template(unit: PhaseODE) -> _Template:
                        np.flatnonzero(np.max(np.abs(unit.K1), axis=0) > 1e-300))
     moving = (0, 2) if unit.phase == SINGLE else (2,)
     n = len(moving)
+    still = [r for r in range(4) if r - r % 2 not in moving]
+    if np.any(unit.K0[still]) or np.any(unit.K1[still]):
+        raise DegenerateModelError(
+            f"{unit.phase}-support dynamics accelerate an entry the phase holds fixed")
     lams, Zs = [], []
     for axis, cols in enumerate(_AXIS_COLS):
         pos = [axis + i for i in moving]
@@ -219,7 +223,11 @@ def _map_template(unit: PhaseODE) -> _Template:
                 f"{unit.phase}-support dynamics couple the sagittal and lateral axes")
         p = [i // 2 for i in moving]           # positions and velocities
         v = [i + 2 for i in p]                 # among the axis' columns
-        forcing = K0[:, cols]                  # K0 reads no velocity
+        forcing = K0[:, cols]
+        if np.any(forcing[:, v]) or np.any(K1[:, cols][:, p + v]):
+            raise DegenerateModelError(
+                f"{unit.phase}-support accelerations read a moving velocity "
+                "or ramp a moving position")
         forcing[:, p] = 0.0
         lam, P = _spectrum(K0[:, pos], unit.phase)
         Z = np.zeros((4, n, 2 * n, len(cols)))
@@ -355,12 +363,13 @@ def phase_ends(params: BodyParams, phase: str, durations) -> np.ndarray:
     """H_phase(T) of one body's phase at the end of each duration T in
     `durations` (k,): (k, 23, 23) from one closed-form evaluation.  No
     stride map is built or cached.  The body's unit ODE is fetched through
-    the same `assemble_*` call as a stride-map build's."""
+    the same `assemble_*` call as a stride-map build's, at the probing
+    timing (any timing would do)."""
     assemble = assemble_single_support if phase == SINGLE else assemble_double_support
     T = np.asarray(durations, dtype=float)
     if not np.all((T > 0.0) & (T < np.inf)):
         raise ValueError(f"{phase}-support durations must be finite and positive")
-    return expm(_map_template(assemble(params, _UNIT).unit), T, 0.0, T)
+    return expm(_map_template(assemble(params, UNIT_TIMING).unit), T, 0.0, T)
 
 
 def constrain_foot_velocity(H: np.ndarray) -> np.ndarray:

@@ -181,21 +181,24 @@ def test_relax_rejects_bad_double_support_time(adult, T_ds):
 
 def _relax_time_all_roots(params, T_ds, bracket):
     """Reference: evaluate the sagittal minor of the closed-form R1 at all
-    41 points of the bracket grid one at a time, polish every sign change
-    with scipy's brentq, and return the smallest root whose R1 drops to
-    rank 5."""
+    41 points of the bracket grid, polish every sign change or zero with
+    scipy's brentq, and return the smallest root whose R1 drops to rank 5.
+    As in the solve, the minor at a grid point is the grid's batched value."""
     from scipy.optimize import brentq
     R1 = gaits._relax_R1(params, T_ds)
+    ts = np.linspace(max(bracket[0], T_ds + 1e-3), bracket[1], 41)
+    vals = np.linalg.det(R1(ts)[:, (2, 4, 6)][..., (0, 2, 4)])
+    grid = dict(zip(ts.tolist(), vals.tolist()))
 
     def minor(T):
+        if T in grid:
+            return grid[T]
         return float(np.linalg.det(R1(np.array([T]))[0][np.ix_((2, 4, 6), (0, 2, 4))]))
 
-    ts = np.linspace(max(bracket[0], T_ds + 1e-3), bracket[1], 41)
-    vals = [minor(T) for T in ts]
     roots = []
     for i in range(len(ts) - 1):
-        if np.sign(vals[i]) * np.sign(vals[i + 1]) < 0:
-            T = float(brentq(minor, ts[i], ts[i + 1], xtol=1e-10))
+        if np.sign(vals[i]) * np.sign(vals[i + 1]) <= 0:
+            T = float(brentq(minor, float(ts[i]), float(ts[i + 1]), xtol=1e-10))
             s2 = np.linalg.svd(R1(np.array([T]))[0], compute_uv=False) ** 2
             if s2[-2] <= 1e-9 * s2[0]:
                 roots.append(T)
@@ -205,8 +208,8 @@ def _relax_time_all_roots(params, T_ds, bracket):
 def test_relax_time_is_smallest_valid_root_of_all_sign_changes(adult, kid):
     """The one-pass walk over the batched grid, polished by the stdlib
     Brent port, returns bit for bit the smallest valid root over every sign
-    change of the grid evaluated point by point and polished by scipy, on
-    60 seeded bodies and brackets: both CLI brackets at each drawn T_ds."""
+    change of the grid, each polished by scipy, on 60 seeded bodies and
+    brackets: both CLI brackets at each drawn T_ds."""
     rng = np.random.default_rng(18)
     cases = 0
     for base in (adult, kid):
@@ -268,8 +271,8 @@ def test_relax_matches_pade_stride_maps(adult, kid):
 
 
 def test_relax_bracket_grid_is_even_points_of_scan_grid(adult):
-    """The solve's 41-point bracket grid is every other scan point, so a
-    scan after a solve reuses the solve's stride maps."""
+    """The solve's 41-point bracket grid is every other scan point: the
+    solve's brackets are intervals of the grid `relax_scan` reports."""
     rng = np.random.default_rng(19)
     for _ in range(200):
         T_ds = float(rng.uniform(0.05, 0.4))
@@ -296,6 +299,29 @@ def test_cold_relax_solve_polishes_one_root(adult, monkeypatch):
     find_relax_time(body, 0.2)
     assert len(polished) == 1
     assert stride_maps.cache_info().misses == misses
+
+
+def _synthetic_R1(root, at_grid):
+    """A stand-in for `gaits._relax_R1`: R1(ts) whose sagittal minor is
+    T - root, with rank 5 at the root, plus `at_grid` where the batch is the
+    solve's grid (k > 1) and minus it at one point, as the roundoff of a
+    many-row and a one-row product may differ."""
+    def R1(ts):
+        out = np.zeros((len(ts), 8, 7))
+        out[:, (1, 3, 5, 4, 6), (1, 3, 5, 2, 4)] = 1.0
+        out[:, 2, 0] = ts - root + (at_grid if len(ts) > 1 else -at_grid)
+        return out
+    return lambda params, T_ds: R1
+
+
+@pytest.mark.parametrize("at_grid", [0.0, -1e-17, 1e-17])
+def test_relax_root_on_a_grid_point(adult, monkeypatch, at_grid):
+    """A minor zero, or within roundoff of it, at a grid point: the batched
+    grid and a one-point evaluation may disagree in sign there, and Brent
+    reads the grid's value at its bracket ends, so the root is found."""
+    root = float(gaits._stride_times(0.2, (0.4, 1.5))[::2][10])
+    monkeypatch.setattr(gaits, "_relax_R1", _synthetic_R1(root, at_grid))
+    assert abs(find_relax_time(adult, 0.2) - root) <= 1e-10
 
 
 @pytest.fixture

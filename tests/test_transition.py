@@ -215,6 +215,29 @@ def test_complex_or_repeated_pair_raises(block, kind):
         PhaseMap(PhaseODE(SINGLE, 1.0, K0, np.zeros((4, Q_DIM))))
 
 
+@pytest.mark.parametrize("phase, which, cell, what", [
+    (DOUBLE, "K0", (0, 8), "holds fixed"),          # trailing foot accelerates
+    (DOUBLE, "K1", (1, 9), "holds fixed"),
+    (DOUBLE, "K0", (2, 6), "moving velocity"),      # pelvis reads its velocity
+    (SINGLE, "K0", (0, 4), "moving velocity"),      # swing foot reads its own
+    (DOUBLE, "K1", (2, 2), "ramp a moving position"),
+    (SINGLE, "K1", (3, 5), "ramp a moving position"),
+])
+def test_structure_the_closed_form_assumes_is_checked(phase, which, cell, what):
+    """The closed form holds the entries that do not move constant, treats
+    K0's velocity columns as constant inputs and K1 as reading only
+    constant entries; a synthetic unit ODE breaking one of these, within
+    one axis, is refused by name rather than mapped wrongly."""
+    K = {"K0": np.zeros((4, Q_DIM)), "K1": np.zeros((4, Q_DIM))}
+    for axis in (0, 1):
+        K["K0"][np.ix_([axis, axis + 2], [axis, axis + 2])] = [[5.0, 1.0], [0.0, 2.0]]
+    if phase == DOUBLE:
+        K["K0"][:2] = 0.0
+    K[which][cell] = 1.0
+    with pytest.raises(DegenerateModelError, match=what):
+        PhaseMap(PhaseODE(phase, 1.0, K["K0"], K["K1"]))
+
+
 def test_double_support_scalar_modes_take_any_sign():
     """Double support has one scalar mode per axis: a synthetic stiffness
     of either sign, or zero, gives the exact closed-form flow."""
