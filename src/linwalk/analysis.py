@@ -149,9 +149,9 @@ def com_work_per_distance(gait: GaitSolution) -> float:
     P = sum m v.a of the three moving masses over one stride: the sum of the
     kinetic-energy rises between its turning points.  The swing leg's
     pump-and-brake flow is what penalizes fast stepping.  Each phase's flow
-    is exact Taylor polynomials on a few pieces (`PhaseMap.pieces`), so the
-    kinetic energy KE = 1/2 sum m |Vm x|^2 is a polynomial on each piece,
-    and its turning points there are the roots of dKE/ds
+    is exact closed-form polynomials on a few pieces (`PhaseMap.pieces`), so
+    the kinetic energy KE = 1/2 sum m |Vm x|^2 is a polynomial on each
+    piece, and its turning points there are the roots of dKE/ds
     (`_turning_points`).  The work is the positive variation of KE over
     those roots and the time-ordered piece junctions, phase ends included:
     a point that is no extremum adds nothing.  No grid, no exponential.

@@ -43,9 +43,14 @@ _EXIT_CODES = {ConfigError: EXIT_USAGE, **dict.fromkeys(
      DegenerateModelError, NullSpaceDimensionError, ValueError), EXIT_FAIL)}
 
 
+# the most values one START:STEP:STOP range may expand to
+_MAX_RANGE = 10_000
+
+
 def _parse_range(text: str, what: str, positive: bool) -> np.ndarray:
-    """Parse 'start:step:stop' (inclusive stop) or a single number, all
-    finite; every value non-zero, and positive if `positive`."""
+    """Parse 'start:step:stop' (inclusive stop, at most `_MAX_RANGE` values)
+    or a single number, all finite; every value non-zero, and positive if
+    `positive`."""
     parts = text.split(":")
     try:
         values = [float(p) for p in parts]
@@ -55,8 +60,11 @@ def _parse_range(text: str, what: str, positive: bool) -> np.ndarray:
             a, h, b = values
             if h <= 0.0 or b < a:
                 raise ValueError
-            n = int(np.floor((b - a) / h + 1e-9)) + 1
-            values = a + h * np.arange(n)
+            n = np.floor((b - a) / h + 1e-9) + 1.0
+            if n > _MAX_RANGE:
+                raise argparse.ArgumentTypeError(
+                    f"bad {what} range {text!r}: more than {_MAX_RANGE} values")
+            values = a + h * np.arange(int(n))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad {what} range {text!r}: expected NUMBER or START:STEP:STOP"

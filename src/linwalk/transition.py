@@ -23,20 +23,19 @@ time h, from phase time t0,
 So a map is the identity plus a feature vector phi(h, t0, T) of the four
 functions s, C, (t0 C + S) / T and (t0 s + C) / T per eigenvalue times a
 timing-free matrix Z on the moving rows.  `_map_template` builds the
-eigenvalues and Z once per (body, phase), with the augmented generator
-(below) and its clock columns, as a template that lives as long as the
-cached phase ODE it comes from; `expm` evaluates the maps at any number of
-(h, t0, T) at once.  Rows that do not move are the identity exactly, and no
-entry couples the axes.  A complex or repeated eigenvalue pair raises
+eigenvalues and Z once per (body, phase), as a template that lives as long
+as the cached phase ODE it comes from; `expm` evaluates the maps at any
+number of (h, t0, T) at once.  Rows that do not move are the identity
+exactly, and no entry couples the axes.  A complex or repeated eigenvalue pair raises
 `DegenerateModelError`.  No template is keyed by a time value (only the
 stride-map cache below is, by (params, timing)).
 
-Dense output takes no map at all: the states x = [Q; t * Pi Q], with Pi
-selecting the clocked entries (those with a time-linear coefficient), obey
-the autonomous x' = generator x, and `PhaseMap.pieces` writes a phase's
-whole flow from given states as Taylor polynomials of the generator on a
-few pieces, on states scaled by powers of two (`_balance`); the states at
-any times are those polynomials evaluated.
+Dense output takes no map at all: s, C and S are power series in h, so
+`PhaseMap.pieces` writes a phase's whole flow from given states as
+polynomials on a few pieces, short enough that |lambda| h^2 <= 1/2, with
+the features' h^d coefficients (a timing-free table in the template) in
+place of their values; the states at any times are those polynomials
+evaluated.
 
 A full stride is double support followed by single support; only
 `StrideMaps.flow` and `StrideMaps.states` split a stride time into its
@@ -61,7 +60,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +81,6 @@ class ControlDegeneracyError(RuntimeError):
 # bounds the templates too (a cached stride map holds its own two)
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-# 1 / k! for the Taylor terms k < 18 of a flow piece (`PhaseMap.pieces`)
-_INV_FACTORIALS = 1.0 / np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None, None]
-
 # s / h, C / h^2 and S / h^3 as power series in x = lambda h^2: the
 # coefficients 1 / (2j + 1)!, 1 / (2j + 2)! and 1 / (2j + 3)!, j < 10,
 # whose last terms are below 2^-52 of the first where |x| < 1/2
@@ -92,28 +88,8 @@ _SERIES = np.array([[1.0 / math.factorial(2 * j + i) for i in (1, 2, 3)]
                     for j in range(10)])
 _POWERS = np.arange(10.0)
 
-
-def _balance(A: np.ndarray) -> np.ndarray:
-    """Powers of two d such that diag(1/d) A diag(d), an exact similarity,
-    has each state's row and column of about equal 1-norm: Osborne's
-    iteration as in LAPACK gebal, without its permutations.  Only states
-    coupled both ways move; the sweeps run on their few nonzero entries."""
-    M = np.abs(A) - np.diag(np.abs(np.diag(A)))
-    nodes = [(j, [(i, v) for i, v in enumerate(M[:, j].tolist()) if v],
-              [(k, v) for k, v in enumerate(M[j].tolist()) if v])
-             for j in np.flatnonzero(M.any(axis=0) & M.any(axis=1)).tolist()]
-    d = [1.0] * len(A)
-    for _ in range(32):                 # sweeps; a few suffice
-        moved = False
-        for j, col, row in nodes:
-            c = d[j] * sum(v / d[i] for i, v in col)
-            r = sum(v * d[k] for k, v in row) / d[j]
-            f = 2.0 ** round(0.5 * math.log2(r / c))
-            if c * f + r / f < 0.95 * (c + r):
-                d[j], moved = d[j] * f, True
-        if not moved:
-            break
-    return np.array(d)
+# the degrees of a flow piece's polynomials (`PhaseMap.pieces`)
+_DEGREES = np.arange(18.0)
 
 
 def _spectrum(A: np.ndarray, phase: str) -> tuple[np.ndarray, np.ndarray]:
@@ -146,53 +122,29 @@ _AXIS_COLS = np.array([list(range(axis, Q_DIM - 1, 2)) + [Q_DIM - 1] for axis in
 class _Template:
     """The timing-free parts of one body's phase maps (read-only arrays).
 
-    ``K0`` and ``K1`` are the unit ODE's, with ``clock_cols`` and ``pi``
-    the entries K1 reads.  Per axis (sagittal, lateral) and eigenvalue
-    lambda of its position block, ``lam`` (2, 1, n) holds lambda, ``reach``
-    sqrt(1 / (2 |lambda|)), below which times take the series, and ``den``
-    and ``root`` the lambda and sqrt(lambda) of the closed forms (imaginary
-    where lambda < 0; a zero lambda, whose times all take the series, is 1
-    there), all shaped to broadcast against (k, 1) times.  ``Z`` (2, 4n,
-    2n * 12) is the map's increment over the identity on the axis' moving
-    positions and velocities and its columns (`_AXIS_COLS`), per feature
-    s, C, (t0 C + S) / T, (t0 s + C) / T of each eigenvalue (`expm`), and
-    ``cells`` the flat indices of those entries in a 23 x 23 map.
+    Per axis (sagittal, lateral) and eigenvalue lambda of its position
+    block, ``lam`` (2, 1, n) holds lambda, ``reach`` sqrt(1 / (2 |lambda|)),
+    below which times take the series, and ``den`` and ``root`` the lambda
+    and sqrt(lambda) of the closed forms (imaginary where lambda < 0; a zero
+    lambda, whose times all take the series, is 1 there), all shaped to
+    broadcast against (k, 1) times.  ``series`` (3, 2, 18, n) holds the
+    coefficients of h^d in s, C and S (lambda^i / d! at d = 2i + 1, 2i + 2
+    and 2i + 3).  ``Z`` (2, 4n, 2n * 12) is the map's increment over the
+    identity on the axis' moving positions and velocities (``rows``, 2 x 2n)
+    and its columns (`_AXIS_COLS`), per feature s, C, (t0 C + S) / T,
+    (t0 s + C) / T of each eigenvalue (`expm`), and ``cells`` the flat
+    indices of those entries in a 23 x 23 map.
     """
 
     phase: str
-    K0: np.ndarray
-    K1: np.ndarray
-    clock_cols: tuple
-    pi: np.ndarray
     lam: np.ndarray
     reach: np.ndarray
     den: np.ndarray
     root: np.ndarray
+    series: np.ndarray
     Z: np.ndarray
+    rows: np.ndarray
     cells: np.ndarray
-
-    @cached_property
-    def generator(self) -> np.ndarray:
-        """The augmented generator at unit duration, built on first use:
-        only `PhaseMap.pieces` reads it."""
-        nc = len(self.clock_cols)
-        A = np.zeros((Q_DIM + nc, Q_DIM + nc))
-        if self.phase == SINGLE:
-            A[0:2, 4:6] = np.eye(2)       # swing foot moves in single support
-        A[2:4, 6:8] = np.eye(2)
-        A[4:8, :Q_DIM] = self.K0
-        A[4:8, Q_DIM:] = self.K1[:, self.clock_cols]
-        A[Q_DIM:, :Q_DIM] = self.pi
-        A.flags.writeable = False
-        return A
-
-    @cached_property
-    def scale(self) -> np.ndarray:
-        """The power-of-two state scales that balance the generator
-        (`_balance`)."""
-        d = _balance(self.generator)
-        d.flags.writeable = False
-        return d
 
 
 def _map_template(unit: PhaseODE) -> _Template:
@@ -206,8 +158,6 @@ def _map_template(unit: PhaseODE) -> _Template:
     tpl = _TEMPLATES.get(unit)
     if tpl is not None:
         return tpl
-    clock_cols = tuple(int(j) for j in
-                       np.flatnonzero(np.max(np.abs(unit.K1), axis=0) > 1e-300))
     moving = (0, 2) if unit.phase == SINGLE else (2,)
     n = len(moving)
     still = [r for r in range(4) if r - r % 2 not in moving]
@@ -245,13 +195,16 @@ def _map_template(unit: PhaseODE) -> _Template:
                      for axis in (0, 1)])
     lam = np.array(lams)[:, None]
     den = np.where(lam == 0.0, 1.0, lam)
+    series = np.zeros((3, 2, len(_DEGREES), n))
+    for f in range(3):                     # s, C, S: lambda^i / d!, d = 2i + f + 1
+        terms = lam[:, 0, None] ** _POWERS[:, None] * _SERIES[:, f, None]   # (2, 10, n)
+        series[f][:, f + 1::2] = terms[:, :(len(_DEGREES) - f) // 2]
     tpl = _Template(
-        phase=unit.phase, K0=unit.K0, K1=unit.K1, clock_cols=clock_cols,
-        pi=np.eye(Q_DIM)[list(clock_cols)], lam=lam,
+        phase=unit.phase, lam=lam,
         reach=np.where(lam == 0.0, np.inf, np.sqrt(0.5 / np.abs(den))),
-        den=den, root=np.sqrt(den.astype(complex)), Z=np.array(Zs),
-        cells=(rows[..., None] * Q_DIM + _AXIS_COLS[:, None]).reshape(2, -1))
-    for a in (tpl.pi, lam, tpl.reach, den, tpl.root, tpl.Z, tpl.cells):
+        den=den, root=np.sqrt(den.astype(complex)), series=series, Z=np.array(Zs),
+        rows=rows, cells=(rows[..., None] * Q_DIM + _AXIS_COLS[:, None]).reshape(2, -1))
+    for a in (lam, tpl.reach, den, tpl.root, series, tpl.Z, rows, tpl.cells):
         a.flags.writeable = False
     _TEMPLATES[unit] = tpl
     return tpl
@@ -262,8 +215,7 @@ def expm(tpl: _Template, h, t0, T) -> np.ndarray:
     phase lasting T, at k triples (h, t0, T) given as scalars or (k,)
     arrays: (k, 23, 23), in closed form from the template (module
     docstring), one product for all k.  Named for the matrix exponential
-    it replaces: each map is the top-left block of E(h), with the clock
-    states folded back in."""
+    it replaces."""
     h, t0, T = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (h, t0, T))
     z = tpl.root * h                                     # (2, k, n)
     s = (np.sinh(z) / tpl.root).real
@@ -284,67 +236,47 @@ def expm(tpl: _Template, h, t0, T) -> np.ndarray:
 class PhaseMap:
     """Exact transition map of one phase, t in [0, duration].
 
-    The closed-form maps and the generator's structure (its constant block,
-    the clock columns and Pi) are a per-body template, built once per
-    (body, phase); a timing copies the generator and writes only the 4 x nc
-    clock block K1_unit[:, clock_cols] / T_phase, and the generator is
-    read-only.  ``map_at`` and ``flow`` are one closed-form evaluation each
-    (`expm`); ``pieces`` writes the flow of given states over the whole
-    phase from the generator.
+    The closed-form factors are a per-body template, built once per
+    (body, phase).  ``map_at`` and ``flow`` are one closed-form evaluation
+    each (`expm`); ``pieces`` writes the flow of given states over the
+    whole phase as polynomials read off the same closed form.
     """
 
     def __init__(self, ode: PhaseODE):
         self.phase = ode.phase
         self.duration = ode.duration
         self._tpl = _map_template(ode.unit or ode)
-        self.clock_cols, self._pi = self._tpl.clock_cols, self._tpl.pi
-        self._clock = ode.K1[:, self.clock_cols]
 
-    @cached_property
-    def generator(self) -> np.ndarray:
-        """The augmented generator of this timing (read-only), built on
-        first use."""
-        A = self._tpl.generator.copy()
-        A[4:8, Q_DIM:] = self._clock
-        A.flags.writeable = False
-        return A
+    def pieces(self, Q: np.ndarray) -> np.ndarray:
+        """The exact flow from the phase-start state Q (23,), or the states Q
+        (k, 23) one per row, over the phase duration, as polynomials on m
+        equal pieces of length h = duration / m: Q(j h + u h) =
+        sum_d C[j, d] u^d for u in [0, 1].  Returns C (m, 18) + Q.shape.
 
-    def pieces(self, x: np.ndarray) -> np.ndarray:
-        """The exact flow from the augmented state x (n,), or the states x
-        (k, n) one per row, over the phase duration, as Taylor polynomials on
-        m equal pieces of length h = duration / m: x(j h + s h) =
-        sum_i C[j, i] s^i for s in [0, 1].  Returns C (m, 18) + x.shape.
-
-        They are formed on the states x / scale (clock states divided by
-        T_phase, all by the template's powers of two), whose generator B
-        takes m = ceil(T_phase |B|_1) pieces: then |(h B)^i / i!|_1 <= 1 / i!,
-        and 1 / 18! < 2^-52.  The terms are formed once, by doubling; each
-        piece starts where the previous one's Taylor sum ends.  The states
-        are carried as columns, so all pieces of all states take one product
-        with the terms.
+        The coefficient of u^d on piece j is the h^d coefficient of the
+        closed form's features s, C, (t_j C + S) / T and (t_j s + C) / T
+        (module docstring; t_j = j h) contracted with Z, applied to the
+        piece's start state.  m = ceil(T max sqrt(2 |lambda|)) keeps
+        |lambda| h^2 <= 1/2, where 18 coefficients are exact to roundoff.
+        Each piece starts where the previous one's sum ends.
         """
-        n = len(self.generator)
-        scale = np.where(np.arange(n) < Q_DIM, 1.0, self.duration) * self._tpl.scale
-        B = self.generator * scale / scale[:, None]
-        m = max(1, math.ceil(self.duration * np.abs(B).sum(axis=0).max()))
-        terms = np.empty((18, n, n))
-        terms[0], terms[1], k = np.eye(n), B * (self.duration / m), 2
-        while k < 18:                       # powers k, ..., 2k - 2
-            r = min(k - 1, 18 - k)
-            terms[k:k + r] = terms[1:r + 1] @ terms[k - 1]
-            k += r
-        terms *= _INV_FACTORIALS
-        step, y = terms.sum(axis=0), [np.transpose(x / scale)]
-        for _ in range(1, m):
-            y.append(step @ y[-1])
-        C = terms @ np.asarray(y).swapaxes(0, 1).reshape(n, -1)   # (18, n, m k)
-        return C.reshape(18, n, m, -1).transpose(2, 0, 3, 1).reshape(
-            (m, 18) + x.shape) * scale
-
-    def augment(self, Q: np.ndarray, t: float) -> np.ndarray:
-        """Augmented state [Q; t * Pi Q] at phase time t; Q may hold one
-        state per row."""
-        return np.concatenate([Q, t * (Q @ self._pi.T)], axis=-1)
+        tpl, T = self._tpl, self.duration
+        m = max(1, math.ceil(T * np.max(1.0 / tpl.reach)))
+        h, K = T / m, len(_DEGREES)
+        s, C, S = (f[:, None] for f in tpl.series * h ** _DEGREES[:, None])
+        t = h * np.arange(m)[:, None, None]              # piece starts
+        phi = np.concatenate(np.broadcast_arrays(         # (axis, piece, degree, 4n)
+            s, C, (t * C + S) / T, (t * s + C) / T), axis=3)
+        W = (phi.reshape(2, m * K, -1) @ tpl.Z).reshape(2, m, K, -1, len(_AXIS_COLS[0]))
+        x = np.reshape(Q, (-1, Q_DIM))                   # one state per row
+        out = np.zeros((m, K) + x.shape)
+        out[0, 0] = x
+        for j in range(m):
+            if j:
+                out[j, 0] = out[j - 1].sum(axis=0)
+            inc = W[:, j, 1:] @ out[j, 0][:, _AXIS_COLS].transpose(1, 2, 0)[:, None]
+            out[j][1:, :, tpl.rows] = inc.transpose(1, 3, 0, 2)     # (K - 1, k, 2, 2n)
+        return out.reshape((m, K) + np.shape(Q))
 
     def map_at(self, t: float) -> np.ndarray:
         """H_phase(t): exact 23 x 23 map from the phase start."""
@@ -427,8 +359,8 @@ class StrideMaps:
         """Both phases' flows from the stride-start state Q0 (23,), or the
         states Q0 (k, 23) one per row, as `PhaseMap.pieces`; single support
         starts where the double-support pieces end."""
-        ds = self.ds.pieces(self.ds.augment(Q0, 0.0))
-        return ds, self.ss.pieces(self.ss.augment(ds[-1].sum(axis=0)[..., :Q_DIM], 0.0))
+        ds = self.ds.pieces(Q0)
+        return ds, self.ss.pieces(ds[-1].sum(axis=0))
 
     def states(self, Q0: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """H(t) Q0 at the non-decreasing stride times ts in [0, T_stride],
@@ -436,7 +368,7 @@ class StrideMaps:
 
         The flow pieces (`pieces`) are evaluated at the times: no map is
         formed.  The times are sorted, so those on one piece form one run
-        and take one product with its Taylor terms.
+        and take one product with its coefficients.
         """
         Q0 = np.asarray(Q0, dtype=float)
         ts = np.asarray(ts, dtype=float)
@@ -454,7 +386,7 @@ class StrideMaps:
             u = tl * (m / pm.duration)                 # in pieces
             j = np.clip(np.floor(u), 0, m - 1).astype(int)
             s = (u - j)[:, None] ** np.arange(C.shape[1])
-            C = C[..., :Q_DIM].reshape(m, C.shape[1], -1)
+            C = C.reshape(m, C.shape[1], -1)
             ends = np.searchsorted(j, np.arange(m + 1))
             for Cp, a, b in zip(C, ends, ends[1:]):
                 run[a:b] = (s[a:b] @ Cp).reshape((b - a,) + rows.shape)

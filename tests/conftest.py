@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from linwalk.dynamics import SINGLE, assemble_double_support, assemble_single_support
+from linwalk.layout import Q_DIM
 from linwalk.model import BodyParams, StrideTiming, default_params
 
 
@@ -32,18 +34,51 @@ def random_states(n: int, seed: int = 0) -> np.ndarray:
     return Q
 
 
-def pade_flow(pm, t: float, dt: float) -> np.ndarray:
-    """The reference phase flow from phase time t over dt: the top-left
-    block of scipy's Pade exponential of the augmented generator, with the
-    clock states folded back in, and the rows of Q whose generator row is
-    zero reset to the identity (the Pade solve leaves eps-level dust)."""
-    from scipy.linalg import expm
+def direct_generator(ode):
+    """The augmented generator A of one timing's phase, built from its
+    phase ODE alone, column by column: the states x = [Q; t * Q[cols]],
+    with cols the entries K1 reads, obey x' = A x.  Returns A and cols."""
+    G0 = np.zeros((Q_DIM, Q_DIM))
+    if ode.phase == SINGLE:
+        G0[0:2, 4:6] = np.eye(2)
+    G0[2:4, 6:8] = np.eye(2)
+    G0[4:8, :] = ode.K0
+    cols = tuple(j for j in range(Q_DIM) if np.max(np.abs(ode.K1[:, j])) > 1e-300)
+    A = np.zeros((Q_DIM + len(cols), Q_DIM + len(cols)))
+    A[:Q_DIM, :Q_DIM] = G0
+    for k, j in enumerate(cols):
+        A[4:8, Q_DIM + k] = ode.K1[:, j]
+        A[Q_DIM + k, j] = 1.0
+    return A, cols
 
-    E = expm(pm.generator * dt)
-    rows = np.flatnonzero(~np.any(pm.generator[:23], axis=1))
+
+def generator_flow(ode, t: float, E: np.ndarray) -> np.ndarray:
+    """The phase flow of the phase ODE `ode` from phase time t over a time
+    dt, given E = expm(A dt) of its augmented generator A (`direct_generator`):
+    the top-left block of E with the clock states folded back in, and the
+    rows of Q whose generator row is zero reset to the identity (a
+    numerical exponential leaves eps-level dust there)."""
+    A, cols = direct_generator(ode)
+    E = np.array(E, dtype=float)
+    rows = np.flatnonzero(~np.any(A[:Q_DIM], axis=1))
     E[rows] = 0.0
     E[rows, rows] = 1.0
-    return E[:23, :23] + t * (E[:23, 23:] @ pm._pi)
+    H = E[:Q_DIM, :Q_DIM].copy()
+    H[:, list(cols)] += t * E[:Q_DIM, Q_DIM:]
+    return H
+
+
+def pade_flow(ode, t: float, dt: float) -> np.ndarray:
+    """`generator_flow` with scipy's Pade exponential."""
+    from scipy.linalg import expm
+    return generator_flow(ode, t, expm(direct_generator(ode)[0] * dt))
+
+
+def phase_odes(maps) -> tuple:
+    """The double- and single-support phase ODEs of a stride map's body and
+    timing, as its build assembles them."""
+    return (assemble_double_support(maps.params, maps.timing),
+            assemble_single_support(maps.params, maps.timing))
 
 
 @pytest.fixture

@@ -523,13 +523,11 @@ def test_economy_cell_leaves_scipy_optimize_unimported():
 @pytest.mark.parametrize("base", ["adult", "kid"])
 def test_series_flow_matches_exponential(base):
     """The exponential-free polynomial pieces that the work reads its
-    turning points from equal E(delta) xa, with E scipy's Pade exponential
-    of the augmented generator, across a whole phase, on random bodies and
-    states at short and human double-support shares; several phases need
-    more than one piece."""
-    from scipy.linalg import expm
-
-    from conftest import random_states
+    turning points from equal E(delta) Q, with E scipy's Pade exponential
+    of the generator built from the phase ODE, to 1e-13 of max|E Q| across
+    a whole phase, on random bodies and states at short and human
+    double-support shares; several phases need more than one piece."""
+    from conftest import pade_flow, phase_odes, random_states
     from linwalk.transition import stride_maps
     rng = np.random.default_rng(61)
     base = default_params(base)
@@ -541,17 +539,16 @@ def test_series_flow_matches_exponential(base):
         for ratio in (0.005, 0.02, TdsPolicy("human").ratio_at(speed)):
             T = 1.0 / freq
             maps = stride_maps(body, StrideTiming(ratio * T, (1.0 - ratio) * T))
-            for pm in (maps.ds, maps.ss):
+            for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
                 Q = random_states(1, seed=int(rng.integers(1 << 30)))[0]
-                xa = pm.augment(Q, rng.uniform(0.0, pm.duration))
-                C = pm.pieces(xa)
+                C = pm.pieces(Q)
                 dh = pm.duration / len(C)
                 split += len(C) > 1
                 for delta in np.append(np.linspace(0.0, pm.duration, 9),
                                        rng.uniform(0.0, pm.duration, 4)):
                     j = min(int(delta / dh), len(C) - 1)
                     x = (delta / dh - j) ** np.arange(C.shape[1]) @ C[j]
-                    ref = expm(pm.generator * delta) @ xa
+                    ref = pade_flow(ode, 0.0, delta) @ Q
                     assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert split >= 3
 
@@ -636,7 +633,7 @@ def test_wrench_maps_match_solve_on_random_trajectories(base):
 
 def test_memory_bounded_over_economy_cells(body66):
     """Cells at distinct timings leave only their cached stride maps behind
-    (~40 kB each); no per-time exponentials accumulate (~1.1 MB per cell
+    (~10 kB each); no per-time exponentials accumulate (~1.1 MB per cell
     when every phase map kept them)."""
     ratio = TdsPolicy("human").ratio_at(1.3)
     economy_cell(body66, 1.3, 1.7, ratio)     # warm imports and extraction
@@ -656,8 +653,9 @@ def test_memory_bounded_over_economy_cells(body66):
 
 def test_memory_bounded_over_long_sweep(body66):
     """A human-policy sweep shares no timing between cells, so each cell
-    caches one more stride map (~26 kB with its pieces); over a long sweep
-    at most the cache's 256 maps stay alive."""
+    caches one more stride map (~10 kB, measured by tracemalloc as in the
+    test above); over a long sweep at most the cache's 256 maps stay
+    alive."""
     freqs = 1.2 + 0.004 * np.arange(300)
     economy_surface(body66, [1.3], freqs, TdsPolicy("human"))
     gc.collect()

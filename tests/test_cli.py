@@ -136,6 +136,20 @@ def test_sweep_non_finite_range_exit_2(adult_config, tmp_path, flag, text):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--speed", "--freq"])
+def test_sweep_range_of_too_many_values_exit_2(adult_config, tmp_path, capsys, flag):
+    """A range that would expand to more than 10 000 values (a mistyped
+    step) is refused at parse time, naming the flag, before --out exists."""
+    argv = {"--speed": "1.4", "--freq": "1.8", flag: "0.8:1e-7:2.0"}
+    with pytest.raises(SystemExit) as err:
+        run(["sweep", "--config", adult_config, *sum(argv.items(), ()),
+             "--out", str(tmp_path / "s")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"argument {flag}: " in message and "more than 10000 values" in message
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_zero_frequency_exit_2(adult_config, tmp_path, capsys):
     """A frequency range reaching 0 is refused at parse time, before --out
     exists; economy_surface keeps its own check as the library boundary."""

@@ -230,12 +230,11 @@ def _parent_relax(params, T_ds, bracket):
     the walk up the even grid points polished by scipy's brentq."""
     from scipy.optimize import brentq
 
-    from conftest import pade_flow
+    from conftest import pade_flow, phase_odes
 
     def R1(T):
-        maps = stride_maps(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds))
-        H_stride = (pade_flow(maps.ss, 0.0, T - T_ds)
-                    @ pade_flow(maps.ds, 0.0, T_ds))
+        ds, ss = phase_odes(stride_maps(params, StrideTiming(T_ds=T_ds, T_ss=T - T_ds)))
+        H_stride = pade_flow(ss, 0.0, T - T_ds) @ pade_flow(ds, 0.0, T_ds)
         return (gaits._R_START + gaits._R_END @ H_stride)[:, R1_COLS]
 
     def minor(T):

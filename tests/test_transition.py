@@ -5,13 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import pade_flow, random_states
-from linwalk.dynamics import (
-    DOUBLE, SINGLE, PhaseODE, assemble_double_support, assemble_single_support,
+from conftest import (
+    direct_generator, generator_flow, pade_flow, phase_odes, random_states,
 )
+from linwalk.dynamics import DOUBLE, SINGLE, PhaseODE
 from linwalk.layout import Q_DIM, Q_NAMES, selection_matrices
 from linwalk.model import (
-    DegenerateModelError, StrideTiming, default_params, scaled_body,
+    BodyParams, DegenerateModelError, StrideTiming, default_params, scaled_body,
 )
 from linwalk.oracle import integrate_batch
 from linwalk.transition import (
@@ -60,8 +60,8 @@ def _sagittal(name: str) -> bool:
 
 def test_sagittal_lateral_decoupling_is_exact():
     """No entry couples a sagittal state to a lateral one, exactly, in the
-    phase generators, every phase flow, H and H' of random adult and kid
-    bodies at double-support shares down to 0.005."""
+    flow pieces' coefficients, every phase flow, H and H' of random adult
+    and kid bodies at double-support shares down to 0.005."""
     sag = [i for i, name in enumerate(Q_NAMES) if _sagittal(name)]
     lat = [i for i, name in enumerate(Q_NAMES) if not _sagittal(name)]
     assert len(sag) == 11 and len(lat) == 12
@@ -78,9 +78,9 @@ def test_sagittal_lateral_decoupling_is_exact():
             for ratio in (0.005, 0.02, rng.uniform(0.1, 0.3)):
                 maps = stride_maps(body, StrideTiming(ratio / freq, (1.0 - ratio) / freq))
                 for pm in (maps.ds, maps.ss):
-                    a = sag + [Q_DIM + k for k, j in enumerate(pm.clock_cols) if j in sag]
-                    b = lat + [Q_DIM + k for k, j in enumerate(pm.clock_cols) if j in lat]
-                    assert cross(pm.generator, a, b) == 0, (ratio, pm.phase)
+                    for piece in pm.pieces(np.eye(Q_DIM)):     # rows: basis states
+                        for coef in piece:
+                            assert cross(coef.T, sag, lat) == 0, (ratio, pm.phase)
                     for t in rng.uniform(0.0, pm.duration, 3):
                         flow = pm.flow(t, rng.uniform(0.0, pm.duration - t))
                         assert cross(flow, sag, lat) == 0, (ratio, pm.phase, t)
@@ -139,37 +139,19 @@ def test_back_transfer_identity_over_random_bodies(adult, kid):
             assert err <= 1e-9, (body, tm, tau)
 
 
-def _direct_generator(ode):
-    """The augmented generator of one timing's phase map, built from its
-    phase ODE alone, column by column."""
-    G0 = np.zeros((Q_DIM, Q_DIM))
-    if ode.phase == SINGLE:
-        G0[0:2, 4:6] = np.eye(2)
-    G0[2:4, 6:8] = np.eye(2)
-    G0[4:8, :] = ode.K0
-    cols = tuple(j for j in range(Q_DIM) if np.max(np.abs(ode.K1[:, j])) > 1e-300)
-    A = np.zeros((Q_DIM + len(cols), Q_DIM + len(cols)))
-    A[:Q_DIM, :Q_DIM] = G0
-    for k, j in enumerate(cols):
-        A[4:8, Q_DIM + k] = ode.K1[:, j]
-        A[Q_DIM + k, j] = 1.0
-    return A, cols
-
-
 def test_map_template_matches_direct_construction(adult, kid):
-    """Generators copied from the per-body template equal generators built
-    from each timing's phase ODE alone, bit for bit, at first use of a body
-    and at a second timing of it; the closed-form maps equal the Pade
-    exponential of those generators to 1e-13 of max|H|."""
+    """A phase map built from each timing's phase ODE alone equals the
+    stride map's, whose template was built at first use of the body or
+    shared from an earlier timing of it, bit for bit; the closed-form maps
+    equal the Pade exponential of the generator built from the phase ODE
+    to 1e-13 of max|H|."""
     for body, tm, _ in _random_bodies_and_timings((adult, kid), 8, seed=52):
         maps = stride_maps(body, tm)
         direct = {}
-        for pm, ode, T in ((maps.ds, assemble_double_support(body, tm), tm.T_ds),
-                           (maps.ss, assemble_single_support(body, tm), tm.T_ss)):
-            A, cols = _direct_generator(ode)
-            assert np.array_equal(pm.generator, A)
-            assert pm.clock_cols == cols
-            direct[pm.phase] = pade_flow(pm, 0.0, T)
+        for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
+            assert np.array_equal(PhaseMap(ode).map_at(ode.duration),
+                                  pm.map_at(pm.duration))
+            direct[pm.phase] = pade_flow(ode, 0.0, ode.duration)
         for H, ref in ((maps.H_ds_end, direct["double"]),
                        (maps.H_stride, direct["single"] @ direct["double"])):
             assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -188,15 +170,49 @@ def test_closed_form_matches_pade_exponential():
             freq = rng.uniform(0.8, 3.0)
             for ratio in (0.005, 0.02, rng.uniform(0.05, 0.35)):
                 maps = stride_maps(body, StrideTiming(ratio / freq, (1.0 - ratio) / freq))
-                for pm in (maps.ds, maps.ss):
+                for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
                     T = pm.duration
                     cases = [(0.0, T), (0.0, 1e-3 * T)] + [
                         (t, rng.uniform(0.0, T - t)) for t in rng.uniform(0.0, T, 3)]
                     for t, dt in cases:
-                        ref = pade_flow(pm, t, dt)
+                        ref = pade_flow(ode, t, dt)
                         got = pm.map_at(dt) if t == 0.0 else pm.flow(t, dt)
                         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (
                             ratio, pm.phase, t, dt)
+
+
+def _wide_body(rng):
+    """A body and timing from a wide draw: m1 2-150 kg, m2 0.2-40 kg, kappa
+    0-1, z1 0.3-1.5 m, z3 0-1 m, w 0-0.5 m, T_ds 0.02-0.5 s, T_ss 0.2-1.2 s."""
+    m2, z1 = rng.uniform(0.2, 40.0), rng.uniform(0.3, 1.5)
+    body = BodyParams(m1=rng.uniform(2.0, 150.0), m2=m2, m3=m2, z1=z1,
+                      z2=rng.uniform(0.0, 1.0) * z1, z3=rng.uniform(0.0, 1.0),
+                      w=rng.uniform(0.0, 0.5))
+    return body, StrideTiming(rng.uniform(0.02, 0.5), rng.uniform(0.2, 1.2))
+
+
+@pytest.mark.parametrize("seed", [35, 79, 18])
+def test_closed_form_matches_high_precision_exponential(seed):
+    """`map_at(T)` and the flow pieces at T / 3 and 2T / 3 agree with
+    mpmath's 40-digit exponential of the generator built from the phase ODE
+    to 1e-13 of max|H|, in both phases of bodies from a wide draw; two of
+    them have thin legs (kappa 0.036 and 0.083).  On these single-support
+    phases scipy's Pade exponential errs by 1.7e-13 to 2.5e-13."""
+    import mpmath
+    maps = stride_maps(*_wide_body(np.random.default_rng(seed)))
+    for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
+        T = ode.duration
+        A = direct_generator(ode)[0]
+        with mpmath.workdps(40):            # E(j T / 3) = E(T / 3)^j
+            third = mpmath.expm(mpmath.matrix((A * (T / 3)).tolist()))
+            E = [third, third * third, third * third * third]
+        ref = {j: generator_flow(ode, 0.0, E[j - 1].tolist()) for j in (1, 2, 3)}
+        assert np.max(np.abs(pm.map_at(T) - ref[3])) <= 1e-13 * np.max(np.abs(ref[3]))
+        C = pm.pieces(np.eye(Q_DIM))        # C[j, d, k]: the flow of basis state k
+        for j in (1, 2):
+            u = j / 3 * len(C)
+            H = np.tensordot((u - int(u)) ** np.arange(C.shape[1]), C[int(u)], 1).T
+            assert np.max(np.abs(H - ref[j])) <= 1e-13 * np.max(np.abs(ref[j])), j
 
 
 @pytest.mark.parametrize("block, kind", [
@@ -240,15 +256,19 @@ def test_structure_the_closed_form_assumes_is_checked(phase, which, cell, what):
 
 def test_double_support_scalar_modes_take_any_sign():
     """Double support has one scalar mode per axis: a synthetic stiffness
-    of either sign, or zero, gives the exact closed-form flow."""
+    of either sign, or zero, gives the exact closed-form flow, and flow
+    pieces that end on it."""
     for k in (9.1, -9.1, 0.0):
         K0 = np.zeros((4, Q_DIM))
         K0[2:4, 2:4] = k * np.eye(2)
         K0[2:4, 8:10] = np.eye(2)
-        pm = PhaseMap(PhaseODE(DOUBLE, 0.3, K0, np.zeros((4, Q_DIM))))
+        ode = PhaseODE(DOUBLE, 0.3, K0, np.zeros((4, Q_DIM)))
+        pm = PhaseMap(ode)
         for dt in (0.0, 0.01, 0.3):
-            ref = pade_flow(pm, 0.0, dt)
+            ref = pade_flow(ode, 0.0, dt)
             assert np.max(np.abs(pm.map_at(dt) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        end = pm.pieces(np.eye(Q_DIM))[-1].sum(axis=0).T
+        assert np.max(np.abs(end - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_cross_phase_flow(adult, timing):
@@ -298,11 +318,15 @@ def test_cold_build_never_forms_hprime(adult, monkeypatch):
 
 
 def test_shared_arrays_are_read_only(adult, timing):
-    """H_ds_end and the phase generators can be held by many stride maps."""
+    """H_ds_end and the per-body templates can be held by many stride maps."""
     maps = stride_maps(adult, timing)
-    for a in (maps.H_ds_end, maps.ds.generator, maps.ss.generator):
+    arrays = [maps.H_ds_end]
+    for pm in (maps.ds, maps.ss):
+        tpl = pm._tpl
+        arrays += [tpl.lam, tpl.Z, tpl.cells, tpl.series]
+    for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
+            a.flat[0] = 1
 
 
 def test_cache_clear_leaves_the_next_build_cold(adult, count_expm):
