@@ -254,6 +254,14 @@ def _economy_row(args) -> list[tuple[float, bool]]:
     return row
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set where the platform
+    reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_map(fn, jobs: list, workers: int) -> list:
     """`[fn(j) for j in jobs]` in `workers` spawned processes, each with one
     OpenBLAS thread (a full pool per process oversubscribes the cores).
@@ -281,8 +289,12 @@ def economy_surface(params: BodyParams, speeds, frequencies,
     fixes the double-support share per speed.  Cells failing with a domain
     error in `_CELL_ERRORS` are flagged infeasible, never zeroed; any other
     error propagates.  Rows are independent and may be evaluated in
-    parallel; output ordering is deterministic.
+    `workers` processes, at most `usable_cpus()`; output ordering is
+    deterministic.
     """
+    cpus = usable_cpus()
+    if workers is not None and not 1 <= workers <= cpus:
+        raise ValueError(f"workers must be from 1 to the {cpus} usable CPUs, got {workers}")
     speeds = np.asarray(list(speeds), dtype=float)
     frequencies = np.asarray(list(frequencies), dtype=float)
     if speeds.size == 0 or frequencies.size == 0:

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _fmt, economy_surface, parse_tds_policy, peak_line, sample_trajectory,
-    write_economy_csv, write_peaks_csv, write_trajectory_csv,
+    usable_cpus, write_economy_csv, write_peaks_csv, write_trajectory_csv,
 )
 from .gaits import (
     InfeasibleConstraintsError, NoRelaxTimeError, NullSpaceDimensionError,
@@ -104,6 +104,15 @@ def _count(what: str, minimum: int):
         raise argparse.ArgumentTypeError(
             f"bad {what} {text!r}: expected an integer >= {minimum}")
     return parse
+
+
+def _workers(text: str) -> int:
+    """argparse type: a worker count from 1 to the CPUs this process may use."""
+    value, cpus = _count("worker count", 1)(text), usable_cpus()
+    if value > cpus:
+        raise argparse.ArgumentTypeError(
+            f"bad worker count {text!r}: more than the {cpus} usable CPUs")
+    return value
 
 
 def _tds_policy(text: str) -> str:
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True, help="START:STEP:STOP (steps/s)")
     p.add_argument("--tds-policy", type=_tds_policy, default="human",
                    help="human or fixed:R")
-    p.add_argument("--workers", type=_count("worker count", 1), default=None)
+    p.add_argument("--workers", type=_workers, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="closed-form maps vs RK4 integration")

@@ -87,6 +87,8 @@ class Push:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.t_on, self.duration, *self.wrench))):
             raise ValueError("push times and wrench must be finite")
+        if self.t_on < 0.0 or self.duration < 0.0:
+            raise ValueError("push onset and duration must be non-negative")
 
 
 _TABLE_TOTALS = {"adult": 70.0, "kid": 30.0}
@@ -195,6 +197,19 @@ def com_position_matrix(params: BodyParams) -> np.ndarray:
     return C
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe YAML loader, refusing a mapping that gives a key twice (the
+    stock loader keeps the last value)."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) < len(node.value):
+            keys = [self.construct_object(key) for key, _ in node.value]
+            twice = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ConfigError(f"key {twice!r} is given twice")
+        return mapping
+
+
 CONFIG_KEYS = ("m1", "m2", "m3", "z1", "z2", "z3", "w", "g", "T_ds", "T_ss")
 
 
@@ -214,15 +229,17 @@ class LoadedConfig:
 def load_config(path: str | Path) -> LoadedConfig:
     """Load body parameters and optional timing from a key-value YAML file.
 
-    Allowed keys are exactly m1 m2 m3 z1 z2 z3 w g T_ds T_ss; anything else
-    is rejected by name.
+    Allowed keys are exactly m1 m2 m3 z1 z2 z3 w g T_ds T_ss, each at most
+    once; anything else is rejected by name.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"config {path}: cannot read ({exc.strerror})") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path}: not valid YAML ({exc})") from exc
     if not isinstance(data, dict):

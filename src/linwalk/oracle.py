@@ -305,7 +305,7 @@ def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     if not np.all(np.isfinite(Q0)):
         raise ValueError("initial state must be finite")
     for p in config.pushes:
-        if p.t_on < 0.0 or p.t_on + p.duration > timing.T_stride + 1e-12:
+        if p.t_on + p.duration > timing.T_stride + 1e-12:
             raise ValueError("push interval extends beyond the stride")
 
     base_w = Q0[W_SLICE].copy()

@@ -15,7 +15,8 @@ time h, from phase time t0,
     c = cosh(sqrt(lambda) h)          s = sinh(sqrt(lambda) h) / sqrt(lambda)
     C = (c - 1) / lambda              S = (s - h) / lambda
 
-(cos and sin where lambda < 0, a short series where |lambda| h^2 < 1/2), and
+(cos and sin where lambda < 0, their power series in h where |lambda| h^2
+< 1/2), and
 
     p(h)  = p + sum P [lambda C p + s v + C K0_u u + (t0 C + S) / T K1_u u]
     p'(h) = v + sum P [lambda s p + lambda C v + s K0_u u + (t0 s + C) / T K1_u u]
@@ -30,12 +31,12 @@ exactly, and no entry couples the axes.  A complex or repeated eigenvalue pair r
 `DegenerateModelError`.  No template is keyed by a time value (only the
 stride-map cache below is, by (params, timing)).
 
-Dense output takes no map at all: s, C and S are power series in h, so
-`PhaseMap.pieces` writes a phase's whole flow from given states as
-polynomials on a few pieces, short enough that |lambda| h^2 <= 1/2, with
-the features' h^d coefficients (a timing-free table in the template) in
-place of their values; the states at any times are those polynomials
-evaluated.
+Dense output takes no map at all: the power series of s, C and S (one
+timing-free table of h^d coefficients in the template, which `expm` sums
+for short times) let `PhaseMap.pieces` write a phase's whole flow from
+given states as polynomials on a few pieces, short enough that
+|lambda| h^2 <= 1/2, with the features' coefficients in place of their
+values; the states at any times are those polynomials evaluated.
 
 A full stride is double support followed by single support; only
 `StrideMaps.flow` and `StrideMaps.states` split a stride time into its
@@ -81,14 +82,9 @@ class ControlDegeneracyError(RuntimeError):
 # bounds the templates too (a cached stride map holds its own two)
 _TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-# s / h, C / h^2 and S / h^3 as power series in x = lambda h^2: the
-# coefficients 1 / (2j + 1)!, 1 / (2j + 2)! and 1 / (2j + 3)!, j < 10,
-# whose last terms are below 2^-52 of the first where |x| < 1/2
-_SERIES = np.array([[1.0 / math.factorial(2 * j + i) for i in (1, 2, 3)]
-                    for j in range(10)])
-_POWERS = np.arange(10.0)
-
-# the degrees of a flow piece's polynomials (`PhaseMap.pieces`)
+# the degrees d kept of s, C and S as power series in h (`_Template.series`),
+# which are also those of a flow piece's polynomials: where |lambda| h^2
+# <= 1/2 the first dropped term is below 1.3e-18 of the leading one
 _DEGREES = np.arange(18.0)
 
 
@@ -123,11 +119,12 @@ class _Template:
     """The timing-free parts of one body's phase maps (read-only arrays).
 
     Per axis (sagittal, lateral) and eigenvalue lambda of its position
-    block, ``lam`` (2, 1, n) holds lambda, ``reach`` sqrt(1 / (2 |lambda|)),
-    below which times take the series, and ``den`` and ``root`` the lambda
-    and sqrt(lambda) of the closed forms (imaginary where lambda < 0; a zero
-    lambda, whose times all take the series, is 1 there), all shaped to
-    broadcast against (k, 1) times.  ``series`` (3, 2, 18, n) holds the
+    block, shaped (2, 1, n) to broadcast against (k, 1) times: ``reach``
+    sqrt(1 / (2 |lambda|)), below which s, C and S are read off their
+    series, and ``den`` and ``root`` the lambda and sqrt(lambda) of their
+    closed forms (imaginary where lambda < 0; a zero lambda, whose times
+    all take the series, is 1 there).  ``series`` (3, 2, 18, n) is the one
+    encoding of those series, for `expm` and `PhaseMap.pieces` alike: the
     coefficients of h^d in s, C and S (lambda^i / d! at d = 2i + 1, 2i + 2
     and 2i + 3).  ``Z`` (2, 4n, 2n * 12) is the map's increment over the
     identity on the axis' moving positions and velocities (``rows``, 2 x 2n)
@@ -136,8 +133,6 @@ class _Template:
     indices of those entries in a 23 x 23 map.
     """
 
-    phase: str
-    lam: np.ndarray
     reach: np.ndarray
     den: np.ndarray
     root: np.ndarray
@@ -195,16 +190,16 @@ def _map_template(unit: PhaseODE) -> _Template:
                      for axis in (0, 1)])
     lam = np.array(lams)[:, None]
     den = np.where(lam == 0.0, 1.0, lam)
-    series = np.zeros((3, 2, len(_DEGREES), n))
-    for f in range(3):                     # s, C, S: lambda^i / d!, d = 2i + f + 1
-        terms = lam[:, 0, None] ** _POWERS[:, None] * _SERIES[:, f, None]   # (2, 10, n)
-        series[f][:, f + 1::2] = terms[:, :(len(_DEGREES) - f) // 2]
+    # s, C and S (f = 0, 1, 2) take lambda^i / d! at the degrees d = 2i + f + 1
+    i = (_DEGREES[:, None] - np.arange(1.0, 4.0)[:, None, None, None]) / 2   # (3, 1, 18, 1)
+    term = (i >= 0.0) & (i % 1.0 == 0.0)
+    inv_factorial = np.array([1.0 / math.factorial(d) for d in range(len(_DEGREES))])
+    series = np.where(term, lam ** np.where(term, i, 0.0) * inv_factorial[:, None], 0.0)
     tpl = _Template(
-        phase=unit.phase, lam=lam,
         reach=np.where(lam == 0.0, np.inf, np.sqrt(0.5 / np.abs(den))),
         den=den, root=np.sqrt(den.astype(complex)), series=series, Z=np.array(Zs),
         rows=rows, cells=(rows[..., None] * Q_DIM + _AXIS_COLS[:, None]).reshape(2, -1))
-    for a in (lam, tpl.reach, den, tpl.root, series, tpl.Z, rows, tpl.cells):
+    for a in (tpl.reach, den, tpl.root, series, tpl.Z, rows, tpl.cells):
         a.flags.writeable = False
     _TEMPLATES[unit] = tpl
     return tpl
@@ -221,11 +216,8 @@ def expm(tpl: _Template, h, t0, T) -> np.ndarray:
     s = (np.sinh(z) / tpl.root).real
     C = (np.cosh(z).real - 1.0) / tpl.den
     S = (s - h) / tpl.den
-    near = h < tpl.reach                                 # |lambda| h^2 < 1/2
-    if near.any():
-        x = (tpl.lam * (h * h))[near, None] ** _POWERS
-        hn = np.broadcast_to(h, near.shape)[near, None] ** _POWERS[1:4]
-        s[near], C[near], S[near] = ((x @ _SERIES) * hn).T
+    s, C, S = np.where(h < tpl.reach,                    # |lambda| h^2 < 1/2
+                       h ** _DEGREES @ tpl.series, [s, C, S])
     phi = np.concatenate([s, C, (t0 * C + S) / T, (t0 * s + C) / T], axis=2)
     out = np.zeros((phi.shape[1], Q_DIM * Q_DIM))
     out[:, tpl.cells] = (phi @ tpl.Z).swapaxes(0, 1)
@@ -280,14 +272,13 @@ class PhaseMap:
 
     def map_at(self, t: float) -> np.ndarray:
         """H_phase(t): exact 23 x 23 map from the phase start."""
-        if t < -1e-12 or t > self.duration + 1e-9:
-            raise ValueError(f"t={t} outside [0, {self.duration}]")
-        return expm(self._tpl, t, 0.0, self.duration)[0]
+        return self.flow(0.0, t)
 
     def flow(self, t: float, dt: float) -> np.ndarray:
-        """Map from the state at phase time t to the state at t + dt."""
-        if dt < -1e-12:
-            raise ValueError("dt must be non-negative")
+        """Map from the state at phase time t to the state at t + dt, both
+        in [0, duration]."""
+        if t < -1e-12 or dt < -1e-12 or t + dt > self.duration + 1e-9:
+            raise ValueError(f"need 0 <= t <= t + dt <= {self.duration}, got t={t}, dt={dt}")
         return expm(self._tpl, dt, t, self.duration)[0]
 
 
@@ -414,7 +405,7 @@ def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     closed-form flows carry the state to the push onset, across the pushed
     window with the wrench substituted, and on to the stride end.
     """
-    if push.t_on < 0.0 or push.t_on + push.duration > timing.T_stride + 1e-12:
+    if push.t_on + push.duration > timing.T_stride + 1e-12:
         raise ValueError("push interval extends beyond the stride")
     maps = stride_maps(params, timing)
     Q = np.asarray(Q0, dtype=float).copy()

@@ -16,7 +16,7 @@ from linwalk.model import (
 from linwalk.analysis import (
     EconomyGrid, TdsPolicy, com_work_per_distance, economy_cell,
     economy_surface, parse_tds_policy, peak_line, sample_trajectory,
-    write_economy_csv, write_peaks_csv, write_trajectory_csv,
+    usable_cpus, write_economy_csv, write_peaks_csv, write_trajectory_csv,
     TRAJECTORY_HEADER, _pool_map,
 )
 from linwalk.transition import StrideMaps
@@ -252,6 +252,7 @@ def test_unexpected_cell_error_propagates(body66, monkeypatch):
         economy_surface(body66, [1.4], [1.8], TdsPolicy("human"))
 
 
+@pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
 def test_parallel_surface_matches_serial(body66):
     """Worker processes produce bit-identical grids in the same order."""
     speeds = [1.5, 1.7]
@@ -261,6 +262,23 @@ def test_parallel_surface_matches_serial(body66):
                                workers=2)
     assert np.array_equal(serial.economy, parallel.economy)
     assert np.array_equal(serial.feasible, parallel.feasible)
+
+
+def test_more_workers_than_cpus_refused(body66, monkeypatch):
+    """economy_surface refuses more workers than the CPUs this process may
+    use, and fewer than one, before any cell is evaluated or worker started."""
+    import linwalk.analysis as analysis
+
+    def forbidden(*args):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(analysis, "_pool_map", forbidden)
+    monkeypatch.setattr(analysis, "_economy_row", forbidden)
+    for workers in (3, 0):
+        with pytest.raises(ValueError, match=f"from 1 to the 2 usable CPUs, got {workers}"):
+            economy_surface(body66, [1.4], [1.8], TdsPolicy("human"), workers=workers)
 
 
 @pytest.mark.parametrize("parent", ["7", None])

@@ -150,6 +150,22 @@ def test_sweep_range_of_too_many_values_exit_2(adult_config, tmp_path, capsys, f
     assert not (tmp_path / "s").exists()
 
 
+def test_sweep_more_workers_than_cpus_exit_2(adult_config, tmp_path, capsys,
+                                             monkeypatch):
+    """--workers above the CPUs this process may use is refused at parse
+    time, before --out exists and before any worker process starts."""
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(SystemExit) as err:
+        run(["sweep", "--config", adult_config, "--speed", "1.4", "--freq", "1.8",
+             "--workers", "3", "--out", str(tmp_path / "s")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --workers: " in message and "more than the 2 usable CPUs" in message
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_zero_frequency_exit_2(adult_config, tmp_path, capsys):
     """A frequency range reaching 0 is refused at parse time, before --out
     exists; economy_surface keeps its own check as the library boundary."""
@@ -371,6 +387,19 @@ def test_boolean_config_value_exit_2_one_error_line(adult_config, tmp_path, caps
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "key 'w' is not a number" in lines[0]
     assert not (out / "trajectory.csv").exists()
+
+
+def test_repeated_config_key_exit_2_one_error_line(adult_config, tmp_path, capsys):
+    """A key given twice is refused by name, not read as its last value."""
+    path = tmp_path / "twice.yaml"
+    path.write_text(Path(adult_config).read_text() + "m1: 4.57\n")
+    out = tmp_path / "o"
+    rc = run(["maps", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0] == f"error: config {path}: key 'm1' is given twice"
+    assert not out.exists()
 
 
 def test_missing_config_exit_2_one_error_line(tmp_path, capsys):

@@ -147,6 +147,20 @@ def test_load_config_rejects_boolean(adult_config, tmp_path, bad):
         load_config(path)
 
 
+def test_load_config_rejects_repeated_key(adult_config, tmp_path):
+    """A repeated key is refused, whichever value comes last; a key
+    repeated in a nested mapping is too."""
+    text = open(adult_config).read()
+    for extra in ("m1: 4.57\n", "m1: 45.7\n"):
+        path = tmp_path / "twice.yaml"
+        path.write_text(text + extra)
+        with pytest.raises(ConfigError, match="key 'm1' is given twice"):
+            load_config(path)
+    path.write_text(text.replace("g: 9.81", "g: {a: 1, a: 2}"))
+    with pytest.raises(ConfigError, match="key 'a' is given twice"):
+        load_config(path)
+
+
 def test_load_config_missing_required(tmp_path):
     path = tmp_path / "missing.yaml"
     path.write_text("m1: 45.7\nm2: 12.15\nm3: 12.15\n")

@@ -344,6 +344,15 @@ def test_config_validation(adult, timing):
             Push(*push)
 
 
+@pytest.mark.parametrize("t_on, duration", [(0.4, -0.1), (-0.1, 0.2), (-1e-300, 0.0)])
+def test_push_with_negative_onset_or_duration_is_refused(t_on, duration):
+    """A push runs forward from a non-negative onset: a negative duration
+    would have the closed form flow a later state from an earlier time, and
+    the oracle ignore the push."""
+    with pytest.raises(ValueError, match="onset and duration must be non-negative"):
+        Push(t_on=t_on, duration=duration, wrench=(50.0, 0.0, 0.0, 0.0))
+
+
 def test_zero_push_is_noop(adult, timing):
     Q0 = random_states(1, seed=51)[0]
     Q0[18:22] = 0.0

@@ -1,4 +1,5 @@
 """Phase/stride transition maps against the RK4 oracle and their algebra."""
+import dataclasses
 import gc
 import weakref
 
@@ -16,7 +17,7 @@ from linwalk.model import (
 from linwalk.oracle import integrate_batch
 from linwalk.transition import (
     ControlDegeneracyError, PhaseMap, constrain_foot_velocity,
-    dump_stride_maps, stride_maps,
+    dump_stride_maps, expm, stride_maps,
 )
 
 
@@ -215,6 +216,43 @@ def test_closed_form_matches_high_precision_exponential(seed):
             assert np.max(np.abs(H - ref[j])) <= 1e-13 * np.max(np.abs(ref[j])), j
 
 
+@pytest.mark.parametrize("seed", [35, 79, 18])
+def test_short_time_series_meets_the_closed_form_at_its_reach(seed):
+    """Each eigenvalue's s, C and S come from the template's series below
+    its reach, where |lambda| h^2 = 1/2, and from the closed form above it:
+    the series is longest and the closed form's cancellation worst at the
+    switch.  `expm` one ulp below and one ulp above each reach, in both
+    phases of the wide-draw bodies, agrees with mpmath's 40-digit
+    exponential at the reach to 1e-13 of max|H| (an ulp of h moves a map
+    by about 1e-16 of it)."""
+    import mpmath
+    maps = stride_maps(*_wide_body(np.random.default_rng(seed)))
+    for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
+        A = direct_generator(ode)[0]
+        for h in np.unique(pm._tpl.reach):
+            with mpmath.workdps(40):
+                E = mpmath.expm(mpmath.matrix((A * h).tolist()))
+            ref = generator_flow(ode, 0.0, E.tolist())
+            for side in (0.0, np.inf):
+                got = expm(pm._tpl, np.nextafter(h, side), 0.0, pm.duration)[0]
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (
+                    pm.phase, h, side)
+
+
+def test_phase_flow_stays_in_its_phase(adult, timing):
+    """`PhaseMap.flow` refuses an interval that starts before the phase or
+    ends after it, beyond `map_at`'s slack, as `map_at` refuses such a time;
+    intervals within the slack are kept."""
+    maps = stride_maps(adult, timing)
+    T = maps.ss.duration
+    for t, dt in ((0.5, 1.0), (-1e-6, 0.1), (0.1, -1e-6), (T, 1e-6)):
+        with pytest.raises(ValueError, match="need 0 <= t <= t [+] dt"):
+            maps.ss.flow(t, dt)
+    with pytest.raises(ValueError, match="need 0 <= t <= t [+] dt"):
+        maps.ss.map_at(T + 1e-6)
+    assert np.allclose(maps.ss.flow(-1e-13, T + 1e-10), maps.ss.map_at(T), rtol=0.0, atol=1e-7)
+
+
 @pytest.mark.parametrize("block, kind", [
     ([[-2.0, 3.0], [-4.0, 1.0]], "complex"),
     ([[5.0, 1.0], [0.0, 5.0]], "repeated"),
@@ -322,8 +360,7 @@ def test_shared_arrays_are_read_only(adult, timing):
     maps = stride_maps(adult, timing)
     arrays = [maps.H_ds_end]
     for pm in (maps.ds, maps.ss):
-        tpl = pm._tpl
-        arrays += [tpl.lam, tpl.Z, tpl.cells, tpl.series]
+        arrays += [getattr(pm._tpl, f.name) for f in dataclasses.fields(pm._tpl)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
