@@ -1,4 +1,13 @@
-"""Trajectory reconstruction, CoM energetics, and walking-economy surfaces."""
+"""Trajectory reconstruction, CoM energetics, and walking-economy surfaces.
+
+An economy surface is evaluated one speed row (one speed and double-support
+share, all frequencies) at a time, as one array program: both phases' end
+maps from one `phase_ends` evaluation each, the minimal-torque gaits from
+one stacked null space and program (`gaits.minimal_torque_gaits`), and the
+CoM work of all the row's gaits from one set of flow pieces
+(`transition.stride_pieces`).  The economy path builds and caches no stride
+map.  A cell that fails keeps the class name of its error as its reason.
+"""
 from __future__ import annotations
 
 import csv
@@ -15,15 +24,17 @@ import numpy as np
 # solve_forces is not called here: it is the reference for map_forces, and
 # stays importable from this module, where benchmarks look it up
 from .dynamics import DOUBLE, SINGLE, ForceSolution, map_forces, solve_forces  # noqa: F401
-from .gaits import (
+# synthesize_gait is not called here either: the economy rows solve their
+# gaits stacked, and benchmarks look it up on this module
+from .gaits import (  # noqa: F401
     GaitSolution, InfeasibleConstraintsError, NullSpaceDimensionError,
-    synthesize_gait,
+    minimal_torque_gaits, synthesize_gait,
 )
 from .model import (
     BodyParams, DegenerateModelError, StrideTiming, com_position_matrix,
     com_velocity_matrix, mass_velocity_matrix,
 )
-from .transition import stride_maps
+from .transition import phase_ends, phase_template, piece_runs, stride_maps, stride_pieces
 
 
 class NonPositiveWorkError(RuntimeError):
@@ -142,6 +153,50 @@ def _turning_points(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.append(rows, p.astype(int)), np.append(s, x)
 
 
+def _work_per_distance(params: BodyParams, T_ds: np.ndarray, T_ss: np.ndarray,
+                       Q0: np.ndarray, speed: float) -> np.ndarray:
+    """`com_work_per_distance` of k strides of one body at once, from their
+    phase durations (k,) and stride-start states Q0 (k, 23): (k,).
+
+    Every stride's flow pieces come from one piece writer per phase
+    (`transition.stride_pieces`), so the kinetic-energy polynomials, their
+    turning points and the energies at those points and at the piece
+    starts and stride ends are formed for all (stride, piece) pairs at
+    once; each stride's positive variation is summed over its own points
+    in time order.
+    """
+    k = len(Q0)
+    Vm = mass_velocity_matrix(params)[:, 4:8]         # reads the 4 velocities
+    masses = np.repeat([params.m1, params.m2, params.m3], 2)
+    G = Vm.T @ (masses[:, None] * Vm)                 # KE = 1/2 v.G v
+    tpls = phase_template(params, DOUBLE), phase_template(params, SINGLE)
+    (ds, m_ds), (ss, m_ss), end = stride_pieces(tpls, T_ds, T_ss, Q0[:, None])
+    V = np.concatenate([ds[:, :, 0, 4:8], ss[:, :, 0, 4:8]])   # (pieces, K, 4)
+    # each piece's stride, and its place in the stride's time order
+    (c_ds, j_ds), (c_ss, j_ss) = piece_runs(m_ds), piece_runs(m_ss)
+    cell = np.concatenate([c_ds, c_ss])
+    key = np.concatenate([j_ds, m_ds[c_ss] + j_ss]).astype(float)
+    n, K = V.shape[:2]
+    # 2 KE(s) = sum_kl gram[k, l] s^(k + l): the anti-diagonal sums, as the
+    # column sums of gram's rows shifted right by k (rows of 2K + 1 read
+    # back as rows of 2K)
+    skew = np.zeros((n, K, 2 * K + 1))
+    skew[..., :K] = V @ G @ V.transpose(0, 2, 1)
+    ke2 = skew.reshape(n, -1)[:, :2 * K * K].reshape(n, K, 2 * K).sum(axis=1)
+    p, s = _turning_points(ke2[:, 1:-1] * np.arange(1, 2 * K - 1))
+    # piece starts j, roots j + s and the stride ends, in time order per stride
+    v = np.concatenate([V[:, 0], np.einsum("rk,rkc->rc", s[:, None] ** np.arange(K), V[p]),
+                        end[:, 0, 4:8]])
+    cells = np.concatenate([cell, cell[p], np.arange(k)])
+    order = np.lexsort((np.concatenate([key, key[p] + s, m_ds + m_ss]), cells))
+    ke = 0.5 * np.sum((v @ G) * v, axis=1)[order]
+    cells = cells[order]
+    rise = np.where(cells[1:] == cells[:-1], np.maximum(np.diff(ke), 0.0), 0.0)
+    work = np.bincount(cells[1:], weights=rise, minlength=k)
+    distance = abs(speed) * (T_ds + T_ss)
+    return work / (params.total_mass * distance)
+
+
 def com_work_per_distance(gait: GaitSolution) -> float:
     """Net positive mechanical work per unit mass and distance, J/(kg m).
 
@@ -149,37 +204,19 @@ def com_work_per_distance(gait: GaitSolution) -> float:
     P = sum m v.a of the three moving masses over one stride: the sum of the
     kinetic-energy rises between its turning points.  The swing leg's
     pump-and-brake flow is what penalizes fast stepping.  Each phase's flow
-    is exact closed-form polynomials on a few pieces (`PhaseMap.pieces`), so
+    is exact closed-form polynomials on a few pieces (`flow_pieces`), so
     the kinetic energy KE = 1/2 sum m |Vm x|^2 is a polynomial on each
     piece, and its turning points there are the roots of dKE/ds
     (`_turning_points`).  The work is the positive variation of KE over
     those roots and the time-ordered piece junctions, phase ends included:
     a point that is no extremum adds nothing.  No grid, no exponential.
+    One stride of `_work_per_distance`, which takes many at once.
     """
     if gait.v_des == 0.0:
         raise ValueError("work per distance is undefined at zero speed")
-    maps = stride_maps(gait.params, gait.timing)
-    Vm = mass_velocity_matrix(gait.params)[:, 4:8]    # reads the 4 velocities
-    masses = np.repeat([gait.params.m1, gait.params.m2, gait.params.m3], 2)
-    G = Vm.T @ (masses[:, None] * Vm)                 # KE = 1/2 v.G v
-    ds, ss = maps.pieces(gait.Q0)
-    V = np.concatenate([ds[..., 4:8], ss[..., 4:8]])  # (m, K, 4), time order
-    m, K = V.shape[:2]
-    # 2 KE(s) = sum_kl gram[k, l] s^(k + l): the anti-diagonal sums, as the
-    # column sums of gram's rows shifted right by k (rows of 2K + 1 read
-    # back as rows of 2K)
-    skew = np.zeros((m, K, 2 * K + 1))
-    skew[..., :K] = V @ G @ V.transpose(0, 2, 1)
-    ke2 = skew.reshape(m, -1)[:, :2 * K * K].reshape(m, K, 2 * K).sum(axis=1)
-    p, s = _turning_points(ke2[:, 1:-1] * np.arange(1, 2 * K - 1))
-    # piece starts j, roots j + s and the stride end, in time order
-    v = np.concatenate([V[:, 0], np.einsum("rk,rkc->rc", s[:, None] ** np.arange(K), V[p]),
-                        ss[-1:].sum(axis=1)[:, 4:8]])
-    order = np.argsort(np.concatenate([np.arange(m), p + s, [m]]), kind="stable")
-    ke = 0.5 * np.sum((v @ G) * v, axis=1)[order]
-    work = np.sum(np.maximum(np.diff(ke), 0.0))
-    distance = abs(gait.v_des) * gait.timing.T_stride
-    return work / (gait.params.total_mass * distance)
+    return float(_work_per_distance(gait.params, np.array([gait.timing.T_ds]),
+                                    np.array([gait.timing.T_ss]), gait.Q0[None],
+                                    gait.v_des)[0])
 
 
 @dataclass(frozen=True)
@@ -221,7 +258,12 @@ class EconomyGrid:
     frequencies: np.ndarray
     economy: np.ndarray     # (n_speeds, n_frequencies), nan where infeasible
     tds_ratio: np.ndarray
-    feasible: np.ndarray    # bool mask
+    reason: np.ndarray      # the _CELL_ERRORS class name, "" where feasible
+
+    @property
+    def feasible(self) -> np.ndarray:
+        """The bool mask of the feasible cells."""
+        return self.reason == ""
 
 
 _CELL_ERRORS = (NullSpaceDimensionError, InfeasibleConstraintsError,
@@ -229,29 +271,60 @@ _CELL_ERRORS = (NullSpaceDimensionError, InfeasibleConstraintsError,
                 NonPositiveWorkError, TdsRatioError)
 
 
-def economy_cell(params: BodyParams, speed: float, frequency: float,
-                 ratio: float) -> float:
-    """Economy (kg m / J) of the minimal-torque gait at one grid cell."""
+def _economy_cells(params: BodyParams, speed: float, frequencies: np.ndarray,
+                   ratio: float) -> tuple[np.ndarray, list]:
+    """Economy (kg m / J) of the minimal-torque gaits of one speed row, all
+    its frequencies (k,) at once: (k,), nan where a cell fails, and per
+    cell None or the error it fails with.
+
+    Both phases' end maps come from one `phase_ends` call each (no stride
+    map is built), the gaits from one stacked null space and program
+    (`minimal_torque_gaits`) and the work from one stacked integral.  A
+    cell fails on its own null-space dimension, block residual or
+    non-positive work; errors of the row as a whole (a share outside
+    (0, 1), the body's `DegenerateModelError`, a stacked LAPACK call's
+    `LinAlgError`) are raised.
+    """
     if not 0.0 < ratio < 1.0:
         raise TdsRatioError(f"T_ds ratio {ratio} outside (0, 1)")
-    T_stride = 1.0 / frequency
-    timing = StrideTiming(T_ds=ratio * T_stride, T_ss=(1.0 - ratio) * T_stride)
-    gait = synthesize_gait(params, timing, v_des=speed)
-    work = com_work_per_distance(gait)
-    if not np.isfinite(work) or work <= 0.0:
-        raise NonPositiveWorkError(f"CoM work per distance is {work}")
-    return 1.0 / work
+    if not np.isfinite(speed) or speed == 0.0:
+        raise ValueError(f"speed {speed} must be finite and non-zero")
+    T = 1.0 / np.asarray(frequencies, dtype=float)
+    T_ds, T_ss = ratio * T, (1.0 - ratio) * T
+    H = phase_ends(params, SINGLE, T_ss) @ phase_ends(params, DOUBLE, T_ds)
+    Q0, errors = minimal_torque_gaits(H, speed, T_ds + T_ss)
+    econ = np.full(len(T), np.nan)
+    ok = np.array([e is None for e in errors])
+    if np.any(ok):
+        work = _work_per_distance(params, T_ds[ok], T_ss[ok], Q0[ok], speed)
+        for i, w in zip(np.flatnonzero(ok), work):
+            if np.isfinite(w) and w > 0.0:
+                econ[i] = 1.0 / w
+            else:
+                errors[i] = NonPositiveWorkError(f"CoM work per distance is {w}")
+    return econ, errors
 
 
-def _economy_row(args) -> list[tuple[float, bool]]:
+def economy_cell(params: BodyParams, speed: float, frequency: float,
+                 ratio: float) -> float:
+    """Economy (kg m / J) of the minimal-torque gait at one grid cell: a
+    row of one, raising the error the cell fails with."""
+    econ, (error,) = _economy_cells(params, speed, np.array([frequency]), ratio)
+    if error is not None:
+        raise error
+    return float(econ[0])
+
+
+def _economy_row(args) -> tuple[np.ndarray, list[str]]:
+    """One speed row's economy (k,) and the `_CELL_ERRORS` class name each
+    cell fails with ("" where feasible); an error of the row as a whole
+    marks every cell."""
     params, speed, frequencies, ratio = args
-    row = []
-    for f in frequencies:
-        try:
-            row.append((economy_cell(params, speed, float(f), ratio), True))
-        except _CELL_ERRORS:
-            row.append((np.nan, False))
-    return row
+    try:
+        econ, errors = _economy_cells(params, speed, frequencies, ratio)
+    except _CELL_ERRORS as exc:
+        return np.full(len(frequencies), np.nan), [type(exc).__name__] * len(frequencies)
+    return econ, ["" if e is None else type(e).__name__ for e in errors]
 
 
 def usable_cpus() -> int:
@@ -286,11 +359,12 @@ def economy_surface(params: BodyParams, speeds, frequencies,
     """Walking economy over a speed x frequency grid.
 
     Step frequency defines the stride time (T_stride = 1/f); the policy
-    fixes the double-support share per speed.  Cells failing with a domain
-    error in `_CELL_ERRORS` are flagged infeasible, never zeroed; any other
-    error propagates.  Rows are independent and may be evaluated in
-    `workers` processes, at most `usable_cpus()`; output ordering is
-    deterministic.
+    fixes the double-support share per speed.  Each speed row is one array
+    program over its frequencies (`_economy_cells`).  Cells failing with a
+    domain error in `_CELL_ERRORS` are flagged infeasible, never zeroed,
+    and keep its class name as their reason; any other error propagates.
+    Rows are independent and may be evaluated in `workers` processes, at
+    most `usable_cpus()`; output ordering is deterministic.
     """
     cpus = usable_cpus()
     if workers is not None and not 1 <= workers <= cpus:
@@ -312,11 +386,11 @@ def economy_surface(params: BodyParams, speeds, frequencies,
         rows = _pool_map(_economy_row, jobs, workers)
     else:
         rows = [_economy_row(j) for j in jobs]
-    econ = np.array([[c[0] for c in row] for row in rows])
-    ok = np.array([[c[1] for c in row] for row in rows])
+    reason = np.array([row[1] for row in rows], dtype=str).reshape(len(speeds), -1)
     ratio_grid = np.repeat(ratios[:, None], len(frequencies), axis=1)
     return EconomyGrid(speeds=speeds, frequencies=frequencies,
-                       economy=econ, tds_ratio=ratio_grid, feasible=ok)
+                       economy=np.array([row[0] for row in rows]),
+                       tds_ratio=ratio_grid, reason=reason)
 
 
 @dataclass(frozen=True)
@@ -380,12 +454,12 @@ def write_trajectory_csv(path: str | Path, traj: TrajectorySample) -> None:
 def write_economy_csv(path: str | Path, grid: EconomyGrid) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["speed", "frequency", "tds_ratio", "economy", "feasible"])
+        out.writerow(["speed", "frequency", "tds_ratio", "economy", "feasible", "reason"])
         for i, v in enumerate(grid.speeds):
             for j, f in enumerate(grid.frequencies):
                 out.writerow([_fmt(v), _fmt(f), _fmt(grid.tds_ratio[i, j]),
                               _fmt(grid.economy[i, j]),
-                              "1" if grid.feasible[i, j] else "0"])
+                              "1" if grid.feasible[i, j] else "0", grid.reason[i, j]])
 
 
 def write_peaks_csv(path: str | Path, peaks: list[PeakPoint]) -> None:

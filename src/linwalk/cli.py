@@ -4,7 +4,9 @@
 optionally timing), creates --out, times the command, writes the run
 manifest, and maps each named failure to its exit code.  A command only
 computes and writes its own files, returning (exit code, manifest flags,
-output names).  Every command is deterministic given (config, flags, seed).
+output names), and `sweep` a fourth item of manifest entries (its cells
+counted per reason).  Every command is deterministic given (config, flags,
+seed).
 """
 from __future__ import annotations
 
@@ -126,7 +128,7 @@ def _tds_policy(text: str) -> str:
 
 def _write_manifest(outdir: Path, command: str, config_path: str,
                     config_text: str, flags: dict, outputs: list[str],
-                    wall: float) -> None:
+                    wall: float, report: dict | None = None) -> None:
     blob = json.dumps({"command": command, "config": config_text,
                        "flags": flags}, sort_keys=True)
     manifest = {
@@ -136,6 +138,7 @@ def _write_manifest(outdir: Path, command: str, config_path: str,
         "tool_version": __version__,
         "wall_time_s": wall,
         "outputs": sorted(outputs),
+        **(report or {}),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
@@ -225,8 +228,10 @@ def cmd_sweep(cfg: LoadedConfig, args, outdir: Path):
                   + (" (boundary)" if p.boundary else ""))
     flags = {"speed": args.speed.tolist(), "freq": args.freq.tolist(),
              "tds_policy": args.tds_policy}
+    reasons, counts = np.unique(grid.reason, return_counts=True)
+    cells = {reason or "feasible": int(n) for reason, n in zip(reasons, counts)}
     return (EXIT_OK if frac >= 0.9 else EXIT_FAIL, flags,
-            [econ_path.name, peaks_path.name])
+            [econ_path.name, peaks_path.name], {"cells": cells})
 
 
 _VALIDATE_TOL = 1e-6
@@ -349,13 +354,13 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        code, flags, outputs = args.func(cfg, args, outdir)
+        code, flags, outputs, *report = args.func(cfg, args, outdir)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(exit_code for kind, exit_code in _EXIT_CODES.items()
                     if isinstance(exc, kind))
     _write_manifest(outdir, args.command, args.config, cfg.text, flags,
-                    outputs, time.perf_counter() - t0)
+                    outputs, time.perf_counter() - t0, *report)
     return code
 
 

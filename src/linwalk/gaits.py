@@ -133,6 +133,21 @@ def singular_spectrum(system: PeriodicitySystem, which: str = "R0") -> np.ndarra
     return np.linalg.svd(_reduced(system, which)[0], compute_uv=False)
 
 
+def _null_spaces(R: np.ndarray, cols: np.ndarray,
+                 width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The numerical null spaces of k stacked reduced systems R (k, 8, n)
+    keeping the Q columns `cols`, lifted into the 23-entry layout: bases
+    (k, 23, width) from each system's last `width` right singular vectors
+    (by default the null dimension found, for one system), and the null
+    dimension found for each (k,).  One batched SVD."""
+    _, s, vt = np.linalg.svd(R)
+    found = len(cols) - np.count_nonzero(s > NULL_RTOL * s[:, :1], axis=1)
+    width = int(found[0]) if width is None else width
+    V = np.zeros((len(R), Q_DIM, width))
+    V[:, cols] = vt[:, len(cols) - width:].swapaxes(1, 2)
+    return V, found
+
+
 def null_basis(system: PeriodicitySystem, which: str = "R0") -> np.ndarray:
     """Orthonormal basis of the numerical null space, lifted into the full
     23-entry layout: the columns the reduced system drops (foot velocity,
@@ -140,16 +155,13 @@ def null_basis(system: PeriodicitySystem, which: str = "R0") -> np.ndarray:
 
     R0 must have exactly 7 null directions (23 x 7); R1 returns however
     many exist (one lateral step-in-place direction away from the relaxed
-    time, two at it).
+    time, two at it).  `_null_spaces` on a stack of one.
     """
     R, cols = _reduced(system, which)
-    _, s, vt = np.linalg.svd(R)
-    rank = int(np.sum(s > NULL_RTOL * s[0]))
-    if which == "R0" and len(cols) - rank != 7:
-        raise NullSpaceDimensionError(found=len(cols) - rank, expected=7)
-    V = np.zeros((Q_DIM, len(cols) - rank))
-    V[cols] = vt[rank:].T
-    return V
+    V, found = _null_spaces(R[None], cols, 7 if which == "R0" else None)
+    if which == "R0" and found[0] != 7:
+        raise NullSpaceDimensionError(found=int(found[0]), expected=7)
+    return V[0]
 
 
 def _stride_times(T_ds: float, bracket: tuple[float, float]) -> np.ndarray:
@@ -332,34 +344,53 @@ class GaitSolution:
                             diagnostics=data["diagnostics"])
 
 
+def _lstsq(M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`np.linalg.lstsq(M, y, rcond=None)` on stacks M (k, p, n), y (k, p),
+    which lstsq does not take: the minimum-norm least-squares solutions
+    (k, n), singular values at most eps max(p, n) times the largest
+    counting as zero.  Also each M's rank (k,) and right singular vectors
+    (k, n, n)."""
+    U, s, vt = np.linalg.svd(M)
+    q = s.shape[1]
+    keep = s > np.finfo(float).eps * max(M.shape[1:]) * s[:, :1]
+    c = (y[:, None] @ U[:, :, :q])[:, 0] / np.where(keep, s, np.inf)   # U^T y / s
+    return (c[:, None] @ vt[:, :q])[:, 0], np.count_nonzero(keep, axis=1), vt
+
+
+def _eqp(G: np.ndarray, blocks: list[tuple[str, np.ndarray, np.ndarray]]
+         ) -> tuple[np.ndarray, list[list[str]]]:
+    """`solve_eqp` on k stacked programs: G (k, g, n) with g >= n, and
+    labeled blocks A (k, r, n), b (k, r).  Returns the minimizers (k, n)
+    and, per program, the labels of the blocks it cannot meet (empty where
+    it is feasible).  The null-space step spans the constraint matrix's
+    right singular vectors past its rank, the others zeroed, so every
+    program keeps its own rank."""
+    A = np.concatenate([blk[1] for blk in blocks], axis=1)
+    b = np.concatenate([blk[2] for blk in blocks], axis=1)
+    a0, rank, vt = _lstsq(A, b)
+    r = np.abs((A @ a0[:, :, None])[:, :, 0] - b)
+    tol = EQP_RTOL * (1.0 + np.max(np.abs(b), axis=1))
+    firsts = np.cumsum([0] + [blk[2].shape[1] for blk in blocks[:-1]])
+    over = np.maximum.reduceat(r, firsts, axis=1) > tol[:, None]   # (k, blocks)
+    bad = [[blk[0] for blk, o in zip(blocks, row) if o] for row in over.tolist()]
+    N = vt.swapaxes(1, 2) * (np.arange(A.shape[2]) >= rank[:, None])[:, None]
+    beta = _lstsq(G @ N, -(G @ a0[:, :, None])[:, :, 0])[0]
+    return a0 + (N @ beta[:, :, None])[:, :, 0], bad
+
+
 def solve_eqp(G: np.ndarray,
               blocks: list[tuple[str, np.ndarray, np.ndarray]]) -> np.ndarray:
     """Minimize |G a|^2 subject to labeled equality blocks A a = b.
 
     Closed-form null-space method; a degenerate reduced Hessian falls back
     to the minimum-norm step.  Raises InfeasibleConstraintsError naming the
-    blocks whose equations cannot be met.
+    blocks whose equations cannot be met.  `_eqp` on a stack of one.
     """
-    A = np.vstack([blk[1] for blk in blocks])
-    b = np.concatenate([blk[2] for blk in blocks])
-    a0, *_ = np.linalg.lstsq(A, b, rcond=None)
-    tol = EQP_RTOL * (1.0 + np.max(np.abs(b)))
-    bad = []
-    r = A @ a0 - b
-    k = 0
-    for label, Ab, bb in blocks:
-        if np.max(np.abs(r[k:k + len(bb)]), initial=0.0) > tol:
-            bad.append(label)
-        k += len(bb)
-    if bad:
-        raise InfeasibleConstraintsError(bad)
-    _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0]))
-    N = vt[rank:].T
-    if N.shape[1] == 0:
-        return a0
-    beta, *_ = np.linalg.lstsq(G @ N, -G @ a0, rcond=None)
-    return a0 + N @ beta
+    alpha, bad = _eqp(np.asarray(G)[None], [(label, np.asarray(A)[None], np.asarray(b)[None])
+                                            for label, A, b in blocks])
+    if bad[0]:
+        raise InfeasibleConstraintsError(bad[0])
+    return alpha[0]
 
 
 def _gait_diagnostics(system: PeriodicitySystem, Q0: np.ndarray) -> dict:
@@ -374,6 +405,27 @@ def _gait_diagnostics(system: PeriodicitySystem, Q0: np.ndarray) -> dict:
     }
 
 
+def _gait_blocks(V: np.ndarray, v_des: float, T_stride, spec: ScenarioSpec,
+                 d_sign: float) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """The labeled equality blocks of one scenario's program on the R0 basis
+    V (23 x 7), or on a stack of them (k, 23, 7) with one stride time
+    each (k,)."""
+    lead = V.shape[:-2]
+    blocks = [
+        ("support-side", _SEL.S_d @ V, np.full(lead + (1,), d_sign)),
+        ("speed", _SEL.S_X2x @ V, np.reshape(-v_des * np.asarray(T_stride), lead + (1,))),
+    ]
+    if spec.zero_ankle or spec.cop_ramp is not None:
+        ankle = np.concatenate([_SEL.S_Ma @ V, _SEL.S_rMa @ V], axis=-2)
+    if spec.zero_ankle:
+        blocks.append(("ankle-torque", ankle, np.zeros(lead + (4,))))
+    if spec.cop_ramp is not None:
+        # negative sagittal ramp moment drives the stance CoP toe-ward
+        blocks.append(("cop-ramp", ankle,
+                       np.broadcast_to([0.0, 0.0, -spec.cop_ramp, 0.0], lead + (4,))))
+    return blocks
+
+
 def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
                spec: ScenarioSpec, d_sign: float = 1.0) -> GaitSolution:
     """Pick null-space coefficients for one scenario by an equality-constrained QP.
@@ -381,19 +433,7 @@ def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
     V is the 23 x 7 basis of the R0 null space of `system` (`null_basis`).
     """
     T_stride = system.timing.T_stride
-    blocks = [
-        ("support-side", _SEL.S_d @ V, np.array([d_sign])),
-        ("speed", _SEL.S_X2x @ V, np.array([-v_des * T_stride])),
-    ]
-    if spec.zero_ankle or spec.cop_ramp is not None:
-        ankle = np.vstack([_SEL.S_Ma @ V, _SEL.S_rMa @ V])
-    if spec.zero_ankle:
-        blocks.append(("ankle-torque", ankle, np.zeros(4)))
-    if spec.cop_ramp is not None:
-        # negative sagittal ramp moment drives the stance CoP toe-ward
-        blocks.append(("cop-ramp", ankle,
-                       np.array([0.0, 0.0, -spec.cop_ramp, 0.0])))
-
+    blocks = _gait_blocks(V, v_des, T_stride, spec, d_sign)
     lateral_rows = None
     if spec.lateral_velocity_objective:
         C = com_velocity_matrix(system.params)[1]     # lateral CoM velocity row
@@ -412,6 +452,28 @@ def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
     return GaitSolution(params=system.params, timing=system.timing,
                         scenario=spec.tag, v_des=v_des, d_sign=d_sign,
                         alpha=alpha, basis=V, Q0=Q0, diagnostics=diag)
+
+
+def minimal_torque_gaits(H_stride: np.ndarray, v_des: float, T_stride: np.ndarray,
+                         d_sign: float = 1.0) -> tuple[np.ndarray, list]:
+    """The minimal-torque gaits of k strides of one body at once, from their
+    stride maps H_stride (k, 23, 23) and stride times (k,): the initial
+    states Q0 (k, 23), and per stride None or the error its gait fails
+    with, `NullSpaceDimensionError` or `InfeasibleConstraintsError` (that
+    stride's Q0 is then meaningless).  `synthesize_gait` with the default
+    scenario gives the same gait, one stride at a time: the stacked R0
+    (k, 8, 15) takes one batched SVD for its null bases (k, 23, 7), and
+    the programs two more (`_eqp`)."""
+    R0 = (_R_START + _R_END @ H_stride)[:, :, R0_COLS]
+    V, found = _null_spaces(R0, R0_COLS, 7)
+    blocks = _gait_blocks(V, v_des, T_stride, ScenarioSpec(tag="minimal-torque"), d_sign)
+    alpha, bad = _eqp(_SEL.S_U @ V, blocks)
+    Q0 = (V @ alpha[:, :, None])[:, :, 0]
+    Q0[:, ID_SIDE] = d_sign
+    errors = [NullSpaceDimensionError(found=int(f), expected=7) if f != 7
+              else InfeasibleConstraintsError(labels) if labels else None
+              for f, labels in zip(found, bad)]
+    return Q0, errors
 
 
 def synthesize_gait(params: BodyParams, timing: StrideTiming, v_des: float,

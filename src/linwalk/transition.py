@@ -33,10 +33,15 @@ stride-map cache below is, by (params, timing)).
 
 Dense output takes no map at all: the power series of s, C and S (one
 timing-free table of h^d coefficients in the template, which `expm` sums
-for short times) let `PhaseMap.pieces` write a phase's whole flow from
-given states as polynomials on a few pieces, short enough that
+for short times) let `flow_pieces` write a phase's whole flow from given
+states as polynomials on a few pieces, short enough that
 |lambda| h^2 <= 1/2, with the features' coefficients in place of their
-values; the states at any times are those polynomials evaluated.
+values; the states at any times are those polynomials evaluated.  Each
+piece after a phase's first starts from its exact closed-form state (the
+features at its start time applied to the phase-start state), never from
+the previous piece's end, so the pieces of many phases and start states
+are written at once: `PhaseMap.pieces` is one run, `StrideMaps.pieces` one
+stride, and the CoM work of a sweep row all its strides.
 
 A full stride is double support followed by single support; only
 `StrideMaps.flow` and `StrideMaps.states` split a stride time into its
@@ -53,7 +58,9 @@ block is singular at isolated timings, and only code reading H' fails there.
 
 Stride maps are cached per (params, timing); construction is pure and the
 cached objects are safe to share.  `phase_ends` gives one phase's end maps
-at many durations from one evaluation, and builds and caches no stride map.
+at many durations from one evaluation, and `stride_pieces` the flows of
+many strides; neither builds nor caches a stride map, so the relax scan and
+the economy rows never touch the cache.
 """
 from __future__ import annotations
 
@@ -124,7 +131,7 @@ class _Template:
     series, and ``den`` and ``root`` the lambda and sqrt(lambda) of their
     closed forms (imaginary where lambda < 0; a zero lambda, whose times
     all take the series, is 1 there).  ``series`` (3, 2, 18, n) is the one
-    encoding of those series, for `expm` and `PhaseMap.pieces` alike: the
+    encoding of those series, for `expm` and `flow_pieces` alike: the
     coefficients of h^d in s, C and S (lambda^i / d! at d = 2i + 1, 2i + 2
     and 2i + 3).  ``Z`` (2, 4n, 2n * 12) is the map's increment over the
     identity on the axis' moving positions and velocities (``rows``, 2 x 2n)
@@ -205,12 +212,10 @@ def _map_template(unit: PhaseODE) -> _Template:
     return tpl
 
 
-def expm(tpl: _Template, h, t0, T) -> np.ndarray:
-    """The exact 23 x 23 maps of a phase from phase time t0 over h, for the
-    phase lasting T, at k triples (h, t0, T) given as scalars or (k,)
-    arrays: (k, 23, 23), in closed form from the template (module
-    docstring), one product for all k.  Named for the matrix exponential
-    it replaces."""
+def _features(tpl: _Template, h, t0, T) -> np.ndarray:
+    """The feature vectors phi (2, k, 4n) of the closed form (module
+    docstring) at k triples (h, t0, T), given as scalars or (k,) arrays:
+    s, C, (t0 C + S) / T and (t0 s + C) / T of each eigenvalue, per axis."""
     h, t0, T = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (h, t0, T))
     z = tpl.root * h                                     # (2, k, n)
     s = (np.sinh(z) / tpl.root).real
@@ -218,11 +223,88 @@ def expm(tpl: _Template, h, t0, T) -> np.ndarray:
     S = (s - h) / tpl.den
     s, C, S = np.where(h < tpl.reach,                    # |lambda| h^2 < 1/2
                        h ** _DEGREES @ tpl.series, [s, C, S])
-    phi = np.concatenate([s, C, (t0 * C + S) / T, (t0 * s + C) / T], axis=2)
+    return np.concatenate([s, C, (t0 * C + S) / T, (t0 * s + C) / T], axis=2)
+
+
+def expm(tpl: _Template, h, t0, T) -> np.ndarray:
+    """The exact 23 x 23 maps of a phase from phase time t0 over h, for the
+    phase lasting T, at k triples (h, t0, T) given as scalars or (k,)
+    arrays: (k, 23, 23), in closed form from the template (module
+    docstring), one product for all k.  Named for the matrix exponential
+    it replaces."""
+    phi = _features(tpl, h, t0, T)
     out = np.zeros((phi.shape[1], Q_DIM * Q_DIM))
     out[:, tpl.cells] = (phi @ tpl.Z).swapaxes(0, 1)
     out[:, ::Q_DIM + 1] += 1.0
     return out.reshape(-1, Q_DIM, Q_DIM)
+
+
+def _increments(tpl: _Template, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """What the feature vectors phi (2, P, D, 4n) add to the states x
+    (P, r, 23) on each axis' moving rows: sum_f phi[a, p, d, f] Z[a, f] x[p],
+    shaped (P, D, r, 2, 2n) to scatter into ``tpl.rows``.  Z takes all the
+    states in one product per axis, and each p's features one more; no
+    map is formed."""
+    (_, P, D, F), r = phi.shape, x.shape[1]
+    xc = x[..., _AXIS_COLS].transpose(2, 3, 0, 1).reshape(2, len(_AXIS_COLS[0]), P * r)
+    Zx = tpl.Z.reshape(2, -1, xc.shape[1]) @ xc
+    Zx = Zx.reshape(2, F, -1, P, r).transpose(0, 3, 1, 2, 4).reshape(2, P, F, -1)
+    return (phi @ Zx).reshape(2, P, D, -1, r).transpose(1, 2, 4, 0, 3)
+
+
+def piece_runs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of m (k,) pieces laid end to end: each piece's run and its
+    index j within the run."""
+    run = np.repeat(np.arange(len(m)), m)
+    return run, np.arange(len(run)) - np.repeat(np.cumsum(m) - m, m)
+
+
+def flow_pieces(tpl: _Template, T, X: np.ndarray):
+    """The exact flows of k runs of one phase, run i lasting T[i] from the
+    phase-start states X[i] (k, r, 23), as polynomials on m[i] equal
+    pieces of length h = T[i] / m[i]: Q(j h + u h) = sum_d C[p, d] u^d for
+    u in [0, 1] on the run's piece p (its j-th).  Returns the pieces C
+    (sum m, 18, r, 23), run after run; m (k,); and the states (k, r, 23)
+    where the runs end, their last pieces' sums.
+
+    m = ceil(T max sqrt(2 |lambda|)) keeps |lambda| h^2 <= 1/2, where 18
+    coefficients are exact to roundoff.  A run's first piece starts from
+    its start state and every later piece from its exact closed-form state
+    at t_j = j h: the features phi(t_j, 0, T) applied to the run's start
+    state, all of them from one feature evaluation, with no map formed and
+    no chaining.  The coefficient of u^d on a piece is the h^d coefficient
+    of the features s, C, (t_j C + S) / T and (t_j s + C) / T (the
+    template's ``series`` table) applied to the piece's start state.
+    """
+    T = np.asarray(T, dtype=float)
+    m = np.maximum(1, np.ceil(T * np.max(1.0 / tpl.reach))).astype(int)
+    run, j = piece_runs(m)
+    h = (T / m)[run]
+    t = h * j
+    x = X[run]                                           # the piece starts
+    later = np.flatnonzero(j)
+    if len(later):
+        y = x[later]
+        phi = _features(tpl, t[later], 0.0, T[run[later]])[:, :, None]
+        y[..., tpl.rows] += _increments(tpl, phi, y)[:, 0]
+        x[later] = y
+    s, C, S = tpl.series[:, :, None] * h[:, None, None] ** _DEGREES[:, None]
+    t, Tp = t[:, None, None], T[run][:, None, None]
+    phi = np.concatenate([s, C, (t * C + S) / Tp, (t * s + C) / Tp], axis=3)
+    out = np.zeros((len(run), len(_DEGREES)) + x.shape[1:])
+    out[:, 0] = x
+    out[:, 1:][..., tpl.rows] = _increments(tpl, phi[:, :, 1:], x)
+    return out, m, out[np.cumsum(m) - 1].sum(axis=1)
+
+
+def stride_pieces(tpls: tuple[_Template, _Template], T_ds, T_ss, X: np.ndarray):
+    """Both phases' `flow_pieces` of k strides from the stride-start states
+    X (k, r, 23), phase durations T_ds and T_ss (k,), and the templates
+    (double, single support): ((C_ds, m_ds), (C_ss, m_ss), stride-end
+    states).  Single support starts from the double-support end states."""
+    ds, m_ds, mid = flow_pieces(tpls[0], T_ds, X)
+    ss, m_ss, end = flow_pieces(tpls[1], T_ss, mid)
+    return (ds, m_ds), (ss, m_ss), end
 
 
 class PhaseMap:
@@ -243,32 +325,10 @@ class PhaseMap:
         """The exact flow from the phase-start state Q (23,), or the states Q
         (k, 23) one per row, over the phase duration, as polynomials on m
         equal pieces of length h = duration / m: Q(j h + u h) =
-        sum_d C[j, d] u^d for u in [0, 1].  Returns C (m, 18) + Q.shape.
-
-        The coefficient of u^d on piece j is the h^d coefficient of the
-        closed form's features s, C, (t_j C + S) / T and (t_j s + C) / T
-        (module docstring; t_j = j h) contracted with Z, applied to the
-        piece's start state.  m = ceil(T max sqrt(2 |lambda|)) keeps
-        |lambda| h^2 <= 1/2, where 18 coefficients are exact to roundoff.
-        Each piece starts where the previous one's sum ends.
-        """
-        tpl, T = self._tpl, self.duration
-        m = max(1, math.ceil(T * np.max(1.0 / tpl.reach)))
-        h, K = T / m, len(_DEGREES)
-        s, C, S = (f[:, None] for f in tpl.series * h ** _DEGREES[:, None])
-        t = h * np.arange(m)[:, None, None]              # piece starts
-        phi = np.concatenate(np.broadcast_arrays(         # (axis, piece, degree, 4n)
-            s, C, (t * C + S) / T, (t * s + C) / T), axis=3)
-        W = (phi.reshape(2, m * K, -1) @ tpl.Z).reshape(2, m, K, -1, len(_AXIS_COLS[0]))
-        x = np.reshape(Q, (-1, Q_DIM))                   # one state per row
-        out = np.zeros((m, K) + x.shape)
-        out[0, 0] = x
-        for j in range(m):
-            if j:
-                out[j, 0] = out[j - 1].sum(axis=0)
-            inc = W[:, j, 1:] @ out[j, 0][:, _AXIS_COLS].transpose(1, 2, 0)[:, None]
-            out[j][1:, :, tpl.rows] = inc.transpose(1, 3, 0, 2)     # (K - 1, k, 2, 2n)
-        return out.reshape((m, K) + np.shape(Q))
+        sum_d C[j, d] u^d for u in [0, 1].  Returns C (m, 18) + Q.shape,
+        from `flow_pieces` (one run)."""
+        C = flow_pieces(self._tpl, [self.duration], np.reshape(Q, (1, -1, Q_DIM)))[0]
+        return C.reshape(C.shape[:2] + np.shape(Q))
 
     def map_at(self, t: float) -> np.ndarray:
         """H_phase(t): exact 23 x 23 map from the phase start."""
@@ -285,14 +345,19 @@ class PhaseMap:
 def phase_ends(params: BodyParams, phase: str, durations) -> np.ndarray:
     """H_phase(T) of one body's phase at the end of each duration T in
     `durations` (k,): (k, 23, 23) from one closed-form evaluation.  No
-    stride map is built or cached.  The body's unit ODE is fetched through
-    the same `assemble_*` call as a stride-map build's, at the probing
-    timing (any timing would do)."""
-    assemble = assemble_single_support if phase == SINGLE else assemble_double_support
+    stride map is built or cached."""
     T = np.asarray(durations, dtype=float)
     if not np.all((T > 0.0) & (T < np.inf)):
         raise ValueError(f"{phase}-support durations must be finite and positive")
-    return expm(_map_template(assemble(params, UNIT_TIMING).unit), T, 0.0, T)
+    return expm(phase_template(params, phase), T, 0.0, T)
+
+
+def phase_template(params: BodyParams, phase: str) -> _Template:
+    """The closed-form template of one body's phase.  The body's unit ODE is
+    fetched through the same `assemble_*` call as a stride-map build's, at
+    the probing timing (any timing would do)."""
+    assemble = assemble_single_support if phase == SINGLE else assemble_double_support
+    return _map_template(assemble(params, UNIT_TIMING).unit)
 
 
 def constrain_foot_velocity(H: np.ndarray) -> np.ndarray:
@@ -348,10 +413,12 @@ class StrideMaps:
 
     def pieces(self, Q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both phases' flows from the stride-start state Q0 (23,), or the
-        states Q0 (k, 23) one per row, as `PhaseMap.pieces`; single support
-        starts where the double-support pieces end."""
-        ds = self.ds.pieces(Q0)
-        return ds, self.ss.pieces(ds[-1].sum(axis=0))
+        states Q0 (k, 23) one per row, as `PhaseMap.pieces`
+        (`stride_pieces`, one stride)."""
+        (ds, _), (ss, _), _ = stride_pieces(
+            (self.ds._tpl, self.ss._tpl), [self.timing.T_ds], [self.timing.T_ss],
+            np.reshape(Q0, (1, -1, Q_DIM)))
+        return tuple(C.reshape(C.shape[:2] + np.shape(Q0)) for C in (ds, ss))
 
     def states(self, Q0: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """H(t) Q0 at the non-decreasing stride times ts in [0, T_stride],

@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linwalk.gaits import GaitSolution, M_MAT, O_MAT, T_MAT, synthesize_gait
+from linwalk.gaits import (
+    GaitSolution, M_MAT, NullSpaceDimensionError, O_MAT, T_MAT, synthesize_gait,
+)
 from linwalk.layout import selection_matrices
 from linwalk.model import (
-    StrideTiming, com_velocity_matrix, default_params, scaled_body,
+    DegenerateModelError, StrideTiming, com_velocity_matrix, default_params,
+    scaled_body,
 )
 from linwalk.analysis import (
     EconomyGrid, TdsPolicy, com_work_per_distance, economy_cell,
@@ -247,9 +250,91 @@ def test_unexpected_cell_error_propagates(body66, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("not a domain error")
 
-    monkeypatch.setattr(analysis, "synthesize_gait", broken)
+    monkeypatch.setattr(analysis, "minimal_torque_gaits", broken)
     with pytest.raises(ValueError, match="not a domain error"):
         economy_surface(body66, [1.4], [1.8], TdsPolicy("human"))
+
+
+def test_row_errors_mark_every_cell(body66):
+    """A share outside (0, 1) and a body whose extraction fails each give
+    their whole row that reason; a row of one (`economy_cell`) raises it."""
+    from dataclasses import replace
+    freqs = [1.6, 1.8, 2.0]
+    grid = economy_surface(body66, [-12.0, 1.4], freqs, TdsPolicy("human"))
+    assert grid.reason.tolist() == [["TdsRatioError"] * 3, [""] * 3]
+    assert grid.feasible.tolist() == [[False] * 3, [True] * 3]
+    assert np.all(np.isnan(grid.economy[0])) and np.all(grid.economy[1] > 0.0)
+    flat = replace(body66, z2=0.0)              # a singular balance system
+    grid = economy_surface(flat, [1.0, 1.4], freqs, TdsPolicy("human"))
+    assert grid.reason.tolist() == [["DegenerateModelError"] * 3] * 2
+    assert not np.any(grid.feasible) and np.all(np.isnan(grid.economy))
+    with pytest.raises(DegenerateModelError):
+        economy_cell(flat, 1.0, 1.8, 0.2)
+
+
+def _row(body, speed, freqs, ratio=0.15):
+    return economy_surface(body, [speed], freqs, TdsPolicy("fixed", ratio))
+
+
+def test_one_cell_fails_its_null_space_alone(body66, monkeypatch):
+    """With the null-space tolerance set between the row's two smallest
+    R0 gaps, only the cell with the smallest gap finds 8 null directions:
+    it alone is masked, with its reason, and economy_cell raises there;
+    its row-mates keep their values."""
+    import linwalk.gaits as gaits
+    freqs = np.array([1.2, 1.5, 1.8, 2.1, 2.4])
+    ref = _row(body66, 1.3, freqs)
+    gaps = []
+    for f in freqs:
+        tm = StrideTiming(0.15 / f, 0.85 / f)
+        s = np.linalg.svd(gaits.build_periodicity(body66, tm).R0, compute_uv=False)
+        gaps.append(s[7] / s[0])
+    first, second = np.sort(gaps)[:2]
+    monkeypatch.setattr(gaits, "NULL_RTOL", np.sqrt(first * second))
+    grid = _row(body66, 1.3, freqs)
+    bad = np.argmin(gaps)
+    assert grid.reason[0].tolist() == ["NullSpaceDimensionError" if j == bad else ""
+                                       for j in range(len(freqs))]
+    keep = np.arange(len(freqs)) != bad
+    assert np.isnan(grid.economy[0, bad])
+    assert np.allclose(grid.economy[0, keep], ref.economy[0, keep], rtol=1e-12, atol=0.0)
+    with pytest.raises(NullSpaceDimensionError):
+        economy_cell(body66, 1.3, float(freqs[bad]), 0.15)
+
+
+def test_one_cell_fails_its_speed_row_alone(body66, monkeypatch):
+    """A basis that cannot move the swing foot, in one cell of the row,
+    fails that cell's speed block: it alone is masked, with its reason,
+    and its row-mates keep their values."""
+    import linwalk.gaits as gaits
+    freqs = np.array([1.2, 1.5, 1.8, 2.1])
+    ref = _row(body66, 1.3, freqs)
+    real = gaits._null_spaces
+
+    def stuck(*args):
+        V, found = real(*args)
+        V[2, 0] = 0.0                          # the X2x row of the third cell
+        return V, found
+
+    monkeypatch.setattr(gaits, "_null_spaces", stuck)
+    grid = _row(body66, 1.3, freqs)
+    assert grid.reason[0].tolist() == ["", "", "InfeasibleConstraintsError", ""]
+    assert np.isnan(grid.economy[0, 2])
+    keep = [0, 1, 3]
+    assert np.allclose(grid.economy[0, keep], ref.economy[0, keep], rtol=1e-12, atol=0.0)
+
+
+def test_cells_alone_match_their_rows(body66):
+    """Each cell evaluated alone (a row of one) agrees with its row to 1e-12
+    relative, on rows of both acceptance grids."""
+    speeds = np.round(np.arange(0.8, 2.0001, 0.3), 10)
+    freqs = np.round(np.arange(0.8, 3.0001, 0.05), 10)
+    for policy in (TdsPolicy("human"), TdsPolicy("fixed", 0.10)):
+        grid = economy_surface(body66, speeds, freqs, policy)
+        assert np.all(grid.feasible)
+        alone = np.array([[economy_cell(body66, float(v), float(f), policy.ratio_at(v))
+                           for f in freqs] for v in speeds])
+        assert np.all(np.abs(alone - grid.economy) <= 1e-12 * np.abs(alone)), policy
 
 
 @pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
@@ -299,8 +384,7 @@ def test_peak_line_interior_and_boundary():
         speeds=np.array([1.0, 2.0]),
         frequencies=np.array([1.0, 2.0, 3.0]),
         economy=np.array([[1.0, 3.0, 1.0], [1.0, 2.0, 4.0]]),
-        tds_ratio=np.full((2, 3), 0.2),
-        feasible=np.ones((2, 3), dtype=bool))
+        tds_ratio=np.full((2, 3), 0.2), reason=np.full((2, 3), ""))
     peaks = peak_line(grid)
     assert peaks[0].frequency == pytest.approx(2.0)
     assert not peaks[0].boundary
@@ -308,7 +392,7 @@ def test_peak_line_interior_and_boundary():
     grid_bad = EconomyGrid(speeds=np.array([1.0]), frequencies=np.array([1.0]),
                            economy=np.array([[np.nan]]),
                            tds_ratio=np.array([[0.2]]),
-                           feasible=np.zeros((1, 1), dtype=bool))
+                           reason=np.array([["NonPositiveWorkError"]]))
     [none] = peak_line(grid_bad)
     assert none.speed == 1.0 and np.isnan(none.frequency) and none.boundary
 
@@ -350,7 +434,7 @@ def test_csv_outputs(tmp_path, gait, body66):
     econ = tmp_path / "econ.csv"
     write_economy_csv(econ, grid)
     rows = econ.read_text().splitlines()
-    assert rows[0] == "speed,frequency,tds_ratio,economy,feasible"
+    assert rows[0] == "speed,frequency,tds_ratio,economy,feasible,reason"
     assert len(rows) == 3
     peaks = tmp_path / "peaks.csv"
     write_peaks_csv(peaks, peak_line(grid))
@@ -507,18 +591,25 @@ def test_propagation_takes_no_exponential(gait, count_expm, n):
     assert len(count_expm) == 0
 
 
-def test_cold_economy_cell_takes_two_exponentials(adult, count_expm):
-    """A cell at a new timing takes exactly the two exponentials of its
-    stride map: the work's polynomial pieces take none."""
+def test_cold_economy_row_takes_two_exponentials(adult, count_expm):
+    """A speed row on a new body takes exactly two exponentials whatever its
+    number of frequencies k: one `phase_ends` evaluation per phase.  The
+    work's piece writer takes none (its piece starts are closed-form
+    states, with no map formed), and a cell is a row of one."""
     policy = TdsPolicy("human")
-    for mass, height, cells in (
-            (72.3117, 0.9788, ((1.1, 1.67), (0.85, 2.71), (1.95, 1.13), (1.45, 2.03))),
-            (67.4193, 1.0213, ((1.3, 1.83), (0.9, 1.41), (1.9, 2.37), (1.6, 1.77)))):
+    for mass, height, speed, freqs in (
+            (72.3117, 0.9788, 1.1, (1.67,)),
+            (72.3117, 0.9788, 0.85, (2.71, 1.13, 2.03)),
+            (67.4193, 1.0213, 1.3, tuple(np.linspace(0.8, 3.0, 10))),
+            (64.9021, 0.9641, 1.9, tuple(np.linspace(0.9, 2.9, 45)))):
         body = scaled_body(adult, mass, height)
-        for speed, freq in cells:
-            count_expm.clear()
-            economy_cell(body, speed, freq, policy.ratio_at(speed))
-            assert len(count_expm) == 2, (mass, speed, freq)
+        count_expm.clear()
+        grid = economy_surface(body, [speed], freqs, policy)
+        assert len(count_expm) == 2, (mass, speed, len(freqs))
+        assert np.all(grid.feasible)
+        count_expm.clear()
+        economy_cell(body, speed, freqs[0], policy.ratio_at(speed))
+        assert len(count_expm) == 2, (mass, speed)
 
 
 def test_economy_cell_leaves_scipy_optimize_unimported():

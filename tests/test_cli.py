@@ -112,9 +112,26 @@ def test_sweep_command(adult_config, tmp_path):
               "--tds-policy", "human", "--out", str(out)])
     assert rc == 0
     econ = (out / "economy.csv").read_text().splitlines()
-    assert econ[0] == "speed,frequency,tds_ratio,economy,feasible"
+    assert econ[0] == "speed,frequency,tds_ratio,economy,feasible,reason"
     assert len(econ) == 1 + 2 * 4
+    assert all(row.endswith(",1,") for row in econ[1:])   # feasible, no reason
     assert (out / "peaks.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["cells"] == {"feasible": 8}
+
+
+def test_sweep_reasons_in_csv_and_manifest(adult_config, tmp_path):
+    """An infeasible cell carries its error's class name in economy.csv's
+    reason column, and the manifest counts the cells per reason.  At
+    -12 m/s the human law's share exceeds one: that whole row fails."""
+    out = tmp_path / "sweep"
+    rc = run(["sweep", "--config", adult_config, "--speed=-12:13:1",
+              "--freq", "1.6:0.2:1.8", "--out", str(out)])
+    assert rc == 1                           # under 90% feasible
+    rows = [row.split(",") for row in (out / "economy.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[4], r[5]) for r in rows] == (
+        [("-12", "0", "TdsRatioError")] * 2 + [("1", "1", "")] * 2)
+    assert json.loads((out / "manifest.json").read_text())["cells"] == {
+        "feasible": 2, "TdsRatioError": 2}
 
 
 def test_sweep_empty_range_exit_2(adult_config, tmp_path):
