@@ -294,14 +294,13 @@ def _economy_cells(params: BodyParams, speed: float, frequencies: np.ndarray,
     H = phase_ends(params, SINGLE, T_ss) @ phase_ends(params, DOUBLE, T_ds)
     Q0, errors = minimal_torque_gaits(H, speed, T_ds + T_ss)
     econ = np.full(len(T), np.nan)
-    ok = np.array([e is None for e in errors])
-    if np.any(ok):
+    ok = np.flatnonzero([e is None for e in errors])
+    if len(ok):
         work = _work_per_distance(params, T_ds[ok], T_ss[ok], Q0[ok], speed)
-        for i, w in zip(np.flatnonzero(ok), work):
-            if np.isfinite(w) and w > 0.0:
-                econ[i] = 1.0 / w
-            else:
-                errors[i] = NonPositiveWorkError(f"CoM work per distance is {w}")
+        good = np.isfinite(work) & (work > 0.0)
+        econ[ok[good]] = 1.0 / work[good]
+        for i, w in zip(ok[~good], work[~good]):
+            errors[i] = NonPositiveWorkError(f"CoM work per distance is {w}")
     return econ, errors
 
 

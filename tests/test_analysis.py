@@ -223,12 +223,13 @@ def test_economy_surface_and_flags(body66):
 
 
 def test_infeasible_cells_flagged_not_zeroed(body66):
-    """A double-support share above one cannot time a stride."""
+    """A double-support share above one cannot time a stride: every cell of
+    its row reads TdsRatioError."""
     bad = TdsPolicy("human")  # ratio_at(-12) = 1.425 > 1
-    grid = economy_surface(body66, [-12.0, 1.4], [1.8], bad)
-    assert not grid.feasible[0, 0]
-    assert np.isnan(grid.economy[0, 0])
-    assert grid.feasible[1, 0]
+    grid = economy_surface(body66, [-12.0, 1.4], [1.6, 1.8, 2.0], bad)
+    assert grid.reason.tolist() == [["TdsRatioError"] * 3, [""] * 3]
+    assert grid.feasible.tolist() == [[False] * 3, [True] * 3]
+    assert np.all(np.isnan(grid.economy[0])) and np.all(grid.economy[1] > 0.0)
 
 
 @pytest.mark.parametrize("speeds, freqs, bad", [
@@ -255,17 +256,12 @@ def test_unexpected_cell_error_propagates(body66, monkeypatch):
         economy_surface(body66, [1.4], [1.8], TdsPolicy("human"))
 
 
-def test_row_errors_mark_every_cell(body66):
-    """A share outside (0, 1) and a body whose extraction fails each give
-    their whole row that reason; a row of one (`economy_cell`) raises it."""
+def test_degenerate_body_marks_its_rows(body66):
+    """A body whose extraction fails gives every cell of its rows that
+    reason; a row of one (`economy_cell`) raises it."""
     from dataclasses import replace
-    freqs = [1.6, 1.8, 2.0]
-    grid = economy_surface(body66, [-12.0, 1.4], freqs, TdsPolicy("human"))
-    assert grid.reason.tolist() == [["TdsRatioError"] * 3, [""] * 3]
-    assert grid.feasible.tolist() == [[False] * 3, [True] * 3]
-    assert np.all(np.isnan(grid.economy[0])) and np.all(grid.economy[1] > 0.0)
     flat = replace(body66, z2=0.0)              # a singular balance system
-    grid = economy_surface(flat, [1.0, 1.4], freqs, TdsPolicy("human"))
+    grid = economy_surface(flat, [1.0, 1.4], [1.6, 1.8, 2.0], TdsPolicy("human"))
     assert grid.reason.tolist() == [["DegenerateModelError"] * 3] * 2
     assert not np.any(grid.feasible) and np.all(np.isnan(grid.economy))
     with pytest.raises(DegenerateModelError):
@@ -322,6 +318,26 @@ def test_one_cell_fails_its_speed_row_alone(body66, monkeypatch):
     assert np.isnan(grid.economy[0, 2])
     keep = [0, 1, 3]
     assert np.allclose(grid.economy[0, keep], ref.economy[0, keep], rtol=1e-12, atol=0.0)
+
+
+def test_one_cell_fails_its_work_alone(body66, monkeypatch):
+    """A cell whose work is not positive is masked alone, with its reason,
+    and its row-mates keep their values."""
+    import linwalk.analysis as analysis
+    freqs = np.array([1.2, 1.5, 1.8])
+    ref = _row(body66, 1.3, freqs)
+    real = analysis._work_per_distance
+
+    def negated(*args):
+        work = real(*args)
+        work[1] = -work[1]
+        return work
+
+    monkeypatch.setattr(analysis, "_work_per_distance", negated)
+    grid = _row(body66, 1.3, freqs)
+    assert grid.reason[0].tolist() == ["", "NonPositiveWorkError", ""]
+    assert np.isnan(grid.economy[0, 1])
+    assert np.array_equal(grid.economy[0, [0, 2]], ref.economy[0, [0, 2]])
 
 
 def test_cells_alone_match_their_rows(body66):
