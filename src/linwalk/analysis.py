@@ -361,7 +361,8 @@ def economy_surface(params: BodyParams, speeds, frequencies,
     fixes the double-support share per speed.  Each speed row is one array
     program over its frequencies (`_economy_cells`).  Cells failing with a
     domain error in `_CELL_ERRORS` are flagged infeasible, never zeroed,
-    and keep its class name as their reason; any other error propagates.
+    and keep the error's class name as their reason; any other error
+    propagates.
     Rows are independent and may be evaluated in `workers` processes, at
     most `usable_cpus()`; output ordering is deterministic.
     """
@@ -385,7 +386,7 @@ def economy_surface(params: BodyParams, speeds, frequencies,
         rows = _pool_map(_economy_row, jobs, workers)
     else:
         rows = [_economy_row(j) for j in jobs]
-    reason = np.array([row[1] for row in rows], dtype=str).reshape(len(speeds), -1)
+    reason = np.array([row[1] for row in rows], dtype=str)
     ratio_grid = np.repeat(ratios[:, None], len(frequencies), axis=1)
     return EconomyGrid(speeds=speeds, frequencies=frequencies,
                        economy=np.array([row[0] for row in rows]),
