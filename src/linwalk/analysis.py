@@ -4,8 +4,8 @@ An economy surface is evaluated one speed row (one speed and double-support
 share, all frequencies) at a time, as one array program: both phases' end
 maps from one `phase_ends` evaluation each, the minimal-torque gaits from
 one stacked null space and program (`gaits.minimal_torque_gaits`), and the
-CoM work of all the row's gaits from one set of flow pieces
-(`transition.stride_pieces`).  The economy path builds and caches no stride
+CoM work of all the row's gaits from one set of flow pieces per phase
+(`transition.flow_pieces`).  The economy path builds and caches no stride
 map.  A cell that fails keeps the class name of its error as its reason.
 """
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .model import (
     BodyParams, DegenerateModelError, StrideTiming, com_position_matrix,
     com_velocity_matrix, mass_velocity_matrix,
 )
-from .transition import phase_ends, phase_template, piece_runs, stride_maps, stride_pieces
+from .transition import flow_pieces, phase_ends, phase_template, piece_runs, stride_maps
 
 
 class NonPositiveWorkError(RuntimeError):
@@ -77,7 +77,8 @@ def sample_times(timing: StrideTiming, n: int) -> np.ndarray:
 
 def propagate_states(gait: GaitSolution, ts: np.ndarray) -> np.ndarray:
     """States (len(ts), 23) at the non-decreasing stride times ts in
-    [0, T_stride]."""
+    [0, T_stride], read off the closed form (`StrideMaps.states`): no
+    map and no flow piece is formed."""
     return stride_maps(gait.params, gait.timing).states(gait.Q0, ts)
 
 
@@ -158,19 +159,19 @@ def _work_per_distance(params: BodyParams, T_ds: np.ndarray, T_ss: np.ndarray,
     """`com_work_per_distance` of k strides of one body at once, from their
     phase durations (k,) and stride-start states Q0 (k, 23): (k,).
 
-    Every stride's flow pieces come from one piece writer per phase
-    (`transition.stride_pieces`), so the kinetic-energy polynomials, their
-    turning points and the energies at those points and at the piece
-    starts and stride ends are formed for all (stride, piece) pairs at
-    once; each stride's positive variation is summed over its own points
-    in time order.
+    Every stride's flow pieces come from one `transition.flow_pieces` call
+    per phase, single support from the double-support ends, so the
+    kinetic-energy polynomials, their turning points and the energies at
+    those points and at the piece starts and stride ends are formed for
+    all (stride, piece) pairs at once; each stride's positive variation
+    is summed over its own points in time order.
     """
     k = len(Q0)
     Vm = mass_velocity_matrix(params)[:, 4:8]         # reads the 4 velocities
     masses = np.repeat([params.m1, params.m2, params.m3], 2)
     G = Vm.T @ (masses[:, None] * Vm)                 # KE = 1/2 v.G v
-    tpls = phase_template(params, DOUBLE), phase_template(params, SINGLE)
-    (ds, m_ds), (ss, m_ss), end = stride_pieces(tpls, T_ds, T_ss, Q0[:, None])
+    ds, m_ds, mid = flow_pieces(phase_template(params, DOUBLE), T_ds, Q0[:, None])
+    ss, m_ss, end = flow_pieces(phase_template(params, SINGLE), T_ss, mid)
     V = np.concatenate([ds[:, :, 0, 4:8], ss[:, :, 0, 4:8]])   # (pieces, K, 4)
     # each piece's stride, and its place in the stride's time order
     (c_ds, j_ds), (c_ss, j_ss) = piece_runs(m_ds), piece_runs(m_ss)

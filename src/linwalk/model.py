@@ -266,10 +266,8 @@ def load_config(path: str | Path) -> LoadedConfig:
                             w=values["w"], g=values.get("g", 9.81))
     except ValueError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
-    if "T_ds" in values and "T_ss" in values:
-        try:
-            StrideTiming(T_ds=values["T_ds"], T_ss=values["T_ss"])
-        except ValueError as exc:
-            raise ConfigError(f"config {path}: {exc}") from exc
+    for key in ("T_ds", "T_ss"):
+        if key in values and not values[key] > 0.0:      # finite: checked above
+            raise ConfigError(f"config {path}: key {key!r} must be positive")
     return LoadedConfig(params=params, T_ds=values.get("T_ds"),
                         T_ss=values.get("T_ss"), text=text)

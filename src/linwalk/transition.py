@@ -31,17 +31,17 @@ exactly, and no entry couples the axes.  A complex or repeated eigenvalue pair r
 `DegenerateModelError`.  No template is keyed by a time value (only the
 stride-map cache below is, by (params, timing)).
 
-Dense output takes no map at all: the power series of s, C and S (one
-timing-free table of h^d coefficients in the template, which `expm` sums
-for short times) let `flow_pieces` write a phase's whole flow from given
-states as polynomials on a few pieces, short enough that
-|lambda| h^2 <= 1/2, with the features' coefficients in place of their
-values; the states at any times are those polynomials evaluated.  Each
-piece after a phase's first starts from its exact closed-form state (the
-features at its start time applied to the phase-start state), never from
-the previous piece's end, so the pieces of many phases and start states
-are written at once: `PhaseMap.pieces` is one run, `StrideMaps.pieces` one
-stride, and the CoM work of a sweep row all its strides.
+Dense output takes no map at all.  `StrideMaps.states` applies each
+phase's features at its own times to the phase-start states through Z
+(`_increments`).  The CoM work, which needs the flow as polynomials in
+time, reads `flow_pieces`: the power series of s, C and S (one timing-free
+table of h^d coefficients in the template, which `expm` sums for short
+times) write a phase's whole flow from given states as polynomials on a
+few pieces, short enough that |lambda| h^2 <= 1/2, with the features'
+coefficients in place of their values.  Each piece after a phase's first
+starts from its exact closed-form state (the features at its start time
+applied to the phase-start state), never from the previous piece's end,
+so one call writes the pieces of all the strides of a sweep row.
 
 A full stride is double support followed by single support; only
 `StrideMaps.flow` and `StrideMaps.states` split a stride time into its
@@ -58,9 +58,9 @@ block is singular at isolated timings, and only code reading H' fails there.
 
 Stride maps are cached per (params, timing); construction is pure and the
 cached objects are safe to share.  `phase_ends` gives one phase's end maps
-at many durations from one evaluation, and `stride_pieces` the flows of
-many strides; neither builds nor caches a stride map, so the relax scan and
-the economy rows never touch the cache.
+at many durations from one evaluation, and `flow_pieces` the flows of many
+runs of a phase; neither builds nor caches a stride map, so the relax scan
+and the economy rows never touch the cache.
 """
 from __future__ import annotations
 
@@ -297,38 +297,18 @@ def flow_pieces(tpl: _Template, T, X: np.ndarray):
     return out, m, out[np.cumsum(m) - 1].sum(axis=1)
 
 
-def stride_pieces(tpls: tuple[_Template, _Template], T_ds, T_ss, X: np.ndarray):
-    """Both phases' `flow_pieces` of k strides from the stride-start states
-    X (k, r, 23), phase durations T_ds and T_ss (k,), and the templates
-    (double, single support): ((C_ds, m_ds), (C_ss, m_ss), stride-end
-    states).  Single support starts from the double-support end states."""
-    ds, m_ds, mid = flow_pieces(tpls[0], T_ds, X)
-    ss, m_ss, end = flow_pieces(tpls[1], T_ss, mid)
-    return (ds, m_ds), (ss, m_ss), end
-
-
 class PhaseMap:
     """Exact transition map of one phase, t in [0, duration].
 
     The closed-form factors are a per-body template, built once per
     (body, phase).  ``map_at`` and ``flow`` are one closed-form evaluation
-    each (`expm`); ``pieces`` writes the flow of given states over the
-    whole phase as polynomials read off the same closed form.
+    each (`expm`).
     """
 
     def __init__(self, ode: PhaseODE):
         self.phase = ode.phase
         self.duration = ode.duration
         self._tpl = _map_template(ode.unit or ode)
-
-    def pieces(self, Q: np.ndarray) -> np.ndarray:
-        """The exact flow from the phase-start state Q (23,), or the states Q
-        (k, 23) one per row, over the phase duration, as polynomials on m
-        equal pieces of length h = duration / m: Q(j h + u h) =
-        sum_d C[j, d] u^d for u in [0, 1].  Returns C (m, 18) + Q.shape,
-        from `flow_pieces` (one run)."""
-        C = flow_pieces(self._tpl, [self.duration], np.reshape(Q, (1, -1, Q_DIM)))[0]
-        return C.reshape(C.shape[:2] + np.shape(Q))
 
     def map_at(self, t: float) -> np.ndarray:
         """H_phase(t): exact 23 x 23 map from the phase start."""
@@ -411,24 +391,17 @@ class StrideMaps:
             return self.ss.flow(t0 - T_ds, t1 - t0)
         return self.ss.flow(0.0, t1 - T_ds) @ self.ds.flow(t0, T_ds - t0)
 
-    def pieces(self, Q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both phases' flows from the stride-start state Q0 (23,), or the
-        states Q0 (k, 23) one per row, as `PhaseMap.pieces`
-        (`stride_pieces`, one stride)."""
-        (ds, _), (ss, _), _ = stride_pieces(
-            (self.ds._tpl, self.ss._tpl), [self.timing.T_ds], [self.timing.T_ss],
-            np.reshape(Q0, (1, -1, Q_DIM)))
-        return tuple(C.reshape(C.shape[:2] + np.shape(Q0)) for C in (ds, ss))
-
     def states(self, Q0: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """H(t) Q0 at the non-decreasing stride times ts in [0, T_stride],
         shape (len(ts),) + Q0.shape, for one state Q0 (23,) or a block (23, k).
 
-        The flow pieces (`pieces`) are evaluated at the times: no map is
-        formed.  The times are sorted, so those on one piece form one run
-        and take one product with its coefficients.
+        Each phase's closed-form features at its own times are applied to
+        its start state, Q0 in double support and H_ds_end Q0 in single
+        support (`_increments`): no map is formed.
         """
         Q0 = np.asarray(Q0, dtype=float)
+        if Q0.shape[:1] != (Q_DIM,):
+            raise ValueError(f"need Q0 of shape (23,) or (23, k), got {Q0.shape}")
         ts = np.asarray(ts, dtype=float)
         T_ds, T = self.timing.T_ds, self.timing.T_stride
         for bad, what in ((~((ts >= -1e-12) & (ts <= T + 1e-9)), f"outside [0, {T}]"),
@@ -438,16 +411,12 @@ class StrideMaps:
         rows = Q0.reshape(Q_DIM, -1).T       # one state per row
         out = np.empty((len(ts),) + rows.shape)
         n_ds = int(np.searchsorted(ts, T_ds, side="right"))   # samples t <= T_ds
-        for pm, C, tl, run in zip((self.ds, self.ss), self.pieces(rows),
+        for pm, x, tl, run in zip((self.ds, self.ss), (rows, rows @ self.H_ds_end.T),
                                   (ts[:n_ds], ts[n_ds:] - T_ds), (out[:n_ds], out[n_ds:])):
-            m = len(C)
-            u = tl * (m / pm.duration)                 # in pieces
-            j = np.clip(np.floor(u), 0, m - 1).astype(int)
-            s = (u - j)[:, None] ** np.arange(C.shape[1])
-            C = C.reshape(m, C.shape[1], -1)
-            ends = np.searchsorted(j, np.arange(m + 1))
-            for Cp, a, b in zip(C, ends, ends[1:]):
-                run[a:b] = (s[a:b] @ Cp).reshape((b - a,) + rows.shape)
+            if len(tl):
+                phi = _features(pm._tpl, tl, 0.0, pm.duration)[:, None]
+                run[:] = x
+                run[..., pm._tpl.rows] += _increments(pm._tpl, phi, x[None])[0]
         return out.transpose(0, 2, 1).reshape((len(ts),) + Q0.shape)
 
 

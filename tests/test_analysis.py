@@ -596,7 +596,7 @@ def test_stacked_trajectory_on_random_bodies(base):
 @pytest.mark.parametrize("n", [1000, 100_000])
 def test_propagation_takes_no_exponential(gait, count_expm, n):
     """States on a grid of any size, one state or the 23 x 7 basis block,
-    come from the flow pieces without a matrix exponential."""
+    are read off the closed form without a matrix exponential."""
     from linwalk.analysis import propagate_states, sample_times
     from linwalk.transition import stride_maps
     maps = stride_maps(gait.params, gait.timing)
@@ -605,6 +605,31 @@ def test_propagation_takes_no_exponential(gait, count_expm, n):
     propagate_states(gait, ts)
     maps.states(gait.basis, ts)
     assert len(count_expm) == 0
+
+
+def test_only_the_work_writes_flow_pieces(adult, monkeypatch):
+    """States read the closed form: a warm stage-walk gait and its sampled
+    trajectory write no flow pieces.  The CoM work is their one reader,
+    and a cold economy row writes them once per phase for all its cells."""
+    import linwalk.analysis as analysis
+    import linwalk.transition as transition
+    calls = []
+    real = transition.flow_pieces
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (transition, analysis):
+        monkeypatch.setattr(module, "flow_pieces", counted)
+    synthesize_gait(adult, SIIIC, 1.0, "stage-walk")
+    calls.clear()
+    sample_trajectory(synthesize_gait(adult, SIIIC, 1.0, "stage-walk"))
+    assert len(calls) == 0
+    grid = economy_surface(scaled_body(adult, 71.3, 0.99), [1.1], (1.3, 1.8, 2.2),
+                           TdsPolicy("human"))
+    assert np.all(grid.feasible)
+    assert len(calls) == 2
 
 
 def test_cold_economy_row_takes_two_exponentials(adult, count_expm):
@@ -652,7 +677,7 @@ def test_series_flow_matches_exponential(base):
     of the generator built from the phase ODE, to 1e-13 of max|E Q| across
     a whole phase, on random bodies and states at short and human
     double-support shares; several phases need more than one piece."""
-    from conftest import pade_flow, phase_odes, random_states
+    from conftest import pade_flow, phase_odes, phase_pieces, random_states
     from linwalk.transition import stride_maps
     rng = np.random.default_rng(61)
     base = default_params(base)
@@ -666,7 +691,7 @@ def test_series_flow_matches_exponential(base):
             maps = stride_maps(body, StrideTiming(ratio * T, (1.0 - ratio) * T))
             for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
                 Q = random_states(1, seed=int(rng.integers(1 << 30)))[0]
-                C = pm.pieces(Q)
+                C = phase_pieces(ode, Q)
                 dh = pm.duration / len(C)
                 split += len(C) > 1
                 for delta in np.append(np.linspace(0.0, pm.duration, 9),

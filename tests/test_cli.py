@@ -96,7 +96,7 @@ def test_gait_stage_walk_reports_lateral(adult_config, tmp_path):
 
 def test_gait_stage_walk_deterministic(adult_config, tmp_path):
     """Two runs of the stage-walk gait write the same bytes: its objective
-    rows and trajectory both come from the flow pieces."""
+    rows and trajectory both come from the closed-form states."""
     outs = [tmp_path / "s1", tmp_path / "s2"]
     for out in outs:
         assert run(["gait", "--config", adult_config, "--scenario", "stage-walk",
@@ -367,6 +367,25 @@ def test_negative_timing_config_exit_2(adult_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(bad) in err and "T_ds" in err
     assert not (tmp_path / "m" / "stride_maps.json").exists()
+
+
+@pytest.mark.parametrize("key,value,other", [("T_ds", "-0.1", "T_ss"),
+                                             ("T_ss", "0", "T_ds")])
+def test_lone_non_positive_timing_config_exit_2(adult_config, tmp_path, capsys,
+                                                key, value, other):
+    """A timing key given without the other is checked as well: `relax`
+    exits 2 with one line naming the config and the key."""
+    lines = [f"{key}: {value}" if line.startswith(key + ":") else line
+             for line in Path(adult_config).read_text().splitlines()
+             if not line.startswith(other + ":")]
+    path = tmp_path / "lone.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    rc = run(["relax", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: config {path}: key {key!r} must be positive"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

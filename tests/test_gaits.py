@@ -513,8 +513,8 @@ def test_stage_walk_kills_lateral_bounce(adult):
 
 
 def test_stage_walk_objective_takes_no_exponential(adult, count_expm):
-    """On warm maps the lateral objective reads the flow pieces of the
-    null-space basis: no exponential at all."""
+    """On warm maps the lateral objective reads the closed-form states of
+    the null-space basis: no exponential at all."""
     synthesize_gait(adult, SIIIC, 1.0, "stage-walk")
     count_expm.clear()
     synthesize_gait(adult, SIIIC, 1.0, "stage-walk")

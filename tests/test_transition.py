@@ -1,13 +1,14 @@
 """Phase/stride transition maps against the RK4 oracle and their algebra."""
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from conftest import (
-    direct_generator, generator_flow, pade_flow, phase_odes, random_states,
+    direct_generator, generator_flow, pade_flow, phase_odes, phase_pieces, random_states,
 )
 from linwalk.dynamics import DOUBLE, SINGLE, PhaseODE
 from linwalk.layout import Q_DIM, Q_NAMES, selection_matrices
@@ -78,8 +79,8 @@ def test_sagittal_lateral_decoupling_is_exact():
             freq = rng.uniform(0.8, 3.0)
             for ratio in (0.005, 0.02, rng.uniform(0.1, 0.3)):
                 maps = stride_maps(body, StrideTiming(ratio / freq, (1.0 - ratio) / freq))
-                for pm in (maps.ds, maps.ss):
-                    for piece in pm.pieces(np.eye(Q_DIM)):     # rows: basis states
+                for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
+                    for piece in phase_pieces(ode, np.eye(Q_DIM)):   # rows: basis states
                         for coef in piece:
                             assert cross(coef.T, sag, lat) == 0, (ratio, pm.phase)
                     for t in rng.uniform(0.0, pm.duration, 3):
@@ -209,7 +210,7 @@ def test_closed_form_matches_high_precision_exponential(seed):
             E = [third, third * third, third * third * third]
         ref = {j: generator_flow(ode, 0.0, E[j - 1].tolist()) for j in (1, 2, 3)}
         assert np.max(np.abs(pm.map_at(T) - ref[3])) <= 1e-13 * np.max(np.abs(ref[3]))
-        C = pm.pieces(np.eye(Q_DIM))        # C[j, d, k]: the flow of basis state k
+        C = phase_pieces(ode, np.eye(Q_DIM))    # C[j, d, k]: the flow of basis state k
         for j in (1, 2):
             u = j / 3 * len(C)
             H = np.tensordot((u - int(u)) ** np.arange(C.shape[1]), C[int(u)], 1).T
@@ -305,7 +306,7 @@ def test_double_support_scalar_modes_take_any_sign():
         for dt in (0.0, 0.01, 0.3):
             ref = pade_flow(ode, 0.0, dt)
             assert np.max(np.abs(pm.map_at(dt) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        end = pm.pieces(np.eye(Q_DIM))[-1].sum(axis=0).T
+        end = phase_pieces(ode, np.eye(Q_DIM))[-1].sum(axis=0).T
         assert np.max(np.abs(end - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -415,9 +416,9 @@ def test_out_of_range_times(adult, timing):
 
 
 def test_states_reject_times_outside_stride_or_decreasing(adult, timing):
-    """Flow pieces extrapolate badly past their ends, so times outside
-    [0, T_stride] (beyond the slack of `flow`), NaN and decreasing times are
-    rejected by name; times within the slack are kept."""
+    """Times outside [0, T_stride] (beyond the slack of `flow`), NaN and
+    decreasing times are rejected by name; times within the slack are
+    kept."""
     maps = stride_maps(adult, timing)
     Q0 = random_states(1, seed=69)[0]
     T = timing.T_stride
@@ -429,6 +430,27 @@ def test_states_reject_times_outside_stride_or_decreasing(adult, timing):
         maps.states(Q0, np.array([0.0, 0.3, 0.2, 0.5]))
     ends = maps.states(Q0, np.array([-1e-13, T + 1e-10]))
     assert np.allclose(ends, [Q0, maps.H_stride @ Q0], rtol=0.0, atol=1e-7)
+
+
+def test_states_reject_rows_and_take_one_phase_alone(adult, timing):
+    """States given one per row (k, 23), the layout `flow_pieces` takes,
+    are refused by shape rather than read as a block (23, k).  Times that
+    all fall in one phase, or none, give H(t) Q0 for one state and a
+    block alike."""
+    maps = stride_maps(adult, timing)
+    Q = random_states(5, seed=70)
+    for bad in (Q, Q[:, :22], np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(str(np.shape(bad)))):
+            maps.states(bad, np.array([0.3]))
+    T_ds, T = timing.T_ds, timing.T_stride
+    for ts in (np.linspace(0.0, T_ds, 4), np.linspace(T_ds + 1e-3, T, 4), np.array([T_ds]),
+               np.array([])):
+        for Q0 in (Q[0], Q.T):
+            got = maps.states(Q0, ts)
+            assert got.shape == (len(ts),) + Q0.shape
+            for t, x in zip(ts, got):
+                ref = maps.H(t) @ Q0
+                assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref)), t
 
 
 def test_dump_stride_maps(adult, timing, tmp_path):
