@@ -34,7 +34,7 @@ from .model import (
     BodyParams, DegenerateModelError, StrideTiming, com_position_matrix,
     com_velocity_matrix, mass_velocity_matrix,
 )
-from .transition import flow_pieces, phase_ends, phase_template, piece_runs, stride_maps
+from .transition import flow_pieces, phase_ends, phase_template, stride_maps
 
 
 class NonPositiveWorkError(RuntimeError):
@@ -163,20 +163,19 @@ def _work_per_distance(params: BodyParams, T_ds: np.ndarray, T_ss: np.ndarray,
     per phase, single support from the double-support ends, so the
     kinetic-energy polynomials, their turning points and the energies at
     those points and at the piece starts and stride ends are formed for
-    all (stride, piece) pairs at once; each stride's positive variation
-    is summed over its own points in time order.
+    all (stride, piece) pairs at once.  A stride's pieces already lie in
+    time order (double support first, each run ascending), so sorting the
+    points by (stride, piece index, u), a stride's end at index n, orders
+    them in time; each stride's positive variation is summed over its own.
     """
     k = len(Q0)
     Vm = mass_velocity_matrix(params)[:, 4:8]         # reads the 4 velocities
     masses = np.repeat([params.m1, params.m2, params.m3], 2)
     G = Vm.T @ (masses[:, None] * Vm)                 # KE = 1/2 v.G v
-    ds, m_ds, mid = flow_pieces(phase_template(params, DOUBLE), T_ds, Q0[:, None])
-    ss, m_ss, end = flow_pieces(phase_template(params, SINGLE), T_ss, mid)
+    ds, run_ds, mid = flow_pieces(phase_template(params, DOUBLE), T_ds, Q0[:, None])
+    ss, run_ss, end = flow_pieces(phase_template(params, SINGLE), T_ss, mid)
     V = np.concatenate([ds[:, :, 0, 4:8], ss[:, :, 0, 4:8]])   # (pieces, K, 4)
-    # each piece's stride, and its place in the stride's time order
-    (c_ds, j_ds), (c_ss, j_ss) = piece_runs(m_ds), piece_runs(m_ss)
-    cell = np.concatenate([c_ds, c_ss])
-    key = np.concatenate([j_ds, m_ds[c_ss] + j_ss]).astype(float)
+    cell = np.concatenate([run_ds, run_ss])                    # each piece's stride
     n, K = V.shape[:2]
     # 2 KE(s) = sum_kl gram[k, l] s^(k + l): the anti-diagonal sums, as the
     # column sums of gram's rows shifted right by k (rows of 2K + 1 read
@@ -185,11 +184,12 @@ def _work_per_distance(params: BodyParams, T_ds: np.ndarray, T_ss: np.ndarray,
     skew[..., :K] = V @ G @ V.transpose(0, 2, 1)
     ke2 = skew.reshape(n, -1)[:, :2 * K * K].reshape(n, K, 2 * K).sum(axis=1)
     p, s = _turning_points(ke2[:, 1:-1] * np.arange(1, 2 * K - 1))
-    # piece starts j, roots j + s and the stride ends, in time order per stride
+    # piece starts (u = 0), roots (u = s) and the stride ends (index n)
     v = np.concatenate([V[:, 0], np.einsum("rk,rkc->rc", s[:, None] ** np.arange(K), V[p]),
                         end[:, 0, 4:8]])
     cells = np.concatenate([cell, cell[p], np.arange(k)])
-    order = np.lexsort((np.concatenate([key, key[p] + s, m_ds + m_ss]), cells))
+    order = np.lexsort((np.concatenate([np.zeros(n), s, np.zeros(k)]),
+                        np.concatenate([np.arange(n), p, np.full(k, n)]), cells))
     ke = 0.5 * np.sum((v @ G) * v, axis=1)[order]
     cells = cells[order]
     rise = np.where(cells[1:] == cells[:-1], np.maximum(np.diff(ke), 0.0), 0.0)

@@ -454,22 +454,22 @@ def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
                         alpha=alpha, basis=V, Q0=Q0, diagnostics=diag)
 
 
-def minimal_torque_gaits(H_stride: np.ndarray, v_des: float, T_stride: np.ndarray,
-                         d_sign: float = 1.0) -> tuple[np.ndarray, list]:
-    """The minimal-torque gaits of k strides of one body at once, from their
-    stride maps H_stride (k, 23, 23) and stride times (k,): the initial
-    states Q0 (k, 23), and per stride None or the error its gait fails
-    with, `NullSpaceDimensionError` or `InfeasibleConstraintsError` (that
-    stride's Q0 is then meaningless).  `synthesize_gait` with the default
-    scenario gives the same gait, one stride at a time: the stacked R0
-    (k, 8, 15) takes one batched SVD for its null bases (k, 23, 7), and
-    the programs two more (`_eqp`)."""
+def minimal_torque_gaits(H_stride: np.ndarray, v_des: float,
+                         T_stride: np.ndarray) -> tuple[np.ndarray, list]:
+    """The minimal-torque gaits of k strides of one body at once, on support
+    side d = 1, from their stride maps H_stride (k, 23, 23) and stride
+    times (k,): the initial states Q0 (k, 23), and per stride None or the
+    error its gait fails with, `NullSpaceDimensionError` or
+    `InfeasibleConstraintsError` (that stride's Q0 is then meaningless).
+    `synthesize_gait` with the default scenario and side gives the same
+    gait, one stride at a time: the stacked R0 (k, 8, 15) takes one batched
+    SVD for its null bases (k, 23, 7), and the programs two more (`_eqp`)."""
     R0 = (_R_START + _R_END @ H_stride)[:, :, R0_COLS]
     V, found = _null_spaces(R0, R0_COLS, 7)
-    blocks = _gait_blocks(V, v_des, T_stride, ScenarioSpec(tag="minimal-torque"), d_sign)
+    blocks = _gait_blocks(V, v_des, T_stride, ScenarioSpec(tag="minimal-torque"), 1.0)
     alpha, bad = _eqp(_SEL.S_U @ V, blocks)
     Q0 = (V @ alpha[:, :, None])[:, :, 0]
-    Q0[:, ID_SIDE] = d_sign
+    Q0[:, ID_SIDE] = 1.0
     errors = [NullSpaceDimensionError(found=int(f), expected=7) if f != 7
               else InfeasibleConstraintsError(labels) if labels else None
               for f, labels in zip(found, bad)]

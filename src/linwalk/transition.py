@@ -252,20 +252,14 @@ def _increments(tpl: _Template, phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (phi @ Zx).reshape(2, P, D, -1, r).transpose(1, 2, 4, 0, 3)
 
 
-def piece_runs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For runs of m (k,) pieces laid end to end: each piece's run and its
-    index j within the run."""
-    run = np.repeat(np.arange(len(m)), m)
-    return run, np.arange(len(run)) - np.repeat(np.cumsum(m) - m, m)
-
-
 def flow_pieces(tpl: _Template, T, X: np.ndarray):
     """The exact flows of k runs of one phase, run i lasting T[i] from the
     phase-start states X[i] (k, r, 23), as polynomials on m[i] equal
     pieces of length h = T[i] / m[i]: Q(j h + u h) = sum_d C[p, d] u^d for
     u in [0, 1] on the run's piece p (its j-th).  Returns the pieces C
-    (sum m, 18, r, 23), run after run; m (k,); and the states (k, r, 23)
-    where the runs end, their last pieces' sums.
+    (sum m, 18, r, 23), run after run and in time order within a run; each
+    piece's run (sum m,); and the states (k, r, 23) where the runs end,
+    their last pieces' sums.
 
     m = ceil(T max sqrt(2 |lambda|)) keeps |lambda| h^2 <= 1/2, where 18
     coefficients are exact to roundoff.  A run's first piece starts from
@@ -278,7 +272,8 @@ def flow_pieces(tpl: _Template, T, X: np.ndarray):
     """
     T = np.asarray(T, dtype=float)
     m = np.maximum(1, np.ceil(T * np.max(1.0 / tpl.reach))).astype(int)
-    run, j = piece_runs(m)
+    run, ends = np.repeat(np.arange(len(m)), m), np.cumsum(m)
+    j = np.arange(len(run)) - (ends - m)[run]
     h = (T / m)[run]
     t = h * j
     x = X[run]                                           # the piece starts
@@ -294,7 +289,7 @@ def flow_pieces(tpl: _Template, T, X: np.ndarray):
     out = np.zeros((len(run), len(_DEGREES)) + x.shape[1:])
     out[:, 0] = x
     out[:, 1:][..., tpl.rows] = _increments(tpl, phi[:, :, 1:], x)
-    return out, m, out[np.cumsum(m) - 1].sum(axis=1)
+    return out, run, out[ends - 1].sum(axis=1)
 
 
 class PhaseMap:

@@ -18,7 +18,7 @@ from linwalk.model import (
 from linwalk.oracle import integrate_batch
 from linwalk.transition import (
     ControlDegeneracyError, PhaseMap, constrain_foot_velocity,
-    dump_stride_maps, expm, stride_maps,
+    dump_stride_maps, expm, flow_pieces, phase_ends, phase_template, stride_maps,
 )
 
 
@@ -365,6 +365,26 @@ def test_shared_arrays_are_read_only(adult, timing):
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
+
+
+def test_flow_pieces_lie_in_time_order_per_run(adult):
+    """`flow_pieces` lays k runs out one after another and returns each
+    piece's run: a run's first piece starts at its start state, every
+    later one where the one before it ends, and the run's end state is
+    its last piece's end, H(T) X."""
+    T = np.array([0.45, 0.2, 0.7])
+    X = random_states(3, seed=25)
+    C, run, ends = flow_pieces(phase_template(adult, SINGLE), T, X[:, None])
+    assert np.array_equal(run, np.sort(run)) and np.all(np.bincount(run, minlength=3) > 1)
+    starts, sums = C[:, 0, 0], C[:, :, 0].sum(axis=1)
+    first = np.flatnonzero(np.diff(run, prepend=-1))
+    assert np.array_equal(starts[first], X)
+    later = np.setdiff1d(np.arange(len(run)), first)
+    scale = np.max(np.abs(sums))
+    assert np.max(np.abs(starts[later] - sums[later - 1])) <= 1e-13 * scale
+    assert np.array_equal(ends[:, 0], sums[np.append(first[1:], len(run)) - 1])
+    H = phase_ends(adult, SINGLE, T)
+    assert np.max(np.abs(ends[:, 0] - (H @ X[..., None])[..., 0])) <= 1e-13 * scale
 
 
 def test_cache_clear_leaves_the_next_build_cold(adult, count_expm):
