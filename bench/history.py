@@ -9,7 +9,8 @@ of them alternating from seed to seed, so that each pair of runs sees the
 host in the same state.  Then the five README commands are launched from
 each tree on the README's reference adult config, 5 times each, again
 alternating, and their wall times are taken from launch to exit, with
-each launch's peak RSS.
+each launch's peak RSS.  An 8633-cell sweep runs too, serial and with two
+workers, because the worker pool wins only on grids that large.
 
 The JSON file holds the machine block and, per commit, the median and
 interquartile range of `op_p50_cal`, `setup_s` and `peak_rss_mb` per
@@ -46,6 +47,10 @@ CLI = {
               "--tds-policy", "human"],
     "validate": ["validate", "--seed", "0", "--trials", "100"],
     "maps": ["maps"],
+    "sweep-large": ["sweep", "--speed", "0.8:0.0125:2.0", "--freq", "0.8:0.025:3.0",
+                    "--tds-policy", "human"],
+    "sweep-large-workers-2": ["sweep", "--speed", "0.8:0.0125:2.0", "--freq",
+                              "0.8:0.025:3.0", "--tds-policy", "human", "--workers", "2"],
 }
 
 

@@ -56,6 +56,13 @@ SINGLE = "single"
 DOUBLE = "double"
 
 
+def check_phase(phase: str) -> None:
+    """Raise ValueError, naming both phases, for a phase name other than
+    SINGLE and DOUBLE."""
+    if phase not in (SINGLE, DOUBLE):
+        raise ValueError(f"unknown phase {phase!r}: expected {SINGLE!r} or {DOUBLE!r}")
+
+
 def _skew(r: np.ndarray) -> np.ndarray:
     """Cross-product matrices of the rows of r: (k, 3) -> (k, 3, 3)."""
     S = np.zeros(r.shape[:-1] + (3, 3))
@@ -276,6 +283,7 @@ def _fractions(timing: StrideTiming, phase: str, qs: np.ndarray,
                t: float | np.ndarray) -> np.ndarray:
     """The phase fractions s = t / T_phase (k,) of the k states qs at their
     times t, which must lie in the phase."""
+    check_phase(phase)
     duration = timing.T_ss if phase == SINGLE else timing.T_ds
     ts = np.broadcast_to(np.asarray(t, dtype=float), qs.shape[:1])
     outside = (ts < -1e-12) | (ts > duration + 1e-12)

@@ -106,7 +106,8 @@ class SelectionMatrices:
 
 @lru_cache(maxsize=1)
 def selection_matrices() -> SelectionMatrices:
-    return SelectionMatrices(
+    """The one shared set of selectors, read-only."""
+    sel = SelectionMatrices(
         S_XP=selector((IX_X2X, IX_X2Y, IX_X1X, IX_X1Y, IV_X1X, IV_X1Y, IP_X, IP_Y)),
         S_Xdot2=selector((IV_X2X, IV_X2Y)),
         S_X2x=selector((IX_X2X,)),
@@ -116,3 +117,6 @@ def selection_matrices() -> SelectionMatrices:
         S_rMa=selector((IRU_AY, IRU_AX)),
         S_d=selector((ID_SIDE,)),
     )
+    for a in vars(sel).values():
+        a.flags.writeable = False
+    return sel

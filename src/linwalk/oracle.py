@@ -276,7 +276,11 @@ def _rk4_phase(params: BodyParams, phase_T: float, single: bool,
 
 def integrate_batch(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
                     step: float = 1e-5, phase: str | None = None) -> np.ndarray:
-    """End states after one stride (or one phase) for a batch (n, 23)."""
+    """End states after one stride (or one phase, "single" or "double") for
+    a batch (n, 23)."""
+    if phase not in (None, "single", "double"):
+        raise ValueError(f"unknown phase {phase!r}: expected 'single' or 'double' "
+                         "(or None for the full stride)")
     _check_step(step)
     Q0 = np.atleast_2d(np.asarray(Q0, dtype=float))
 

@@ -75,6 +75,7 @@ import numpy as np
 
 from .dynamics import (
     SINGLE, UNIT_TIMING, PhaseODE, assemble_double_support, assemble_single_support,
+    check_phase,
 )
 from .layout import Q_DIM, Q_NAMES, W_SLICE, selection_matrices
 from .model import BodyParams, DegenerateModelError, Push, StrideTiming
@@ -330,7 +331,9 @@ def phase_ends(params: BodyParams, phase: str, durations) -> np.ndarray:
 def phase_template(params: BodyParams, phase: str) -> _Template:
     """The closed-form template of one body's phase.  The body's unit ODE is
     fetched through the same `assemble_*` call as a stride-map build's, at
-    the probing timing (any timing would do)."""
+    the probing timing (any timing would do).  A phase name other than
+    ``"single"`` and ``"double"`` raises ValueError."""
+    check_phase(phase)
     assemble = assemble_single_support if phase == SINGLE else assemble_double_support
     return _map_template(assemble(params, UNIT_TIMING).unit)
 
@@ -422,10 +425,10 @@ def stride_maps(params: BodyParams, timing: StrideTiming) -> StrideMaps:
     ds = PhaseMap(assemble_double_support(params, timing))
     ss = PhaseMap(assemble_single_support(params, timing))
     H_ds_end = ds.map_at(timing.T_ds)
-    H_ds_end.flags.writeable = False
+    H_stride = ss.map_at(timing.T_ss) @ H_ds_end
+    H_ds_end.flags.writeable = H_stride.flags.writeable = False
     return StrideMaps(params=params, timing=timing, ds=ds, ss=ss,
-                      H_ds_end=H_ds_end,
-                      H_stride=ss.map_at(timing.T_ss) @ H_ds_end)
+                      H_ds_end=H_ds_end, H_stride=H_stride)
 
 
 def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,

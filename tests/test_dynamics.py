@@ -25,6 +25,13 @@ def phase_cases(timing):
             (DOUBLE, timing.T_ds, accel_double))
 
 
+@pytest.mark.parametrize("solve", [solve_forces, map_forces])
+@pytest.mark.parametrize("phase", ["Single", "ss", ""])
+def test_forces_refuse_an_unknown_phase(adult, timing, solve, phase):
+    with pytest.raises(ValueError, match=f"unknown phase '{phase}': expected 'single' or 'double'"):
+        solve(adult, timing, phase, random_states(1)[0], 0.1)
+
+
 def test_equilibrium_zero_state(timing):
     """No offsets, no inputs, no side: the assembled system is at rest."""
     p0 = BodyParams(m1=45.7, m2=12.15, m3=12.15, z1=0.89, z2=0.32, z3=0.36, w=0.0)

@@ -307,6 +307,12 @@ def test_bad_step_rejected(adult, timing, step):
         OracleConfig(step=step)
 
 
+@pytest.mark.parametrize("phase", ["Single", "ss", ""])
+def test_integrate_batch_refuses_an_unknown_phase(adult, timing, phase):
+    with pytest.raises(ValueError, match=f"unknown phase '{phase}': expected 'single' or 'double'"):
+        integrate_batch(adult, timing, random_states(1), phase=phase)
+
+
 def test_zero_state_stays_zero(adult, timing):
     traj = integrate(adult, timing, np.zeros(23), OracleConfig(step=1e-3))
     assert np.max(np.abs(traj.Q)) == 0.0

@@ -357,14 +357,24 @@ def test_cold_build_never_forms_hprime(adult, monkeypatch):
 
 
 def test_shared_arrays_are_read_only(adult, timing):
-    """H_ds_end and the per-body templates can be held by many stride maps."""
+    """A cached stride map's H_ds_end and H_stride and the per-body
+    templates can be held by many callers, and the selectors by every
+    periodicity system and gait program."""
     maps = stride_maps(adult, timing)
-    arrays = [maps.H_ds_end]
+    sel = selection_matrices()
+    arrays = [maps.H_ds_end, maps.H_stride]
+    arrays += [getattr(sel, f.name) for f in dataclasses.fields(sel)]
     for pm in (maps.ds, maps.ss):
         arrays += [getattr(pm._tpl, f.name) for f in dataclasses.fields(pm._tpl)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
+
+
+@pytest.mark.parametrize("phase", ["Single", "ss", ""])
+def test_phase_ends_refuse_an_unknown_phase(adult, phase):
+    with pytest.raises(ValueError, match=f"unknown phase '{phase}': expected 'single' or 'double'"):
+        phase_ends(adult, phase, [0.3])
 
 
 def test_flow_pieces_lie_in_time_order_per_run(adult):
