@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -339,7 +337,10 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
     """`[fn(j) for j in jobs]` in `workers` spawned processes, each with one
     OpenBLAS thread (a full pool per process oversubscribes the cores).
     OpenBLAS reads the variable when numpy loads, so it is set while the
-    jobs are submitted, which starts the processes, and restored after."""
+    jobs are submitted, which starts the processes, and restored after.
+    The pool modules load here, so a serial run never imports them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         saved = os.environ.get("OPENBLAS_NUM_THREADS")

@@ -45,8 +45,9 @@ _EXIT_CODES = {ConfigError: EXIT_USAGE, **dict.fromkeys(
      DegenerateModelError, NullSpaceDimensionError, ValueError), EXIT_FAIL)}
 
 
-# the most values one START:STEP:STOP range may expand to
-_MAX_RANGE = 10_000
+# the most values one START:STEP:STOP range may expand to, and the most
+# trajectory samples or oracle trials one run may ask for
+_MAX_RANGE, _MAX_COUNT = 10_000, 100_000
 
 
 def _parse_range(text: str, what: str, positive: bool) -> np.ndarray:
@@ -94,17 +95,19 @@ def _number(what: str, positive: bool = False):
     return parse
 
 
-def _count(what: str, minimum: int):
-    """argparse type: an integer no smaller than `minimum`."""
+def _count(what: str, minimum: int, maximum: float = np.inf):
+    """argparse type: an integer from `minimum` to `maximum`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = minimum - 1
-        if value >= minimum:
-            return value
-        raise argparse.ArgumentTypeError(
-            f"bad {what} {text!r}: expected an integer >= {minimum}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"bad {what} {text!r}: expected an integer >= {minimum}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: more than {maximum}")
+        return value
     return parse
 
 
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="steps/s")
     p.add_argument("--tds-policy", type=_tds_policy, help="human or fixed:R")
     p.add_argument("--foot-length", type=_number("foot length"), default=0.24)
-    p.add_argument("--samples", type=_count("sample count", 2), default=401)
+    p.add_argument("--samples", type=_count("sample count", 2, _MAX_COUNT), default=401)
     p.set_defaults(func=cmd_gait)
 
     p = sub.add_parser("sweep", help="economy over a speed x frequency grid")
@@ -329,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="closed-form maps vs RK4 integration")
     common(p, "out_validate")
     p.add_argument("--seed", type=_count("seed", 0), default=0)
-    p.add_argument("--trials", type=_count("trial count", 1), default=100)
+    p.add_argument("--trials", type=_count("trial count", 1, _MAX_COUNT), default=100)
     p.add_argument("--step", type=_number("RK4 step", positive=True),
                    default=1e-5)
     p.set_defaults(func=cmd_validate)

@@ -239,9 +239,11 @@ def _assemble(params: BodyParams, phase: str, q: np.ndarray,
 _DS = _COL[DOUBLE]
 _V_COLS = np.array([_DS["tau2"], _DS["tau2"] + 1, _DS["tau2"] + 2, _DS["F2"] + 2,
                     _DS["tau3"], _DS["tau3"] + 1, _DS["tau3"] + 2, _DS["F3"] + 2])
-_OTHER_COLS = np.setdiff1d(np.arange(_N_UNKNOWN[DOUBLE]), _V_COLS)
+_OTHER_COLS = np.array([i for i in range(_N_UNKNOWN[DOUBLE]) if i not in _V_COLS])
 _KEPT_ROWS = np.array([_PM, _PM + 1, _PM + 2, _PF + 2])
-_ELIM_ROWS = np.setdiff1d(np.arange(24), _KEPT_ROWS)
+_ELIM_ROWS = np.array([i for i in range(24) if i not in _KEPT_ROWS])
+for _a in (_V_COLS, _OTHER_COLS, _KEPT_ROWS, _ELIM_ROWS):
+    _a.flags.writeable = False
 
 
 def _transfer_jacobian(A: np.ndarray) -> np.ndarray:
@@ -462,17 +464,14 @@ class PhaseODE:
     columns during double support (the trailing foot's decaying vertical
     load acts at that fixed point).
 
-    ``unit`` is the cached unit-duration ODE of the same body and phase that
-    this one rescales (None on that ODE itself).  ODEs compare and hash by
-    identity, so the unit ODE can key what is built once per (body, phase).
-    ``wrenches`` is the unit ODE's `WrenchMap` (None on a rescaled ODE).
+    ``wrenches`` is the cached unit-duration ODE's `WrenchMap` (None on a
+    rescaled ODE).
     """
 
     phase: str
     duration: float
     K0: np.ndarray
     K1: np.ndarray
-    unit: PhaseODE | None = None
     wrenches: WrenchMap | None = None
 
     def accel(self, q: np.ndarray, t: float) -> np.ndarray:
@@ -490,8 +489,8 @@ _CONST_COLS = {
 UNIT_TIMING = StrideTiming(T_ds=1.0, T_ss=1.0)
 
 
-# an entry, with its wrench map and the map template built on it, takes
-# about 24 kB: 128 entries (64 bodies) bound the cache near 3 MB
+# an entry with its wrench map takes about 12 kB (8 kB single support, 15 kB
+# double): 128 entries (64 bodies) bound the cache near 1.5 MB
 @lru_cache(maxsize=128)
 def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
     """Phase ODE of one body at unit phase duration, with its wrench map
@@ -530,10 +529,10 @@ def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
 def assemble_single_support(params: BodyParams, timing: StrideTiming) -> PhaseODE:
     """Single-support phase ODE: swing foot free, stance foot fixed."""
     unit = _extract_ode(params, SINGLE)
-    return PhaseODE(SINGLE, timing.T_ss, unit.K0, unit.K1 / timing.T_ss, unit)
+    return PhaseODE(SINGLE, timing.T_ss, unit.K0, unit.K1 / timing.T_ss)
 
 
 def assemble_double_support(params: BodyParams, timing: StrideTiming) -> PhaseODE:
     """Double-support phase ODE: both feet fixed, load transferring linearly."""
     unit = _extract_ode(params, DOUBLE)
-    return PhaseODE(DOUBLE, timing.T_ds, unit.K0, unit.K1 / timing.T_ds, unit)
+    return PhaseODE(DOUBLE, timing.T_ds, unit.K0, unit.K1 / timing.T_ds)

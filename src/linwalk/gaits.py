@@ -59,12 +59,15 @@ for _r, _c in ((0, 6), (1, 7), (2, 2), (3, 3), (4, 4), (5, 5), (6, 0), (7, 1)):
 # velocity, torques, support side / then torque columns removed
 R0_COLS = np.array((0, 1, 2, 3, 6, 7, 10, 11, 12, 13, 14, 15, 16, 17, 22))
 R1_COLS = np.array((0, 1, 2, 3, 6, 7, 22))
+# sagittal sub-block of R1: symmetry rows 1/3/5 and the sagittal
+# foot-velocity row, against the X2x / X1x / vX1x columns
+_SAG = np.ix_((0, 2, 4, 6), (0, 2, 4))
 
 # the timing-free factors of R_full = _R_START + _R_END @ H(T_stride)
 _SEL = selection_matrices()
 _R_START = np.vstack([-M_MAT @ _SEL.S_XP, np.zeros((2, Q_DIM))])
 _R_END = np.vstack([O_MAT @ M_MAT @ T_MAT @ _SEL.S_XP, _SEL.S_Xdot2])
-for _a in (R0_COLS, R1_COLS, _R_START, _R_END):
+for _a in (M_MAT, O_MAT, T_MAT, R0_COLS, R1_COLS, *_SAG, _R_START, _R_END):
     _a.flags.writeable = False
 
 NULL_RTOL = 1e-9  # singular values below this fraction of the largest are zero
@@ -191,11 +194,6 @@ def relax_scan(params: BodyParams, T_ds: float, bracket: tuple[float, float]) ->
     ts = _stride_times(T_ds, bracket)
     return np.column_stack(
         [ts, np.linalg.svd(_relax_R1(params, T_ds)(ts), compute_uv=False)])
-
-
-# sagittal sub-block of R1: symmetry rows 1/3/5 and the sagittal
-# foot-velocity row, against the X2x / X1x / vX1x columns
-_SAG = np.ix_((0, 2, 4, 6), (0, 2, 4))
 
 
 def find_relax_time(params: BodyParams, T_ds: float,
@@ -482,6 +480,8 @@ def synthesize_gait(params: BodyParams, timing: StrideTiming, v_des: float,
     """End-to-end gait synthesis for one scenario at one speed and timing."""
     if not np.isfinite(v_des):
         raise ValueError(f"v_des must be finite, got {v_des!r}")
+    if d_sign not in (-1.0, 1.0):
+        raise ValueError(f"support side d_sign must be -1 or +1, got {d_sign!r}")
     if spec is None:
         spec = ScenarioSpec(tag="minimal-torque")
     elif isinstance(spec, str):

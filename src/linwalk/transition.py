@@ -23,11 +23,11 @@ time h, from phase time t0,
 
 So a map is the identity plus a feature vector phi(h, t0, T) of the four
 functions s, C, (t0 C + S) / T and (t0 s + C) / T per eigenvalue times a
-timing-free matrix Z on the moving rows.  `_map_template` builds the
-eigenvalues and Z once per (body, phase), as a template that lives as long
-as the cached phase ODE it comes from; `expm` evaluates the maps at any
-number of (h, t0, T) at once.  Rows that do not move are the identity
-exactly, and no entry couples the axes.  A complex or repeated eigenvalue pair raises
+timing-free matrix Z on the moving rows.  `phase_template` builds and
+caches the eigenvalues and Z once per (body, phase); a `PhaseMap` is that
+template and a duration.  `expm` evaluates the maps at any number of (h,
+t0, T) at once.  Rows that do not move are the identity exactly, and no
+entry couples the axes.  A complex or repeated eigenvalue pair raises
 `DegenerateModelError`.  No template is keyed by a time value (only the
 stride-map cache below is, by (params, timing)).
 
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -74,7 +73,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    SINGLE, UNIT_TIMING, PhaseODE, assemble_double_support, assemble_single_support,
+    DOUBLE, SINGLE, UNIT_TIMING, PhaseODE, assemble_double_support, assemble_single_support,
     check_phase,
 )
 from .layout import Q_DIM, Q_NAMES, W_SLICE, selection_matrices
@@ -85,15 +84,11 @@ class ControlDegeneracyError(RuntimeError):
     """Hip torques cannot control the end-of-stride foot velocity."""
 
 
-# one template per cached unit-duration phase ODE, i.e. per (body, phase);
-# an entry lives only as long as its ODE does, so the `_extract_ode` bound
-# bounds the templates too (a cached stride map holds its own two)
-_TEMPLATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 # the degrees d kept of s, C and S as power series in h (`_Template.series`),
 # which are also those of a flow piece's polynomials: where |lambda| h^2
 # <= 1/2 the first dropped term is below 1.3e-18 of the leading one
 _DEGREES = np.arange(18.0)
+_DEGREES.flags.writeable = False
 
 
 def _spectrum(A: np.ndarray, phase: str) -> tuple[np.ndarray, np.ndarray]:
@@ -120,6 +115,7 @@ def _spectrum(A: np.ndarray, phase: str) -> tuple[np.ndarray, np.ndarray]:
 # the columns of Q each axis reads: the sagittal (even) or lateral (odd)
 # entries, and the support side d, which only the lateral rows read
 _AXIS_COLS = np.array([list(range(axis, Q_DIM - 1, 2)) + [Q_DIM - 1] for axis in (0, 1)])
+_AXIS_COLS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,16 +147,13 @@ class _Template:
 
 
 def _map_template(unit: PhaseODE) -> _Template:
-    """The template of one body's phase, built on first use from its
-    unit-duration ODE.  The closed form treats the axes apart and holds
-    the entries that do not move constant; `DegenerateModelError` is raised
-    where the ODE breaks that: an acceleration row reading an entry of the
-    other axis, a nonzero acceleration of an entry that does not move, or a
-    moving entry's acceleration reading a velocity of one or a time-linear
-    coefficient on its position or velocity."""
-    tpl = _TEMPLATES.get(unit)
-    if tpl is not None:
-        return tpl
+    """The template of one body's phase from its unit-duration ODE.  The
+    closed form treats the axes apart and holds the entries that do not
+    move constant; `DegenerateModelError` is raised where the ODE breaks
+    that: an acceleration row reading an entry of the other axis, a nonzero
+    acceleration of an entry that does not move, or a moving entry's
+    acceleration reading a velocity of one or a time-linear coefficient on
+    its position or velocity."""
     moving = (0, 2) if unit.phase == SINGLE else (2,)
     n = len(moving)
     still = [r for r in range(4) if r - r % 2 not in moving]
@@ -209,7 +202,6 @@ def _map_template(unit: PhaseODE) -> _Template:
         rows=rows, cells=(rows[..., None] * Q_DIM + _AXIS_COLS[:, None]).reshape(2, -1))
     for a in (tpl.reach, den, tpl.root, series, tpl.Z, rows, tpl.cells):
         a.flags.writeable = False
-    _TEMPLATES[unit] = tpl
     return tpl
 
 
@@ -293,18 +285,17 @@ def flow_pieces(tpl: _Template, T, X: np.ndarray):
     return out, run, out[ends - 1].sum(axis=1)
 
 
+@dataclass(frozen=True, eq=False)
 class PhaseMap:
     """Exact transition map of one phase, t in [0, duration].
 
-    The closed-form factors are a per-body template, built once per
-    (body, phase).  ``map_at`` and ``flow`` are one closed-form evaluation
-    each (`expm`).
+    ``template`` holds the closed-form factors of the body's phase
+    (`phase_template`).  ``map_at`` and ``flow`` are one closed-form
+    evaluation each (`expm`).
     """
 
-    def __init__(self, ode: PhaseODE):
-        self.phase = ode.phase
-        self.duration = ode.duration
-        self._tpl = _map_template(ode.unit or ode)
+    template: _Template
+    duration: float
 
     def map_at(self, t: float) -> np.ndarray:
         """H_phase(t): exact 23 x 23 map from the phase start."""
@@ -315,7 +306,7 @@ class PhaseMap:
         in [0, duration]."""
         if t < -1e-12 or dt < -1e-12 or t + dt > self.duration + 1e-9:
             raise ValueError(f"need 0 <= t <= t + dt <= {self.duration}, got t={t}, dt={dt}")
-        return expm(self._tpl, dt, t, self.duration)[0]
+        return expm(self.template, dt, t, self.duration)[0]
 
 
 def phase_ends(params: BodyParams, phase: str, durations) -> np.ndarray:
@@ -328,14 +319,16 @@ def phase_ends(params: BodyParams, phase: str, durations) -> np.ndarray:
     return expm(phase_template(params, phase), T, 0.0, T)
 
 
+# a template takes about 6 kB: 128 entries (64 bodies) bound the cache near 0.75 MB
+@lru_cache(maxsize=128)
 def phase_template(params: BodyParams, phase: str) -> _Template:
-    """The closed-form template of one body's phase.  The body's unit ODE is
-    fetched through the same `assemble_*` call as a stride-map build's, at
-    the probing timing (any timing would do).  A phase name other than
-    ``"single"`` and ``"double"`` raises ValueError."""
+    """The closed-form template of one body's phase, built once per (body,
+    phase) from its phase ODE at the probing timing, whose K1 / 1.0 is the
+    unit ODE's.  A phase name other than ``"single"`` and ``"double"``
+    raises ValueError."""
     check_phase(phase)
     assemble = assemble_single_support if phase == SINGLE else assemble_double_support
-    return _map_template(assemble(params, UNIT_TIMING).unit)
+    return _map_template(assemble(params, UNIT_TIMING))
 
 
 def constrain_foot_velocity(H: np.ndarray) -> np.ndarray:
@@ -412,9 +405,9 @@ class StrideMaps:
         for pm, x, tl, run in zip((self.ds, self.ss), (rows, rows @ self.H_ds_end.T),
                                   (ts[:n_ds], ts[n_ds:] - T_ds), (out[:n_ds], out[n_ds:])):
             if len(tl):
-                phi = _features(pm._tpl, tl, 0.0, pm.duration)[:, None]
+                phi = _features(pm.template, tl, 0.0, pm.duration)[:, None]
                 run[:] = x
-                run[..., pm._tpl.rows] += _increments(pm._tpl, phi, x[None])[0]
+                run[..., pm.template.rows] += _increments(pm.template, phi, x[None])[0]
         return out.transpose(0, 2, 1).reshape((len(ts),) + Q0.shape)
 
 
@@ -422,8 +415,8 @@ class StrideMaps:
 def stride_maps(params: BodyParams, timing: StrideTiming) -> StrideMaps:
     """Build (or fetch) all transition maps for one parameter/timing pair:
     one closed-form evaluation per phase."""
-    ds = PhaseMap(assemble_double_support(params, timing))
-    ss = PhaseMap(assemble_single_support(params, timing))
+    ds = PhaseMap(phase_template(params, DOUBLE), timing.T_ds)
+    ss = PhaseMap(phase_template(params, SINGLE), timing.T_ss)
     H_ds_end = ds.map_at(timing.T_ds)
     H_stride = ss.map_at(timing.T_ss) @ H_ds_end
     H_ds_end.flags.writeable = H_stride.flags.writeable = False

@@ -81,14 +81,13 @@ def phase_odes(maps) -> tuple:
             assemble_single_support(maps.params, maps.timing))
 
 
-def phase_pieces(ode, Q: np.ndarray) -> np.ndarray:
-    """The flow of one phase ODE from the phase-start state Q (23,), or the
-    states Q (k, 23) one per row, over its whole duration, as
+def phase_pieces(pm, Q: np.ndarray) -> np.ndarray:
+    """The flow of one phase map `pm` from the phase-start state Q (23,), or
+    the states Q (k, 23) one per row, over its whole duration, as
     `transition.flow_pieces` writes it for one run: C (m, 18) + Q.shape,
     with Q(j h + u h) = sum_d C[j, d] u^d for u in [0, 1]."""
-    from linwalk.transition import _map_template, flow_pieces
-    C = flow_pieces(_map_template(ode.unit or ode), [ode.duration],
-                    np.reshape(Q, (1, -1, Q_DIM)))[0]
+    from linwalk.transition import flow_pieces
+    C = flow_pieces(pm.template, [pm.duration], np.reshape(Q, (1, -1, Q_DIM)))[0]
     return C.reshape(C.shape[:2] + np.shape(Q))
 
 

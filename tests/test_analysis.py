@@ -691,7 +691,7 @@ def test_series_flow_matches_exponential(base):
             maps = stride_maps(body, StrideTiming(ratio * T, (1.0 - ratio) * T))
             for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
                 Q = random_states(1, seed=int(rng.integers(1 << 30)))[0]
-                C = phase_pieces(ode, Q)
+                C = phase_pieces(pm, Q)
                 dh = pm.duration / len(C)
                 split += len(C) > 1
                 for delta in np.append(np.linspace(0.0, pm.duration, 9),

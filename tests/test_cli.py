@@ -52,6 +52,23 @@ def test_cli_paths_leave_scipy_unimported():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_pool_and_masked_arrays_unloaded():
+    """`import linwalk.cli` loads neither `numpy.ma` nor the process-pool
+    modules, which only a sweep with --workers needs."""
+    import os
+    import subprocess
+    import sys
+    import linwalk
+    code = ("import sys\n"
+            "import linwalk.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma' or\n"
+            "             m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    src = str(Path(linwalk.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
 def test_relax_no_root_exits_nonzero(adult_config, tmp_path):
     rc = run(["relax", "--config", adult_config, "--out", str(tmp_path / "x"),
               "--bracket-lo", "1.0", "--bracket-hi", "1.2"])
@@ -165,6 +182,24 @@ def test_sweep_range_of_too_many_values_exit_2(adult_config, tmp_path, capsys, f
     message = capsys.readouterr().err
     assert f"argument {flag}: " in message and "more than 10000 values" in message
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("gait", "--samples"), ("validate", "--trials")])
+def test_count_above_the_cap_exit_2(adult_config, tmp_path, capsys, command, flag):
+    """--samples and --trials above 100 000 are refused at parse time, naming
+    the cap, before --out exists and before anything is allocated; the cap
+    itself is accepted."""
+    from linwalk.cli import _MAX_COUNT, build_parser
+    extra = ["--scenario", "minimal-torque", "--speed", "1.0"] if command == "gait" else []
+    argv = [command, "--config", adult_config, *extra, "--out", str(tmp_path / "c")]
+    with pytest.raises(SystemExit) as err:
+        run(argv + [flag, "100001"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"argument {flag}: " in message and "more than 100000" in message
+    assert not (tmp_path / "c").exists()
+    args = build_parser().parse_args(argv + [flag, str(_MAX_COUNT)])
+    assert _MAX_COUNT == 100_000 and getattr(args, flag[2:]) == _MAX_COUNT
 
 
 def test_sweep_more_workers_than_cpus_exit_2(adult_config, tmp_path, capsys,

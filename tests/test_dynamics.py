@@ -180,7 +180,7 @@ def test_wrench_maps_are_read_only_and_built_with_the_ode(adult):
         maps = [unit.wrenches.table] + ([unit.wrenches.yaw] if phase == DOUBLE else [])
         assert all(not a.flags.writeable for a in maps)
         ode = assemble(adult, StrideTiming(0.2, 0.5))
-        assert ode.unit is unit and ode.wrenches is None
+        assert ode.K0 is unit.K0 and ode.wrenches is None
     assert _extract_ode(adult, SINGLE).wrenches.yaw is None
 
 
@@ -350,16 +350,30 @@ def test_phase_ode_scales_with_phase_duration(adult):
 
 
 def test_extraction_runs_once_per_body_and_phase(adult):
-    """Stride maps at several timings of a new body probe each phase once."""
-    from linwalk.transition import stride_maps
+    """Stride maps at several timings of a new body probe each phase once,
+    and build its template of each phase once; the later timings reuse the
+    templates and reach no phase ODE."""
+    from linwalk.transition import phase_template, stride_maps
 
     body = scaled_body(adult, 63.2871, 1.0437)
-    before = _extract_ode.cache_info()
+    before, templates = _extract_ode.cache_info(), phase_template.cache_info()
     for T_ds, T_ss in ((0.1, 0.4), (0.2, 0.5), (0.15, 0.65), (0.3, 0.3)):
         stride_maps(body, StrideTiming(T_ds, T_ss))
     after = _extract_ode.cache_info()
-    assert after.misses - before.misses == 2
-    assert after.hits - before.hits == 6
+    assert after.misses - before.misses == 2 and after.hits == before.hits
+    after = phase_template.cache_info()
+    assert after.misses - templates.misses == 2
+    assert after.hits - templates.hits == 6
+
+
+def test_elimination_index_arrays_are_the_set_differences():
+    """The double-support elimination's kept unknowns and rows, listed at
+    import without `np.setdiff1d`, are the complements it would give."""
+    import linwalk.dynamics as dynamics
+    for part, whole, rest in ((dynamics._V_COLS, 28, dynamics._OTHER_COLS),
+                              (dynamics._KEPT_ROWS, 24, dynamics._ELIM_ROWS)):
+        expected = np.setdiff1d(np.arange(whole), part)
+        assert rest.dtype == expected.dtype and np.array_equal(rest, expected)
 
 
 def test_extraction_is_one_stacked_solve_per_phase(adult, monkeypatch):

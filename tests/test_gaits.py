@@ -423,6 +423,14 @@ def test_non_finite_gait_inputs_rejected(adult, timing, bad):
         synthesize_gait(adult, timing, bad)
 
 
+@pytest.mark.parametrize("d_sign", [np.nan, 0.0, 0.5, 2.0, -np.inf])
+def test_non_physical_support_side_rejected(adult, timing, d_sign):
+    """The support side d enters Q0 as given, so a side other than -1 or +1
+    is refused by name, as `pack_state` refuses it for physical states."""
+    with pytest.raises(ValueError, match="d_sign must be -1 or [+]1"):
+        synthesize_gait(adult, timing, 1.0, d_sign=d_sign)
+
+
 def test_pseudo_passive_recovered(adult, relax_03):
     gait = synthesize_gait(adult, StrideTiming(0.3, relax_03 - 0.3), 1.0,
                            "pseudo-passive")

@@ -17,7 +17,7 @@ from linwalk.model import (
 )
 from linwalk.oracle import integrate_batch
 from linwalk.transition import (
-    ControlDegeneracyError, PhaseMap, constrain_foot_velocity,
+    ControlDegeneracyError, PhaseMap, _map_template, constrain_foot_velocity,
     dump_stride_maps, expm, flow_pieces, phase_ends, phase_template, stride_maps,
 )
 
@@ -80,12 +80,12 @@ def test_sagittal_lateral_decoupling_is_exact():
             for ratio in (0.005, 0.02, rng.uniform(0.1, 0.3)):
                 maps = stride_maps(body, StrideTiming(ratio / freq, (1.0 - ratio) / freq))
                 for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
-                    for piece in phase_pieces(ode, np.eye(Q_DIM)):   # rows: basis states
+                    for piece in phase_pieces(pm, np.eye(Q_DIM)):   # rows: basis states
                         for coef in piece:
-                            assert cross(coef.T, sag, lat) == 0, (ratio, pm.phase)
+                            assert cross(coef.T, sag, lat) == 0, (ratio, ode.phase)
                     for t in rng.uniform(0.0, pm.duration, 3):
                         flow = pm.flow(t, rng.uniform(0.0, pm.duration - t))
-                        assert cross(flow, sag, lat) == 0, (ratio, pm.phase, t)
+                        assert cross(flow, sag, lat) == 0, (ratio, ode.phase, t)
                 for H in (maps.H_stride, maps.Hprime_stride):
                     assert cross(H, sag, lat) == 0, ratio
 
@@ -142,18 +142,18 @@ def test_back_transfer_identity_over_random_bodies(adult, kid):
 
 
 def test_map_template_matches_direct_construction(adult, kid):
-    """A phase map built from each timing's phase ODE alone equals the
-    stride map's, whose template was built at first use of the body or
-    shared from an earlier timing of it, bit for bit; the closed-form maps
-    equal the Pade exponential of the generator built from the phase ODE
-    to 1e-13 of max|H|."""
+    """A phase map on a template built afresh, past the template cache,
+    equals the stride map's, whose template was built at first use of the
+    body or shared from an earlier timing of it, bit for bit; the
+    closed-form maps equal the Pade exponential of the generator built from
+    each timing's phase ODE to 1e-13 of max|H|."""
     for body, tm, _ in _random_bodies_and_timings((adult, kid), 8, seed=52):
         maps = stride_maps(body, tm)
         direct = {}
         for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
-            assert np.array_equal(PhaseMap(ode).map_at(ode.duration),
-                                  pm.map_at(pm.duration))
-            direct[pm.phase] = pade_flow(ode, 0.0, ode.duration)
+            fresh = PhaseMap(phase_template.__wrapped__(body, ode.phase), ode.duration)
+            assert np.array_equal(fresh.map_at(ode.duration), pm.map_at(pm.duration))
+            direct[ode.phase] = pade_flow(ode, 0.0, ode.duration)
         for H, ref in ((maps.H_ds_end, direct["double"]),
                        (maps.H_stride, direct["single"] @ direct["double"])):
             assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -180,7 +180,7 @@ def test_closed_form_matches_pade_exponential():
                         ref = pade_flow(ode, t, dt)
                         got = pm.map_at(dt) if t == 0.0 else pm.flow(t, dt)
                         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (
-                            ratio, pm.phase, t, dt)
+                            ratio, ode.phase, t, dt)
 
 
 def _wide_body(rng):
@@ -210,7 +210,7 @@ def test_closed_form_matches_high_precision_exponential(seed):
             E = [third, third * third, third * third * third]
         ref = {j: generator_flow(ode, 0.0, E[j - 1].tolist()) for j in (1, 2, 3)}
         assert np.max(np.abs(pm.map_at(T) - ref[3])) <= 1e-13 * np.max(np.abs(ref[3]))
-        C = phase_pieces(ode, np.eye(Q_DIM))    # C[j, d, k]: the flow of basis state k
+        C = phase_pieces(pm, np.eye(Q_DIM))     # C[j, d, k]: the flow of basis state k
         for j in (1, 2):
             u = j / 3 * len(C)
             H = np.tensordot((u - int(u)) ** np.arange(C.shape[1]), C[int(u)], 1).T
@@ -230,14 +230,14 @@ def test_short_time_series_meets_the_closed_form_at_its_reach(seed):
     maps = stride_maps(*_wide_body(np.random.default_rng(seed)))
     for pm, ode in zip((maps.ds, maps.ss), phase_odes(maps)):
         A = direct_generator(ode)[0]
-        for h in np.unique(pm._tpl.reach):
+        for h in np.unique(pm.template.reach):
             with mpmath.workdps(40):
                 E = mpmath.expm(mpmath.matrix((A * h).tolist()))
             ref = generator_flow(ode, 0.0, E.tolist())
             for side in (0.0, np.inf):
-                got = expm(pm._tpl, np.nextafter(h, side), 0.0, pm.duration)[0]
+                got = expm(pm.template, np.nextafter(h, side), 0.0, pm.duration)[0]
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (
-                    pm.phase, h, side)
+                    ode.phase, h, side)
 
 
 def test_phase_flow_stays_in_its_phase(adult, timing):
@@ -267,7 +267,7 @@ def test_complex_or_repeated_pair_raises(block, kind):
     for axis in (0, 1):
         K0[np.ix_([axis, axis + 2], [axis, axis + 2])] = block
     with pytest.raises(DegenerateModelError, match=f"{kind} eigenvalue pair"):
-        PhaseMap(PhaseODE(SINGLE, 1.0, K0, np.zeros((4, Q_DIM))))
+        _map_template(PhaseODE(SINGLE, 1.0, K0, np.zeros((4, Q_DIM))))
 
 
 @pytest.mark.parametrize("phase, which, cell, what", [
@@ -290,7 +290,7 @@ def test_structure_the_closed_form_assumes_is_checked(phase, which, cell, what):
         K["K0"][:2] = 0.0
     K[which][cell] = 1.0
     with pytest.raises(DegenerateModelError, match=what):
-        PhaseMap(PhaseODE(phase, 1.0, K["K0"], K["K1"]))
+        _map_template(PhaseODE(phase, 1.0, K["K0"], K["K1"]))
 
 
 def test_double_support_scalar_modes_take_any_sign():
@@ -302,11 +302,11 @@ def test_double_support_scalar_modes_take_any_sign():
         K0[2:4, 2:4] = k * np.eye(2)
         K0[2:4, 8:10] = np.eye(2)
         ode = PhaseODE(DOUBLE, 0.3, K0, np.zeros((4, Q_DIM)))
-        pm = PhaseMap(ode)
+        pm = PhaseMap(_map_template(ode), ode.duration)
         for dt in (0.0, 0.01, 0.3):
             ref = pade_flow(ode, 0.0, dt)
             assert np.max(np.abs(pm.map_at(dt) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        end = phase_pieces(ode, np.eye(Q_DIM))[-1].sum(axis=0).T
+        end = phase_pieces(pm, np.eye(Q_DIM))[-1].sum(axis=0).T
         assert np.max(np.abs(end - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -358,14 +358,21 @@ def test_cold_build_never_forms_hprime(adult, monkeypatch):
 
 def test_shared_arrays_are_read_only(adult, timing):
     """A cached stride map's H_ds_end and H_stride and the per-body
-    templates can be held by many callers, and the selectors by every
-    periodicity system and gait program."""
+    templates can be held by many callers, the selectors by every
+    periodicity system and gait program, and the module-level index and
+    matrix constants by every call that reads them."""
+    import linwalk.dynamics as dynamics
+    import linwalk.gaits as gaits
+    import linwalk.transition as transition
     maps = stride_maps(adult, timing)
     sel = selection_matrices()
     arrays = [maps.H_ds_end, maps.H_stride]
     arrays += [getattr(sel, f.name) for f in dataclasses.fields(sel)]
     for pm in (maps.ds, maps.ss):
-        arrays += [getattr(pm._tpl, f.name) for f in dataclasses.fields(pm._tpl)]
+        arrays += [getattr(pm.template, f.name) for f in dataclasses.fields(pm.template)]
+    arrays += [gaits.M_MAT, gaits.O_MAT, gaits.T_MAT, *gaits._SAG,
+               transition._AXIS_COLS, transition._DEGREES, dynamics._V_COLS,
+               dynamics._OTHER_COLS, dynamics._KEPT_ROWS, dynamics._ELIM_ROWS]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
