@@ -23,8 +23,12 @@ The module works numerically, on stacks of instants: `_assemble` writes
 the balance laws at k pairs (Q, t) into one (k, 24, n) coefficient array,
 with each unknown at a fixed column of its phase, double support forms its
 closure rows with one stacked elimination, and `solve_forces` solves all k
-systems with one more.  The phase ODE matrices come from one such call per
-(body, phase), probing the zero state and the 23 basis vectors at once.
+systems with one more.  The phase ODE matrices come from one stacked solve
+per (body, phase), probing the zero state and the 23 basis vectors at three
+s at once.  A double-support balance matrix reads Q only at the points and
+the side, so there the elimination runs once per distinct matrix, 14 with
+those the yaw split reads, in one stacked call, and each probe takes its
+matrix's Jacobian.
 Time enters the balance system only through s = t / T_phase, so the probing
 runs once per (body, phase) at unit duration and is cached; each timing
 then only rescales the time-linear part, K1 = K1_unit / T_phase.
@@ -34,7 +38,8 @@ vertical loads do not depend on Q, so every wrench entry but the yaw
 torques is affine in Q, and it is affine (single support) or quadratic
 (double support) in s: a table over [1, Q] fixed by the three probed s.
 The yaw torques are bilinear and come in closed form from the z rows of
-the balance laws.  A trajectory's wrenches come from these maps
+the balance laws, split in double support by the transfer Jacobians of
+the same elimination.  A trajectory's wrenches come from these maps
 (`map_forces`: one product per phase, no linear solve); `solve_forces`
 stays the probe and the reference they are tested against.
 """
@@ -258,16 +263,16 @@ def _transfer_jacobian(A: np.ndarray) -> np.ndarray:
     return A[:, kept, _V_COLS] + A[:, kept, _OTHER_COLS] @ sol
 
 
-def _transfer_rows(A: np.ndarray, q: np.ndarray,
+def _transfer_rows(J: np.ndarray, q: np.ndarray,
                    s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cleared-denominator uniform transfer rule rows for double support.
 
-    Takes the Jacobians of the residual E(V) with respect to the trailing-
-    and leading-leg variables, and returns s*J2 (V2 - V2hat) -
-    (1-s)*J3 (V3 - V3hat) = 0 as four rows (k, 4, 28) over the full
-    unknown vector, and their right-hand sides (k, 4).
+    Takes the Jacobians J (k, 4, 8) of the residual E(V) at the k systems
+    (`_transfer_jacobian`), whose columns are the trailing- and leading-leg
+    variables, and returns s*J2 (V2 - V2hat) - (1-s)*J3 (V3 - V3hat) = 0
+    as four rows (k, 4, 28) over the full unknown vector, and their
+    right-hand sides (k, 4).
     """
-    J = _transfer_jacobian(A)
     J2, J3 = J[..., :4], J[..., 4:]
 
     v2_hat = _columns(q[:, IU_HX], q[:, IU_HY], 0.0, 0.0)
@@ -288,7 +293,7 @@ def _fractions(timing: StrideTiming, phase: str, qs: np.ndarray,
     check_phase(phase)
     duration = timing.T_ss if phase == SINGLE else timing.T_ds
     ts = np.broadcast_to(np.asarray(t, dtype=float), qs.shape[:1])
-    outside = (ts < -1e-12) | (ts > duration + 1e-12)
+    outside = ~((ts >= -1e-12) & (ts <= duration + 1e-12))    # NaN too
     if np.any(outside):
         raise ValueError(f"t={ts[outside][0]} outside the {phase}-support "
                          f"phase [0, {duration}]")
@@ -306,10 +311,18 @@ def solve_forces(params: BodyParams, timing: StrideTiming, phase: str,
     """
     q = np.asarray(q, dtype=float)
     qs = np.atleast_2d(q)
-    s = _fractions(timing, phase, qs, t)
+    forces = _solve(params, phase, qs, _fractions(timing, phase, qs, t))
+    return forces if q.ndim == 2 else forces[0]
+
+
+def _solve(params: BodyParams, phase: str, qs: np.ndarray, s: np.ndarray,
+           J: np.ndarray | None = None) -> ForceSolution:
+    """The stacked solve of `solve_forces` at the k states qs and phase
+    fractions s.  In double support J (k, 4, 8) holds the systems' transfer
+    Jacobians; without it they are eliminated here."""
     A, b, given = _assemble(params, phase, qs, s)
     if phase == DOUBLE:
-        rows, rhs = _transfer_rows(A, qs, s)
+        rows, rhs = _transfer_rows(_transfer_jacobian(A) if J is None else J, qs, s)
         A = np.concatenate([A, rows], axis=1)
         b = np.concatenate([b, rhs], axis=1)
     try:
@@ -331,9 +344,8 @@ def solve_forces(params: BodyParams, timing: StrideTiming, phase: str,
     else:
         given["M2"][:, 2] = u[:, col["M2z"]]
         given.update(F2=vec3("F2"), tau2=vec3("tau2"))
-    forces = ForceSolution(f1=vec3("f1"), f2=vec3("f2"), f3=vec3("f3"), F3=vec3("F3"),
-                           tau1=vec3("tau1"), tau3=vec3("tau3"), accel=accel, **given)
-    return forces if q.ndim == 2 else forces[0]
+    return ForceSolution(f1=vec3("f1"), f2=vec3("f2"), f3=vec3("f3"), F3=vec3("F3"),
+                         tau1=vec3("tau1"), tau3=vec3("tau3"), accel=accel, **given)
 
 
 # the fields each phase solves for, each (k, 3) but accel (k, 4), which is
@@ -365,10 +377,13 @@ class WrenchMap:
     yaw: np.ndarray | None = None
 
 
-def _wrench_map(params: BodyParams, phase: str, probes: np.ndarray,
-                forces: ForceSolution) -> WrenchMap:
+def _wrench_map(phase: str, forces: ForceSolution,
+                yaw: np.ndarray | None = None) -> WrenchMap:
     """The wrench map of one body and phase from the solved probes: the
-    zero state and the 23 basis states, at s = 0, 1/2 and 1."""
+    zero state and the 23 basis states, at s = 0, 1/2 and 1.  In double
+    support ``yaw`` (7, 4) holds the pelvis-z rows of the transfer
+    Jacobians of the zero and point states at d = 1, from the elimination
+    of `_extract_ode`."""
     names = _SOLVED[phase]
     v = np.concatenate([getattr(forces, name) for name in names], axis=1)
     v = v.reshape(3, Q_DIM + 1, -1)
@@ -384,12 +399,8 @@ def _wrench_map(params: BodyParams, phase: str, probes: np.ndarray,
     table.flags.writeable = False
     if phase == SINGLE:
         return WrenchMap(table)
-    # the Jacobian is d times an affine map of the points: probe them at d = 1
-    at_side = probes[[0] + [1 + i for i in _POINT_COLS]].copy()
-    at_side[:, ID_SIDE] = 1.0
-    A = _assemble(params, DOUBLE, at_side, np.zeros(len(at_side)))[0]
-    yaw = _transfer_jacobian(A)[:, _YAW_ROW, _YAW_COLS]
-    yaw[1:] -= yaw[:1]
+    # the Jacobian is d times an affine map of the points
+    yaw = np.concatenate([yaw[:1], yaw[1:] - yaw[:1]])
     yaw.flags.writeable = False
     return WrenchMap(table, yaw)
 
@@ -497,10 +508,25 @@ def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
     (read-only arrays).
 
     One stacked solve probes the zero state and the 23 basis vectors at
-    s = 0, 0.5 and 1."""
-    probes = np.tile(np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)]), (3, 1))
-    s = np.repeat([0.0, 0.5, 1.0], Q_DIM + 1)
-    forces = solve_forces(params, UNIT_TIMING, phase, probes, s)
+    s = 0, 0.5 and 1.  In double support their transfer Jacobians come from
+    one stacked elimination over the 14 distinct balance matrices that the
+    probes and the wrench map's yaw split read."""
+    probes = np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)])
+    J = yaw = None
+    if phase == DOUBLE:
+        # a balance matrix reads a state only at its points and side, not at
+        # s, so the 72 probes hold 8 distinct matrices: those of the zero
+        # state, the six point states and the side state (the zero state at
+        # d = 1).  The yaw split reads the point states at d = 1 too.
+        at_points = probes[[0] + [1 + i for i in _POINT_COLS]]
+        distinct = np.vstack([at_points, at_points + probes[1 + ID_SIDE]])
+        J = _transfer_jacobian(_assemble(params, DOUBLE, distinct, np.zeros(14))[0])
+        yaw = J[7:, _YAW_ROW, _YAW_COLS]
+        matrix = np.zeros(Q_DIM + 1, dtype=int)          # of each probe
+        matrix[[1 + i for i in _POINT_COLS + [ID_SIDE]]] = np.arange(1, 8)
+        J = J[np.tile(matrix, 3)]
+    forces = _solve(params, phase, np.tile(probes, (3, 1)),
+                    np.repeat([0.0, 0.5, 1.0], Q_DIM + 1), J)
     acc = forces.accel.reshape(3, Q_DIM + 1, 4)
     if np.max(np.abs(acc[:, 0])) > 1e-9:
         raise DegenerateModelError(f"{phase}-support accelerations not homogeneous")
@@ -523,7 +549,7 @@ def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
     K0.flags.writeable = False
     K1.flags.writeable = False
     return PhaseODE(phase=phase, duration=1.0, K0=K0, K1=K1,
-                    wrenches=_wrench_map(params, phase, probes, forces))
+                    wrenches=_wrench_map(phase, forces, yaw))
 
 
 def assemble_single_support(params: BodyParams, timing: StrideTiming) -> PhaseODE:

@@ -283,6 +283,8 @@ def integrate_batch(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
                          "(or None for the full stride)")
     _check_step(step)
     Q0 = np.atleast_2d(np.asarray(Q0, dtype=float))
+    if not np.all(np.isfinite(Q0)):
+        raise ValueError("initial states must be finite")
 
     def march(T: float, single: bool, Q: np.ndarray) -> np.ndarray:
         n, h = _grid(T, step)

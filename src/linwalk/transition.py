@@ -304,7 +304,7 @@ class PhaseMap:
     def flow(self, t: float, dt: float) -> np.ndarray:
         """Map from the state at phase time t to the state at t + dt, both
         in [0, duration]."""
-        if t < -1e-12 or dt < -1e-12 or t + dt > self.duration + 1e-9:
+        if not (t >= -1e-12 and dt >= -1e-12 and t + dt <= self.duration + 1e-9):  # NaN too
             raise ValueError(f"need 0 <= t <= t + dt <= {self.duration}, got t={t}, dt={dt}")
         return expm(self.template, dt, t, self.duration)[0]
 
@@ -374,7 +374,7 @@ class StrideMaps:
     def flow(self, t0: float, t1: float) -> np.ndarray:
         """Map from the state at stride time t0 to the state at t1 >= t0."""
         T_ds, T = self.timing.T_ds, self.timing.T_stride
-        if t0 < -1e-12 or t1 > T + 1e-9 or t1 < t0 - 1e-12:
+        if not (t0 >= -1e-12 and t1 <= T + 1e-9 and t1 >= t0 - 1e-12):  # NaN too
             raise ValueError(f"need 0 <= t0 <= t1 <= {T}, got {t0}, {t1}")
         if t1 <= T_ds:
             return self.ds.flow(t0, t1 - t0)

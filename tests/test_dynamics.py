@@ -9,9 +9,12 @@ import pytest
 
 from conftest import random_states
 from linwalk.dynamics import (
-    DOUBLE, SINGLE, DegenerateModelError, ForceSolution, _extract_ode,
-    assemble_double_support, assemble_single_support, map_forces, solve_forces,
+    _CONST_COLS, _POINT_COLS, _YAW_COLS, _YAW_ROW, DOUBLE, SINGLE, UNIT_TIMING,
+    DegenerateModelError, ForceSolution, _assemble, _extract_ode, _transfer_jacobian,
+    _wrench_map, assemble_double_support, assemble_single_support, map_forces,
+    solve_forces,
 )
+from linwalk.layout import ID_SIDE, Q_DIM
 from linwalk.model import (
     BodyParams, StrideTiming, default_params, geometry, scaled_body,
 )
@@ -316,6 +319,16 @@ def test_time_out_of_range(adult, timing):
         solve_forces(adult, timing, SINGLE, np.zeros(23), timing.T_ss + 0.1)
 
 
+@pytest.mark.parametrize("solve", [solve_forces, map_forces])
+@pytest.mark.parametrize("phase", [SINGLE, DOUBLE])
+@pytest.mark.parametrize("t", [np.nan, [0.1, np.nan]])
+def test_forces_refuse_a_nan_time(adult, solve, phase, t):
+    """A NaN phase time is refused by name, not turned into NaN wrenches."""
+    q = random_states(np.size(t), seed=32).squeeze()
+    with pytest.raises(ValueError, match=f"t=nan outside the {phase}-support phase"):
+        solve(adult, StrideTiming(0.1, 0.4), phase, q, t)
+
+
 def _random_bodies_and_timings(adult, n, seed):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -377,20 +390,70 @@ def test_elimination_index_arrays_are_the_set_differences():
 
 
 def test_extraction_is_one_stacked_solve_per_phase(adult, monkeypatch):
-    """Probing a new body's phase ODE solves all its probes in one call."""
+    """Probing a new body's phase ODE solves its 72 probes in one stacked
+    call.  Double support first eliminates the 14 distinct balance matrices
+    in one more (the zero, point and side states, and the point states at
+    d = 1 for the yaw split); building the wrench map assembles and
+    eliminates nothing."""
     import linwalk.dynamics as dynamics
     calls = []
-    real = dynamics.solve_forces
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counted(name, real, stacked):
+        def call(*args):
+            calls.append((name, len(args[stacked])))     # the stack size
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(dynamics, "solve_forces", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve, 0))
+    for name, stacked in (("_assemble", 2), ("_transfer_jacobian", 0)):
+        monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name), stacked))
     body = scaled_body(adult, 71.3917, 0.9613)
-    for phase in (SINGLE, DOUBLE):
-        _extract_ode.__wrapped__(body, phase)
-    assert calls == [SINGLE, DOUBLE]
+    _extract_ode.__wrapped__(body, SINGLE)
+    assert calls == [("_assemble", 72), ("solve", 72)]
+    calls.clear()
+    _extract_ode.__wrapped__(body, DOUBLE)
+    assert calls == [("_assemble", 14), ("_transfer_jacobian", 14), ("solve", 14),
+                     ("_assemble", 72), ("solve", 72)]
+
+
+def _reference_double_support(body):
+    """Double-support extraction as one elimination per probe: each of the
+    72 probes eliminates its own balance system (`solve_forces`), and the
+    yaw split assembles and eliminates 7 more states, the zero state and
+    the six point states at d = 1.  Returns K0, K1 and the wrench map."""
+    probes = np.tile(np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)]), (3, 1))
+    forces = solve_forces(body, UNIT_TIMING, DOUBLE, probes,
+                          np.repeat([0.0, 0.5, 1.0], Q_DIM + 1))
+    acc = forces.accel.reshape(3, Q_DIM + 1, 4)
+    K = (acc[:, 1:] - acc[:, :1]).transpose(0, 2, 1)
+    K0, K1 = K[0], K[2] - K[0]
+    K1[np.abs(K1) < 1e-12 * max(np.max(np.abs(K1)), 1e-300)] = 0.0
+    K1[:, [i for i in range(Q_DIM) if i not in _CONST_COLS[DOUBLE]]] = 0.0
+    at_side = probes[[0] + [1 + i for i in _POINT_COLS]].copy()
+    at_side[:, ID_SIDE] = 1.0
+    J = _transfer_jacobian(_assemble(body, DOUBLE, at_side, np.zeros(7))[0])
+    return K0, K1, _wrench_map(DOUBLE, forces, J[:, _YAW_ROW, _YAW_COLS])
+
+
+def _wide_bodies(n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m2, z1 = rng.uniform(0.2, 40.0), rng.uniform(0.3, 1.5)
+        yield BodyParams(m1=rng.uniform(2.0, 150.0), m2=m2, m3=m2, z1=z1,
+                         z2=rng.uniform(0.0, 1.0) * z1, z3=rng.uniform(0.0, 1.0),
+                         w=rng.uniform(0.0, 0.5))
+
+
+def test_shared_elimination_equals_one_elimination_per_probe(adult, kid):
+    """One elimination per distinct balance matrix gives, bit for bit, the
+    K0, K1, wrench table and yaw split of one elimination per probe, on
+    the adult, the kid and 30 seeded wide-drawn bodies."""
+    for body in [adult, kid, *_wide_bodies(30, seed=33)]:
+        ode = _extract_ode.__wrapped__(body, DOUBLE)
+        K0, K1, wrenches = _reference_double_support(body)
+        assert np.array_equal(ode.K0, K0) and np.array_equal(ode.K1, K1), body
+        assert np.array_equal(ode.wrenches.table, wrenches.table), body
+        assert np.array_equal(ode.wrenches.yaw, wrenches.yaw), body
 
 
 def test_degenerate_body_raises_on_every_call(timing):

@@ -313,6 +313,15 @@ def test_integrate_batch_refuses_an_unknown_phase(adult, timing, phase):
         integrate_batch(adult, timing, random_states(1), phase=phase)
 
 
+@pytest.mark.parametrize("phase", [None, "single", "double"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integrate_batch_refuses_non_finite_states(adult, timing, phase, bad):
+    Q0 = random_states(3)
+    Q0[1, 5] = bad
+    with pytest.raises(ValueError, match="initial states must be finite"):
+        integrate_batch(adult, timing, Q0, step=1e-3, phase=phase)
+
+
 def test_zero_state_stays_zero(adult, timing):
     traj = integrate(adult, timing, np.zeros(23), OracleConfig(step=1e-3))
     assert np.max(np.abs(traj.Q)) == 0.0

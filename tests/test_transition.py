@@ -439,6 +439,19 @@ def test_shared_double_support_matches_a_fresh_build(adult, kid):
         assert np.array_equal(fresh.H_stride, H_stride)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: m.ss.flow(np.nan, 0.1), lambda m: m.ss.flow(0.1, np.nan),
+    lambda m: m.ss.map_at(np.nan), lambda m: m.ds.map_at(np.nan),
+    lambda m: m.flow(np.nan, 0.2), lambda m: m.H(np.nan), lambda m: m.G(np.nan),
+], ids=["ss.flow-t", "ss.flow-dt", "ss.map_at", "ds.map_at", "flow", "H", "G"])
+def test_flows_refuse_a_nan_time(adult, call):
+    """A NaN time is refused like a time outside the phase or stride, not
+    mapped to a NaN matrix."""
+    maps = stride_maps(adult, StrideTiming(0.1, 0.4))
+    with pytest.raises(ValueError, match="need 0 <= t"):
+        call(maps)
+
+
 def test_maps_are_cached(adult, timing):
     assert stride_maps(adult, timing) is stride_maps(
         adult, StrideTiming(T_ds=timing.T_ds, T_ss=timing.T_ss))
