@@ -378,7 +378,7 @@ class WrenchMap:
 
 
 def _wrench_map(phase: str, forces: ForceSolution,
-                yaw: np.ndarray | None = None) -> WrenchMap:
+                yaw: np.ndarray | None) -> WrenchMap:
     """The wrench map of one body and phase from the solved probes: the
     zero state and the 23 basis states, at s = 0, 1/2 and 1.  In double
     support ``yaw`` (7, 4) holds the pelvis-z rows of the transfer
