@@ -14,7 +14,6 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .model import (
     BodyParams, DegenerateModelError, StrideTiming, com_position_matrix,
     com_velocity_matrix, mass_velocity_matrix,
 )
-from .transition import flow_pieces, phase_ends, phase_template, stride_maps
+from .transition import _DEGREES, flow_pieces, phase_ends, phase_template, stride_maps
 
 
 class NonPositiveWorkError(RuntimeError):
@@ -97,19 +96,18 @@ def sample_trajectory(gait: GaitSolution, n: int = 401) -> TrajectorySample:
                             Q @ com_velocity_matrix(gait.params).T, forces)
 
 
-@lru_cache(maxsize=8)
-def _bernstein(n: int) -> np.ndarray:
-    """The Bernstein coefficients on [0, 1] of a degree-n polynomial from its
-    monomial ones a: b_i = sum_j C(i, j) / C(n, j) a_j, as a read-only matrix."""
-    T = np.array([[math.comb(i, j) / math.comb(n, j) for j in range(n + 1)]
-                  for i in range(n + 1)])
-    T.flags.writeable = False
-    return T
+# the Bernstein coefficients on [0, 1] of a polynomial from its monomial ones
+# a, b_i = sum_j C(i, j) / C(n, j) a_j, at the one degree `_turning_points`
+# meets: dKE/ds on a flow piece of len(_DEGREES) = 18 terms, n = 33
+_DKE_DEGREE = 2 * len(_DEGREES) - 3
+_BERNSTEIN = np.array([[math.comb(i, j) / math.comb(_DKE_DEGREE, j)
+                        for j in range(_DKE_DEGREE + 1)] for i in range(_DKE_DEGREE + 1)])
+_BERNSTEIN.flags.writeable = False
 
 
 def _turning_points(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points (p, s) that include every root in (0, 1) of the polynomials
-    sum_j a[p, j] s^j.
+    """Points (p, s) that include every root in (0, 1) of the degree-33
+    polynomials sum_j a[p, j] s^j.
 
     A polynomial whose Bernstein coefficients hold no sign change has no
     root in (0, 1), and one whose coefficients change sign once has exactly
@@ -120,7 +118,7 @@ def _turning_points(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     companion matrix; a point that is no root is harmless to the work.
     """
     n = a.shape[1] - 1
-    b = a @ _bernstein(n).T
+    b = a @ _BERNSTEIN.T
     # a coefficient within roundoff of zero has no sign, and zeros at an end
     # only factor out roots at that end, which are piece junctions: the
     # sign changes are counted between the nonzero coefficients

@@ -97,10 +97,7 @@ class InfeasibleConstraintsError(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodicitySystem:
-    params: BodyParams
-    timing: StrideTiming
-    maps: StrideMaps
-    R_full: np.ndarray  # 8 x 23
+    maps: StrideMaps    # its body and timing too
     R0: np.ndarray      # 8 x 15
     R1: np.ndarray      # 8 x 7
 
@@ -109,17 +106,15 @@ def build_periodicity(params: BodyParams, timing: StrideTiming) -> PeriodicitySy
     """Assemble the stride-symmetry system at one parameter/timing pair.
 
     R_full = _R_START + _R_END H(T_stride) is one product with the stride
-    map.  Its symmetry rows are written on the plain map: with the two
-    foot-velocity rows they have the same null space as the H'-based form
-    (H' v = H v whenever the foot-velocity rows hold), but they stay
-    bounded at timings where the hip-torque-to-foot-velocity map
-    degenerates and H' blows up.
+    map, and R0 and R1 are column reads of it.  Its symmetry rows are
+    written on the plain map: with the two foot-velocity rows they have
+    the same null space as the H'-based form (H' v = H v whenever the
+    foot-velocity rows hold), but they stay bounded at timings where the
+    hip-torque-to-foot-velocity map degenerates and H' blows up.
     """
     maps = stride_maps(params, timing)
     R_full = _R_START + _R_END @ maps.H_stride
-    return PeriodicitySystem(params=params, timing=timing, maps=maps,
-                             R_full=R_full,
-                             R0=R_full[:, R0_COLS], R1=R_full[:, R1_COLS])
+    return PeriodicitySystem(maps=maps, R0=R_full[:, R0_COLS], R1=R_full[:, R1_COLS])
 
 
 def _reduced(system: PeriodicitySystem, which: str) -> tuple[np.ndarray, np.ndarray]:
@@ -307,8 +302,7 @@ class GaitSolution:
     scenario: str
     v_des: float
     d_sign: float
-    alpha: np.ndarray
-    basis: np.ndarray      # 23 x 7, lifted null-space basis
+    alpha: np.ndarray      # 7, coefficients on the R0 null basis
     Q0: np.ndarray         # 23, initial augmented state
     diagnostics: dict = field(default_factory=dict)
 
@@ -319,8 +313,7 @@ class GaitSolution:
                        "T_stride": self.timing.T_stride},
             "v_des": self.v_des,
             "d_sign": self.d_sign,
-            "params": {k: getattr(self.params, k)
-                       for k in ("m1", "m2", "m3", "z1", "z2", "z3", "w", "g")},
+            "params": vars(self.params),       # m1, m2, m3, z1, z2, z3, w, g
             "alpha": self.alpha.tolist(),
             "Q0": self.Q0.tolist(),
             "diagnostics": self.diagnostics,
@@ -329,17 +322,28 @@ class GaitSolution:
 
     @staticmethod
     def from_record(text: str) -> "GaitSolution":
+        """The gait a `to_record` text holds; a field no gait has is refused
+        by name."""
         data = json.loads(text)
-        params = BodyParams(**data["params"])
-        timing = StrideTiming(T_ds=data["timing"]["T_ds"], T_ss=data["timing"]["T_ss"])
-        # the model's own params and timing: the basis is rebuilt bit for bit
-        return GaitSolution(params=params, timing=timing,
+        for key, ok, what in (("scenario", data["scenario"] in SCENARIOS, f"one of {SCENARIOS}"),
+                              ("d_sign", data["d_sign"] in (-1.0, 1.0), "-1 or +1"),
+                              ("v_des", _finite(data["v_des"]), "a finite number"),
+                              ("Q0", _finite(data["Q0"], Q_DIM), "23 finite numbers"),
+                              ("alpha", _finite(data["alpha"], 7), "7 finite numbers")):
+            if not ok:
+                raise ValueError(f"record {key} must be {what}, got {data[key]!r}")
+        return GaitSolution(params=BodyParams(**data["params"]),
+                            timing=StrideTiming(data["timing"]["T_ds"], data["timing"]["T_ss"]),
                             scenario=data["scenario"], v_des=data["v_des"],
-                            d_sign=data["d_sign"],
-                            alpha=np.array(data["alpha"]),
-                            basis=null_basis(build_periodicity(params, timing), "R0"),
-                            Q0=np.array(data["Q0"]),
-                            diagnostics=data["diagnostics"])
+                            d_sign=data["d_sign"], alpha=np.array(data["alpha"]),
+                            Q0=np.array(data["Q0"]), diagnostics=data["diagnostics"])
+
+
+def _finite(value, n: int | None = None) -> bool:
+    """Whether a record value is a finite number, or with n a list of n."""
+    if n is not None:
+        return isinstance(value, list) and len(value) == n and all(map(_finite, value))
+    return type(value) in (int, float) and math.isfinite(value)    # JSON true is no number
 
 
 def _lstsq(M: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,11 +395,9 @@ def solve_eqp(G: np.ndarray,
     return alpha[0]
 
 
-def _gait_diagnostics(system: PeriodicitySystem, Q0: np.ndarray) -> dict:
-    Q_end = system.maps.H_stride @ Q0
-    v0 = _SEL.S_XP @ Q0
-    v1 = _SEL.S_XP @ Q_end
-    residual = M_MAT @ v0 - O_MAT @ M_MAT @ T_MAT @ v1
+def _gait_diagnostics(maps: StrideMaps, Q0: np.ndarray) -> dict:
+    Q_end = maps.H_stride @ Q0
+    residual = M_MAT @ (_SEL.S_XP @ Q0) - O_MAT @ M_MAT @ T_MAT @ (_SEL.S_XP @ Q_end)
     return {
         "periodicity_residual": float(np.max(np.abs(residual))),
         "end_foot_speed": float(np.linalg.norm(_SEL.S_Xdot2 @ Q_end)),
@@ -424,34 +426,6 @@ def _gait_blocks(V: np.ndarray, v_des: float, T_stride, spec: ScenarioSpec,
     return blocks
 
 
-def solve_gait(V: np.ndarray, system: PeriodicitySystem, v_des: float,
-               spec: ScenarioSpec, d_sign: float = 1.0) -> GaitSolution:
-    """Pick null-space coefficients for one scenario by an equality-constrained QP.
-
-    V is the 23 x 7 basis of the R0 null space of `system` (`null_basis`).
-    """
-    T_stride = system.timing.T_stride
-    blocks = _gait_blocks(V, v_des, T_stride, spec, d_sign)
-    lateral_rows = None
-    if spec.lateral_velocity_objective:
-        C = com_velocity_matrix(system.params)[1]     # lateral CoM velocity row
-        ts = np.linspace(0.0, T_stride, OBJECTIVE_SAMPLES)
-        lateral_rows = C @ system.maps.states(V, ts)
-        G = lateral_rows
-    else:
-        G = _SEL.S_U @ V
-
-    alpha = solve_eqp(G, blocks)
-    Q0 = V @ alpha
-    Q0[ID_SIDE] = d_sign  # the support-side row holds only to a few ulps
-    diag = _gait_diagnostics(system, Q0)
-    if lateral_rows is not None:
-        diag["max_lateral_com_speed"] = float(np.max(np.abs(lateral_rows @ alpha)))
-    return GaitSolution(params=system.params, timing=system.timing,
-                        scenario=spec.tag, v_des=v_des, d_sign=d_sign,
-                        alpha=alpha, basis=V, Q0=Q0, diagnostics=diag)
-
-
 def minimal_torque_gaits(H_stride: np.ndarray, v_des: float,
                          T_stride: np.ndarray) -> tuple[np.ndarray, list]:
     """The minimal-torque gaits of k strides of one body at once, on support
@@ -460,8 +434,9 @@ def minimal_torque_gaits(H_stride: np.ndarray, v_des: float,
     error its gait fails with, `NullSpaceDimensionError` or
     `InfeasibleConstraintsError` (that stride's Q0 is then meaningless).
     `synthesize_gait` with the default scenario and side gives the same
-    gait, one stride at a time: the stacked R0 (k, 8, 15) takes one batched
-    SVD for its null bases (k, 23, 7), and the programs two more (`_eqp`)."""
+    gait to roundoff, one stride at a time: the stacked R0 (k, 8, 15)
+    takes one batched SVD for its null bases (k, 23, 7), and the programs
+    two more (`_eqp`)."""
     R0 = (_R_START + _R_END @ H_stride)[:, :, R0_COLS]
     V, found = _null_spaces(R0, R0_COLS, 7)
     blocks = _gait_blocks(V, v_des, T_stride, ScenarioSpec(tag="minimal-torque"), 1.0)
@@ -477,7 +452,9 @@ def minimal_torque_gaits(H_stride: np.ndarray, v_des: float,
 def synthesize_gait(params: BodyParams, timing: StrideTiming, v_des: float,
                     spec: ScenarioSpec | str | None = None,
                     d_sign: float = 1.0, foot_length: float = 0.24) -> GaitSolution:
-    """End-to-end gait synthesis for one scenario at one speed and timing."""
+    """End-to-end gait synthesis for one scenario at one speed and timing:
+    the scenario's equality-constrained QP over the coefficients of the R0
+    null-space basis (`null_basis`) of its model's periodicity system."""
     if not np.isfinite(v_des):
         raise ValueError(f"v_des must be finite, got {v_des!r}")
     if d_sign not in (-1.0, 1.0):
@@ -486,6 +463,20 @@ def synthesize_gait(params: BodyParams, timing: StrideTiming, v_des: float,
         spec = ScenarioSpec(tag="minimal-torque")
     elif isinstance(spec, str):
         spec = scenario(spec, params=params, foot_length=foot_length)
-    model_params, model_timing = scenario_model(params, timing, spec)
-    system = build_periodicity(model_params, model_timing)
-    return solve_gait(null_basis(system, "R0"), system, v_des, spec, d_sign=d_sign)
+    params, timing = scenario_model(params, timing, spec)
+    system = build_periodicity(params, timing)
+    V = null_basis(system, "R0")
+    if spec.lateral_velocity_objective:
+        ts = np.linspace(0.0, timing.T_stride, OBJECTIVE_SAMPLES)
+        G = com_velocity_matrix(params)[1] @ system.maps.states(V, ts)
+    else:
+        G = _SEL.S_U @ V
+    alpha = solve_eqp(G, _gait_blocks(V, v_des, timing.T_stride, spec, d_sign))
+    Q0 = V @ alpha
+    Q0[ID_SIDE] = d_sign  # the support-side row holds only to a few ulps
+    diag = _gait_diagnostics(system.maps, Q0)
+    if spec.lateral_velocity_objective:
+        diag["max_lateral_com_speed"] = float(np.max(np.abs(G @ alpha)))
+    return GaitSolution(params=params, timing=timing, scenario=spec.tag,
+                        v_des=v_des, d_sign=d_sign, alpha=alpha, Q0=Q0,
+                        diagnostics=diag)

@@ -390,9 +390,7 @@ class StrideMaps:
         its start state, Q0 in double support and H_ds_end Q0 in single
         support (`_increments`): no map is formed.
         """
-        Q0 = np.asarray(Q0, dtype=float)
-        if Q0.shape[:1] != (Q_DIM,):
-            raise ValueError(f"need Q0 of shape (23,) or (23, k), got {Q0.shape}")
+        Q0 = _start_states(Q0)
         ts = np.asarray(ts, dtype=float)
         T_ds, T = self.timing.T_ds, self.timing.T_stride
         for bad, what in ((~((ts >= -1e-12) & (ts <= T + 1e-9)), f"outside [0, {T}]"),
@@ -409,6 +407,18 @@ class StrideMaps:
                 run[:] = x
                 run[..., pm.template.rows] += _increments(pm.template, phi, x[None])[0]
         return out.transpose(0, 2, 1).reshape((len(ts),) + Q0.shape)
+
+
+def _start_states(Q0: np.ndarray) -> np.ndarray:
+    """Q0 (23,) or (23, k) as floats, refusing its first non-finite entry."""
+    Q0 = np.asarray(Q0, dtype=float)
+    if Q0.shape[:1] != (Q_DIM,):
+        raise ValueError(f"need Q0 of shape (23,) or (23, k), got {Q0.shape}")
+    rows = Q0.reshape(Q_DIM, -1)
+    if not np.all(np.isfinite(rows)):
+        i, j = np.argwhere(~np.isfinite(rows))[0]
+        raise ValueError(f"Q0 entry {i} ({Q_NAMES[i]}) must be finite, got {rows[i, j]}")
+    return Q0
 
 
 @lru_cache(maxsize=256)
@@ -435,7 +445,7 @@ def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     if push.t_on + push.duration > timing.T_stride + 1e-12:
         raise ValueError("push interval extends beyond the stride")
     maps = stride_maps(params, timing)
-    Q = np.asarray(Q0, dtype=float).copy()
+    Q = _start_states(Q0).copy()
     base_w = Q[W_SLICE].copy()
     t1 = push.t_on
     t2 = push.t_on + push.duration

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from linwalk.gaits import (
-    GaitSolution, M_MAT, NullSpaceDimensionError, O_MAT, T_MAT, synthesize_gait,
+    GaitSolution, M_MAT, NullSpaceDimensionError, O_MAT, T_MAT, build_periodicity,
+    null_basis, synthesize_gait,
 )
 from linwalk.layout import selection_matrices
 from linwalk.model import (
@@ -96,15 +97,13 @@ def test_com_velocity_matches_finite_differences(adult, gait):
 def test_constant_kinetic_energy_gives_zero_work(adult):
     """Degenerate check: a motionless stride does no CoM work."""
     frozen = GaitSolution(params=adult, timing=SIIIC, scenario="x", v_des=1.0,
-                          d_sign=1.0, alpha=np.zeros(7),
-                          basis=np.zeros((23, 7)), Q0=np.zeros(23))
+                          d_sign=1.0, alpha=np.zeros(7), Q0=np.zeros(23))
     assert com_work_per_distance(frozen) == 0.0
 
 
 def test_work_rejects_zero_speed(adult, gait):
     still = GaitSolution(params=adult, timing=SIIIC, scenario="x", v_des=0.0,
-                         d_sign=1.0, alpha=gait.alpha, basis=gait.basis,
-                         Q0=gait.Q0)
+                         d_sign=1.0, alpha=gait.alpha, Q0=gait.Q0)
     with pytest.raises(ValueError):
         com_work_per_distance(still)
 
@@ -490,10 +489,11 @@ def test_propagate_states_straddling_phase_boundary_matches_maps(gait):
         ref = maps.H(t) @ gait.Q0
         assert np.max(np.abs(Q - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the 23 x 7 null-space basis block steps the same way
-    blocks = maps.states(gait.basis, ts)
-    assert blocks.shape == (len(ts),) + gait.basis.shape
+    V = null_basis(build_periodicity(gait.params, gait.timing))
+    blocks = maps.states(V, ts)
+    assert blocks.shape == (len(ts),) + V.shape
     for t, B in zip(ts, blocks):
-        ref = maps.H(t) @ gait.basis
+        ref = maps.H(t) @ V
         assert np.max(np.abs(B - ref)) <= 1e-12 * np.max(np.abs(ref))
     # long uniform runs, many samples to a piece, stay exact too
     ts = sample_times(gait.timing, 2000)
@@ -524,8 +524,8 @@ def test_propagate_states_matches_maps_on_random_bodies(base):
                 sample_times(g.timing, 23), rng.uniform(0.0, T, 6),
                 [0.0, 0.5 * T_ds, 0.5 * T_ds, T_ds, T_ds, T, T]]))
             maps = stride_maps(g.params, g.timing)
-            for Q0, states in ((g.Q0, propagate_states(g, ts)),
-                               (g.basis, maps.states(g.basis, ts))):
+            V = null_basis(build_periodicity(g.params, g.timing))
+            for Q0, states in ((g.Q0, propagate_states(g, ts)), (V, maps.states(V, ts))):
                 assert states.shape == (len(ts),) + Q0.shape
                 for t, Q in zip(ts, states):
                     ref = maps.H(t) @ Q0
@@ -600,10 +600,11 @@ def test_propagation_takes_no_exponential(gait, count_expm, n):
     from linwalk.analysis import propagate_states, sample_times
     from linwalk.transition import stride_maps
     maps = stride_maps(gait.params, gait.timing)
+    V = null_basis(build_periodicity(gait.params, gait.timing))
     count_expm.clear()
     ts = sample_times(gait.timing, n)
     propagate_states(gait, ts)
-    maps.states(gait.basis, ts)
+    maps.states(V, ts)
     assert len(count_expm) == 0
 
 
@@ -707,14 +708,15 @@ def test_turning_points_isolate_two_roots_in_one_piece():
     """A piece whose Bernstein coefficients change sign twice yields both of
     its roots, from the fallback for two or more changes; a double change
     without a real root yields none, and a single change is solved by the
-    certified Newton iteration."""
+    certified Newton iteration.  The pieces are low-degree polynomials
+    written at the degree of dKE/ds on a flow piece, 33."""
     from numpy.polynomial import polynomial as P
-    from linwalk.analysis import _bernstein, _turning_points
-    a = np.zeros((3, 4))
+    from linwalk.analysis import _BERNSTEIN, _turning_points
+    a = np.zeros((3, 34))
     a[0, :3] = P.polyfromroots([0.3, 0.6])           # two roots in one piece
-    a[1, :3] = [0.26, -1.0, 1.0]                     # (s - 1/2)^2 + 0.01
-    a[2] = P.polyfromroots([0.7, 2.0, -1.5])
-    b = a @ _bernstein(3).T
+    a[1, :3] = [0.251, -1.0, 1.0]                    # (s - 1/2)^2 + 0.001
+    a[2, :4] = P.polyfromroots([0.7, 2.0, -1.5])
+    b = a @ _BERNSTEIN.T
     assert [np.count_nonzero(np.diff(np.sign(row))) for row in b] == [2, 2, 1]
     rows, s = _turning_points(a)
     assert np.all((s > 0.0) & (s < 1.0))

@@ -57,7 +57,6 @@ def test_hand_built_mirror_pair_has_zero_residual():
 
 def test_system_shapes(adult, timing):
     system = build_periodicity(adult, timing)
-    assert system.R_full.shape == (8, 23)
     assert system.R0.shape == (8, 15)
     assert system.R1.shape == (8, 7)
     assert len(R0_COLS) == 15 and len(R1_COLS) == 7
@@ -65,10 +64,10 @@ def test_system_shapes(adult, timing):
 
 @pytest.mark.parametrize("base", ["adult", "kid"])
 def test_periodicity_rows_match_two_product_form(base):
-    """R_full is the symmetry rows -M S_XP + O M T S_XP H over the
+    """R0 and R1, and the sagittal block of the relax minor, are column
+    reads of the symmetry rows -M S_XP + O M T S_XP H over the
     foot-velocity rows S_Xdot2 H, bit for bit, on random bodies at short
-    and human double-support shares; R0, R1 and the sagittal block of the
-    relax minor are column reads of it."""
+    and human double-support shares."""
     sel = selection_matrices()
     rng = np.random.default_rng(72)
     base = default_params(base)
@@ -82,8 +81,7 @@ def test_periodicity_rows_match_two_product_form(base):
             H = system.maps.H_stride
             ref = np.vstack([-M_MAT @ sel.S_XP + O_MAT @ M_MAT @ T_MAT @ sel.S_XP @ H,
                              sel.S_Xdot2 @ H])
-            assert np.array_equal(system.R_full, ref), ratio
-            assert np.array_equal(system.R0, ref[:, list(R0_COLS)])
+            assert np.array_equal(system.R0, ref[:, list(R0_COLS)]), ratio
             assert np.array_equal(system.R1, ref[:, list(R1_COLS)])
             # symmetry rows 1/3/5 and the sagittal foot-velocity row
             # against the X2x, X1x and vX1x columns
@@ -602,14 +600,73 @@ def test_unknown_scenario_rejected(adult):
 
 
 def test_gait_record_roundtrip(adult, timing):
-    """A record reads back as the gait that was written, its basis rebuilt
-    from the model's params and timing, in every scenario."""
+    """A record reads back as the gait that was written, bit for bit, in
+    every scenario."""
     for tag in SCENARIOS:
         gait = synthesize_gait(adult, timing, 1.0, tag)
         back = GaitSolution.from_record(gait.to_record())
         assert back.scenario == gait.scenario
         assert back.timing == gait.timing
-        assert np.allclose(back.Q0, gait.Q0)
-        assert np.allclose(back.alpha, gait.alpha)
         assert back.params == gait.params
-        assert np.array_equal(back.basis, gait.basis), tag
+        assert (back.v_des, back.d_sign) == (gait.v_des, gait.d_sign)
+        assert np.array_equal(back.Q0, gait.Q0), tag
+        assert np.array_equal(back.alpha, gait.alpha), tag
+        assert back.diagnostics == gait.diagnostics
+
+
+def test_gait_record_reads_back_without_maps(adult, timing, monkeypatch):
+    """Reading a record only parses it: no stride map is looked up and no
+    periodicity system or null basis is built."""
+    text = synthesize_gait(adult, timing, 1.0, "stage-walk").to_record()
+    built = []
+    for name in ("build_periodicity", "null_basis", "stride_maps"):
+        monkeypatch.setattr(gaits, name, lambda *args, name=name: built.append(name))
+    lookups = stride_maps.cache_info()
+    GaitSolution.from_record(text)
+    assert built == [] and stride_maps.cache_info() == lookups
+
+
+@pytest.mark.parametrize("key, value", [
+    ("Q0", [0.0] * 5), ("Q0", [0.0] * 22 + [np.nan]), ("Q0", "X2x"),
+    ("alpha", [0.0] * 8), ("alpha", [np.inf] + [0.0] * 6),
+    ("v_des", np.nan), ("v_des", [1.0]), ("v_des", "fast"), ("v_des", True),
+    ("d_sign", 0.0), ("d_sign", -0.5), ("scenario", "moonwalk"),
+])
+def test_gait_record_refuses_a_field_no_gait_has(adult, timing, key, value):
+    """A record whose Q0 or alpha is not 23 or 7 finite numbers, whose
+    v_des is not finite, whose side is not -1 or +1 or whose scenario is
+    unknown is refused by the field's name."""
+    import json
+    record = json.loads(synthesize_gait(adult, timing, 1.0).to_record())
+    record[key] = value
+    with pytest.raises(ValueError, match=f"record {key} must"):
+        GaitSolution.from_record(json.dumps(record))
+
+
+@pytest.mark.parametrize("policy", [TdsPolicy("human"), TdsPolicy("fixed", 0.1)])
+def test_sweep_row_gaits_match_synthesized(adult, kid, policy):
+    """The sweep's stacked minimal-torque gaits, on `phase_ends` maps, and
+    `synthesize_gait` on each cell's stride map are the same gaits: Q0 to
+    1e-12 of its largest entry and the row's economy to 1e-12 relative of
+    1 / `com_work_per_distance`, on 10 seeded adult and kid bodies."""
+    from linwalk.analysis import com_work_per_distance, economy_surface
+    from linwalk.dynamics import DOUBLE
+    from linwalk.transition import phase_ends
+    rng = np.random.default_rng(28)
+    for k in range(10):
+        base = (adult, kid)[k % 2]
+        body = scaled_body(base, base.total_mass * rng.uniform(0.75, 1.25),
+                           rng.uniform(0.85, 1.15))
+        speed = float(rng.uniform(0.8, 2.0))
+        freqs = np.sort(rng.uniform(1.0, 2.5, 6))
+        ratio = policy.ratio_at(speed)
+        T = 1.0 / freqs
+        T_ds, T_ss = ratio * T, (1.0 - ratio) * T
+        H = phase_ends(body, SINGLE, T_ss) @ phase_ends(body, DOUBLE, T_ds)
+        Q0, errors = gaits.minimal_torque_gaits(H, speed, T_ds + T_ss)
+        economy = economy_surface(body, [speed], freqs, policy).economy[0]
+        assert errors == [None] * len(freqs) and np.all(np.isfinite(economy))
+        for j in range(len(freqs)):
+            gait = synthesize_gait(body, StrideTiming(T_ds[j], T_ss[j]), speed)
+            assert np.max(np.abs(Q0[j] - gait.Q0)) <= 1e-12 * np.max(np.abs(gait.Q0))
+            assert abs(economy[j] * com_work_per_distance(gait) - 1.0) <= 1e-12

@@ -13,12 +13,13 @@ from conftest import (
 from linwalk.dynamics import DOUBLE, SINGLE, PhaseODE
 from linwalk.layout import Q_DIM, Q_NAMES, selection_matrices
 from linwalk.model import (
-    BodyParams, DegenerateModelError, StrideTiming, default_params, scaled_body,
+    BodyParams, DegenerateModelError, Push, StrideTiming, default_params, scaled_body,
 )
 from linwalk.oracle import integrate_batch
 from linwalk.transition import (
     ControlDegeneracyError, PhaseMap, _map_template, constrain_foot_velocity,
-    dump_stride_maps, expm, flow_pieces, phase_ends, phase_template, stride_maps,
+    dump_stride_maps, expm, flow_pieces, phase_ends, phase_template, push_end_state,
+    stride_maps,
 )
 
 
@@ -361,6 +362,7 @@ def test_shared_arrays_are_read_only(adult, timing):
     templates can be held by many callers, the selectors by every
     periodicity system and gait program, and the module-level index and
     matrix constants by every call that reads them."""
+    import linwalk.analysis as analysis
     import linwalk.dynamics as dynamics
     import linwalk.gaits as gaits
     import linwalk.transition as transition
@@ -372,7 +374,8 @@ def test_shared_arrays_are_read_only(adult, timing):
         arrays += [getattr(pm.template, f.name) for f in dataclasses.fields(pm.template)]
     arrays += [gaits.M_MAT, gaits.O_MAT, gaits.T_MAT, *gaits._SAG,
                transition._AXIS_COLS, transition._DEGREES, dynamics._V_COLS,
-               dynamics._OTHER_COLS, dynamics._KEPT_ROWS, dynamics._ELIM_ROWS]
+               dynamics._OTHER_COLS, dynamics._KEPT_ROWS, dynamics._ELIM_ROWS,
+               analysis._BERNSTEIN]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
@@ -502,6 +505,23 @@ def test_states_reject_rows_and_take_one_phase_alone(adult, timing):
                 ref = maps.H(t) @ Q0
                 assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref)), t
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_state_refused_by_entry(adult, timing, bad):
+    """A non-finite entry of Q0 is refused by name, by the states of one
+    state or a block and by the push end state, as the oracle refuses it,
+    rather than carried into NaN states; the finite state beside it in a
+    block does not hide it."""
+    maps = stride_maps(adult, timing)
+    good, Q0 = random_states(2, seed=71)
+    Q0[3] = bad
+    name = re.escape(f"Q0 entry 3 ({Q_NAMES[3]}) must be finite, got {bad}")
+    for call in (lambda: maps.states(Q0, np.array([0.1, 0.5])),
+                 lambda: maps.states(np.column_stack([good, Q0]), np.array([0.1])),
+                 lambda: push_end_state(adult, timing, Q0, Push(0.1, 0.2, (5.0, 0.0, 0.0, 0.0)))):
+        with pytest.raises(ValueError, match=name):
+            call()
 
 def test_dump_stride_maps(adult, timing, tmp_path):
     import json
