@@ -10,7 +10,6 @@ map.  A cell that fails keeps the class name of its error as its reason.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -408,10 +407,10 @@ def peak_line(grid: EconomyGrid) -> list[PeakPoint]:
     cell) are flagged as boundary points, and a speed with no feasible cell
     gets a boundary point at frequency NaN.
     """
-    peaks = []
+    peaks, feasible = [], grid.feasible
     for i, v in enumerate(grid.speeds):
         row = grid.economy[i]
-        ok = grid.feasible[i]
+        ok = feasible[i]
         # a row with no feasible cell peaks at its (infeasible) first cell
         j = int(np.argmax(np.where(ok, row, -np.inf)))
         interior = 0 < j < len(row) - 1 and ok[j - 1] and ok[j + 1]
@@ -429,42 +428,36 @@ def peak_line(grid: EconomyGrid) -> list[PeakPoint]:
     return peaks
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def write_table(path: str | Path, header: str, columns) -> None:
+    """Write `header` and one CSV row per entry of the equal-shape `columns`
+    (in row-major order), string columns as they are and the others with
+    17 significant digits (bools as 0 and 1), through one row format;
+    every line ends in CRLF."""
+    columns = [np.ravel(c) for c in columns]
+    row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in columns) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(row % r for r in zip(*(c.tolist() for c in columns), strict=True))
 
 
 TRAJECTORY_HEADER = ("t,X2x,X2y,X1x,X1y,vX2x,vX2y,vX1x,vX1y,comx,comy,"
                      "comvx,comvy,grf3z,grf2z,tau2y,tau2x,M3y,M3x,tau1y,tau1x")
-# one trajectory row, formatted as `_fmt` formats a cell; CRLF ends it, as
-# the csv module ends the rows of the other CSV files
-_TRAJECTORY_ROW = ",".join(["%.17g"] * len(TRAJECTORY_HEADER.split(","))) + "\r\n"
 
 
 def write_trajectory_csv(path: str | Path, traj: TrajectorySample) -> None:
     F = traj.forces
-    block = np.column_stack([
-        traj.t, traj.Q[:, 0:8], traj.com_pos, traj.com_vel,
+    write_table(path, TRAJECTORY_HEADER, [
+        traj.t, *traj.Q[:, 0:8].T, *traj.com_pos.T, *traj.com_vel.T,
         F.F3[:, 2], F.F2[:, 2], F.tau2[:, 1], F.tau2[:, 0],
         F.M3[:, 1], F.M3[:, 0], F.tau1[:, 1], F.tau1[:, 0]])
-    with open(path, "w", newline="") as fh:
-        fh.write(TRAJECTORY_HEADER + "\r\n")
-        fh.writelines(_TRAJECTORY_ROW % tuple(row) for row in block.tolist())
 
 
 def write_economy_csv(path: str | Path, grid: EconomyGrid) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["speed", "frequency", "tds_ratio", "economy", "feasible", "reason"])
-        for i, v in enumerate(grid.speeds):
-            for j, f in enumerate(grid.frequencies):
-                out.writerow([_fmt(v), _fmt(f), _fmt(grid.tds_ratio[i, j]),
-                              _fmt(grid.economy[i, j]),
-                              "1" if grid.feasible[i, j] else "0", grid.reason[i, j]])
+    speed, frequency = np.meshgrid(grid.speeds, grid.frequencies, indexing="ij")
+    write_table(path, "speed,frequency,tds_ratio,economy,feasible,reason",
+                [speed, frequency, grid.tds_ratio, grid.economy, grid.feasible, grid.reason])
 
 
 def write_peaks_csv(path: str | Path, peaks: list[PeakPoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["speed", "frequency", "boundary"])
-        for p in peaks:
-            out.writerow([_fmt(p.speed), _fmt(p.frequency), "1" if p.boundary else "0"])
+    write_table(path, "speed,frequency,boundary",
+                zip(*((p.speed, p.frequency, p.boundary) for p in peaks)))

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    _fmt, economy_surface, parse_tds_policy, peak_line, sample_trajectory,
-    usable_cpus, write_economy_csv, write_peaks_csv, write_trajectory_csv,
+    economy_surface, parse_tds_policy, peak_line, sample_trajectory, usable_cpus,
+    write_economy_csv, write_peaks_csv, write_table, write_trajectory_csv,
 )
 from .gaits import (
     InfeasibleConstraintsError, NoRelaxTimeError, NullSpaceDimensionError,
@@ -80,18 +80,19 @@ def _parse_range(text: str, what: str, positive: bool) -> np.ndarray:
     return values
 
 
-def _number(what: str, positive: bool = False):
-    """argparse type: a finite float, and a positive one if `positive`."""
+def _number(what: str, sign: str = ""):
+    """argparse type: a finite float, and a "positive" or "non-negative" one
+    if `sign` says so."""
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = float("nan")
-        if np.isfinite(value) and (value > 0.0 or not positive):
+        if np.isfinite(value) and (not sign or value > 0.0
+                                   or value == 0.0 and sign == "non-negative"):
             return value
         raise argparse.ArgumentTypeError(
-            f"bad {what} {text!r}: expected a finite"
-            f"{' positive' if positive else ''} number")
+            f"bad {what} {text!r}: expected a finite{' ' + sign if sign else ''} number")
     return parse
 
 
@@ -173,10 +174,7 @@ def cmd_relax(cfg: LoadedConfig, args, outdir: Path):
     sv = singular_spectrum(system, "R1")
 
     scan_path = outdir / "relax_scan.csv"
-    with open(scan_path, "w") as fh:
-        fh.write("T_stride," + ",".join(f"sv{i}" for i in range(1, 8)) + "\n")
-        for row in scan:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    write_table(scan_path, "T_stride," + ",".join(f"sv{i}" for i in range(1, 8)), scan.T)
 
     print(f"T_relax = {T_relax:.6f} s (T_ds = {cfg.T_ds:g}, "
           f"T_ss = {T_relax - cfg.T_ds:.6f})")
@@ -201,10 +199,10 @@ def cmd_gait(cfg: LoadedConfig, args, outdir: Path):
     sol_path.write_text(gait.to_record())
     res_path = outdir / "residuals.txt"
     lines = [f"scenario: {gait.scenario}",
-             f"v_des: {_fmt(gait.v_des)}",
-             f"T_ds: {_fmt(gait.timing.T_ds)}",
-             f"T_ss: {_fmt(gait.timing.T_ss)}"]
-    lines += [f"{k}: {_fmt(v)}" for k, v in sorted(gait.diagnostics.items())]
+             f"v_des: {gait.v_des:.17g}",
+             f"T_ds: {gait.timing.T_ds:.17g}",
+             f"T_ss: {gait.timing.T_ss:.17g}"]
+    lines += [f"{k}: {v:.17g}" for k, v in sorted(gait.diagnostics.items())]
     res_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     flags = {"scenario": args.scenario, "speed": args.speed,
@@ -266,11 +264,11 @@ def cmd_validate(cfg: LoadedConfig, args, outdir: Path):
         results[label] = float(np.max(np.abs(ends - Q0 @ H.T)))
 
     lines = [f"trials: {args.trials}", f"seed: {args.seed}",
-             f"step: {_fmt(args.step)}"]
-    lines += [f"max discrepancy {k}: {_fmt(v)}" for k, v in results.items()]
+             f"step: {args.step:.17g}"]
+    lines += [f"max discrepancy {k}: {v:.17g}" for k, v in results.items()]
     worst = max(results.values())
     verdict = "PASS" if worst <= _VALIDATE_TOL else "FAIL"
-    lines.append(f"verdict: {verdict} (tolerance {_fmt(_VALIDATE_TOL)})")
+    lines.append(f"verdict: {verdict} (tolerance {_VALIDATE_TOL:.17g})")
     report = "\n".join(lines) + "\n"
     report_path = outdir / "validate_report.txt"
     report_path.write_text(report)
@@ -301,20 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relax", help="find the torque-free stride time")
     common(p, "out_relax")
-    p.add_argument("--bracket-lo", type=_number("bracket end", positive=True),
-                   default=0.4)
-    p.add_argument("--bracket-hi", type=_number("bracket end", positive=True),
-                   default=1.5)
+    p.add_argument("--bracket-lo", type=_number("bracket end", "positive"), default=0.4)
+    p.add_argument("--bracket-hi", type=_number("bracket end", "positive"), default=1.5)
     p.set_defaults(func=cmd_relax)
 
     p = sub.add_parser("gait", help="synthesize one periodic gait")
     common(p, "out_gait")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--speed", type=_number("speed"), required=True, help="m/s")
-    p.add_argument("--freq", type=_number("frequency", positive=True),
-                   default=None, help="steps/s")
+    p.add_argument("--freq", type=_number("frequency", "positive"), default=None, help="steps/s")
     p.add_argument("--tds-policy", type=_tds_policy, help="human or fixed:R")
-    p.add_argument("--foot-length", type=_number("foot length"), default=0.24)
+    p.add_argument("--foot-length", type=_number("foot length", "non-negative"), default=0.24)
     p.add_argument("--samples", type=_count("sample count", 2, _MAX_COUNT), default=401)
     p.set_defaults(func=cmd_gait)
 
@@ -333,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "out_validate")
     p.add_argument("--seed", type=_count("seed", 0), default=0)
     p.add_argument("--trials", type=_count("trial count", 1, _MAX_COUNT), default=100)
-    p.add_argument("--step", type=_number("RK4 step", positive=True),
-                   default=1e-5)
+    p.add_argument("--step", type=_number("RK4 step", "positive"), default=1e-5)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("maps", help="dump stride transition matrices as JSON")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -322,21 +322,28 @@ class GaitSolution:
 
     @staticmethod
     def from_record(text: str) -> "GaitSolution":
-        """The gait a `to_record` text holds; a field no gait has is refused
-        by name."""
+        """The gait a `to_record` text holds; a field no gait has, or none,
+        is refused by name."""
         data = json.loads(text)
-        for key, ok, what in (("scenario", data["scenario"] in SCENARIOS, f"one of {SCENARIOS}"),
-                              ("d_sign", data["d_sign"] in (-1.0, 1.0), "-1 or +1"),
-                              ("v_des", _finite(data["v_des"]), "a finite number"),
-                              ("Q0", _finite(data["Q0"], Q_DIM), "23 finite numbers"),
-                              ("alpha", _finite(data["alpha"], 7), "7 finite numbers")):
+        timing, params = data.get("timing"), data.get("params")
+        names = [f.name for f in fields(BodyParams)]
+        for key, ok, what in (
+                ("scenario", data.get("scenario") in SCENARIOS, f"one of {SCENARIOS}"),
+                ("d_sign", _finite(data.get("d_sign")) and abs(data["d_sign"]) == 1.0, "-1 or +1"),
+                ("v_des", _finite(data.get("v_des")), "a finite number"),
+                ("Q0", _finite(data.get("Q0"), Q_DIM), "23 finite numbers"),
+                ("alpha", _finite(data.get("alpha"), 7), "7 finite numbers"),
+                ("timing", isinstance(timing, dict) and _finite(timing.get("T_ds"))
+                 and _finite(timing.get("T_ss")), "finite T_ds and T_ss"),
+                ("params", isinstance(params, dict) and sorted(params) == sorted(names)
+                 and all(map(_finite, params.values())), f"finite {', '.join(names)}")):
             if not ok:
-                raise ValueError(f"record {key} must be {what}, got {data[key]!r}")
-        return GaitSolution(params=BodyParams(**data["params"]),
-                            timing=StrideTiming(data["timing"]["T_ds"], data["timing"]["T_ss"]),
+                raise ValueError(f"record {key} must be {what}, got {data.get(key)!r}")
+        return GaitSolution(params=BodyParams(**params),
+                            timing=StrideTiming(timing["T_ds"], timing["T_ss"]),
                             scenario=data["scenario"], v_des=data["v_des"],
                             d_sign=data["d_sign"], alpha=np.array(data["alpha"]),
-                            Q0=np.array(data["Q0"]), diagnostics=data["diagnostics"])
+                            Q0=np.array(data["Q0"]), diagnostics=data.get("diagnostics", {}))
 
 
 def _finite(value, n: int | None = None) -> bool:

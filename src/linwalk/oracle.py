@@ -302,7 +302,7 @@ def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     """RK4 trajectory over one full stride with optional scheduled pushes.
 
     The march is split at the phase boundary and at every push edge, so
-    each RK4 segment sees constant forcing (pushes must not overlap).
+    each RK4 segment sees constant forcing; pushes that overlap are refused.
     """
     config = config or OracleConfig()
     if config.step > min(timing.T_ds, timing.T_ss) / 100.0:
@@ -310,9 +310,12 @@ def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     Q0 = np.asarray(Q0, dtype=float)
     if not np.all(np.isfinite(Q0)):
         raise ValueError("initial state must be finite")
-    for p in config.pushes:
+    for i, p in enumerate(config.pushes):
         if p.t_on + p.duration > timing.T_stride + 1e-12:
             raise ValueError("push interval extends beyond the stride")
+        for q in config.pushes[:i]:      # pushes that only touch are allowed
+            if max(p.t_on, q.t_on) < min(p.t_on + p.duration, q.t_on + q.duration) - 1e-15:
+                raise ValueError(f"pushes {q} and {p} overlap")
 
     base_w = Q0[W_SLICE].copy()
 
@@ -323,9 +326,7 @@ def integrate(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
         return base_w
 
     cuts = {0.0, timing.T_ds, timing.T_stride}
-    for p in config.pushes:
-        cuts.add(p.t_on)
-        cuts.add(p.t_on + p.duration)
+    cuts.update(t for p in config.pushes for t in (p.t_on, p.t_on + p.duration))
     edges = sorted(t for t in cuts if 0.0 <= t <= timing.T_stride + 1e-12)
 
     times, states = [np.zeros(1)], [Q0[None, :]]

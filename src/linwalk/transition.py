@@ -436,11 +436,11 @@ def stride_maps(params: BodyParams, timing: StrideTiming) -> StrideMaps:
 
 def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
                    push: Push) -> np.ndarray:
-    """Stride end state under one push, by piecewise map composition.
+    """Stride end state of Q0 (23,), or of each column of Q0 (23, k), under one push.
 
-    The disturbance columns are constant within each segment, so the exact
-    closed-form flows carry the state to the push onset, across the pushed
-    window with the wrench substituted, and on to the stride end.
+    The disturbance columns are constant within each segment, so composing
+    the exact closed-form flows carries the state to the push onset, across
+    the pushed window with the wrench substituted, and on to the stride end.
     """
     if push.t_on + push.duration > timing.T_stride + 1e-12:
         raise ValueError("push interval extends beyond the stride")
@@ -451,7 +451,7 @@ def push_end_state(params: BodyParams, timing: StrideTiming, Q0: np.ndarray,
     t2 = push.t_on + push.duration
     if t1 > 0.0:
         Q = maps.flow(0.0, t1) @ Q
-    Q[W_SLICE] = push.wrench
+    Q.T[..., W_SLICE] = push.wrench           # one wrench per state (column)
     if t2 > t1:
         Q = maps.flow(t1, t2) @ Q
     Q[W_SLICE] = base_w

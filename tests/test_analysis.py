@@ -20,7 +20,7 @@ from linwalk.model import (
 from linwalk.analysis import (
     EconomyGrid, TdsPolicy, com_work_per_distance, economy_cell,
     economy_surface, parse_tds_policy, peak_line, sample_trajectory,
-    usable_cpus, write_economy_csv, write_peaks_csv, write_trajectory_csv,
+    usable_cpus, write_economy_csv, write_peaks_csv, write_table, write_trajectory_csv,
     TRAJECTORY_HEADER, _pool_map,
 )
 from linwalk.transition import StrideMaps
@@ -432,6 +432,63 @@ def test_trajectory_csv_matches_csv_module_rows(tmp_path, adult):
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, samples)
         assert path.read_bytes() == ref.read_bytes(), tag
+
+
+def _hand_grid() -> EconomyGrid:
+    """A 2 x 3 grid with one feasible cell of each kind of value and two
+    infeasible ones, one of whose rows has no feasible cell."""
+    return EconomyGrid(
+        speeds=np.array([0.1, 1.5]), frequencies=np.array([1.7, 1.9, 2.0 / 3.0]),
+        economy=np.array([[np.nan, np.nan, np.nan], [1.0, 2.5e-17, -0.0]]),
+        tds_ratio=np.array([[0.2] * 3, [1.0 / 3.0] * 3]),
+        reason=np.array([["TdsRatioError"] * 2 + ["NonPositiveWorkError"], [""] * 3]))
+
+
+def test_economy_and_peaks_csv_match_csv_module_rows(tmp_path):
+    """The economy and peaks writers write the bytes the csv module wrote
+    from one %.17g cell at a time: reasons, nan and -0 included."""
+    import csv
+    grid = _hand_grid()
+    peaks = peak_line(grid)
+    ref = tmp_path / "ref.csv"
+    for write, header, rows in (
+            (write_economy_csv, ["speed", "frequency", "tds_ratio", "economy", "feasible", "reason"],
+             [[format(v, ".17g"), format(f, ".17g"), format(grid.tds_ratio[i, j], ".17g"),
+               format(grid.economy[i, j], ".17g"), "01"[bool(grid.reason[i, j] == "")],
+               grid.reason[i, j]]
+              for i, v in enumerate(grid.speeds) for j, f in enumerate(grid.frequencies)]),
+            (lambda path, _: write_peaks_csv(path, peaks), ["speed", "frequency", "boundary"],
+             [[format(p.speed, ".17g"), format(p.frequency, ".17g"), "01"[p.boundary]]
+              for p in peaks])):
+        with open(ref, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        path = tmp_path / "out.csv"
+        write(path, grid)
+        assert path.read_bytes() == ref.read_bytes(), header
+
+
+def test_writing_an_economy_grid_reads_the_feasible_mask_once(tmp_path, monkeypatch):
+    """`EconomyGrid.feasible` rebuilds its mask on every read: the economy
+    writer and the peak line read it once, not once per cell or row."""
+    grid = _hand_grid()
+    reads = []
+    mask = EconomyGrid.feasible.fget
+    monkeypatch.setattr(EconomyGrid, "feasible",
+                        property(lambda self: reads.append(1) or mask(self)))
+    write_economy_csv(tmp_path / "econ.csv", grid)
+    assert len(reads) == 1
+    peak_line(grid)
+    assert len(reads) == 2
+
+
+def test_table_writer_flattens_columns_and_refuses_a_ragged_table(tmp_path):
+    """Columns of one shape are read in row-major order; columns of unequal
+    size are refused rather than written short."""
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_table(path, "a,b", [[1.0, 2.0], [3.0]])
+    write_table(path, "a,b,c", [[[0.1], [2.0]], [["x"], [""]], [[True], [False]]])
+    assert path.read_bytes() == b"a,b,c\r\n0.10000000000000001,x,1\r\n2,,0\r\n"
 
 
 def test_csv_outputs(tmp_path, gait, body66):

@@ -136,6 +136,21 @@ def test_sweep_command(adult_config, tmp_path):
     assert json.loads((out / "manifest.json").read_text())["cells"] == {"feasible": 8}
 
 
+def test_every_csv_output_ends_its_lines_in_crlf(adult_config, tmp_path):
+    """relax_scan.csv, trajectory.csv, economy.csv and peaks.csv share one
+    format: every line, header included, ends in CRLF, with no bare LF."""
+    for argv in (["relax"],
+                 ["gait", "--scenario", "stage-walk", "--speed", "1.0", "--samples", "11"],
+                 ["sweep", "--speed", "1.4", "--freq", "1.6:0.2:1.8"]):
+        assert run([*argv, "--config", adult_config, "--out", str(tmp_path / argv[0])]) == 0
+    for name in ("relax/relax_scan.csv", "gait/trajectory.csv",
+                 "sweep/economy.csv", "sweep/peaks.csv"):
+        data = (tmp_path / name).read_bytes()
+        lines = data.split(b"\r\n")
+        assert lines[-1] == b"" and len(lines) > 2, name
+        assert not any(b"\n" in line or b"\r" in line for line in lines), name
+
+
 def test_sweep_reasons_in_csv_and_manifest(adult_config, tmp_path):
     """An infeasible cell carries its error's class name in economy.csv's
     reason column, and the manifest counts the cells per reason.  At
@@ -312,6 +327,8 @@ def test_gait_non_finite_flag_exit_2(adult_config, tmp_path, capsys, flags):
     ("sweep", "--freq", "1.8", "--speed", "0"),
     ("sweep", "--freq", "1.8", "--speed", "0:0.5:1.0"),
     ("sweep", "--speed", "1.0", "--freq", "0"),
+    ("gait", "--scenario", "minimal-torque", "--speed", "1.0", "--foot-length", "-1"),
+    ("gait", "--scenario", "cop-modulated", "--speed", "1.0", "--foot-length", "-0.1"),
 ])
 def test_bad_flag_exit_2_names_flag(adult_config, tmp_path, capsys, argv):
     """Bad flags are refused at parse time, naming the flag, before any gait

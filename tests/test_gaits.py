@@ -630,7 +630,7 @@ def test_gait_record_reads_back_without_maps(adult, timing, monkeypatch):
     ("Q0", [0.0] * 5), ("Q0", [0.0] * 22 + [np.nan]), ("Q0", "X2x"),
     ("alpha", [0.0] * 8), ("alpha", [np.inf] + [0.0] * 6),
     ("v_des", np.nan), ("v_des", [1.0]), ("v_des", "fast"), ("v_des", True),
-    ("d_sign", 0.0), ("d_sign", -0.5), ("scenario", "moonwalk"),
+    ("d_sign", 0.0), ("d_sign", -0.5), ("d_sign", True), ("scenario", "moonwalk"),
 ])
 def test_gait_record_refuses_a_field_no_gait_has(adult, timing, key, value):
     """A record whose Q0 or alpha is not 23 or 7 finite numbers, whose
@@ -641,6 +641,28 @@ def test_gait_record_refuses_a_field_no_gait_has(adult, timing, key, value):
     record[key] = value
     with pytest.raises(ValueError, match=f"record {key} must"):
         GaitSolution.from_record(json.dumps(record))
+
+
+def test_gait_record_refuses_a_missing_field_or_parameter(adult, timing):
+    """A record lacking a field (its diagnostics, a report, aside), or whose
+    timing lacks a duration, or whose body parameters lack one or add an
+    unknown one, is refused by the field's name with a ValueError, not a
+    KeyError or TypeError."""
+    import json
+    text = synthesize_gait(adult, timing, 1.0).to_record()
+    record = json.loads(text)
+    del record["diagnostics"]
+    assert GaitSolution.from_record(json.dumps(record)).diagnostics == {}
+    cases = [(key, lambda r, key=key: r.pop(key)) for key in record]
+    cases += [("timing", lambda r: r["timing"].pop("T_ss")),
+              ("params", lambda r: r["params"].pop("m1")),
+              ("params", lambda r: r["params"].update(m4=1.0)),
+              ("params", lambda r: r["params"].update(g="9.81"))]
+    for key, edit in cases:
+        record = json.loads(text)
+        edit(record)
+        with pytest.raises(ValueError, match=f"record {key} must"):
+            GaitSolution.from_record(json.dumps(record))
 
 
 @pytest.mark.parametrize("policy", [TdsPolicy("human"), TdsPolicy("fixed", 0.1)])

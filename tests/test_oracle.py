@@ -404,6 +404,23 @@ def test_push_straddling_phase_boundary(adult, timing):
     assert np.max(np.abs(closed - rk4)) <= 1e-7
 
 
+def test_overlapping_pushes_refused_touching_allowed(adult, timing):
+    """Pushes that overlap are refused naming both, whatever their order,
+    rather than the first listed silently winning the overlap; pushes that
+    only touch follow each other, as two calls of the closed form do."""
+    Q0 = random_states(1, seed=56)[0]
+    a = Push(0.1, 0.2, (50.0, 0.0, 0.0, 0.0))
+    b = Push(0.2, 0.2, (0.0, 30.0, 0.0, 0.0))
+    for pushes in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="overlap") as err:
+            integrate(adult, timing, Q0, OracleConfig(step=1e-3, pushes=pushes))
+        assert str(a) in str(err.value) and str(b) in str(err.value)
+    c = Push(0.3, 0.1, (0.0, 30.0, 0.0, 0.0))     # a ends at 0.1 + 0.2, one ulp later
+    end = integrate(adult, timing, Q0, OracleConfig(step=1e-4, pushes=(a, c))).end
+    mid = integrate(adult, timing, Q0, OracleConfig(step=1e-4, pushes=(c, a))).end
+    assert np.array_equal(end, mid)
+
+
 def test_energy_bookkeeping(adult, timing):
     """Integrated force power equals the change of the masses' kinetic
     energy (gravity does no work on constant-height planes)."""

@@ -523,6 +523,20 @@ def test_non_finite_start_state_refused_by_entry(adult, timing, bad):
         with pytest.raises(ValueError, match=name):
             call()
 
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_push_end_state_of_a_block_matches_each_column(adult, timing, k):
+    """A block Q0 (23, k) takes the push wrench in every column: its end
+    states are the one-state calls' to roundoff, for k = 4 (where the
+    wrench once landed along the wrong axis) as for any other k."""
+    Q0 = random_states(k, seed=29).T
+    push = Push(0.1, 0.2, (5.0, 1.0, 2.0, 3.0))
+    block = push_end_state(adult, timing, Q0, push)
+    each = np.column_stack([push_end_state(adult, timing, q, push) for q in Q0.T])
+    assert block.shape == (23, k)
+    assert np.max(np.abs(block - each)) <= 1e-12 * np.max(np.abs(each))
+
+
 def test_dump_stride_maps(adult, timing, tmp_path):
     import json
     path = tmp_path / "maps.json"
