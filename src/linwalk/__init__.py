@@ -20,7 +20,7 @@ from .dynamics import (
 from .transition import StrideMaps, dump_stride_maps, stride_maps
 from .gaits import (
     GaitSolution, PeriodicitySystem, build_periodicity, cop_ramp_torque,
-    find_relax_time, null_basis, scenario, singular_spectrum, synthesize_gait,
+    find_relax_time, null_basis, singular_spectrum, synthesize_gait,
 )
 from .analysis import (
     EconomyGrid, TdsPolicy, com_work_per_distance, economy_surface, peak_line,
@@ -33,7 +33,7 @@ __all__ = [
     "scaled_body", "ForceSolution", "PhaseODE", "assemble_double_support",
     "assemble_single_support", "map_forces", "solve_forces", "StrideMaps", "dump_stride_maps",
     "stride_maps", "GaitSolution", "PeriodicitySystem", "build_periodicity",
-    "cop_ramp_torque", "find_relax_time", "null_basis", "scenario",
+    "cop_ramp_torque", "find_relax_time", "null_basis",
     "singular_spectrum", "synthesize_gait", "EconomyGrid", "TdsPolicy",
     "com_work_per_distance", "economy_surface", "peak_line",
     "sample_trajectory", "OracleConfig", "Push", "integrate", "integrate_batch",

@@ -221,14 +221,19 @@ class TdsPolicy:
     speed-dependent law ratio(v) = 0.12 + (2.5 - v) * 0.09."""
 
     kind: str                  # "fixed" or "human"
-    ratio: float | None = None
+    ratio: float | None = None  # the fixed share, in (0, 1)
+
+    def __post_init__(self):
+        if self.kind not in ("fixed", "human"):
+            raise ValueError(f"unknown T_ds policy kind {self.kind!r}; "
+                             "expected 'human' or 'fixed'")
+        if self.kind == "fixed" and (self.ratio is None or not 0.0 < self.ratio < 1.0):
+            raise ValueError(f"fixed T_ds ratio must be in (0, 1), got {self.ratio!r}")
 
     def ratio_at(self, speed: float) -> float:
         if self.kind == "fixed":
             return float(self.ratio)
-        if self.kind == "human":
-            return 0.12 + (2.5 - speed) * 0.09
-        raise ValueError(f"unknown T_ds policy kind {self.kind!r}")
+        return 0.12 + (2.5 - speed) * 0.09
 
 
 def parse_tds_policy(text: str) -> TdsPolicy:
@@ -240,8 +245,6 @@ def parse_tds_policy(text: str) -> TdsPolicy:
             ratio = float(text.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad fixed T_ds ratio in {text!r}")
-        if not 0.0 < ratio < 1.0:
-            raise ValueError("fixed T_ds ratio must be in (0, 1)")
         return TdsPolicy(kind="fixed", ratio=ratio)
     raise ValueError(f"unknown T_ds policy {text!r}; expected 'human' or 'fixed:R'")
 

@@ -25,9 +25,9 @@ from .analysis import (
     write_economy_csv, write_peaks_csv, write_table, write_trajectory_csv,
 )
 from .gaits import (
-    InfeasibleConstraintsError, NoRelaxTimeError, NullSpaceDimensionError,
-    SCENARIOS, build_periodicity, find_relax_time, relax_scan,
-    singular_spectrum, synthesize_gait,
+    RELAX_MAX_BRACKET, InfeasibleConstraintsError, NoRelaxTimeError,
+    NullSpaceDimensionError, SCENARIOS, build_periodicity, find_relax_time,
+    relax_scan, scenario_foot_length, singular_spectrum, synthesize_gait,
 )
 from .model import (
     ConfigError, DegenerateModelError, LoadedConfig, StrideTiming, load_config,
@@ -156,10 +156,13 @@ def _resolve_timing(cfg: LoadedConfig, freq: float | None,
         ratio = parse_tds_policy(tds_policy).ratio_at(speed if speed else 0.0)
     elif cfg.T_ds is not None and cfg.T_ss is not None:
         ratio = cfg.T_ds / (cfg.T_ds + cfg.T_ss)
-    elif cfg.T_ds is not None and cfg.T_ds < T_stride:
+    elif cfg.T_ds is None:
+        raise ConfigError("cannot derive T_ds: give --tds-policy or config timing")
+    elif cfg.T_ds < T_stride:
         return StrideTiming(T_ds=cfg.T_ds, T_ss=T_stride - cfg.T_ds)
     else:
-        raise ConfigError("cannot derive T_ds: give --tds-policy or config timing")
+        raise ConfigError(f"config T_ds {cfg.T_ds:g} s is not shorter than the "
+                          f"stride time 1/--freq = {T_stride:g} s")
     return StrideTiming(T_ds=ratio * T_stride, T_ss=(1.0 - ratio) * T_stride)
 
 
@@ -205,9 +208,10 @@ def cmd_gait(cfg: LoadedConfig, args, outdir: Path):
     lines += [f"{k}: {v:.17g}" for k, v in sorted(gait.diagnostics.items())]
     res_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    flags = {"scenario": args.scenario, "speed": args.speed,
-             "freq": args.freq, "foot_length": args.foot_length,
+    flags = {"scenario": args.scenario, "speed": args.speed, "freq": args.freq,
              "samples": args.samples, "tds_policy": args.tds_policy}
+    if args.foot_length is not None:     # the length cop-modulated used
+        flags["foot_length"] = args.foot_length
     return EXIT_OK, flags, [traj_path.name, sol_path.name, res_path.name]
 
 
@@ -309,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed", type=_number("speed"), required=True, help="m/s")
     p.add_argument("--freq", type=_number("frequency", "positive"), default=None, help="steps/s")
     p.add_argument("--tds-policy", type=_tds_policy, help="human or fixed:R")
-    p.add_argument("--foot-length", type=_number("foot length", "non-negative"), default=0.24)
+    p.add_argument("--foot-length", type=_number("foot length", "non-negative"))
     p.add_argument("--samples", type=_count("sample count", 2, _MAX_COUNT), default=401)
     p.set_defaults(func=cmd_gait)
 
@@ -344,8 +348,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gait" and args.tds_policy is not None and args.freq is None:
         parser.error("argument --tds-policy: needs --freq")
+    if args.command == "gait":
+        try:     # from here on the length the scenario reads, or None
+            args.foot_length = scenario_foot_length(args.scenario, args.foot_length)
+        except ValueError as exc:
+            parser.error(f"argument --foot-length: {exc}")
     if args.command == "relax" and args.bracket_hi <= args.bracket_lo:
         parser.error("argument --bracket-hi: must exceed --bracket-lo")
+    if args.command == "relax" and args.bracket_hi - args.bracket_lo > RELAX_MAX_BRACKET:
+        parser.error(f"argument --bracket-hi: the bracket is "
+                     f"{args.bracket_hi - args.bracket_lo:g} s wide, more than "
+                     f"{RELAX_MAX_BRACKET:g} s")
     try:
         cfg = load_config(args.config)
         outdir = Path(args.out)

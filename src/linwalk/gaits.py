@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,9 @@ NULL_RTOL = 1e-9  # singular values below this fraction of the largest are zero
 EQP_RTOL = 1e-8   # solve_eqp: largest constraint residual per unit of 1 + max|b|
 OBJECTIVE_SAMPLES = 50  # stride-time samples of the lateral-velocity objective
 RELAX_SCAN_POINTS = 81  # relax scan grid; find_relax_time brackets on its even points
+# widest relax bracket, s: its even points step at most 0.05 s, where adjacent
+# roots on adult and kid bodies lie 0.38-0.53 s apart
+RELAX_MAX_BRACKET = 2.0
 
 
 class NoRelaxTimeError(RuntimeError):
@@ -167,6 +171,9 @@ def _stride_times(T_ds: float, bracket: tuple[float, float]) -> np.ndarray:
     bracket, clamped to leave a single-support phase of at least 1 ms."""
     if not all(math.isfinite(b) for b in bracket):
         raise ValueError(f"bracket ends must be finite, got {bracket!r}")
+    if bracket[1] - bracket[0] > RELAX_MAX_BRACKET:
+        raise ValueError(f"stride-time bracket {bracket!r} is {bracket[1] - bracket[0]:g} s "
+                         f"wide, more than {RELAX_MAX_BRACKET:g} s")
     lo = max(bracket[0], T_ds + 1e-3)
     if bracket[1] <= lo:
         raise ValueError("empty stride-time bracket")
@@ -238,54 +245,59 @@ def cop_ramp_torque(params: BodyParams, foot_length: float) -> float:
     return params.total_mass * params.g * foot_length
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Extra constraints / objective shaping for one named gait scenario."""
-
-    tag: str
-    zero_ankle: bool = False
-    cop_ramp: float | None = None
-    lateral_velocity_objective: bool = False
-    tds_scale: float = 1.0
-    leg_mass_fraction: float | None = None
-    z_shrink: float | None = None
+class _Scenario(NamedTuple):     # one row of the scenario table
+    zero_ankle: bool                   # all four ankle torques held at zero
+    cop_ramp: bool                     # the ankle ramp walks the CoP out over the foot
+    lateral_velocity_objective: bool   # minimize lateral CoM speed, not torque
+    tds_scale: float                   # double support scaled, stride time kept
+    lip_body: bool                     # leg mass moved to the pelvis, legs shortened
 
 
-SCENARIOS = ("pseudo-passive", "long-double-support", "stage-walk",
-             "cop-modulated", "lip-like", "minimal-torque")
+_SCENARIO_TABLE = {
+    "pseudo-passive":      _Scenario(False, False, False, 1.0, False),
+    "long-double-support": _Scenario(True,  False, False, 2.0, False),
+    "stage-walk":          _Scenario(True,  False, True,  1.0, False),
+    "cop-modulated":       _Scenario(False, True,  False, 1.0, False),
+    "lip-like":            _Scenario(True,  False, False, 1.0, True),
+    "minimal-torque":      _Scenario(False, False, False, 1.0, False),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
+FOOT_LENGTH = 0.24          # cop-modulated: default foot length, m
+LIP_LEG_MASS_SHARE = 0.05   # lip-like: share of their mass the legs keep
+LIP_HEIGHT_SHRINK = 0.1     # lip-like: factor on the leg-mass heights z2, z3
 
 
-def scenario(tag: str, params: BodyParams | None = None,
-             foot_length: float = 0.24) -> ScenarioSpec:
-    """Build the spec for one of the named walking scenarios."""
-    if tag in ("minimal-torque", "pseudo-passive"):
-        return ScenarioSpec(tag=tag)
-    if tag == "long-double-support":
-        return ScenarioSpec(tag=tag, zero_ankle=True, tds_scale=2.0)
-    if tag == "stage-walk":
-        return ScenarioSpec(tag=tag, zero_ankle=True, lateral_velocity_objective=True)
-    if tag == "cop-modulated":
-        if params is None:
-            raise ValueError("cop-modulated scenario needs body parameters")
-        return ScenarioSpec(tag=tag, cop_ramp=cop_ramp_torque(params, foot_length))
-    if tag == "lip-like":
-        return ScenarioSpec(tag=tag, zero_ankle=True,
-                            leg_mass_fraction=0.05, z_shrink=0.1)
-    raise ValueError(f"unknown scenario {tag!r}; expected one of {SCENARIOS}")
+def _scenario(name: str) -> _Scenario:
+    """The table row of a scenario name; anything else is refused."""
+    if not isinstance(name, str) or name not in _SCENARIO_TABLE:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
+    return _SCENARIO_TABLE[name]
+
+
+def scenario_foot_length(name: str, foot_length: float | None = None) -> float | None:
+    """The foot length scenario `name` reads: cop-modulated's (FOOT_LENGTH
+    when None is given), and None for the others, which refuse one."""
+    if _scenario(name).cop_ramp:
+        return FOOT_LENGTH if foot_length is None else foot_length
+    if foot_length is not None:
+        raise ValueError(f"only the cop-modulated scenario reads a foot length; "
+                         f"{name!r} was given foot_length={foot_length!r}")
+    return None
 
 
 def scenario_model(params: BodyParams, timing: StrideTiming,
-                   spec: ScenarioSpec) -> tuple[BodyParams, StrideTiming]:
-    """Apply the scenario's parameter/timing surgery."""
-    if spec.leg_mass_fraction is not None:
-        keep = spec.leg_mass_fraction
+                   name: str) -> tuple[BodyParams, StrideTiming]:
+    """Apply the named scenario's parameter/timing surgery."""
+    row = _scenario(name)
+    if row.lip_body:
+        keep = LIP_LEG_MASS_SHARE
         moved = (1.0 - keep) * (params.m2 + params.m3)
         params = replace(params, m1=params.m1 + moved,
                          m2=params.m2 * keep, m3=params.m3 * keep,
-                         z2=params.z2 * spec.z_shrink,
-                         z3=params.z3 * spec.z_shrink)
-    if spec.tds_scale != 1.0:
-        new_ds = spec.tds_scale * timing.T_ds
+                         z2=params.z2 * LIP_HEIGHT_SHRINK,
+                         z3=params.z3 * LIP_HEIGHT_SHRINK)
+    if row.tds_scale != 1.0:
+        new_ds = row.tds_scale * timing.T_ds
         new_ss = timing.T_stride - new_ds
         if new_ss <= 0.0:
             raise ValueError("scaled double support exceeds the stride time")
@@ -412,24 +424,24 @@ def _gait_diagnostics(maps: StrideMaps, Q0: np.ndarray) -> dict:
     }
 
 
-def _gait_blocks(V: np.ndarray, v_des: float, T_stride, spec: ScenarioSpec,
-                 d_sign: float) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """The labeled equality blocks of one scenario's program on the R0 basis
-    V (23 x 7), or on a stack of them (k, 23, 7) with one stride time
-    each (k,)."""
+def _gait_blocks(V: np.ndarray, v_des: float, T_stride, row: _Scenario,
+                 d_sign: float, ramp: float = 0.0) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """The labeled equality blocks of one scenario's program, its table row
+    and its CoP ramp torque `ramp`, on the R0 basis V (23 x 7), or on a
+    stack of them (k, 23, 7) with one stride time each (k,)."""
     lead = V.shape[:-2]
     blocks = [
         ("support-side", _SEL.S_d @ V, np.full(lead + (1,), d_sign)),
         ("speed", _SEL.S_X2x @ V, np.reshape(-v_des * np.asarray(T_stride), lead + (1,))),
     ]
-    if spec.zero_ankle or spec.cop_ramp is not None:
+    if row.zero_ankle or row.cop_ramp:
         ankle = np.concatenate([_SEL.S_Ma @ V, _SEL.S_rMa @ V], axis=-2)
-    if spec.zero_ankle:
+    if row.zero_ankle:
         blocks.append(("ankle-torque", ankle, np.zeros(lead + (4,))))
-    if spec.cop_ramp is not None:
+    if row.cop_ramp:
         # negative sagittal ramp moment drives the stance CoP toe-ward
         blocks.append(("cop-ramp", ankle,
-                       np.broadcast_to([0.0, 0.0, -spec.cop_ramp, 0.0], lead + (4,))))
+                       np.broadcast_to([0.0, 0.0, -ramp, 0.0], lead + (4,))))
     return blocks
 
 
@@ -446,7 +458,7 @@ def minimal_torque_gaits(H_stride: np.ndarray, v_des: float,
     two more (`_eqp`)."""
     R0 = (_R_START + _R_END @ H_stride)[:, :, R0_COLS]
     V, found = _null_spaces(R0, R0_COLS, 7)
-    blocks = _gait_blocks(V, v_des, T_stride, ScenarioSpec(tag="minimal-torque"), 1.0)
+    blocks = _gait_blocks(V, v_des, T_stride, _SCENARIO_TABLE["minimal-torque"], 1.0)
     alpha, bad = _eqp(_SEL.S_U @ V, blocks)
     Q0 = (V @ alpha[:, :, None])[:, :, 0]
     Q0[:, ID_SIDE] = 1.0
@@ -457,33 +469,32 @@ def minimal_torque_gaits(H_stride: np.ndarray, v_des: float,
 
 
 def synthesize_gait(params: BodyParams, timing: StrideTiming, v_des: float,
-                    spec: ScenarioSpec | str | None = None,
-                    d_sign: float = 1.0, foot_length: float = 0.24) -> GaitSolution:
-    """End-to-end gait synthesis for one scenario at one speed and timing:
-    the scenario's equality-constrained QP over the coefficients of the R0
-    null-space basis (`null_basis`) of its model's periodicity system."""
+                    spec: str = "minimal-torque", d_sign: float = 1.0,
+                    foot_length: float | None = None) -> GaitSolution:
+    """End-to-end gait synthesis for one of the `SCENARIOS` at one speed and
+    timing: the scenario's equality-constrained QP over the coefficients of
+    the R0 null-space basis (`null_basis`) of its model's periodicity system."""
     if not np.isfinite(v_des):
         raise ValueError(f"v_des must be finite, got {v_des!r}")
     if d_sign not in (-1.0, 1.0):
         raise ValueError(f"support side d_sign must be -1 or +1, got {d_sign!r}")
-    if spec is None:
-        spec = ScenarioSpec(tag="minimal-torque")
-    elif isinstance(spec, str):
-        spec = scenario(spec, params=params, foot_length=foot_length)
+    row = _scenario(spec)
+    foot_length = scenario_foot_length(spec, foot_length)
+    ramp = 0.0 if foot_length is None else cop_ramp_torque(params, foot_length)
     params, timing = scenario_model(params, timing, spec)
     system = build_periodicity(params, timing)
     V = null_basis(system, "R0")
-    if spec.lateral_velocity_objective:
+    if row.lateral_velocity_objective:
         ts = np.linspace(0.0, timing.T_stride, OBJECTIVE_SAMPLES)
         G = com_velocity_matrix(params)[1] @ system.maps.states(V, ts)
     else:
         G = _SEL.S_U @ V
-    alpha = solve_eqp(G, _gait_blocks(V, v_des, timing.T_stride, spec, d_sign))
+    alpha = solve_eqp(G, _gait_blocks(V, v_des, timing.T_stride, row, d_sign, ramp))
     Q0 = V @ alpha
     Q0[ID_SIDE] = d_sign  # the support-side row holds only to a few ulps
     diag = _gait_diagnostics(system.maps, Q0)
-    if spec.lateral_velocity_objective:
+    if row.lateral_velocity_objective:
         diag["max_lateral_com_speed"] = float(np.max(np.abs(G @ alpha)))
-    return GaitSolution(params=params, timing=timing, scenario=spec.tag,
+    return GaitSolution(params=params, timing=timing, scenario=spec,
                         v_des=v_des, d_sign=d_sign, alpha=alpha, Q0=Q0,
                         diagnostics=diag)

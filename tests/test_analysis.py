@@ -210,6 +210,18 @@ def test_tds_policy_values():
         parse_tds_policy("nonsense")
 
 
+@pytest.mark.parametrize("kind, ratio, bad", [
+    ("fixed", None, "got None"), ("fixed", 1.5, "got 1.5"), ("fixed", 0.0, "got 0.0"),
+    ("brisk", None, "kind 'brisk'"),
+])
+def test_tds_policy_refuses_bad_policy(body66, kind, ratio, bad):
+    """A policy of unknown kind, or a fixed one whose share is missing or
+    outside (0, 1), is refused by its value when it is made, so no sweep
+    starts on it."""
+    with pytest.raises(ValueError, match=bad):
+        economy_surface(body66, [1.0], [1.8], TdsPolicy(kind, ratio))
+
+
 def test_economy_surface_and_flags(body66):
     grid = economy_surface(body66, [1.4, 1.6], [1.6, 1.8, 2.0],
                            TdsPolicy("human"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from linwalk.cli import main
-from linwalk.gaits import InfeasibleConstraintsError
+from linwalk.gaits import SCENARIOS, InfeasibleConstraintsError
 
 
 def run(argv):
@@ -329,11 +329,15 @@ def test_gait_non_finite_flag_exit_2(adult_config, tmp_path, capsys, flags):
     ("sweep", "--speed", "1.0", "--freq", "0"),
     ("gait", "--scenario", "minimal-torque", "--speed", "1.0", "--foot-length", "-1"),
     ("gait", "--scenario", "cop-modulated", "--speed", "1.0", "--foot-length", "-0.1"),
+    *[("gait", "--scenario", tag, "--speed", "1.0", "--foot-length", "0.2")
+      for tag in SCENARIOS if tag != "cop-modulated"],
+    ("relax", "--bracket-lo", "0.4", "--bracket-hi", "50"),
 ])
 def test_bad_flag_exit_2_names_flag(adult_config, tmp_path, capsys, argv):
     """Bad flags are refused at parse time, naming the flag, before any gait
-    is synthesized or any bracket scanned; so is gait's --tds-policy
-    without --freq, which it would not use."""
+    is synthesized or any bracket scanned; so are gait's --tds-policy
+    without --freq and --foot-length outside cop-modulated, which it would
+    not use, and a relax bracket wider than 2 s."""
     with pytest.raises(SystemExit) as err:
         run([*argv, "--config", adult_config, "--out", str(tmp_path / "o")])
     assert err.value.code == 2
@@ -384,6 +388,38 @@ def test_maps_at_control_degeneracy_exit_1(adult_config, tmp_path, capsys,
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "m" / "stride_maps.json").exists()
+
+
+def test_cop_modulated_default_foot_length_same_run(adult_config, tmp_path):
+    """cop-modulated with no --foot-length is the run at 0.24 m: the same
+    bytes and the same parameter hash, which records the length used."""
+    outs = []
+    for extra in ((), ("--foot-length", "0.24")):
+        out = tmp_path / f"o{len(outs)}"
+        assert run(["gait", "--config", adult_config, "--scenario", "cop-modulated",
+                    "--speed", "1.0", *extra, "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("trajectory.csv", "gait_solution.json", "residuals.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    first, second = (json.loads((out / "manifest.json").read_text()) for out in outs)
+    assert first["parameter_hash"] == second["parameter_hash"]
+
+
+def test_config_double_support_not_shorter_than_stride_exit_2(adult_config, tmp_path,
+                                                              capsys):
+    """A config T_ds that --freq leaves no single support for is named with
+    the stride time, not reported as missing timing."""
+    lines = [line for line in Path(adult_config).read_text().splitlines()
+             if not line.startswith("T_ss:")]
+    path = tmp_path / "tds.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    rc = run(["gait", "--config", str(path), "--scenario", "minimal-torque",
+              "--speed", "1.0", "--freq", "4", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config T_ds 0.3 s is not shorter than the stride time 1/--freq = 0.25 s"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_infeasible_scenario_exit_1(tmp_path, adult_config):
@@ -549,12 +585,15 @@ def test_infeasible_gait_prints_one_error_line(adult_config, tmp_path, capsys,
     (("relax",), {"bracket": [0.4, 1.5]}),
     (("gait", "--scenario", "stage-walk", "--speed", "1.0", "--samples", "41"),
      {"scenario": "stage-walk", "speed": 1.0, "freq": None,
-      "foot_length": 0.24, "samples": 41, "tds_policy": None}),
+      "samples": 41, "tds_policy": None}),
     (("sweep", "--speed", "1.5:0.25:1.75", "--freq", "1.5:0.25:2.0"),
      {"speed": [1.5, 1.75], "freq": [1.5, 1.75, 2.0], "tds_policy": "human"}),
     (("validate", "--trials", "3", "--step", "2e-4"),
      {"seed": 0, "trials": 3, "step": 2e-4}),
     (("maps",), {}),
+    (("gait", "--scenario", "cop-modulated", "--speed", "1.0", "--samples", "41"),
+     {"scenario": "cop-modulated", "speed": 1.0, "freq": None,
+      "foot_length": 0.24, "samples": 41, "tds_policy": None}),
 ])
 def test_manifest_contract(adult_config, tmp_path, argv, flags):
     """Each command's manifest names exactly the files it wrote, its own

@@ -9,9 +9,9 @@ from linwalk.layout import Q_NAMES, selection_matrices
 from linwalk.model import StrideTiming, default_params, scaled_body
 from linwalk.gaits import (
     GaitSolution, InfeasibleConstraintsError, M_MAT, NoRelaxTimeError,
-    NullSpaceDimensionError, O_MAT, R0_COLS, R1_COLS, SCENARIOS, ScenarioSpec, T_MAT,
+    NullSpaceDimensionError, O_MAT, R0_COLS, R1_COLS, SCENARIOS, T_MAT,
     build_periodicity, cop_ramp_torque, find_relax_time, null_basis,
-    relax_scan, scenario, scenario_model, singular_spectrum,
+    relax_scan, scenario_foot_length, scenario_model, singular_spectrum,
     solve_eqp, synthesize_gait,
 )
 from linwalk.transition import stride_maps
@@ -166,6 +166,18 @@ def test_relax_rejects_non_finite_bracket(adult, bracket):
     for solve in (relax_scan, find_relax_time):
         with pytest.raises(ValueError, match="bracket ends must be finite"):
             solve(adult, 0.3, bracket)
+
+
+def test_relax_bracket_up_to_two_seconds_wide(adult):
+    """A 2 s bracket still finds the default bracket's root; a wider one,
+    whose even grid points could step over two roots at once, is refused
+    by its width: on (0.4, 50) the grid steps 1.24 s, past the roots at
+    0.864 s and 1.385 s."""
+    assert abs(find_relax_time(adult, 0.3, (0.4, 2.4))
+               - find_relax_time(adult, 0.3)) <= 1e-9
+    for solve in (relax_scan, find_relax_time):
+        with pytest.raises(ValueError, match="49.6 s wide, more than 2 s"):
+            solve(adult, 0.3, (0.4, 50.0))
 
 
 @pytest.mark.parametrize("T_ds", [-0.1, 0.0, np.nan])
@@ -541,8 +553,7 @@ def test_cop_modulated_ramp_and_cop_offset(adult):
 
 
 def test_long_double_support_timing_and_ankles(adult):
-    spec = scenario("long-double-support")
-    params2, timing2 = scenario_model(adult, SIIIC, spec)
+    params2, timing2 = scenario_model(adult, SIIIC, "long-double-support")
     assert params2 == adult
     assert timing2.T_ds == pytest.approx(0.2)
     assert timing2.T_stride == pytest.approx(SIIIC.T_stride)
@@ -552,8 +563,7 @@ def test_long_double_support_timing_and_ankles(adult):
 
 
 def test_lip_like_parameter_surgery(adult):
-    spec = scenario("lip-like")
-    params2, _ = scenario_model(adult, SIIIC, spec)
+    params2, _ = scenario_model(adult, SIIIC, "lip-like")
     assert params2.total_mass == pytest.approx(adult.total_mass)
     assert params2.m2 == pytest.approx(0.05 * adult.m2)
     assert params2.z2 == pytest.approx(0.1 * adult.z2)
@@ -587,31 +597,67 @@ def test_gaits_close_periodically_over_random_bodies(adult, kid):
 
 
 def test_infeasible_constraints_report_block(adult):
-    spec = ScenarioSpec(tag="contradiction", zero_ankle=True,
-                        cop_ramp=cop_ramp_torque(adult, 0.24))
+    """Zero ankle torques and a nonzero CoP ramp on the same rows cannot
+    both hold: the error names the blocks."""
+    V = null_basis(build_periodicity(adult, SIIIC), "R0")
+    sel = selection_matrices()
+    ankle = np.vstack([sel.S_Ma @ V, sel.S_rMa @ V])
+    ramp = cop_ramp_torque(adult, 0.24)
     with pytest.raises(InfeasibleConstraintsError) as err:
-        synthesize_gait(adult, SIIIC, 1.0, spec)
+        solve_eqp(sel.S_U @ V, [
+            ("support-side", sel.S_d @ V, np.array([1.0])),
+            ("ankle-torque", ankle, np.zeros(4)),
+            ("cop-ramp", ankle, np.array([0.0, 0.0, -ramp, 0.0])),
+        ])
     assert any(b in ("ankle-torque", "cop-ramp") for b in err.value.blocks)
+    assert "support-side" not in err.value.blocks
 
 
 def test_unknown_scenario_rejected(adult):
-    with pytest.raises(ValueError):
-        scenario("moonwalk")
+    """A scenario is one of the named rows: another name, or an object in
+    its place, is refused by `synthesize_gait` and `scenario_model`, and a
+    row's fields cannot be set."""
+    for bad in ("moonwalk", gaits._SCENARIO_TABLE["stage-walk"], None):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            synthesize_gait(adult, SIIIC, 1.0, bad)
+        with pytest.raises(ValueError, match="unknown scenario"):
+            scenario_model(adult, SIIIC, bad)
+    with pytest.raises(AttributeError):
+        gaits._SCENARIO_TABLE["minimal-torque"].zero_ankle = True
+
+
+@pytest.mark.parametrize("tag", [t for t in SCENARIOS if t != "cop-modulated"])
+def test_foot_length_refused_where_unread(adult, tag):
+    """Only cop-modulated reads a foot length: any other scenario refuses
+    one by name."""
+    assert scenario_foot_length(tag) is None
+    with pytest.raises(ValueError, match=f"{tag!r} was given foot_length=0.24"):
+        synthesize_gait(adult, SIIIC, 1.0, tag, foot_length=0.24)
+
+
+def test_cop_modulated_default_foot_length(adult):
+    """cop-modulated without a foot length is its gait at 0.24 m, bit for
+    bit."""
+    assert scenario_foot_length("cop-modulated") == 0.24
+    plain = synthesize_gait(adult, SIIIC, 1.0, "cop-modulated")
+    given = synthesize_gait(adult, SIIIC, 1.0, "cop-modulated", foot_length=0.24)
+    assert plain.to_record() == given.to_record()
 
 
 def test_gait_record_roundtrip(adult, timing):
     """A record reads back as the gait that was written, bit for bit, in
-    every scenario."""
+    every scenario and on both sides."""
     for tag in SCENARIOS:
-        gait = synthesize_gait(adult, timing, 1.0, tag)
-        back = GaitSolution.from_record(gait.to_record())
-        assert back.scenario == gait.scenario
-        assert back.timing == gait.timing
-        assert back.params == gait.params
-        assert (back.v_des, back.d_sign) == (gait.v_des, gait.d_sign)
-        assert np.array_equal(back.Q0, gait.Q0), tag
-        assert np.array_equal(back.alpha, gait.alpha), tag
-        assert back.diagnostics == gait.diagnostics
+        for d_sign in (1.0, -1.0):
+            gait = synthesize_gait(adult, timing, 1.0, tag, d_sign=d_sign)
+            back = GaitSolution.from_record(gait.to_record())
+            assert back.scenario == gait.scenario == tag
+            assert back.timing == gait.timing
+            assert back.params == gait.params
+            assert (back.v_des, back.d_sign) == (gait.v_des, gait.d_sign)
+            assert np.array_equal(back.Q0, gait.Q0), (tag, d_sign)
+            assert np.array_equal(back.alpha, gait.alpha), (tag, d_sign)
+            assert back.diagnostics == gait.diagnostics
 
 
 def test_gait_record_reads_back_without_maps(adult, timing, monkeypatch):
