@@ -229,6 +229,8 @@ class TdsPolicy:
                              "expected 'human' or 'fixed'")
         if self.kind == "fixed" and (self.ratio is None or not 0.0 < self.ratio < 1.0):
             raise ValueError(f"fixed T_ds ratio must be in (0, 1), got {self.ratio!r}")
+        if self.kind == "human" and self.ratio is not None:
+            raise ValueError(f"the human T_ds policy takes no ratio, got {self.ratio!r}")
 
     def ratio_at(self, speed: float) -> float:
         if self.kind == "fixed":

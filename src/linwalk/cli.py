@@ -300,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_out):
         p.add_argument("--config", required=True, help="YAML parameter file")
         p.add_argument("--out", default=default_out, help="output directory")
+        p.set_defaults(parser=p)     # checks after parsing show its usage
 
     p = sub.add_parser("relax", help="find the torque-free stride time")
     common(p, "out_relax")
@@ -344,19 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; a named failure prints one `error:` line, exits
     with its _EXIT_CODES code and writes no manifest."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "gait" and args.tds_policy is not None and args.freq is None:
-        parser.error("argument --tds-policy: needs --freq")
+        args.parser.error("argument --tds-policy: needs --freq")
     if args.command == "gait":
         try:     # from here on the length the scenario reads, or None
             args.foot_length = scenario_foot_length(args.scenario, args.foot_length)
         except ValueError as exc:
-            parser.error(f"argument --foot-length: {exc}")
+            args.parser.error(f"argument --foot-length: {exc}")
     if args.command == "relax" and args.bracket_hi <= args.bracket_lo:
-        parser.error("argument --bracket-hi: must exceed --bracket-lo")
+        args.parser.error("argument --bracket-hi: must exceed --bracket-lo")
     if args.command == "relax" and args.bracket_hi - args.bracket_lo > RELAX_MAX_BRACKET:
-        parser.error(f"argument --bracket-hi: the bracket is "
+        args.parser.error(f"argument --bracket-hi: the bracket is "
                      f"{args.bracket_hi - args.bracket_lo:g} s wide, more than "
                      f"{RELAX_MAX_BRACKET:g} s")
     try:

@@ -13,15 +13,14 @@ RK4 integrates these at fixed step; it never touches the production
 elimination or the stride maps.  At fixed t the closed forms are linear in
 the state with coefficients affine in t, so the oracle probes them at the
 two ends of a phase and interpolates the map K(t) to any stage time.  The
-four stages of a step fold into one increment matrix (`_rk4_increments`).
-With K(t) affine, the increment of a step of size h starting at t is a
-quadratic in t, so each march forms it for the steps starting at 0, T/2
-and T only, and every other step's increment comes from the quadratic
-through those three (`_increment_nodes`, `_increments_at`).  The steps of
-a block are multiplied together (`_compose`) before one matmul updates the
-states.  Steps are fixed-size and composed in a fixed order, so
-trajectories are bit-reproducible, and memory is set by one block of
-steps, not by their number.
+four stages of a step fold into one increment matrix (`_rk4_increments`),
+a quadratic in the step's start u = t/T.  K(t) varies only on the entries
+f frozen within a phase (torques, ramps, disturbance, side), so one step is
+one constant increment on the row [active positions, velocities | f | u f |
+u^2 f] (`_augmented_step`), and n steps are its n-th power, by repeated
+squaring in about 2 log2 n products (`_power`).  Steps are fixed-size and
+multiplied in a fixed order, so trajectories are bit-reproducible, and
+memory does not grow with the number of steps.
 """
 from __future__ import annotations
 
@@ -152,8 +151,9 @@ class OracleConfig:
 
     def __post_init__(self):
         _check_step(self.step)
-        if self.save_every < 1:
-            raise ValueError("save_every must be >= 1")
+        if (isinstance(self.save_every, bool)
+                or not isinstance(self.save_every, (int, np.integer)) or self.save_every < 1):
+            raise ValueError(f"save_every must be an integer >= 1, got {self.save_every!r}")
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,6 @@ class OracleTrajectory:
         return self.Q[-1]
 
 
-# steps per block of increment matrices: bounds the oracle's memory
-_CHUNK = 500
-
-
 def _rk4_increments(A: np.ndarray, h: float, na: int) -> np.ndarray:
     """RK4 increments D (m, 23, 2 na) from stage maps A (2m + 1, na, 23).
 
@@ -180,9 +176,7 @@ def _rk4_increments(A: np.ndarray, h: float, na: int) -> np.ndarray:
     frozen entries enter through A), so step j adds X @ D[j] to the first
     2 na entries of a state row X and leaves the rest.  D is formed
     directly, never as I + D: a matrix with 1 + delta on its diagonal
-    would round every increment delta the same way on every step.  With
-    the stage maps affine in t, D has degree 2 in the step's start time:
-    k3 and k4 take one product of two stage maps each.
+    would round every increment delta the same way on every step.
     """
     A0, Am, Ae = A[0:-1:2], A[1::2], A[2::2]
     AmP, AeP = Am[:, :, :na], Ae[:, :, :na]
@@ -200,39 +194,49 @@ def _rk4_increments(A: np.ndarray, h: float, na: int) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate([dP, dV], axis=1).transpose(0, 2, 1))
 
 
-def _increment_nodes(K0: np.ndarray, slope: np.ndarray, T: float, h: float,
-                     na: int) -> np.ndarray:
-    """Increments of the RK4 steps of size h starting at t = 0, T/2 and T
-    of a phase with stage maps K0 + t slope, flattened to (3, 23 * 2 na):
-    the nodes of the quadratic D(t)."""
-    stages = np.array([0.0, 0.5 * h, h])
-    return np.concatenate([
-        _rk4_increments(K0 + (t + stages)[:, None, None] * slope, h, na)
-        for t in (0.0, 0.5 * T, T)]).reshape(3, -1)
+def _augmented_step(K0: np.ndarray, KT: np.ndarray, T: float, h: float,
+                    na: int) -> np.ndarray:
+    """Increment E of one RK4 step of size h on the row Y = [active P, V | f |
+    u f | u^2 f], u = t / T, of a phase with stage maps K0 + u (KT - K0): the
+    step takes Y to Y + Y @ E.
 
-
-def _increments_at(nodes: np.ndarray, u: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Increments D (len(u), 23, 2 na) of the steps starting at t = u T,
-    from the quadratic through the nodes at u = 0, 1/2, 1 (Lagrange),
-    written into `out` (len(u), 23 * 2 na) if given."""
-    basis = np.stack([(2.0 * u - 1.0) * (u - 1.0), 4.0 * u * (1.0 - u),
-                      u * (2.0 * u - 1.0)], axis=1)
-    return np.matmul(basis, nodes, out=out).reshape(len(u), Q_DIM, -1)
-
-
-def _compose(D: np.ndarray, na: int) -> np.ndarray:
-    """Increment E (23, 2 na) of the steps D[0], D[1], ... taken in order.
-
-    Steps a then b give X (I + a)(I + b) = X (I + a + b + a b), and a b
-    needs only the first 2 na rows of b, as a is zero beyond its first
-    2 na columns.  Neighbours merge pairwise; E, like D, never holds I + E.
+    A step's increment is quadratic in its start u (k3 and k4 take products
+    of two stage maps): M0 + u (4 Mh - 3 M0 - M1) + u^2 (2 M0 - 4 Mh + 2 M1)
+    through the steps at u = 0, 1/2 and 1.  With KT - K0 zero on the active
+    columns, u enters only through f, and the u-powers advance exactly:
+    u f by du f, u^2 f by 2 du (u f) + du^2 f.
     """
-    while len(D) > 1:
-        a, b = D[:-1:2], D[1::2]
-        ab = a + b + a @ b[:, :2 * na]
-        D = np.concatenate([ab, D[-1:]]) if len(D) % 2 else ab
-    return D[0]
+    a, nf = 2 * na, Q_DIM - 2 * na
+    if np.any(KT[:, :a] != K0[:, :a]):
+        raise ValueError("the stage maps vary within the phase on an active "
+                         "column: the augmented RK4 step needs them constant")
+    stages, slope = np.array([0.0, 0.5 * h, h]), (KT - K0) / T
+    M0, Mh, M1 = (_rk4_increments(K0 + (t + stages)[:, None, None] * slope, h, na)[0]
+                  for t in (0.0, 0.5 * T, T))
+    f, uf, u2f = (slice(a + k * nf, a + (k + 1) * nf) for k in range(3))
+    du, eye = h / T, np.eye(nf)
+    E = np.zeros((a + 3 * nf, a + 3 * nf))
+    E[:Q_DIM, :a] = M0
+    E[uf, :a] = (4.0 * Mh - 3.0 * M0 - M1)[a:]
+    E[u2f, :a] = (2.0 * M0 - 4.0 * Mh + 2.0 * M1)[a:]
+    E[f, uf] = du * eye
+    E[f, u2f] = (du * du) * eye
+    E[uf, u2f] = (2.0 * du) * eye
+    return E
+
+
+def _power(E: np.ndarray, n: int) -> np.ndarray:
+    """Increment R of n >= 1 steps of increment E, I + R = (I + E)^n, by
+    binary powering: E -> 2 E + E E squares, R -> R + E + R E multiplies,
+    so that, as in `_rk4_increments`, no matrix holds I + E."""
+    R = None
+    while True:
+        if n & 1:
+            R = E if R is None else R + E + R @ E
+        n >>= 1
+        if not n:
+            return R
+        E = 2.0 * E + E @ E
 
 
 def _grid(duration: float, step: float) -> tuple[int, float]:
@@ -246,31 +250,26 @@ def _rk4_phase(params: BodyParams, phase_T: float, single: bool,
     """March a batch of states (n, 23) by RK4 steps of size h from t_local
     in one phase; return the states after each (non-decreasing) step count
     in `marks`, shape (len(marks), n, 23).  All non-state entries of Q,
-    including the disturbance wrench, are held constant.  The increments
-    of all steps come from three probed at t = 0, T/2 and T; the steps up
-    to each mark go in blocks of at most _CHUNK, one matmul per block.
+    including the disturbance wrench, are held constant.  The steps from
+    one mark to the next are one power of the augmented step, formed once
+    per distinct gap and applied to the states once per mark.
     """
     pos = [0, 1, 2, 3] if single else [2, 3]
-    na = len(pos)
+    a = 2 * len(pos)
     active = pos + [p + 4 for p in pos]
     perm = np.array(active + [i for i in range(Q_DIM) if i not in active])
     K0, KT = phase_operator(params, phase_T, single, [0.0, phase_T])[:, pos][..., perm]
-    nodes = _increment_nodes(K0, (KT - K0) / phase_T, phase_T, h, na)
+    E = _augmented_step(K0, KT, phase_T, h, len(pos))
     X = Q[:, perm]                    # active positions, velocities, frozen
+    u = t_local / phase_T
+    Y = np.hstack([X, u * X[:, a:], (u * u) * X[:, a:]])
     out = np.empty((len(marks),) + X.shape)
-    # every block's increments go into this one buffer: a fresh array per
-    # block let the allocator hand its pages back between blocks and fault
-    # them in again, which doubled the time of a march
-    buf = np.empty((_CHUNK, nodes.shape[1]))
-    done = 0
-    for i, mark in enumerate(marks):
-        while done < mark:
-            m = min(_CHUNK, mark - done)
-            starts = t_local + (done + np.arange(m)) * h
-            D = _increments_at(nodes, starts / phase_T, buf[:m])
-            X[:, :2 * na] += X @ _compose(D, na)
-            done += m
-        out[i][:, perm] = X
+    gaps = np.diff(marks, prepend=0)
+    powers = {k: _power(E, int(k)) for k in set(gaps) if k}
+    for i, k in enumerate(gaps):
+        if k:
+            Y += Y @ powers[k]
+        out[i][:, perm] = Y[:, :Q_DIM]
     return out
 
 

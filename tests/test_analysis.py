@@ -212,12 +212,12 @@ def test_tds_policy_values():
 
 @pytest.mark.parametrize("kind, ratio, bad", [
     ("fixed", None, "got None"), ("fixed", 1.5, "got 1.5"), ("fixed", 0.0, "got 0.0"),
-    ("brisk", None, "kind 'brisk'"),
+    ("brisk", None, "kind 'brisk'"), ("human", 0.3, "human T_ds policy takes no ratio, got 0.3"),
 ])
 def test_tds_policy_refuses_bad_policy(body66, kind, ratio, bad):
-    """A policy of unknown kind, or a fixed one whose share is missing or
-    outside (0, 1), is refused by its value when it is made, so no sweep
-    starts on it."""
+    """A policy of unknown kind, a fixed one whose share is missing or
+    outside (0, 1), or a human one given a share it would ignore, is
+    refused by its value when it is made, so no sweep starts on it."""
     with pytest.raises(ValueError, match=bad):
         economy_surface(body66, [1.0], [1.8], TdsPolicy(kind, ratio))
 

@@ -337,11 +337,14 @@ def test_bad_flag_exit_2_names_flag(adult_config, tmp_path, capsys, argv):
     """Bad flags are refused at parse time, naming the flag, before any gait
     is synthesized or any bracket scanned; so are gait's --tds-policy
     without --freq and --foot-length outside cop-modulated, which it would
-    not use, and a relax bracket wider than 2 s."""
+    not use, and a relax bracket wider than 2 s.  Each refusal shows the
+    subcommand's usage, not the top-level one."""
     with pytest.raises(SystemExit) as err:
         run([*argv, "--config", adult_config, "--out", str(tmp_path / "o")])
     assert err.value.code == 2
-    assert f"error: argument {argv[-2]}:" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}:" in stderr
+    assert f"usage: linwalk {argv[0]} " in stderr
     assert not (tmp_path / "o").exists()
 
 

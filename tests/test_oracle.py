@@ -14,8 +14,8 @@ from linwalk.model import (
 )
 import linwalk.oracle as oracle
 from linwalk.oracle import (
-    OracleConfig, Push, _increment_nodes, _increments_at, _rk4_increments,
-    accel_double, accel_single, integrate, integrate_batch, phase_operator,
+    OracleConfig, Push, _augmented_step, _power, _rk4_increments, accel_double,
+    accel_single, integrate, integrate_batch, phase_operator,
 )
 from linwalk.transition import push_end_state, stride_maps
 
@@ -133,34 +133,47 @@ def _active_operator(params, phase_T, single, ts):
     return phase_operator(params, phase_T, single, ts)[:, pos][:, :, perm], len(pos), perm
 
 
-def _per_step_increments(params, phase_T, single, n_steps):
-    """Increments of every step from the closed forms at every stage time."""
-    h = phase_T / n_steps
-    ts = np.arange(2 * n_steps + 1) * (0.5 * h)
+def _per_step_increments(params, phase_T, single, n_steps, h=None, t0=0.0):
+    """Increments of n_steps steps of size h (phase_T / n_steps if None)
+    from t0, from the closed forms at every stage time."""
+    h = phase_T / n_steps if h is None else h
+    ts = t0 + np.arange(2 * n_steps + 1) * (0.5 * h)
     A, na, _ = _active_operator(params, phase_T, single, ts)
     return _rk4_increments(A, h, na)
 
 
-def _per_step_march(params, phase_T, single, Q, n_steps):
+def _compose_steps(D, na):
+    """Increment R of the steps D[0], D[1], ... taken in order, with
+    I + R = (I + D[0])(I + D[1])...: neighbours merge pairwise as
+    a + b + a b.  Pairwise, not one at a time, because a running product
+    of 20000 steps drifts by up to 8e-15 of its largest entry."""
+    while len(D) > 1:
+        a, b = D[:-1:2], D[1::2]
+        ab = a + b + a @ b[:, :2 * na]
+        D = np.concatenate([ab, D[-1:]]) if len(D) % 2 else ab
+    return D[0]
+
+
+def _per_step_march(params, phase_T, single, Q, n_steps, h=None, t0=0.0):
     """The increment march one step at a time, as before steps were
     composed: the closed forms at every stage time, then
     X[:, :2 na] += X @ D[j] for each step j in turn."""
     _, na, perm = _active_operator(params, phase_T, single, [0.0])
     X = Q[:, perm]
-    for D in _per_step_increments(params, phase_T, single, n_steps):
+    for D in _per_step_increments(params, phase_T, single, n_steps, h, t0):
         X[:, :2 * na] += X @ D
     out = np.empty_like(X)
     out[:, perm] = X
     return out
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 499, 500, 501, 1001])
+@pytest.mark.parametrize("n_steps", [1, 2, 499, 500, 501, 1001, 1023, 1024, 1025])
 @pytest.mark.parametrize("phase", ["single", "double"])
 def test_composed_march_matches_per_step_march(adult, timing, phase, n_steps):
-    """Composing a block's steps before touching the states, with the
-    increments interpolated from the three probed at t = 0, T/2 and T,
-    changes only the rounding: odd tree levels and a partial last block
-    included."""
+    """Raising the augmented step to the step count by binary powering
+    before touching the states, with the increments interpolated from the
+    three probed at t = 0, T/2 and T, changes only the rounding: step
+    counts on both sides of a power of two included."""
     single = phase == "single"
     T = timing.T_ss if single else timing.T_ds
     Q0 = random_states(4, seed=62)
@@ -193,35 +206,88 @@ def test_phase_operator_is_affine_in_t(adult, kid):
 
 
 def test_interpolated_increments_match_per_step_increments(adult, kid):
-    """The increments the march takes from the quadratic through its three
-    probes equal those formed from the closed forms at every stage time,
-    down to a double-support share of 0.005."""
+    """The n-th power of the augmented step, built from the increments of
+    three steps, equals the n increments formed from the closed forms at
+    every stage time and composed in order, down to a double-support share
+    of 0.005."""
     for body, tm, _ in _short_phase_cases(adult, kid):
         for single, T in ((True, tm.T_ss), (False, tm.T_ds)):
             (K0, KT), na, _ = _active_operator(body, T, single, [0.0, T])
             for n_steps in (15, 1000, 20000):
-                h = T / n_steps
-                nodes = _increment_nodes(K0, (KT - K0) / T, T, h, na)
-                D = _increments_at(nodes, np.arange(n_steps) * h / T)
-                ref = _per_step_increments(body, T, single, n_steps)
-                assert np.max(np.abs(D - ref)) <= 1e-14 * np.max(np.abs(ref))
+                E = _augmented_step(K0, KT, T, T / n_steps, na)
+                R = _power(E, n_steps)[:23, :2 * na]
+                ref = _compose_steps(_per_step_increments(body, T, single, n_steps), na)
+                assert np.max(np.abs(R - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_march_probes_three_steps_per_phase(adult, monkeypatch):
-    """A stride of 1001 steps per phase forms the RK4 increments of three
-    steps per phase march, not of every step."""
-    steps = []
-    real = oracle._rk4_increments
+    """A stride of n steps per phase forms the RK4 increments of three
+    steps per phase march, not of every step, and moves the states by the
+    n-th power of the augmented step, which equals the n per-step
+    increments composed in order."""
+    real_increments, real_power = oracle._rk4_increments, oracle._power
 
     def counted(A, h, na):
-        D = real(A, h, na)
+        D = real_increments(A, h, na)
         steps.append(len(D))
         return D
 
+    def recorded(E, n):
+        R = real_power(E, n)
+        powers.append((n, R))
+        return R
+
     monkeypatch.setattr(oracle, "_rk4_increments", counted)
+    monkeypatch.setattr(oracle, "_power", recorded)
     timing = StrideTiming(0.3, 0.3)
-    integrate_batch(adult, timing, random_states(2, seed=65), step=0.3 / 1001)
-    assert 0 < sum(steps) <= 2 * 3
+    for n_steps in (15, 1000, 20000):
+        steps, powers = [], []
+        integrate_batch(adult, timing, random_states(2, seed=65), step=0.3 / n_steps)
+        assert 0 < sum(steps) <= 2 * 3
+        assert [n for n, _ in powers] == [n_steps, n_steps]
+        for (_, R), single in zip(powers, (False, True)):
+            na = 4 if single else 2
+            ref = _compose_steps(_per_step_increments(adult, 0.3, single, n_steps), na)
+            assert np.max(np.abs(R[:23, :2 * na] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("single", [True, False])
+def test_march_refuses_stage_maps_varying_on_an_active_column(
+        adult, timing, monkeypatch, single):
+    """The augmented step needs K(t) constant on the active columns; the
+    march checks that on its own probes of the closed forms."""
+    real = oracle.phase_operator
+
+    def drifting(params, phase_T, single, ts):
+        K = real(params, phase_T, single, ts)
+        K[:, :, 2] += 1e-3 * np.asarray(ts)[:, None]       # x1x, active in both
+        return K
+
+    monkeypatch.setattr(oracle, "phase_operator", drifting)
+    with pytest.raises(ValueError, match="active column"):
+        integrate_batch(adult, timing, random_states(1), step=1e-3,
+                        phase="single" if single else "double")
+
+
+def test_push_edges_in_single_support_match_per_step_march(adult, timing):
+    """A push inside single support splits the march there, so two segments
+    start mid-phase, their u-powers at t_local / T_ss; the end matches the
+    per-step march of each segment from its own t_local."""
+    Q0 = random_states(2, seed=66)
+    push = Push(timing.T_ds + 0.15, 0.2, (40.0, -25.0, 3.0, 1.5))
+    step = 1e-4
+    ends = [integrate(adult, timing, Q, OracleConfig(step=step, pushes=(push,))).end
+            for Q in Q0]
+    Q = Q0.copy()
+    edges = [0.0, timing.T_ds, push.t_on, push.t_on + push.duration, timing.T_stride]
+    for a, b in zip(edges[:-1], edges[1:]):
+        Q[:, 18:22] = push.wrench if a == push.t_on else Q0[:, 18:22]
+        single = a >= timing.T_ds
+        T, t0 = (timing.T_ss, a - timing.T_ds) if single else (timing.T_ds, a)
+        n = round((b - a) / step)
+        Q = _per_step_march(adult, T, single, Q, n, h=(b - a) / n, t0=t0)
+    Q[:, 18:22] = Q0[:, 18:22]
+    assert np.max(np.abs(np.array(ends) - Q)) <= 1e-13 * np.max(np.abs(Q))
 
 
 def test_oracle_matches_maps_on_short_phases(adult, kid):
@@ -282,7 +348,7 @@ def test_integrate_saves_on_the_step_grid(adult, timing, save_every, pushed):
 
 
 def test_integrate_batch_memory_does_not_grow_with_steps(adult):
-    """Peak allocation is set by one block of steps, not by the stride."""
+    """Peak allocation does not grow with the number of steps."""
     Q0 = random_states(20, seed=58)
 
     def peak(T_stride):
@@ -351,8 +417,9 @@ def test_config_validation(adult, timing):
     with pytest.raises(ValueError):
         integrate(adult, timing, np.zeros(23), OracleConfig(
             step=1e-3, pushes=(Push(t_on=0.8, duration=0.2, wrench=(1, 0, 0, 0)),)))
-    with pytest.raises(ValueError, match="save_every"):
-        OracleConfig(save_every=0)
+    for save_every in (0, 2.5, True, np.nan):
+        with pytest.raises(ValueError, match="save_every"):
+            OracleConfig(save_every=save_every)
     for push in ((np.nan, 0.1, (1, 0, 0, 0)), (0.1, np.inf, (1, 0, 0, 0)),
                  (0.1, 0.1, (1, np.nan, 0, 0))):
         with pytest.raises(ValueError, match="finite"):
