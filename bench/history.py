@@ -10,7 +10,9 @@ host in the same state.  Then the five README commands are launched from
 each tree on the README's reference adult config, 5 times each, again
 alternating, and their wall times are taken from launch to exit, with
 each launch's peak RSS.  An 8633-cell sweep runs too, serial and with two
-workers, because the worker pool wins only on grids that large.
+workers, because the worker pool wins only on grids that large, and so
+does a 100 000-sample gait, whose 2.1 M-cell `trajectory.csv` is mostly
+the table writer.
 
 The JSON file holds the machine block and, per commit, the median and
 interquartile range of `op_p50_cal`, `setup_s` and `peak_rss_mb` per
@@ -47,6 +49,8 @@ CLI = {
               "--tds-policy", "human"],
     "validate": ["validate", "--seed", "0", "--trials", "100"],
     "maps": ["maps"],
+    "gait-large": ["gait", "--scenario", "minimal-torque", "--speed", "1.0",
+                   "--samples", "100000"],
     "sweep-large": ["sweep", "--speed", "0.8:0.0125:2.0", "--freq", "0.8:0.025:3.0",
                     "--tds-policy", "human"],
     "sweep-large-workers-2": ["sweep", "--speed", "0.8:0.0125:2.0", "--freq",

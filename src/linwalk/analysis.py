@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -433,16 +434,220 @@ def peak_line(grid: EconomyGrid) -> list[PeakPoint]:
     return peaks
 
 
+# The %.17g kernel.  A double's 17 digits are round(|x| 10^(16 - e)), e its
+# decimal exponent; the product is carried as a double-double against 10^k
+# split into hi + lo (Dekker, "A floating-point technique for extending the
+# available precision", Numer. Math. 1971), for e in _E_RANGE.  A cell is
+# rendered into a slot of four 8-byte words (more for a wide string column)
+# that holds zeros where no byte goes, dropped when the block is joined: the
+# sign and a "0.000" prefix (bytes 0-5), the digits with their dot (6-23),
+# the "e+XX" suffix (24-28) and the separator (the last word's 5-6).
+_E_RANGE = (-280, 280)
+_SPLIT = 2.0 ** 27 + 1.0          # Veltkamp: splits a double into two halves
+_TIE = 1e-12                      # > 2^-47, the fraction's error bound
+_BLOCK_CELLS = 2048               # cells per pass: about 0.4 MB of buffers
+
+
+def _words(chunks: list[bytes]) -> np.ndarray:
+    """Byte strings of up to 8 bytes as native 8-byte words, zero-padded,
+    so that a word stored into a byte buffer lays down the same bytes."""
+    return np.array(chunks, "S8").view(np.uint64)
+
+
+@lru_cache(maxsize=1)
+def _number_tables() -> dict:
+    """The kernel's tables, per decimal exponent e from _E_RANGE[0] - 1 to
+    _E_RANGE[1] + 1 (row i for e = _E_RANGE[0] - 1 + i): the smallest double
+    at or above 10^(e + 1); the scale 10^(16 - e) as its nearest double hi,
+    the 26-bit halves of hi, the double nearest 10^(16 - e) - hi, and the
+    fraction from which a rounding is unsettled (past 1 where 10^(16 - e) is
+    exact); the "0.000" prefix and "e+XX" suffix words; the dot's slot; and
+    the digits the integer part keeps.  All from exact integer arithmetic,
+    built on first use."""
+    e0, e1 = _E_RANGE
+    es = range(e0 - 1, e1 + 2)
+
+    def nearest(j: int) -> tuple[float, float]:
+        """The double nearest 10^j and the one nearest the remainder."""
+        if j >= 0:
+            hi = float(10 ** j)
+            return hi, float(10 ** j - int(hi))
+        d = 10 ** -j
+        hi = 1 / d                     # int / int is correctly rounded
+        num, den = hi.as_integer_ratio()
+        return hi, (den - num * d) / (den * d)
+
+    up = np.array([nearest(e + 1) for e in es])
+    hi, lo = np.array([nearest(16 - e) for e in es]).T
+    t = _SPLIT * hi
+    hh = t - (t - hi)
+    expo = [e < -4 or e > 16 for e in es]
+    return {
+        "floor_next": np.where(up[:, 1] > 0.0, np.nextafter(up[:, 0], np.inf), up[:, 0]),
+        "scale": np.stack([hi, hh, hi - hh, lo, np.where(lo != 0.0, 0.5 - _TIE, 2.0)], axis=1),
+        "prefix": _words([b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 and not x else b"")
+                          for e, x in zip(es, expo)]),
+        "suffix": _words([(b"e-" if e < 0 else b"e+") + (b"%03d" % abs(e) if abs(e) > 99
+                                                        else b"\0%02d" % abs(e))
+                          if x else b"" for e, x in zip(es, expo)]),
+        "dot": np.array([1 if x else e + 1 if e >= 0 else 17 for e, x in zip(es, expo)], np.uint8),
+        "least": np.array([e + 1 if e >= 0 and not x else 0 for e, x in zip(es, expo)], np.uint8),
+        "minus": _words([b"-"])[0],
+    }
+
+
+def _significands(a: np.ndarray, tab: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17-digit significands D (n,) in [10^16, 10^17) of the positive
+    doubles a (n,) with exponents in _E_RANGE, their table rows E (n,) and
+    the mask of the cells whose rounding the error bound leaves unsettled.
+
+    |x| 10^(16 - e) = h + r, with h = fl(|x| hi) and r its exact remainder
+    (two-product) plus fl(|x| lo).  The 17 digits x rounds to are h +
+    rint(r): h >= 2^53 is even, so round half to even of h + r is that of r.
+    As |x| 10^(16 - e) < 2^57, |r| < 32, and the computed r is off by at
+    most 2^-49 each from rounding |x| lo, from lo's own error (|lo| 2^-53)
+    and from rounding the sum: 3 2^-49 < 2^-47 in all.  So rint(r) is the
+    rounding unless r lies within _TIE of a half; where 10^(16 - e) is
+    exact (lo = 0), r is exact and always settles it.
+    """
+    # floor(log10 a) is log10(2) e2 rounded down, or one more, for a in
+    # [2^e2, 2^(e2 + 1)); 78913 / 2^18 stands for log10(2) for |e2| < 1650
+    E = a.view(np.int64) >> 52
+    E *= 78913
+    E -= 1023 * 78913 + (_E_RANGE[0] - 1) * 2 ** 18
+    E >>= 18
+    E += a >= tab["floor_next"].take(E)
+    hi, hh, hl, lo, tie = tab["scale"].take(E, axis=0).T
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    h = a * hi
+    r = ah * hh
+    r -= h
+    r += ah * hl
+    r += al * hh
+    r += al * hl
+    r += a * lo
+    ri = np.rint(r)
+    r -= ri
+    slow = np.abs(r, out=r) >= tie
+    D = h.astype(np.int64)
+    D += ri.astype(np.int64)
+    top = D == 10 ** 17                  # rounded up to the next power of ten
+    D[top] = 10 ** 16
+    E += top
+    return D, E, slow
+
+
+def _render_numbers(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`'%.17g' % v` for each v of x (n,) as its slot's first word (n,),
+    digit bytes (18, n) and fourth word (n,), and the mask of the cells left
+    to Python's own formatting: roundings `_significands` leaves unsettled,
+    nan, +-inf and |x| with e outside _E_RANGE."""
+    tab = _number_tables()
+    n = len(x)
+    a = np.abs(x)
+    fast = a >= tab["floor_next"][0]
+    fast &= a < tab["floor_next"][-2]
+    zero = a == 0.0
+    a[~fast] = 1.0                       # a zero is formatted as 1, then blanked
+    D, E, slow = _significands(a, tab)
+    fast |= zero
+    slow |= ~fast
+    # the leading digit and four groups of four
+    high = D // 10 ** 8
+    pair = np.empty((2, n), np.int32)
+    pair[1] = D - high * 10 ** 8
+    lead = high // 10 ** 8
+    pair[0] = high - lead * 10 ** 8
+    del D, high
+    lead *= ~zero
+    quad = np.empty((4, n), np.int16)
+    upper = pair // 10 ** 4
+    quad[0::2] = upper
+    quad[1::2] = pair - upper * 10 ** 4
+    digits = np.empty((19, n), np.uint8)  # padded by a row each side
+    digits[0] = digits[18] = 0
+    digits[1] = lead
+    by1, by2, by3 = quad // 10, quad // 100, quad // 1000
+    group = digits[2:18].reshape(4, 4, n)
+    group[:, 0] = by3
+    np.subtract(by2, 10 * by3, out=group[:, 1], casting="unsafe")
+    np.subtract(by1, 10 * by2, out=group[:, 2], casting="unsafe")
+    np.subtract(quad, 10 * by1, out=group[:, 3], casting="unsafe")
+    # significant digits: up to the last nonzero one, or the integer part
+    place = (digits[1:18] != 0).view(np.uint8)
+    place *= np.arange(1, 18, dtype=np.uint8)[:, None]
+    kept = np.maximum(place.max(axis=0), tab["least"].take(E))
+    digits[1:18] += 48
+    dot = tab["dot"].take(E)
+    kept += kept > dot
+    slot = np.arange(18, dtype=np.uint8)[:, None]
+    body = digits[1:19] - digits[0:18]   # digit s before the dot, s - 1 after
+    body *= (slot < dot).view(np.uint8)
+    body += digits[0:18]
+    body += (slot == dot).view(np.uint8) * (46 - body)
+    body *= (slot < kept).view(np.uint8)
+    head = tab["prefix"].take(E)
+    head |= np.signbit(x) * tab["minus"]
+    return head, body, tab["suffix"].take(E), slow
+
+
+def _render_rows(columns: list[np.ndarray]) -> bytes:
+    """The CSV bytes of rows of equal-length columns, in one pass."""
+    k, c = len(columns[0]), len(columns)
+    text = {j: col if col.dtype.kind == "S" else np.char.encode(col, "utf-8")
+            for j, col in enumerate(columns) if col.dtype.kind in "US"}
+    words = max([4] + [-(-(s.itemsize + 3) // 8) for s in text.values()])
+    blank = np.zeros(k) if text else None
+    x = np.stack([blank if j in text else col for j, col in enumerate(columns)],
+                 axis=1, dtype=float, casting="unsafe").reshape(-1)
+    head, body, tail, slow = _render_numbers(x)
+    buf = np.empty((k, c, words), np.uint64)
+    buf[:, :, 0] = head.reshape(k, c)
+    cells = buf.view(np.uint8).reshape(k * c, 8 * words)
+    cells[:, 6:24] = body.T
+    del body
+    buf[:, :, 3] = tail.reshape(k, c)
+    buf[:, :, 4:] = 0
+    buf[:, :, -1] |= _words([b"\0" * 5 + b","] * (c - 1) + [b"\0" * 5 + b"\r\n"])
+    for j, s in text.items():
+        cell = cells.reshape(k, c, 8 * words)[:, j]
+        cell[:, :-3] = 0
+        cell[:, :s.itemsize] = s.view(np.uint8).reshape(k, s.itemsize)
+    idx = np.flatnonzero(slow)
+    if len(idx):
+        fixed = np.array(["%.17g" % v for v in x[idx].tolist()], "S29")
+        cells[idx, :29] = fixed.view(np.uint8).reshape(len(idx), 29)
+    return buf.tobytes().translate(None, b"\0")
+
+
 def write_table(path: str | Path, header: str, columns) -> None:
-    """Write `header` and one CSV row per entry of the equal-shape `columns`
-    (in row-major order), string columns as they are and the others with
-    17 significant digits (bools as 0 and 1), through one row format;
-    every line ends in CRLF."""
-    columns = [np.ravel(c) for c in columns]
-    row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in columns) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(row % r for r in zip(*(c.tolist() for c in columns), strict=True))
+    """Write `header` and one CSV row per entry of the equal-size `columns`
+    (each read in row-major order), every line ending in CRLF, in UTF-8.
+
+    String columns are written as they are (a NUL character is dropped) and
+    the others as `'%.17g' % float(v)` (bools as 0 and 1), byte for byte
+    Python's: nan, inf, -inf and -0 as Python prints them.  A numeric cell
+    is formatted by `_render_numbers` from a double-double product whose
+    error is below 2^-47 units of the 17th digit (`_significands`); a cell
+    whose rounding that bound cannot settle (within 1e-12 of a tie), a
+    non-finite cell and one of magnitude outside 1e-280..1e281 go through
+    Python's own `'%.17g'`.  The table streams in blocks of about
+    _BLOCK_CELLS cells, so the memory it takes does not grow with it.
+    """
+    columns = [np.asarray(c).reshape(-1) for c in columns]   # views where they can be
+    fields = header.split(",")
+    if len(fields) != len(columns):
+        raise ValueError(f"header has {len(fields)} fields for {len(columns)} columns")
+    rows = len(columns[0]) if columns else 0
+    if any(len(c) != rows for c in columns):
+        raise ValueError(f"columns of unequal size: {[len(c) for c in columns]}")
+    step = max(1, _BLOCK_CELLS // max(1, len(columns)))
+    with open(path, "wb") as fh:
+        fh.write((header + "\r\n").encode())
+        for i in range(0, rows, step):
+            fh.write(_render_rows([c[i:i + step] for c in columns]))
 
 
 TRAJECTORY_HEADER = ("t,X2x,X2y,X1x,X1y,vX2x,vX2y,vX1x,vX1y,comx,comy,"
@@ -465,4 +670,5 @@ def write_economy_csv(path: str | Path, grid: EconomyGrid) -> None:
 
 def write_peaks_csv(path: str | Path, peaks: list[PeakPoint]) -> None:
     write_table(path, "speed,frequency,boundary",
-                zip(*((p.speed, p.frequency, p.boundary) for p in peaks)))
+                [[p.speed for p in peaks], [p.frequency for p in peaks],
+                 [p.boundary for p in peaks]])

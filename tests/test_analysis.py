@@ -21,7 +21,7 @@ from linwalk.analysis import (
     EconomyGrid, TdsPolicy, com_work_per_distance, economy_cell,
     economy_surface, parse_tds_policy, peak_line, sample_trajectory,
     usable_cpus, write_economy_csv, write_peaks_csv, write_table, write_trajectory_csv,
-    TRAJECTORY_HEADER, _pool_map,
+    TRAJECTORY_HEADER, _BLOCK_CELLS, _pool_map,
 )
 from linwalk.transition import StrideMaps
 
@@ -501,6 +501,80 @@ def test_table_writer_flattens_columns_and_refuses_a_ragged_table(tmp_path):
         write_table(path, "a,b", [[1.0, 2.0], [3.0]])
     write_table(path, "a,b,c", [[[0.1], [2.0]], [["x"], [""]], [[True], [False]]])
     assert path.read_bytes() == b"a,b,c\r\n0.10000000000000001,x,1\r\n2,,0\r\n"
+
+
+def _percent_g_rows(columns) -> bytes:
+    """The table body the per-row format wrote: each numeric cell as
+    '%.17g' % v, one row format string per table."""
+    row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in columns) + "\r\n"
+    return "".join(row % r for r in zip(*(c.tolist() for c in columns))).encode()
+
+
+def test_table_writer_matches_percent_g_on_hard_doubles(tmp_path):
+    """Every cell the vectorized writer prints is Python's '%.17g' of it:
+    random bit patterns (nan, inf and subnormals among them), normals over
+    fifty decades, the extremes, powers of ten and their neighbours, large
+    integers, exact 17-digit ties, and bool and int64 columns."""
+    rng = np.random.default_rng(20161014)
+    p10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    odd = 2 * rng.integers(2 ** 22, 2 ** 23, 4000) + 1
+    j = rng.integers(3, 26, 4000)         # m 2^-j with m 5^j of 18 digits: a tie
+    low = np.ceil(1e17 / 5.0 ** j)
+    m = low + 2 * np.floor(rng.random(4000) * (np.minimum(1e18 / 5.0 ** j, 2.0 ** 53) - low) / 2)
+    m += m % 2 == 0
+    big = rng.integers(0, 2 ** 63, 20000, dtype=np.int64) >> rng.integers(0, 63, 20000)
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64).view(np.float64),
+        rng.integers(1, 2 ** 52, 2000, dtype=np.uint64).view(np.float64),   # subnormal
+        rng.standard_normal(100_000) * 10.0 ** rng.uniform(-25.0, 25.0, 100_000),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308, 2.0 ** 63, 1.0, -1.0, 0.5],
+        p10, -p10, np.nextafter(p10, 0.0), np.nextafter(p10, np.inf),
+        big.astype(float), (2.0 ** 52 + 2.0 ** 24 * odd) / 2.0 ** 37, m * 2.0 ** -j,
+    ])
+    rng.shuffle(values)
+    columns = list(values[:len(values) // 3 * 3].reshape(-1, 3).T)
+    rows = len(columns[0])
+    assert rows * 3 % _BLOCK_CELLS and rows % (_BLOCK_CELLS // 3)
+    path = tmp_path / "hard.csv"
+    write_table(path, "a,b,c", columns)
+    assert path.read_bytes() == b"a,b,c\r\n" + _percent_g_rows(columns)
+    columns = [big, big < 2 ** 40, values[:len(big)], np.negative(big)]
+    write_table(path, "i,b,x,n", columns)
+    assert path.read_bytes() == b"i,b,x,n\r\n" + _percent_g_rows(columns)
+
+
+def test_table_writer_refuses_a_header_of_another_width_and_writes_empty_tables(tmp_path):
+    """A header whose field count is not the column count is refused, naming
+    both; a table of no rows, the peaks of no speed included, is its
+    header."""
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="2 fields for 1 column"):
+        write_table(path, "a,b", [[1.0]])
+    with pytest.raises(ValueError, match="1 fields for 2 column"):
+        write_table(path, "a", [[1.0], [2.0]])
+    write_table(path, "a,b", [[], []])
+    assert path.read_bytes() == b"a,b\r\n"
+    write_peaks_csv(path, [])
+    assert path.read_bytes() == b"speed,frequency,boundary\r\n"
+
+
+def test_table_writer_memory_stays_flat(tmp_path, gait):
+    """The writer streams fixed blocks of cells: its peak traced allocation
+    on a 402 x 21 trajectory is at most 1 MB, and that of a table a hundred
+    times longer at most 1.5 times as much (holding every cell's Python
+    float, as the per-row format did, grew with the table)."""
+    def peak(samples) -> int:
+        write_trajectory_csv(tmp_path / "warm.csv", samples)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(tmp_path / "traj.csv", samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    short = peak(sample_trajectory(gait, 401))
+    assert short <= 1_000_000
+    assert peak(sample_trajectory(gait, 40199)) <= 1.5 * short
 
 
 def test_csv_outputs(tmp_path, gait, body66):
