@@ -445,7 +445,7 @@ def peak_line(grid: EconomyGrid) -> list[PeakPoint]:
 _E_RANGE = (-280, 280)
 _SPLIT = 2.0 ** 27 + 1.0          # Veltkamp: splits a double into two halves
 _TIE = 1e-12                      # > 2^-47, the fraction's error bound
-_BLOCK_CELLS = 2048               # cells per pass: about 0.4 MB of buffers
+_BLOCK_CELLS = 1024               # cells per pass
 
 
 def _words(chunks: list[bytes]) -> np.ndarray:
@@ -484,9 +484,10 @@ def _number_tables() -> dict:
     expo = [e < -4 or e > 16 for e in es]
     return {
         "floor_next": np.where(up[:, 1] > 0.0, np.nextafter(up[:, 0], np.inf), up[:, 0]),
-        "scale": np.stack([hi, hh, hi - hh, lo, np.where(lo != 0.0, 0.5 - _TIE, 2.0)], axis=1),
-        "prefix": _words([b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 and not x else b"")
-                          for e, x in zip(es, expo)]),
+        "scale": np.stack([hi, hh, hi - hh, lo], axis=1),
+        "tie": np.where(lo != 0.0, 0.5 - _TIE, 2.0),
+        "prefix": _words([b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+                          for e in es]),
         "suffix": _words([(b"e-" if e < 0 else b"e+") + (b"%03d" % abs(e) if abs(e) > 99
                                                         else b"\0%02d" % abs(e))
                           if x else b"" for e, x in zip(es, expo)]),
@@ -496,10 +497,12 @@ def _number_tables() -> dict:
     }
 
 
-def _significands(a: np.ndarray, tab: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 17-digit significands D (n,) in [10^16, 10^17) of the positive
-    doubles a (n,) with exponents in _E_RANGE, their table rows E (n,) and
-    the mask of the cells whose rounding the error bound leaves unsettled.
+def _significands(x: np.ndarray, tab: dict) -> tuple[np.ndarray, ...]:
+    """The 17-digit significands D (n,) in [10^16, 10^17) of the doubles x
+    (n,), their exponents' table rows E (n,), the mask of the zeros (D 10^16,
+    E that of e = 0) and the mask of the cells left to Python's own
+    formatting: nan, +-inf, |x| with e outside _E_RANGE, and the roundings
+    the error bound leaves unsettled.
 
     |x| 10^(16 - e) = h + r, with h = fl(|x| hi) and r its exact remainder
     (two-product) plus fl(|x| lo).  The 17 digits x rounds to are h +
@@ -510,6 +513,11 @@ def _significands(a: np.ndarray, tab: dict) -> tuple[np.ndarray, np.ndarray, np.
     rounding unless r lies within _TIE of a half; where 10^(16 - e) is
     exact (lo = 0), r is exact and always settles it.
     """
+    a = np.abs(x)
+    fast = a >= tab["floor_next"][0]
+    fast &= a < tab["floor_next"][-2]
+    zero = a == 0.0
+    a[~fast] = 1.0
     # floor(log10 a) is log10(2) e2 rounded down, or one more, for a in
     # [2^e2, 2^(e2 + 1)); 78913 / 2^18 stands for log10(2) for |e2| < 1650
     E = a.view(np.int64) >> 52
@@ -517,7 +525,7 @@ def _significands(a: np.ndarray, tab: dict) -> tuple[np.ndarray, np.ndarray, np.
     E -= 1023 * 78913 + (_E_RANGE[0] - 1) * 2 ** 18
     E >>= 18
     E += a >= tab["floor_next"].take(E)
-    hi, hh, hl, lo, tie = tab["scale"].take(E, axis=0).T
+    hi, hh, hl, lo = tab["scale"].take(E, axis=0).T
     t = _SPLIT * a
     ah = t - (t - a)
     al = a - ah
@@ -528,64 +536,66 @@ def _significands(a: np.ndarray, tab: dict) -> tuple[np.ndarray, np.ndarray, np.
     r += al * hh
     r += al * hl
     r += a * lo
+    del a, t, ah, al, hi, hh, hl, lo
     ri = np.rint(r)
     r -= ri
-    slow = np.abs(r, out=r) >= tie
+    slow = np.abs(r, out=r) >= tab["tie"].take(E)
+    slow |= ~(fast | zero)
     D = h.astype(np.int64)
     D += ri.astype(np.int64)
     top = D == 10 ** 17                  # rounded up to the next power of ten
     D[top] = 10 ** 16
     E += top
-    return D, E, slow
+    return D, E, zero, slow
 
 
-def _render_numbers(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`'%.17g' % v` for each v of x (n,) as its slot's first word (n,),
-    digit bytes (18, n) and fourth word (n,), and the mask of the cells left
-    to Python's own formatting: roundings `_significands` leaves unsettled,
-    nan, +-inf and |x| with e outside _E_RANGE."""
-    tab = _number_tables()
-    n = len(x)
-    a = np.abs(x)
-    fast = a >= tab["floor_next"][0]
-    fast &= a < tab["floor_next"][-2]
-    zero = a == 0.0
-    a[~fast] = 1.0                       # a zero is formatted as 1, then blanked
-    D, E, slow = _significands(a, tab)
-    fast |= zero
-    slow |= ~fast
-    # the leading digit and four groups of four
+def _digit_rows(D: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 ASCII digits of the significands D (n,), one row each, padded
+    by a zero row on each side (19, n); the zeros' read 0 then 16 zeros.
+    Also the count of digits up to the last nonzero one."""
+    n = len(D)
     high = D // 10 ** 8
     pair = np.empty((2, n), np.int32)
     pair[1] = D - high * 10 ** 8
     lead = high // 10 ** 8
     pair[0] = high - lead * 10 ** 8
-    del D, high
-    lead *= ~zero
-    quad = np.empty((4, n), np.int16)
+    quad = np.empty((4, n), np.int16)    # four groups of four digits
     upper = pair // 10 ** 4
     quad[0::2] = upper
     quad[1::2] = pair - upper * 10 ** 4
-    digits = np.empty((19, n), np.uint8)  # padded by a row each side
+    digits = np.empty((19, n), np.uint8)
     digits[0] = digits[18] = 0
-    digits[1] = lead
+    np.multiply(lead, ~zero, out=digits[1], casting="unsafe")
     by1, by2, by3 = quad // 10, quad // 100, quad // 1000
     group = digits[2:18].reshape(4, 4, n)
     group[:, 0] = by3
     np.subtract(by2, 10 * by3, out=group[:, 1], casting="unsafe")
     np.subtract(by1, 10 * by2, out=group[:, 2], casting="unsafe")
     np.subtract(quad, 10 * by1, out=group[:, 3], casting="unsafe")
-    # significant digits: up to the last nonzero one, or the integer part
     place = (digits[1:18] != 0).view(np.uint8)
     place *= np.arange(1, 18, dtype=np.uint8)[:, None]
-    kept = np.maximum(place.max(axis=0), tab["least"].take(E))
     digits[1:18] += 48
+    return digits, place.max(axis=0)
+
+
+def _render_numbers(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`'%.17g' % v` for each v of x (n,) as its slot's first word (n,),
+    digit bytes (18, n) and fourth word (n,), and the mask of the cells left
+    to Python's own formatting (`_significands`)."""
+    tab = _number_tables()
+    D, E, zero, slow = _significands(x, tab)
+    digits, last = _digit_rows(D, zero)
+    del D
+    # the digits kept: up to the last nonzero one or the integer part's
+    # end, and the dot if one follows it
     dot = tab["dot"].take(E)
+    kept = np.maximum(last, tab["least"].take(E))
     kept += kept > dot
     slot = np.arange(18, dtype=np.uint8)[:, None]
     body = digits[1:19] - digits[0:18]   # digit s before the dot, s - 1 after
     body *= (slot < dot).view(np.uint8)
     body += digits[0:18]
+    del digits
     body += (slot == dot).view(np.uint8) * (46 - body)
     body *= (slot < kept).view(np.uint8)
     head = tab["prefix"].take(E)
@@ -598,6 +608,7 @@ def _render_rows(columns: list[np.ndarray]) -> bytes:
     k, c = len(columns[0]), len(columns)
     text = {j: col if col.dtype.kind == "S" else np.char.encode(col, "utf-8")
             for j, col in enumerate(columns) if col.dtype.kind in "US"}
+    # a string, then its separator and a zero, in whole words
     words = max([4] + [-(-(s.itemsize + 3) // 8) for s in text.values()])
     blank = np.zeros(k) if text else None
     x = np.stack([blank if j in text else col for j, col in enumerate(columns)],
@@ -637,13 +648,13 @@ def write_table(path: str | Path, header: str, columns) -> None:
     _BLOCK_CELLS cells, so the memory it takes does not grow with it.
     """
     columns = [np.asarray(c).reshape(-1) for c in columns]   # views where they can be
-    fields = header.split(",")
-    if len(fields) != len(columns):
-        raise ValueError(f"header has {len(fields)} fields for {len(columns)} columns")
-    rows = len(columns[0]) if columns else 0
+    fields = header.count(",") + 1
+    if fields != len(columns):
+        raise ValueError(f"header has {fields} fields for {len(columns)} columns")
+    rows = len(columns[0])
     if any(len(c) != rows for c in columns):
         raise ValueError(f"columns of unequal size: {[len(c) for c in columns]}")
-    step = max(1, _BLOCK_CELLS // max(1, len(columns)))
+    step = max(1, _BLOCK_CELLS // len(columns))
     with open(path, "wb") as fh:
         fh.write((header + "\r\n").encode())
         for i in range(0, rows, step):
