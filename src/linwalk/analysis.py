@@ -477,8 +477,9 @@ def _number_tables() -> dict:
         num, den = hi.as_integer_ratio()
         return hi, (den - num * d) / (den * d)
 
-    up = np.array([nearest(e + 1) for e in es])
-    hi, lo = np.array([nearest(16 - e) for e in es]).T
+    powers = {j: nearest(j) for j in range(e0, 18 - e0)}
+    up = np.array([powers[e + 1] for e in es])
+    hi, lo = np.array([powers[16 - e] for e in es]).T
     t = _SPLIT * hi
     hh = t - (t - hi)
     expo = [e < -4 or e > 16 for e in es]
@@ -551,8 +552,8 @@ def _significands(x: np.ndarray, tab: dict) -> tuple[np.ndarray, ...]:
 
 def _digit_rows(D: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 17 ASCII digits of the significands D (n,), one row each, padded
-    by a zero row on each side (19, n); the zeros' read 0 then 16 zeros.
-    Also the count of digits up to the last nonzero one."""
+    by a zero row on each side (19, n), a zero cell's reading 0 and sixteen
+    zeros; and the count of digits up to the last nonzero one."""
     n = len(D)
     high = D // 10 ** 8
     pair = np.empty((2, n), np.int32)
