@@ -12,13 +12,17 @@ alternating, and their wall times are taken from launch to exit, with
 each launch's peak RSS.  An 8633-cell sweep runs too, serial and with two
 workers, because the worker pool wins only on grids that large, and so
 does a 100 000-sample gait, whose 2.1 M-cell `trajectory.csv` is mostly
-the table writer.
+the table writer.  Last, one process per tree times, in process, a new
+body's phase-ODE extraction (`dynamics._extract_ode`) and then its phase
+template (`transition.phase_template`, the extraction cached), per phase,
+on LAYER_BODIES seeded bodies drawn as perfbench draws them.
 
 The JSON file holds the machine block and, per commit, the median and
 interquartile range of `op_p50_cal`, `setup_s` and `peak_rss_mb` per
 workload (with every run's value, `correct` over all runs and the total
-`failed`), and the median wall, the exit codes and the median peak RSS of
-each CLI command.
+`failed`), the median wall, the exit codes and the median peak RSS of
+each CLI command, and the median and interquartile range, in
+microseconds, of each layer's time per phase.
 The tool records numbers and asserts none.  Its worktrees are removed
 when it finishes.  Standard library only.
 """
@@ -39,6 +43,29 @@ WORKLOADS = ("sweep-cold", "gait-batch", "relax-cold", "validate-rk4")
 METRICS = ("op_p50_cal", "setup_s", "peak_rss_mb")
 SECONDS = 15        # BENCHMARK.json's run_seconds
 LAUNCHES = 5        # per CLI command and commit
+LAYER_BODIES = 200  # new bodies per tree for the layer timings
+# times in one process a new body's extraction and then its template, per
+# phase; prints {layer: {phase: [microseconds per body]}} as one JSON line
+LAYER_SCRIPT = """
+import json, sys, time
+import numpy as np
+from linwalk.dynamics import _extract_ode
+from linwalk.model import default_params, scaled_body
+from linwalk.transition import phase_template
+rng = np.random.default_rng(int(sys.argv[1]))
+base = default_params("adult")
+out = {"extract_ode": {"single": [], "double": []},
+       "phase_template": {"single": [], "double": []}}
+for k in range(10 + int(sys.argv[2])):       # the first 10 warm up
+    body = scaled_body(base, float(rng.uniform(55.0, 85.0)), float(rng.uniform(0.9, 1.1)))
+    for phase in ("single", "double"):
+        for layer, call in (("extract_ode", _extract_ode), ("phase_template", phase_template)):
+            t0 = time.perf_counter()
+            call(body, phase)
+            if k >= 10:
+                out[layer][phase].append(1e6 * (time.perf_counter() - t0))
+print(json.dumps(out))
+"""
 # the README's configuration file and its command-line examples
 CONFIG = ("m1: 45.7\nm2: 12.15\nm3: 12.15\nz1: 0.89\nz2: 0.32\nz3: 0.36\n"
           "w: 0.20\ng: 9.81\nT_ds: 0.3\nT_ss: 0.56\n")
@@ -106,6 +133,21 @@ def time_cli(tree: Path, work: Path, argv: list[str]) -> tuple[float, int, float
     return wall, proc.returncode, usage.ru_maxrss / 1024.0
 
 
+def time_layers(tree: Path, seed: int) -> dict:
+    """Each layer's microseconds per new body and phase (`LAYER_SCRIPT`),
+    as median and interquartile range, from one process in tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPT, str(seed),
+                           str(LAYER_BODIES)], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
+    times = json.loads(proc.stdout)
+    return {layer: {phase: {k: v for k, v in spread(us).items() if k != "runs"}
+                    for phase, us in phases.items()}
+            for layer, phases in times.items()}
+
+
 def summarize(runs: list[dict]) -> dict:
     ok = [r for r in runs if "error" not in r]
     out = {name: spread([r["metrics"][name]["value"] for r in ok])
@@ -157,6 +199,7 @@ def main(argv=None) -> int:
                         walls[sha][name].append(wall)
                         codes[sha][name].add(code)
                         rss[sha][name].append(peak)
+            layers = {sha: time_layers(trees[sha], 0) for sha in alternate(shas, 0)}
         finally:
             for tree in trees.values():
                 if tree.exists():
@@ -167,7 +210,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "cpu_count": os.cpu_count()},
         "seeds": list(range(args.seeds)), "seconds": SECONDS,
-        "launches": LAUNCHES,
+        "launches": LAUNCHES, "layer_bodies": LAYER_BODIES,
         "commits": [{
             "commit": sha, "rev": rev,
             "workloads": {w: summarize(runs[sha][w]) for w in WORKLOADS},
@@ -176,6 +219,7 @@ def main(argv=None) -> int:
                            for name in CLI},
             "cli_peak_rss_mb": {name: statistics.median(rss[sha][name])
                                 for name in CLI},
+            "layers_us": layers[sha],
         } for rev, sha in zip(args.commits, shas)],
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -173,12 +173,12 @@ def _work_per_distance(params: BodyParams, T_ds: np.ndarray, T_ss: np.ndarray,
     V = np.concatenate([ds[:, :, 0, 4:8], ss[:, :, 0, 4:8]])   # (pieces, K, 4)
     cell = np.concatenate([run_ds, run_ss])                    # each piece's stride
     n, K = V.shape[:2]
-    # 2 KE(s) = sum_kl gram[k, l] s^(k + l): the anti-diagonal sums, as the
-    # column sums of gram's rows shifted right by k (rows of 2K + 1 read
-    # back as rows of 2K)
-    skew = np.zeros((n, K, 2 * K + 1))
-    skew[..., :K] = V @ G @ V.transpose(0, 2, 1)
-    ke2 = skew.reshape(n, -1)[:, :2 * K * K].reshape(n, K, 2 * K).sum(axis=1)
+    # 2 KE(s) = sum_kl gram[k, l] s^(k + l): the anti-diagonal sums, gram's
+    # rows added in order, row k shifted right by k
+    gram = V @ G @ V.transpose(0, 2, 1)
+    ke2 = np.zeros((n, 2 * K))
+    for i in range(K):
+        ke2[:, i:i + K] += gram[:, i]
     p, s = _turning_points(ke2[:, 1:-1] * np.arange(1, 2 * K - 1))
     # piece starts (u = 0), roots (u = s) and the stride ends (index n)
     v = np.concatenate([V[:, 0], np.einsum("rk,rkc->rc", s[:, None] ** np.arange(K), V[p]),

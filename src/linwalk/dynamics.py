@@ -20,15 +20,19 @@ leg with weights 1/(1 - t/T_ds) and 1/(t/T_ds).  The closure is assembled
 in cleared-denominator form, which is regular at both phase endpoints.
 
 The module works numerically, on stacks of instants: `_assemble` writes
-the balance laws at k pairs (Q, t) into one (k, 24, n) coefficient array,
-with each unknown at a fixed column of its phase, double support forms its
-closure rows with one stacked elimination, and `solve_forces` solves all k
-systems with one more.  The phase ODE matrices come from one stacked solve
-per (body, phase), probing the zero state and the 23 basis vectors at three
-s at once.  A double-support balance matrix reads Q only at the points and
-the side, so there the elimination runs once per distinct matrix, 14 with
-those the yaw split reads, in one stacked call, and each probe takes its
-matrix's Jacobian.
+the balance laws' coefficients at k states into one (k, n, n) array, with
+each unknown at a fixed column of its phase, `_rhs` their right-hand sides
+at k pairs (Q, t), double support forms its closure rows with one stacked
+elimination, and `solve_forces` solves all k systems with one more.  The
+phase ODE matrices come from one stacked solve per (body, phase), probing
+the zero state and the 19 basis vectors of the entries the balance laws
+read (all but the velocities) at three s at once: 20 probes, 60 systems.
+A balance matrix reads Q only at the points and the side, and never s, so
+it is assembled once per distinct state, 8 in single support and 14 in
+double support, where the elimination runs over those 14 (the probes' 8
+and the point states at d = 1 that the yaw split reads) in one stacked
+call; each probe solves against a copy of its matrix, with its matrix's
+Jacobian.
 Time enters the balance system only through s = t / T_phase, so the probing
 runs once per (body, phase) at unit duration and is cached; each timing
 then only rescales the time-linear part, K1 = K1_unit / T_phase.
@@ -169,27 +173,23 @@ def _given(phase: str, q: np.ndarray, s: np.ndarray) -> dict:
     return given
 
 
-def _assemble(params: BodyParams, phase: str, q: np.ndarray,
-              s: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The balance systems A u = b at the k states q (k, 23) and phase
-    fractions s = t / T_phase (k,): A (k, 24, n), b (k, 24), and the
-    prescribed wrenches (`_given`)."""
+def _assemble(params: BodyParams, phase: str, q: np.ndarray) -> np.ndarray:
+    """The balance matrices A (k, n, n) at the k states q (k, 23): the
+    coefficients of the unknowns in the balance laws, which read q only at
+    the points and the side d, and never s.  In double support the last
+    four rows are zero, left for the transfer rule (`_put_transfer_rows`)."""
     col = _COL[phase]
-    k = len(q)
-    A = np.zeros((k, 24, _N_UNKNOWN[phase]))
-    c = np.zeros((k, 24))          # the constant terms: A u + c = 0
+    A = np.zeros((len(q), _N_UNKNOWN[phase], _N_UNKNOWN[phase]))
     eye = np.eye(3)
 
     def put(row: int, name: str, block) -> None:
         A[:, row:row + 3, col[name]:col[name] + 3] = block
 
     X1, X2, X3, geo = _points(params, q)
-    given = _given(phase, q, s)
 
     # Newton: the leg masses move with the pelvis and, for a free swing
     # foot, with it: ydd2 = (1 - kappa) a1 + kappa a2, ydd3 = (1 - kappa) a1
     kappa = params.kappa
-    gez = np.array([0.0, 0.0, params.g])
     for j in range(2):
         A[:, _N1 + j, col["a1"] + j] = params.m1
         A[:, _N2 + j, col["a1"] + j] = params.m2 * (1.0 - kappa)
@@ -198,14 +198,10 @@ def _assemble(params: BodyParams, phase: str, q: np.ndarray,
         put(row, f, -eye)
         put(_PF, f, -eye)
     put(_N3, "F3", -eye)
-    c[:, _N1:_N1 + 3] = params.m1 * gez - given["F1"]
-    c[:, _N2:_N2 + 3] = params.m2 * gez
-    c[:, _N3:_N3 + 3] = params.m3 * gez
 
     # moments about each mass
     put(_E1, "f1", _skew(X1 - geo["y1"]))
     put(_E1, "tau1", eye)
-    c[:, _E1:_E1 + 3] = given["M1"]
     put(_E2, "f2", _skew(geo["x2"] - geo["y2"]))
     put(_E3, "f3", _skew(geo["x3"] - geo["y3"]))
     put(_E3, "F3", _skew(X3 - geo["y3"]))
@@ -225,17 +221,35 @@ def _assemble(params: BodyParams, phase: str, q: np.ndarray,
         A[:, _N2, col["a2"]] = A[:, _N2 + 1, col["a2"] + 1] = params.m2 * kappa
         A[:, _E2 + 2, col["tau2z"]] = 1.0
         A[:, _PM + 2, col["tau2z"]] = -1.0
-        c[:, _E2:_E2 + 3] = given["tau2"]
-        c[:, _PM:_PM + 3] = -given["tau2"]
     else:
         put(_N2, "F2", -eye)
         put(_E2, "F2", _skew(X2 - geo["y2"]))
         put(_E2, "tau2", eye)
         put(_PM, "tau2", -eye)
         A[:, _E2 + 2, col["M2z"]] = 1.0
+    return A
+
+
+def _rhs(params: BodyParams, phase: str, q: np.ndarray,
+         s: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The right-hand sides b (k, n) of the balance systems A u = b at the k
+    states q (k, 23) and phase fractions s = t / T_phase (k,), and the
+    prescribed wrenches (`_given`).  In double support the last four
+    entries are left for the transfer rule (`_put_transfer_rows`)."""
+    c = np.zeros((len(q), _N_UNKNOWN[phase]))     # the constant terms: A u + c = 0
+    given = _given(phase, q, s)
+    gez = np.array([0.0, 0.0, params.g])
+    c[:, _N1:_N1 + 3] = params.m1 * gez - given["F1"]
+    c[:, _N2:_N2 + 3] = params.m2 * gez
+    c[:, _N3:_N3 + 3] = params.m3 * gez
+    c[:, _E1:_E1 + 3] = given["M1"]
+    if phase == SINGLE:
+        c[:, _E2:_E2 + 3] = given["tau2"]
+        c[:, _PM:_PM + 3] = -given["tau2"]
+    else:
         c[:, _E2:_E2 + 3] = given["M2"]
     c[:, _E3:_E3 + 3] = given["M3"]
-    return A, -c, given
+    return -c, given
 
 
 # the double-support residual system E: its unknowns, in the order (tau2,
@@ -263,27 +277,27 @@ def _transfer_jacobian(A: np.ndarray) -> np.ndarray:
     return A[:, kept, _V_COLS] + A[:, kept, _OTHER_COLS] @ sol
 
 
-def _transfer_rows(J: np.ndarray, q: np.ndarray,
-                   s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cleared-denominator uniform transfer rule rows for double support.
+def _put_transfer_rows(J: np.ndarray, q: np.ndarray, s: np.ndarray,
+                       A: np.ndarray, b: np.ndarray) -> None:
+    """Write the cleared-denominator uniform transfer rule rows of double
+    support into the last four rows of the k systems A (k, 28, 28) and
+    their right-hand sides b (k, 28), which are zero there.
 
     Takes the Jacobians J (k, 4, 8) of the residual E(V) at the k systems
     (`_transfer_jacobian`), whose columns are the trailing- and leading-leg
-    variables, and returns s*J2 (V2 - V2hat) - (1-s)*J3 (V3 - V3hat) = 0
-    as four rows (k, 4, 28) over the full unknown vector, and their
-    right-hand sides (k, 4).
+    variables, and writes s*J2 (V2 - V2hat) - (1-s)*J3 (V3 - V3hat) = 0
+    over the full unknown vector.
     """
     J2, J3 = J[..., :4], J[..., 4:]
 
     v2_hat = _columns(q[:, IU_HX], q[:, IU_HY], 0.0, 0.0)
     v3_hat = _columns(-q[:, IU_HX] - q[:, IRU_HX], q[:, IU_HY] + q[:, IRU_HY],
                       0.0, 0.0)
-    rows = np.zeros((len(q), 4, _N_UNKNOWN[DOUBLE]))
+    rows = A[:, 24:]
     rows[..., _V_COLS[:4]] = s[:, None, None] * J2
     rows[..., _V_COLS[4:]] = -(1.0 - s)[:, None, None] * J3
-    rhs = (s[:, None] * (J2 @ v2_hat[..., None])[..., 0]
-           - (1.0 - s)[:, None] * (J3 @ v3_hat[..., None])[..., 0])
-    return rows, rhs
+    b[:, 24:] = (s[:, None] * (J2 @ v2_hat[..., None])[..., 0]
+                 - (1.0 - s)[:, None] * (J3 @ v3_hat[..., None])[..., 0])
 
 
 def _fractions(timing: StrideTiming, phase: str, qs: np.ndarray,
@@ -311,20 +325,21 @@ def solve_forces(params: BodyParams, timing: StrideTiming, phase: str,
     """
     q = np.asarray(q, dtype=float)
     qs = np.atleast_2d(q)
-    forces = _solve(params, phase, qs, _fractions(timing, phase, qs, t))
+    forces = _solve(params, phase, qs, _fractions(timing, phase, qs, t),
+                    _assemble(params, phase, qs))
     return forces if q.ndim == 2 else forces[0]
 
 
 def _solve(params: BodyParams, phase: str, qs: np.ndarray, s: np.ndarray,
-           J: np.ndarray | None = None) -> ForceSolution:
+           A: np.ndarray, J: np.ndarray | None = None) -> ForceSolution:
     """The stacked solve of `solve_forces` at the k states qs and phase
-    fractions s.  In double support J (k, 4, 8) holds the systems' transfer
-    Jacobians; without it they are eliminated here."""
-    A, b, given = _assemble(params, phase, qs, s)
+    fractions s, whose balance matrices (`_assemble`) are A (k, n, n), one
+    system per state and each the caller's own stack.  In double support
+    the transfer rows are written into A; J (k, 4, 8) holds the systems'
+    transfer Jacobians, and without it they are eliminated from A here."""
+    b, given = _rhs(params, phase, qs, s)
     if phase == DOUBLE:
-        rows, rhs = _transfer_rows(_transfer_jacobian(A) if J is None else J, qs, s)
-        A = np.concatenate([A, rows], axis=1)
-        b = np.concatenate([b, rhs], axis=1)
+        _put_transfer_rows(_transfer_jacobian(A) if J is None else J, qs, s, A, b)
     try:
         u = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -379,18 +394,17 @@ class WrenchMap:
 
 def _wrench_map(phase: str, forces: ForceSolution,
                 yaw: np.ndarray | None) -> WrenchMap:
-    """The wrench map of one body and phase from the solved probes: the
-    zero state and the 23 basis states, at s = 0, 1/2 and 1.  In double
-    support ``yaw`` (7, 4) holds the pelvis-z rows of the transfer
-    Jacobians of the zero and point states at d = 1, from the elimination
-    of `_extract_ode`."""
+    """The wrench map of one body and phase from the solved probes
+    (`_PROBES`): the zero state and the basis states of `_BALANCE_COLS`, at
+    s = 0, 1/2 and 1.  In double support ``yaw`` (7, 4) holds the pelvis-z
+    rows of the transfer Jacobians of the zero and point states at d = 1,
+    from the elimination of `_extract_ode`."""
     names = _SOLVED[phase]
     v = np.concatenate([getattr(forces, name) for name in names], axis=1)
-    v = v.reshape(3, Q_DIM + 1, -1)
+    v = v.reshape(3, len(_BALANCE_COLS) + 1, -1)
     v[..., [3 * names.index(name) + 2 for name in ("tau1", "tau2", "tau3")
             if name in names]] = 0.0
     v[:, 1:] -= v[:, :1]           # the value at Q = 0, then one slope per entry
-    v = v[:, [0] + [1 + i for i in _BALANCE_COLS]]
     v0, vh, v1 = v
     # the polynomial in s through the nodes: single support is affine in s
     coef = ([v0, v1 - v0] if phase == SINGLE
@@ -500,37 +514,55 @@ _CONST_COLS = {
 UNIT_TIMING = StrideTiming(T_ds=1.0, T_ss=1.0)
 
 
+# the probes of `_extract_ode`: the zero state and the basis states of the
+# entries the balance laws read, at s = 0, 1/2 and 1.  A velocity probe
+# would pose exactly the zero state's system, so its K columns are zeros.
+_N_PROBES = len(_BALANCE_COLS) + 1
+_PROBES = np.tile(np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)[_BALANCE_COLS]]), (3, 1))
+_PROBE_S = np.repeat([0.0, 0.5, 1.0], _N_PROBES)
+# the states whose balance matrices differ: the zero state, the six point
+# states and the side state (the zero state at d = 1), then the point states
+# at d = 1, which only the double-support yaw split reads; single support
+# reads the first 8
+_AT_POINTS = np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)[_POINT_COLS]])
+_DISTINCT = np.vstack([_AT_POINTS, _AT_POINTS + np.eye(Q_DIM)[ID_SIDE]])
+_N_DISTINCT = {SINGLE: 8, DOUBLE: 14}
+# the index in `_DISTINCT` of each probe's balance matrix: all but the point
+# and side probes share the zero state's
+_PROBE_MATRIX = np.zeros(Q_DIM, dtype=int)
+_PROBE_MATRIX[_POINT_COLS + [ID_SIDE]] = np.arange(1, 8)
+_PROBE_MATRIX = np.tile(np.concatenate([[0], _PROBE_MATRIX[_BALANCE_COLS]]), 3)
+for _a in (_PROBES, _PROBE_S, _DISTINCT, _PROBE_MATRIX):
+    _a.flags.writeable = False
+
+
 # an entry with its wrench map takes about 12 kB (8 kB single support, 15 kB
 # double): 128 entries (64 bodies) bound the cache near 1.5 MB
 @lru_cache(maxsize=128)
 def _extract_ode(params: BodyParams, phase: str) -> PhaseODE:
-    """Phase ODE of one body at unit phase duration, with its wrench map
+    """Phase ODE of one body at unit duration, with its wrench map
     (read-only arrays).
 
-    One stacked solve probes the zero state and the 23 basis vectors at
-    s = 0, 0.5 and 1.  In double support their transfer Jacobians come from
-    one stacked elimination over the 14 distinct balance matrices that the
-    probes and the wrench map's yaw split read."""
-    probes = np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)])
+    One stacked solve probes the zero state and the 19 basis vectors of the
+    entries the balance laws read (`_PROBES`), at s = 0, 0.5 and 1: 60
+    systems.  A balance matrix reads a state only at its points and side,
+    not at s, so it is assembled once per distinct state, 8 in single
+    support and 14 in double support (`_DISTINCT`), and each probe solves
+    against its own copy.  In double support the transfer Jacobians come
+    from one stacked elimination over those 14, the last 7 of which only
+    the wrench map's yaw split reads."""
+    A = _assemble(params, phase, _DISTINCT[:_N_DISTINCT[phase]])
     J = yaw = None
     if phase == DOUBLE:
-        # a balance matrix reads a state only at its points and side, not at
-        # s, so the 72 probes hold 8 distinct matrices: those of the zero
-        # state, the six point states and the side state (the zero state at
-        # d = 1).  The yaw split reads the point states at d = 1 too.
-        at_points = probes[[0] + [1 + i for i in _POINT_COLS]]
-        distinct = np.vstack([at_points, at_points + probes[1 + ID_SIDE]])
-        J = _transfer_jacobian(_assemble(params, DOUBLE, distinct, np.zeros(14))[0])
+        J = _transfer_jacobian(A)
         yaw = J[7:, _YAW_ROW, _YAW_COLS]
-        matrix = np.zeros(Q_DIM + 1, dtype=int)          # of each probe
-        matrix[[1 + i for i in _POINT_COLS + [ID_SIDE]]] = np.arange(1, 8)
-        J = J[np.tile(matrix, 3)]
-    forces = _solve(params, phase, np.tile(probes, (3, 1)),
-                    np.repeat([0.0, 0.5, 1.0], Q_DIM + 1), J)
-    acc = forces.accel.reshape(3, Q_DIM + 1, 4)
+        J = J[_PROBE_MATRIX]
+    forces = _solve(params, phase, _PROBES, _PROBE_S, A[_PROBE_MATRIX], J)
+    acc = forces.accel.reshape(3, _N_PROBES, 4)
     if np.max(np.abs(acc[:, 0])) > 1e-9:
         raise DegenerateModelError(f"{phase}-support accelerations not homogeneous")
-    K = np.ascontiguousarray((acc[:, 1:] - acc[:, :1]).transpose(0, 2, 1))
+    K = np.zeros((3, 4, Q_DIM))
+    K[..., _BALANCE_COLS] = (acc[:, 1:] - acc[:, :1]).transpose(0, 2, 1)
     K0 = K[0]
     K1 = K[2] - K0
     # the differencing leaves ~1e-17 dust on genuinely constant columns;

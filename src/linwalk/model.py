@@ -25,8 +25,10 @@ class BodyParams:
     """Masses and segment geometry of the three-pendulum walker.
 
     m1 is the torso mass, m2 = m3 the (equal) leg masses.  z1 is the pelvis
-    height, z2 the constant height of the leg-mass planes, z3 the torso-mass
-    offset above the pelvis, and w the full pelvis width (hips sit at +-w/2).
+    height, z2 the constant depth of the leg-mass planes below the pelvis,
+    at most z1 (so kappa = z2 / z1 lies in [0, 1]: the leg masses sit between
+    the hips and the feet), z3 the torso-mass offset above the pelvis, and w
+    the full pelvis width (hips sit at +-w/2).
     """
 
     m1: float
@@ -46,6 +48,9 @@ class BodyParams:
                     raise ValueError(f"{f.name} must be finite and non-negative")
             elif not 0.0 < value < math.inf:
                 raise ValueError(f"{f.name} must be finite and positive")
+        if self.z2 > self.z1:
+            raise ValueError(f"z2 = {self.z2} exceeds z1 = {self.z1}: the leg "
+                             "masses would sit below the feet")
         if abs(self.m2 - self.m3) > 1e-12 * max(self.m2, self.m3):
             raise ValueError("asymmetric legs are not supported (m2 must equal m3)")
 
@@ -55,7 +60,8 @@ class BodyParams:
 
     @property
     def kappa(self) -> float:
-        """Leg-mass interpolation ratio z2/z1 along the leg."""
+        """Leg-mass interpolation ratio z2/z1 down the leg from the hip, in
+        [0, 1]."""
         return self.z2 / self.z1
 
 

@@ -115,7 +115,20 @@ def _spectrum(A: np.ndarray, phase: str) -> tuple[np.ndarray, np.ndarray]:
 # the columns of Q each axis reads: the sagittal (even) or lateral (odd)
 # entries, and the support side d, which only the lateral rows read
 _AXIS_COLS = np.array([list(range(axis, Q_DIM - 1, 2)) + [Q_DIM - 1] for axis in (0, 1)])
-_AXIS_COLS.flags.writeable = False
+# and the columns of the other axis, which no acceleration of an axis reads
+_OFF_AXIS_COLS = np.array([[c for c in range(Q_DIM) if c not in cols] for cols in _AXIS_COLS])
+for _a in (_AXIS_COLS, _OFF_AXIS_COLS):
+    _a.flags.writeable = False
+
+# s, C and S (f = 0, 1, 2) take lambda^i / d! at the degrees d = 2i + f + 1
+# (`_Template.series`): the power i, and 1 / d! where the term exists, 0
+# elsewhere, shaped (3, 1, 18, 1) to broadcast against (2, 1, n) eigenvalues
+_SERIES_POWER = (_DEGREES[:, None] - np.arange(1.0, 4.0)[:, None, None, None]) / 2
+_SERIES_TERM = (_SERIES_POWER >= 0.0) & (_SERIES_POWER % 1.0 == 0.0)
+_SERIES_POWER = np.where(_SERIES_TERM, _SERIES_POWER, 0.0)
+_INV_FACTORIAL = np.array([1.0 / math.factorial(d) for d in range(len(_DEGREES))])[:, None]
+for _a in (_SERIES_POWER, _SERIES_TERM, _INV_FACTORIAL):
+    _a.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,57 +163,54 @@ def _map_template(unit: PhaseODE) -> _Template:
     """The template of one body's phase from its unit-duration ODE.  The
     closed form treats the axes apart and holds the entries that do not
     move constant; `DegenerateModelError` is raised where the ODE breaks
-    that: an acceleration row reading an entry of the other axis, a nonzero
-    acceleration of an entry that does not move, or a moving entry's
-    acceleration reading a velocity of one or a time-linear coefficient on
-    its position or velocity."""
+    that: a nonzero acceleration of an entry that does not move, an
+    acceleration row reading an entry of the other axis, or a moving
+    entry's acceleration reading a velocity of one or a time-linear
+    coefficient on its position or velocity.  Both axes and all
+    eigenvalues are formed at once."""
     moving = (0, 2) if unit.phase == SINGLE else (2,)
     n = len(moving)
     still = [r for r in range(4) if r - r % 2 not in moving]
     if np.any(unit.K0[still]) or np.any(unit.K1[still]):
         raise DegenerateModelError(
             f"{unit.phase}-support dynamics accelerate an entry the phase holds fixed")
-    lams, Zs = [], []
-    for axis, cols in enumerate(_AXIS_COLS):
-        pos = [axis + i for i in moving]
-        K0, K1 = unit.K0[pos], unit.K1[pos]
-        if np.any(np.delete(K0, cols, axis=1)) or np.any(np.delete(K1, cols, axis=1)):
-            raise DegenerateModelError(
-                f"{unit.phase}-support dynamics couple the sagittal and lateral axes")
-        p = [i // 2 for i in moving]           # positions and velocities
-        v = [i + 2 for i in p]                 # among the axis' columns
-        forcing = K0[:, cols]
-        if np.any(forcing[:, v]) or np.any(K1[:, cols][:, p + v]):
-            raise DegenerateModelError(
-                f"{unit.phase}-support accelerations read a moving velocity "
-                "or ramp a moving position")
-        forcing[:, p] = 0.0
-        lam, P = _spectrum(K0[:, pos], unit.phase)
-        Z = np.zeros((4, n, 2 * n, len(cols)))
-        for k in range(n):
-            s, C, ramp_p, ramp_v = Z[:, k]
-            s[:n, v] = P[k]
-            s[n:, p] = lam[k] * P[k]
-            s[n:] += P[k] @ forcing
-            C[:n, p] = C[n:, v] = lam[k] * P[k]
-            C[:n] += P[k] @ forcing
-            ramp_p[:n] = ramp_v[n:] = P[k] @ K1[:, cols]
-        lams.append(lam)
-        Zs.append(Z.reshape(4 * n, -1))
+    pos = np.array([[axis + i for i in moving] for axis in (0, 1)])[..., None]
+    off = pos, _OFF_AXIS_COLS[:, None]
+    if np.any(unit.K0[off]) or np.any(unit.K1[off]):
+        raise DegenerateModelError(
+            f"{unit.phase}-support dynamics couple the sagittal and lateral axes")
+    # per axis, the moving rows on the axis' columns (2, n, 12)
+    forcing, ramp = unit.K0[pos, _AXIS_COLS[:, None]], unit.K1[pos, _AXIS_COLS[:, None]]
+    p = [i // 2 for i in moving]           # positions and velocities
+    v = [i + 2 for i in p]                 # among the axis' columns
+    if np.any(forcing[..., v]) or np.any(ramp[..., p + v]):
+        raise DegenerateModelError(
+            f"{unit.phase}-support accelerations read a moving velocity "
+            "or ramp a moving position")
+    forcing[..., p] = 0.0
+    lam, P = zip(*(_spectrum(A, unit.phase) for A in unit.K0[pos, pos.swapaxes(1, 2)]))
+    lam, P = np.array(lam), np.array(P)            # (2, n), (2, n, n, n)
+    lamP = lam[..., None, None] * P
+    Z = np.zeros((2, 4, n, 2 * n, len(_AXIS_COLS[0])))
+    s, C = Z[:, 0], Z[:, 1]
+    s[:, :, :n, v] = P
+    s[:, :, n:, p] = lamP
+    s[:, :, n:] += P @ forcing[:, None]
+    C[:, :, :n, p] = C[:, :, n:, v] = lamP
+    C[:, :, :n] += P @ forcing[:, None]
+    Z[:, 2, :, :n] = Z[:, 3, :, n:] = P @ ramp[:, None]
     rows = np.array([[axis + i for i in moving + tuple(j + 4 for j in moving)]
                      for axis in (0, 1)])
-    lam = np.array(lams)[:, None]
-    den = np.where(lam == 0.0, 1.0, lam)
-    # s, C and S (f = 0, 1, 2) take lambda^i / d! at the degrees d = 2i + f + 1
-    i = (_DEGREES[:, None] - np.arange(1.0, 4.0)[:, None, None, None]) / 2   # (3, 1, 18, 1)
-    term = (i >= 0.0) & (i % 1.0 == 0.0)
-    inv_factorial = np.array([1.0 / math.factorial(d) for d in range(len(_DEGREES))])
-    series = np.where(term, lam ** np.where(term, i, 0.0) * inv_factorial[:, None], 0.0)
+    lam = lam[:, None]
+    zero = lam == 0.0
+    den = np.where(zero, 1.0, lam)
     tpl = _Template(
-        reach=np.where(lam == 0.0, np.inf, np.sqrt(0.5 / np.abs(den))),
-        den=den, root=np.sqrt(den.astype(complex)), series=series, Z=np.array(Zs),
-        rows=rows, cells=(rows[..., None] * Q_DIM + _AXIS_COLS[:, None]).reshape(2, -1))
-    for a in (tpl.reach, den, tpl.root, series, tpl.Z, rows, tpl.cells):
+        reach=np.where(zero, np.inf, np.sqrt(0.5 / np.abs(den))),
+        den=den, root=np.sqrt(den.astype(complex)),
+        series=np.where(_SERIES_TERM, lam ** _SERIES_POWER * _INV_FACTORIAL, 0.0),
+        Z=Z.reshape(2, 4 * n, -1), rows=rows,
+        cells=(rows[..., None] * Q_DIM + _AXIS_COLS[:, None]).reshape(2, -1))
+    for a in (tpl.reach, den, tpl.root, tpl.series, tpl.Z, rows, tpl.cells):
         a.flags.writeable = False
     return tpl
 

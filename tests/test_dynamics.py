@@ -1,6 +1,7 @@
 """Constraint assembly and elimination, cross-checked against the
 independent algebraic reduction in the oracle module."""
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,16 +10,17 @@ import pytest
 
 from conftest import random_states
 from linwalk.dynamics import (
-    _CONST_COLS, _POINT_COLS, _YAW_COLS, _YAW_ROW, DOUBLE, SINGLE, UNIT_TIMING,
-    DegenerateModelError, ForceSolution, _assemble, _extract_ode, _transfer_jacobian,
-    _wrench_map, assemble_double_support, assemble_single_support, map_forces,
-    solve_forces,
+    _BALANCE_COLS, _CONST_COLS, _POINT_COLS, _YAW_COLS, _YAW_ROW, DOUBLE, SINGLE,
+    UNIT_TIMING, DegenerateModelError, ForceSolution, PhaseODE, _assemble, _extract_ode,
+    _transfer_jacobian, _wrench_map, assemble_double_support, assemble_single_support,
+    map_forces, solve_forces,
 )
-from linwalk.layout import ID_SIDE, Q_DIM
+from linwalk.layout import ID_SIDE, IV_X1Y, IV_X2X, Q_DIM
 from linwalk.model import (
     BodyParams, StrideTiming, default_params, geometry, scaled_body,
 )
 from linwalk.oracle import accel_double, accel_single
+from linwalk.transition import _AXIS_COLS, _DEGREES, _spectrum
 
 FORCES_REF = Path(__file__).parent / "data" / "forces_adult.json"
 
@@ -390,11 +392,13 @@ def test_elimination_index_arrays_are_the_set_differences():
 
 
 def test_extraction_is_one_stacked_solve_per_phase(adult, monkeypatch):
-    """Probing a new body's phase ODE solves its 72 probes in one stacked
-    call.  Double support first eliminates the 14 distinct balance matrices
-    in one more (the zero, point and side states, and the point states at
-    d = 1 for the yaw split); building the wrench map assembles and
-    eliminates nothing."""
+    """Probing a new body's phase ODE assembles one balance matrix per
+    distinct state, 8 in single support and 14 in double support, and
+    solves its 60 probes (the zero state and the 19 entries the balance
+    laws read, at three s) in one stacked call.  Double support first
+    eliminates the 14 in one more (the zero, point and side states, and the
+    point states at d = 1 for the yaw split); building the wrench map
+    assembles and eliminates nothing."""
     import linwalk.dynamics as dynamics
     calls = []
 
@@ -405,34 +409,75 @@ def test_extraction_is_one_stacked_solve_per_phase(adult, monkeypatch):
         return call
 
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve, 0))
-    for name, stacked in (("_assemble", 2), ("_transfer_jacobian", 0)):
+    for name, stacked in (("_assemble", 2), ("_rhs", 2), ("_transfer_jacobian", 0)):
         monkeypatch.setattr(dynamics, name, counted(name, getattr(dynamics, name), stacked))
     body = scaled_body(adult, 71.3917, 0.9613)
     _extract_ode.__wrapped__(body, SINGLE)
-    assert calls == [("_assemble", 72), ("solve", 72)]
+    assert calls == [("_assemble", 8), ("_rhs", 60), ("solve", 60)]
     calls.clear()
     _extract_ode.__wrapped__(body, DOUBLE)
     assert calls == [("_assemble", 14), ("_transfer_jacobian", 14), ("solve", 14),
-                     ("_assemble", 72), ("solve", 72)]
+                     ("_rhs", 60), ("solve", 60)]
 
 
-def _reference_double_support(body):
-    """Double-support extraction as one elimination per probe: each of the
-    72 probes eliminates its own balance system (`solve_forces`), and the
-    yaw split assembles and eliminates 7 more states, the zero state and
-    the six point states at d = 1.  Returns K0, K1 and the wrench map."""
+def _reference_extraction(body, phase):
+    """Extraction as one assembly and, in double support, one elimination
+    per probe: each of the 72 probes, the zero state and the 23 basis
+    vectors at s = 0, 1/2 and 1, solves its own balance system
+    (`solve_forces`), and the double-support yaw split assembles and
+    eliminates 7 more states, the zero state and the six point states at
+    d = 1.  Returns the unit ODE with its wrench map."""
     probes = np.tile(np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)]), (3, 1))
-    forces = solve_forces(body, UNIT_TIMING, DOUBLE, probes,
+    forces = solve_forces(body, UNIT_TIMING, phase, probes,
                           np.repeat([0.0, 0.5, 1.0], Q_DIM + 1))
     acc = forces.accel.reshape(3, Q_DIM + 1, 4)
     K = (acc[:, 1:] - acc[:, :1]).transpose(0, 2, 1)
     K0, K1 = K[0], K[2] - K[0]
     K1[np.abs(K1) < 1e-12 * max(np.max(np.abs(K1)), 1e-300)] = 0.0
-    K1[:, [i for i in range(Q_DIM) if i not in _CONST_COLS[DOUBLE]]] = 0.0
-    at_side = probes[[0] + [1 + i for i in _POINT_COLS]].copy()
-    at_side[:, ID_SIDE] = 1.0
-    J = _transfer_jacobian(_assemble(body, DOUBLE, at_side, np.zeros(7))[0])
-    return K0, K1, _wrench_map(DOUBLE, forces, J[:, _YAW_ROW, _YAW_COLS])
+    K1[:, [i for i in range(Q_DIM) if i not in _CONST_COLS[phase]]] = 0.0
+    yaw = None
+    if phase == DOUBLE:
+        at_side = probes[[0] + [1 + i for i in _POINT_COLS]].copy()
+        at_side[:, ID_SIDE] = 1.0
+        yaw = _transfer_jacobian(_assemble(body, DOUBLE, at_side))[:, _YAW_ROW, _YAW_COLS]
+    balance = [p * (Q_DIM + 1) + i for p in range(3) for i in [0] + [1 + c for c in _BALANCE_COLS]]
+    return PhaseODE(phase, 1.0, K0, K1, _wrench_map(phase, forces[balance], yaw))
+
+
+def _reference_template(ode):
+    """The closed-form template of a unit ODE built axis by axis and
+    eigenvalue by eigenvalue, with no structure checks: (reach, den, root,
+    series, Z)."""
+    moving = (0, 2) if ode.phase == SINGLE else (2,)
+    n = len(moving)
+    p = [i // 2 for i in moving]
+    v = [i + 2 for i in p]
+    lams, Zs = [], []
+    for axis, cols in enumerate(_AXIS_COLS):
+        pos = [axis + i for i in moving]
+        K0, K1 = ode.K0[pos], ode.K1[pos]
+        forcing = K0[:, cols]
+        forcing[:, p] = 0.0
+        lam, P = _spectrum(K0[:, pos], ode.phase)
+        Z = np.zeros((4, n, 2 * n, len(cols)))
+        for k in range(n):
+            s, C, ramp_p, ramp_v = Z[:, k]
+            s[:n, v] = P[k]
+            s[n:, p] = lam[k] * P[k]
+            s[n:] += P[k] @ forcing
+            C[:n, p] = C[n:, v] = lam[k] * P[k]
+            C[:n] += P[k] @ forcing
+            ramp_p[:n] = ramp_v[n:] = P[k] @ K1[:, cols]
+        lams.append(lam)
+        Zs.append(Z.reshape(4 * n, -1))
+    lam = np.array(lams)[:, None]
+    den = np.where(lam == 0.0, 1.0, lam)
+    i = (_DEGREES[:, None] - np.arange(1.0, 4.0)[:, None, None, None]) / 2
+    term = (i >= 0.0) & (i % 1.0 == 0.0)
+    inv_factorial = np.array([1.0 / math.factorial(d) for d in range(len(_DEGREES))])
+    series = np.where(term, lam ** np.where(term, i, 0.0) * inv_factorial[:, None], 0.0)
+    return (np.where(lam == 0.0, np.inf, np.sqrt(0.5 / np.abs(den))), den,
+            np.sqrt(den.astype(complex)), series, np.array(Zs))
 
 
 def _wide_bodies(n, seed):
@@ -445,15 +490,44 @@ def _wide_bodies(n, seed):
 
 
 def test_shared_elimination_equals_one_elimination_per_probe(adult, kid):
-    """One elimination per distinct balance matrix gives, bit for bit, the
-    K0, K1, wrench table and yaw split of one elimination per probe, on
-    the adult, the kid and 30 seeded wide-drawn bodies."""
+    """Probing 20 states against one balance matrix per distinct state, and
+    eliminating once per distinct matrix, gives, bit for bit, the K0, K1,
+    wrench table and yaw split of one assembly and elimination per probe
+    over all 24 probe states, in both phases, on the adult, the kid and 30
+    seeded wide-drawn bodies; and the phase templates equal those built
+    from the reference ODEs axis by axis and eigenvalue by eigenvalue."""
+    from linwalk.transition import phase_template
     for body in [adult, kid, *_wide_bodies(30, seed=33)]:
-        ode = _extract_ode.__wrapped__(body, DOUBLE)
-        K0, K1, wrenches = _reference_double_support(body)
-        assert np.array_equal(ode.K0, K0) and np.array_equal(ode.K1, K1), body
-        assert np.array_equal(ode.wrenches.table, wrenches.table), body
-        assert np.array_equal(ode.wrenches.yaw, wrenches.yaw), body
+        for phase in (SINGLE, DOUBLE):
+            ode = _extract_ode.__wrapped__(body, phase)
+            ref = _reference_extraction(body, phase)
+            assert np.array_equal(ode.K0, ref.K0) and np.array_equal(ode.K1, ref.K1), body
+            assert np.array_equal(ode.wrenches.table, ref.wrenches.table), body
+            if phase == DOUBLE:
+                assert np.array_equal(ode.wrenches.yaw, ref.wrenches.yaw), body
+            else:
+                assert ode.wrenches.yaw is None
+            tpl = phase_template.__wrapped__(body, phase)
+            got = (tpl.reach, tpl.den, tpl.root, tpl.series, tpl.Z)
+            for name, a, b in zip(("reach", "den", "root", "series", "Z"), got,
+                                  _reference_template(ref)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (body, phase, name)
+
+
+def test_velocity_probes_pose_the_zero_state_system(adult, kid):
+    """The balance laws read no velocity: at s = 0, 1/2 and 1 each velocity
+    basis state's `solve_forces` solution equals the zero state's, bit for
+    bit, in every field, so their K columns are exact zeros and extraction
+    need not probe them."""
+    states = np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)[IV_X2X:IV_X1Y + 1]])
+    for body in [adult, kid, *_wide_bodies(8, seed=34)]:
+        for phase in (SINGLE, DOUBLE):
+            for s in (0.0, 0.5, 1.0):
+                F = solve_forces(body, UNIT_TIMING, phase, states, np.full(len(states), s))
+                for f in fields(ForceSolution):
+                    v = getattr(F, f.name)
+                    assert all(row.tobytes() == v[0].tobytes() for row in v[1:]), (
+                        body, phase, s, f.name)
 
 
 def test_degenerate_body_raises_on_every_call(timing):

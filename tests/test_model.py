@@ -41,6 +41,16 @@ def test_param_validation():
     assert StrideTiming(0.1, 0.6).T_stride == pytest.approx(0.7)
 
 
+def test_leg_masses_lie_between_hips_and_feet():
+    """z2 is the leg masses' depth below the pelvis, so kappa = z2 / z1 lies
+    in [0, 1]: a z2 above z1, which would put the leg masses below the
+    feet, is refused naming both; z2 = z1 (masses at the feet) is kept."""
+    with pytest.raises(ValueError, match="z2 = 1.2 exceeds z1 = 0.89"):
+        BodyParams(m1=45.7, m2=12.15, m3=12.15, z1=0.89, z2=1.2, z3=0.36, w=0.2)
+    assert BodyParams(m1=45.7, m2=12.15, m3=12.15, z1=0.89, z2=0.89, z3=0.36,
+                      w=0.2).kappa == 1.0
+
+
 def test_geometry_hip_offset(adult):
     geo = geometry(adult, [0, 0, 0.89], [0.3, 0.1, 0], [0, -0.1, 0], d=+1.0)
     assert np.allclose(geo["x2"], [0, 0.1, 0.89])

@@ -373,8 +373,11 @@ def test_shared_arrays_are_read_only(adult, timing):
     for pm in (maps.ds, maps.ss):
         arrays += [getattr(pm.template, f.name) for f in dataclasses.fields(pm.template)]
     arrays += [gaits.M_MAT, gaits.O_MAT, gaits.T_MAT, *gaits._SAG,
-               transition._AXIS_COLS, transition._DEGREES, dynamics._V_COLS,
-               dynamics._OTHER_COLS, dynamics._KEPT_ROWS, dynamics._ELIM_ROWS,
+               transition._AXIS_COLS, transition._OFF_AXIS_COLS, transition._DEGREES,
+               transition._SERIES_POWER, transition._SERIES_TERM,
+               transition._INV_FACTORIAL, dynamics._V_COLS, dynamics._OTHER_COLS,
+               dynamics._KEPT_ROWS, dynamics._ELIM_ROWS, dynamics._PROBES,
+               dynamics._PROBE_S, dynamics._DISTINCT, dynamics._PROBE_MATRIX,
                analysis._BERNSTEIN]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
