@@ -15,7 +15,7 @@ does a 100 000-sample gait, whose 2.1 M-cell `trajectory.csv` is mostly
 the table writer.  Last, one process per tree times, in process, a new
 body's phase-ODE extraction (`dynamics._extract_ode`) and then its phase
 template (`transition.phase_template`, the extraction cached), per phase,
-on LAYER_BODIES seeded bodies drawn as perfbench draws them.
+on LAYER_BODIES bodies drawn from seed 0 as perfbench draws them.
 
 The JSON file holds the machine block and, per commit, the median and
 interquartile range of `op_p50_cal`, `setup_s` and `peak_rss_mb` per
@@ -52,11 +52,11 @@ import numpy as np
 from linwalk.dynamics import _extract_ode
 from linwalk.model import default_params, scaled_body
 from linwalk.transition import phase_template
-rng = np.random.default_rng(int(sys.argv[1]))
+rng = np.random.default_rng(0)
 base = default_params("adult")
 out = {"extract_ode": {"single": [], "double": []},
        "phase_template": {"single": [], "double": []}}
-for k in range(10 + int(sys.argv[2])):       # the first 10 warm up
+for k in range(10 + int(sys.argv[1])):       # the first 10 warm up
     body = scaled_body(base, float(rng.uniform(55.0, 85.0)), float(rng.uniform(0.9, 1.1)))
     for phase in ("single", "double"):
         for layer, call in (("extract_ode", _extract_ode), ("phase_template", phase_template)):
@@ -133,13 +133,12 @@ def time_cli(tree: Path, work: Path, argv: list[str]) -> tuple[float, int, float
     return wall, proc.returncode, usage.ru_maxrss / 1024.0
 
 
-def time_layers(tree: Path, seed: int) -> dict:
+def time_layers(tree: Path) -> dict:
     """Each layer's microseconds per new body and phase (`LAYER_SCRIPT`),
     as median and interquartile range, from one process in tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPT, str(seed),
-                           str(LAYER_BODIES)], cwd=tree, env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPT, str(LAYER_BODIES)],
+                          cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
     times = json.loads(proc.stdout)
@@ -199,7 +198,7 @@ def main(argv=None) -> int:
                         walls[sha][name].append(wall)
                         codes[sha][name].add(code)
                         rss[sha][name].append(peak)
-            layers = {sha: time_layers(trees[sha], 0) for sha in alternate(shas, 0)}
+            layers = {sha: time_layers(trees[sha]) for sha in shas}
         finally:
             for tree in trees.values():
                 if tree.exists():

@@ -333,10 +333,10 @@ def solve_forces(params: BodyParams, timing: StrideTiming, phase: str,
 def _solve(params: BodyParams, phase: str, qs: np.ndarray, s: np.ndarray,
            A: np.ndarray, J: np.ndarray | None = None) -> ForceSolution:
     """The stacked solve of `solve_forces` at the k states qs and phase
-    fractions s, whose balance matrices (`_assemble`) are A (k, n, n), one
-    system per state and each the caller's own stack.  In double support
-    the transfer rows are written into A; J (k, 4, 8) holds the systems'
-    transfer Jacobians, and without it they are eliminated from A here."""
+    fractions s, whose balance matrices (`_assemble`) are A (k, n, n), a
+    stack the caller hands over: in double support the transfer rows are
+    written into it.  There J (k, 4, 8) holds the systems' transfer
+    Jacobians; without it they are eliminated from A here."""
     b, given = _rhs(params, phase, qs, s)
     if phase == DOUBLE:
         _put_transfer_rows(_transfer_jacobian(A) if J is None else J, qs, s, A, b)
@@ -524,8 +524,8 @@ _PROBE_S = np.repeat([0.0, 0.5, 1.0], _N_PROBES)
 # states and the side state (the zero state at d = 1), then the point states
 # at d = 1, which only the double-support yaw split reads; single support
 # reads the first 8
-_AT_POINTS = np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)[_POINT_COLS]])
-_DISTINCT = np.vstack([_AT_POINTS, _AT_POINTS + np.eye(Q_DIM)[ID_SIDE]])
+_DISTINCT = np.vstack([np.zeros(Q_DIM), np.eye(Q_DIM)[_POINT_COLS]])
+_DISTINCT = np.vstack([_DISTINCT, _DISTINCT + np.eye(Q_DIM)[ID_SIDE]])
 _N_DISTINCT = {SINGLE: 8, DOUBLE: 14}
 # the index in `_DISTINCT` of each probe's balance matrix: all but the point
 # and side probes share the zero state's
